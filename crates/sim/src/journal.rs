@@ -488,7 +488,9 @@ pub fn reopen_for_resume(dir: &Path, run: &RecoveredRun) -> std::io::Result<WalJ
 /// [`append`](Journal::append) and its barrier index hits the cadence,
 /// the same payload is written to the [`SnapshotStore`] right after the
 /// WAL commit that made it durable — so a snapshot can never be newer
-/// than the journal.
+/// than the journal. After each save only the newest two generations stay
+/// on disk, so [`SnapshotStore::latest`] still has a fallback past a
+/// damaged one.
 #[derive(Debug)]
 pub struct DurableJournal {
     wal: WalJournal,
@@ -504,6 +506,9 @@ pub struct DurableJournal {
 /// enum encoding) — how [`DurableJournal`] spots barriers without
 /// parsing each record.
 const BARRIER_PREFIX: &str = "{\"CycleCommitted\"";
+
+/// Snapshot generations a [`DurableJournal`] keeps on disk.
+const SNAPSHOTS_KEPT: usize = 2;
 
 impl DurableJournal {
     /// Creates a fresh journal (truncating any previous one) in `dir`,
@@ -597,8 +602,22 @@ impl DurableJournal {
             return;
         }
         match self.snapshots.save(*generation, payload) {
-            Ok(()) => self.saved_generation = *generation,
+            Ok(()) => {
+                self.saved_generation = *generation;
+                if let Err(error) = self.prune_snapshots() {
+                    self.snapshot_error = Some(error);
+                }
+            }
             Err(error) => self.snapshot_error = Some(error),
+        }
+    }
+
+    /// Deletes every snapshot generation but the newest [`SNAPSHOTS_KEPT`].
+    fn prune_snapshots(&self) -> std::io::Result<()> {
+        let generations = self.snapshots.generations()?;
+        match generations.iter().rev().nth(SNAPSHOTS_KEPT - 1) {
+            Some(&oldest_kept) => self.snapshots.prune_below(oldest_kept),
+            None => Ok(()),
         }
     }
 }
@@ -861,21 +880,26 @@ mod tests {
         let mut journal = DurableJournal::create(&dir, 2).unwrap();
         journal.append(&header());
         journal.commit();
-        for cycle in 0..4 {
+        let store = SnapshotStore::open(&snapshot_dir(&dir)).unwrap();
+        for cycle in 0..9 {
             journal.append(&event(cycle));
             journal.append(&barrier(cycle + 1));
             journal.commit();
+            if cycle + 1 == 4 {
+                assert_eq!(store.generations().unwrap(), vec![2, 4]);
+            }
         }
         journal.finish().unwrap();
 
-        let store = SnapshotStore::open(&snapshot_dir(&dir)).unwrap();
-        assert_eq!(store.generations().unwrap(), vec![2, 4]);
+        // Only the newest two generations survive: the cadence's 8 and the
+        // final snapshot of barrier 9 that finish() writes.
+        assert_eq!(store.generations().unwrap(), vec![8, 9]);
         let (generation, payload) = store.latest().unwrap().unwrap();
-        assert_eq!(generation, 4);
-        assert_eq!(payload, barrier(4));
+        assert_eq!(generation, 9);
+        assert_eq!(payload, barrier(9));
 
         let run = recover(&dir).unwrap();
-        assert_eq!(run.state.next_cycle, 4);
+        assert_eq!(run.state.next_cycle, 9);
         assert!(!run.discarded_tail);
     }
 

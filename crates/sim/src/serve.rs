@@ -45,14 +45,19 @@
 //! [`DurableJournal`](crate::journal::DurableJournal) with its
 //! own record schema, [`LiveRecord`]: a `ServiceStarted` header, one
 //! durable (fsync'd) `Submitted` record per admitted request, per-cycle
-//! `Committed`/`Deferred`/`Finished` audit events, and a `CycleCommitted`
-//! barrier carrying the full [`LiveState`]. The barrier payload starts
-//! with the same `{"CycleCommitted"` prefix as the rolling schema's, so
-//! the journal's snapshot cadence applies unchanged. [`recover_live`]
-//! replays a journal directory: the last barrier wins, and trailing
-//! `Submitted` records — requests accepted after the last committed cycle
-//! — are re-applied, which is what makes an accepted-but-uncommitted
-//! request survive a crash (see `docs/SERVING.md`).
+//! `Committed`/`Deferred` audit events, a `Finished` record carrying each
+//! retired job's final entry, and a `CycleCommitted` barrier carrying the
+//! live [`LiveState`]. A finished job leaves `LiveState::jobs` for the
+//! service's retired archive in the cycle that finishes it, so it is
+//! journaled once, in its `Finished` record, and barrier size tracks live
+//! work rather than uptime. The barrier payload starts with the same
+//! `{"CycleCommitted"` prefix as the rolling schema's, so the journal's
+//! snapshot cadence applies unchanged. [`recover_live`] replays a journal
+//! directory: the last barrier wins, the archive is rebuilt from the
+//! `Finished` records before it, and trailing `Submitted` records —
+//! requests accepted after the last committed cycle — are re-applied,
+//! which is what makes an accepted-but-uncommitted request survive a
+//! crash (see `docs/SERVING.md`).
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -250,9 +255,9 @@ pub struct ShardState {
     pub horizon: TimePoint,
 }
 
-/// The complete mutable state of a live service — what a
+/// The live mutable state of a service — what a
 /// [`LiveRecord::CycleCommitted`] barrier checkpoints.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct LiveState {
     /// Cycles executed so far.
     pub cycle: u64,
@@ -260,7 +265,9 @@ pub struct LiveState {
     pub next_job: u32,
     /// Per-shard platform state.
     pub shards: Vec<ShardState>,
-    /// Every job ever accepted, in id order.
+    /// Queued and scheduled jobs, in id order. Finished jobs are retired
+    /// out of the table into the service's archive (barriers written
+    /// before retirement existed may still list some).
     pub jobs: Vec<JobEntry>,
     /// Per-tenant in-flight footprints, derived from `jobs`.
     pub usage: BTreeMap<String, TenantUsage>,
@@ -341,16 +348,21 @@ pub enum LiveRecord {
         /// Its shard.
         shard: u32,
     },
-    /// A job's window finished as the clock advanced (audit event).
+    /// A job's window finished as the clock advanced, and the job left
+    /// the live table. The only record that journals its final entry.
     Finished {
         /// The cycle.
         cycle: u64,
         /// The finished job.
         job: u32,
+        /// The retired entry, phase `Finished`. `None` only in journals
+        /// written before finished jobs were retired out of the barrier;
+        /// their barriers still list the entry instead.
+        entry: Option<JobEntry>,
     },
-    /// The cycle barrier: the complete post-cycle state.
+    /// The cycle barrier: the live post-cycle state.
     CycleCommitted {
-        /// The full service state after this cycle.
+        /// The service's live state after this cycle.
         state: LiveState,
     },
 }
@@ -393,10 +405,13 @@ pub struct RecoveredService {
 /// The service is a pure state machine — no I/O, no clocks — so the
 /// daemon around it owns the journal, the HTTP endpoint and the pacing,
 /// and tests drive it directly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LiveService {
     config: LiveConfig,
     state: LiveState,
+    /// Finished jobs by id. Not part of the barrier: each entry is
+    /// journaled once, in its `Finished` record.
+    retired: BTreeMap<u32, JobEntry>,
 }
 
 impl LiveService {
@@ -440,6 +455,7 @@ impl LiveService {
                 jobs: Vec::new(),
                 usage,
             },
+            retired: BTreeMap::new(),
         }
     }
 
@@ -449,10 +465,16 @@ impl LiveService {
         &self.config
     }
 
-    /// The full current state (what a barrier would checkpoint).
+    /// The live state (what a barrier would checkpoint).
     #[must_use]
     pub fn state(&self) -> &LiveState {
         &self.state
+    }
+
+    /// Finished jobs, by id.
+    #[must_use]
+    pub fn retired(&self) -> &BTreeMap<u32, JobEntry> {
+        &self.retired
     }
 
     /// Cycles executed so far.
@@ -461,16 +483,26 @@ impl LiveService {
         self.state.cycle
     }
 
-    /// Every accepted job, in id order.
-    #[must_use]
-    pub fn jobs(&self) -> &[JobEntry] {
-        &self.state.jobs
+    /// Every accepted job: the retired ones in id order, then the live
+    /// ones in id order.
+    pub fn jobs(&self) -> impl Iterator<Item = &JobEntry> {
+        self.retired.values().chain(&self.state.jobs)
     }
 
-    /// Looks up one job by id.
+    /// How many jobs were ever accepted, live and retired.
+    #[must_use]
+    pub fn job_count(&self) -> usize {
+        self.retired.len() + self.state.jobs.len()
+    }
+
+    /// Looks up one job by id: a binary search of the id-ordered live
+    /// table, then the archive.
     #[must_use]
     pub fn job(&self, id: JobId) -> Option<&JobEntry> {
-        self.state.jobs.iter().find(|entry| entry.id == id)
+        match self.state.jobs.binary_search_by_key(&id, |entry| entry.id) {
+            Ok(index) => Some(&self.state.jobs[index]),
+            Err(_) => self.retired.get(&id.0),
+        }
     }
 
     /// Every known tenant with its usage and governing quota, in name
@@ -561,18 +593,19 @@ impl LiveService {
         Ok(entry)
     }
 
-    /// Rebuilds the per-tenant usage table from the jobs table — the
+    /// Rebuilds the per-tenant usage table from the live jobs table — the
     /// single source of truth, so charge/release can never drift.
     fn recompute_usage(&mut self) {
         for usage in self.state.usage.values_mut() {
             *usage = TenantUsage::default();
         }
         for entry in &self.state.jobs {
-            let usage = self
-                .state
-                .usage
-                .entry(entry.tenant.as_str().to_owned())
-                .or_default();
+            let tenant = entry.tenant.as_str();
+            // Allocate the key only for a tenant seen for the first time.
+            let usage = match self.state.usage.get_mut(tenant) {
+                Some(usage) => usage,
+                None => self.state.usage.entry(tenant.to_owned()).or_default(),
+            };
             match entry.phase {
                 JobPhase::Queued => {
                     usage.pending += 1;
@@ -633,6 +666,7 @@ impl LiveService {
         spans: &mut S,
     ) -> CycleOutcome {
         let spanning = spans.enabled();
+        let journaling = journal.enabled();
         let cycle = self.state.cycle;
         let root = if spanning {
             let root = spans.open("serve.cycle");
@@ -759,15 +793,17 @@ impl LiveService {
                 let job = assignment.job.id();
                 match &assignment.window {
                     Some(window) if reserve_window(&mut self.state.shards[shard].slots, window) => {
-                        journal.append(
-                            &LiveRecord::Committed {
-                                cycle,
-                                job: job.0,
-                                shard: shard as u32,
-                                window: window.clone(),
-                            }
-                            .encode(),
-                        );
+                        if journaling {
+                            journal.append(
+                                &LiveRecord::Committed {
+                                    cycle,
+                                    job: job.0,
+                                    shard: shard as u32,
+                                    window: window.clone(),
+                                }
+                                .encode(),
+                            );
+                        }
                         outcome.committed.push((job, shard as u32));
                         new_phase.insert(
                             job.0,
@@ -778,14 +814,16 @@ impl LiveService {
                         );
                     }
                     _ => {
-                        journal.append(
-                            &LiveRecord::Deferred {
-                                cycle,
-                                job: job.0,
-                                shard: shard as u32,
-                            }
-                            .encode(),
-                        );
+                        if journaling {
+                            journal.append(
+                                &LiveRecord::Deferred {
+                                    cycle,
+                                    job: job.0,
+                                    shard: shard as u32,
+                                }
+                                .encode(),
+                            );
+                        }
                         outcome.deferred.push(job);
                     }
                 }
@@ -863,14 +901,6 @@ impl LiveService {
             } = &entry.phase
             {
                 if window.finish() <= self.state.shards[entry.shard as usize].now {
-                    journal.append(
-                        &LiveRecord::Finished {
-                            cycle,
-                            job: entry.id.0,
-                        }
-                        .encode(),
-                    );
-                    outcome.finished.push(entry.id);
                     entry.phase = JobPhase::Finished {
                         window: window.clone(),
                         committed_cycle: *committed_cycle,
@@ -879,6 +909,19 @@ impl LiveService {
                 }
             }
         }
+        self.retire_finished(|entry| {
+            outcome.finished.push(entry.id);
+            if journaling {
+                journal.append(
+                    &LiveRecord::Finished {
+                        cycle,
+                        job: entry.id.0,
+                        entry: Some(entry.clone()),
+                    }
+                    .encode(),
+                );
+            }
+        });
 
         if let Some(id) = retire_span {
             spans.attr_u64("finished", outcome.finished.len() as u64);
@@ -888,12 +931,17 @@ impl LiveService {
         self.state.cycle += 1;
         self.recompute_usage();
 
-        journal.append(
-            &LiveRecord::CycleCommitted {
-                state: self.state.clone(),
-            }
-            .encode(),
-        );
+        if journaling {
+            // Lend the state to the barrier record instead of cloning it.
+            let barrier = LiveRecord::CycleCommitted {
+                state: std::mem::take(&mut self.state),
+            };
+            journal.append(&barrier.encode());
+            let LiveRecord::CycleCommitted { state } = barrier else {
+                unreachable!("built as a barrier above");
+            };
+            self.state = state;
+        }
         journal.commit();
 
         if spanning {
@@ -958,6 +1006,20 @@ impl LiveService {
         }
     }
 
+    /// Moves every `Finished` job out of the live table into the archive,
+    /// in id order, calling `each` on it first. The cycle's retire step
+    /// and recovery of barriers that still list finished jobs share it.
+    fn retire_finished(&mut self, mut each: impl FnMut(&JobEntry)) {
+        let finished = self
+            .state
+            .jobs
+            .extract_if(.., |entry| matches!(entry.phase, JobPhase::Finished { .. }));
+        for entry in finished {
+            each(&entry);
+            self.retired.insert(entry.id.0, entry);
+        }
+    }
+
     /// Re-applies a recovered trailing `Submitted` record: the request
     /// was durably accepted after the last barrier, so it re-enters the
     /// queue exactly as admitted.
@@ -995,10 +1057,14 @@ fn reserve_window(slots: &mut SlotList, window: &Window) -> bool {
 
 /// Replays a live journal directory back into a resumable service.
 ///
-/// The last `CycleCommitted` barrier wins; trailing `Submitted` records
+/// The last `CycleCommitted` barrier wins; the retired archive is rebuilt
+/// from the `Finished` records that precede it (those after it belong to
+/// the interrupted cycle, which re-runs); trailing `Submitted` records
 /// are re-applied on top (they were fsync'd at admission — losing them
-/// would drop accepted work). A torn final line is truncated, exactly as
-/// the rolling recovery does. The snapshot store is cross-checked: a
+/// would drop accepted work). A barrier written before finished jobs were
+/// retired out of it still lists them; they are split into the archive
+/// exactly as a cycle's retire step does. A torn final line is truncated,
+/// exactly as the rolling recovery does. The snapshot store is cross-checked: a
 /// snapshot claiming more cycles than the journal means the files are not
 /// from the same run, and recovery refuses rather than guesses.
 ///
@@ -1024,6 +1090,7 @@ pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
     let mut service = LiveService::new(config);
     let mut barriers = 0u64;
     let mut trailing: Vec<JobEntry> = Vec::new();
+    let mut finishing: Vec<JobEntry> = Vec::new();
     for (index, payload) in records.enumerate() {
         let record_no = index as u64 + 2;
         let record = LiveRecord::decode(payload).map_err(|message| RecoverError::Decode {
@@ -1047,15 +1114,32 @@ pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
                     });
                 }
                 service.state = state;
+                // A `Finished` record whose job this barrier lists as live
+                // came from a cycle lost to a crash and re-run differently
+                // (new submits changed its commits); the barrier wins.
+                for entry in finishing.drain(..) {
+                    if service
+                        .state
+                        .jobs
+                        .binary_search_by_key(&entry.id, |job| job.id)
+                        .is_err()
+                    {
+                        service.retired.insert(entry.id.0, entry);
+                    }
+                }
+                service.retire_finished(|_| {});
                 barriers += 1;
                 // The barrier state subsumes everything admitted before it.
                 trailing.clear();
             }
             LiveRecord::Submitted { entry } => trailing.push(entry),
+            LiveRecord::Finished {
+                entry: Some(entry), ..
+            } => finishing.push(entry),
             // Audit events contribute nothing to the state.
             LiveRecord::Committed { .. }
             | LiveRecord::Deferred { .. }
-            | LiveRecord::Finished { .. } => {}
+            | LiveRecord::Finished { entry: None, .. } => {}
         }
     }
 
@@ -1215,6 +1299,9 @@ mod tests {
         }
         assert!(finished, "window {window:?} never finished");
         assert_eq!(service.job(entry.id).unwrap().phase.name(), "finished");
+        // Retired out of the live table, still answered from the archive.
+        assert!(service.state().jobs.is_empty());
+        assert!(service.retired().contains_key(&entry.id.0));
         assert_eq!(service.state().usage["alice"].nodes_in_flight, 0);
     }
 
@@ -1232,7 +1319,6 @@ mod tests {
         }
         let windows: Vec<&Window> = service
             .jobs()
-            .iter()
             .filter_map(|entry| entry.phase.window())
             .collect();
         assert!(windows.len() >= 2, "expected several commits");
@@ -1368,13 +1454,18 @@ mod tests {
     #[test]
     fn live_records_round_trip_and_the_barrier_prefix_matches_rolling() {
         let config = tiny_config(1);
-        let service = LiveService::new(config.clone());
+        let mut service = LiveService::new(config.clone());
+        let entry = service.submit(&submission("alice", 1, 9_000.0)).unwrap();
         let records = [
             LiveRecord::ServiceStarted { config },
             LiveRecord::CycleCommitted {
                 state: service.state().clone(),
             },
-            LiveRecord::Finished { cycle: 3, job: 7 },
+            LiveRecord::Finished {
+                cycle: 3,
+                job: entry.id.0,
+                entry: Some(entry),
+            },
         ];
         for record in &records {
             let line = record.encode();

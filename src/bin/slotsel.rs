@@ -658,7 +658,7 @@ fn live_handler(shared: Arc<Mutex<LiveShared>>, registry: Arc<MetricsRegistry>) 
                 let mut body = ObjectWriter::new();
                 body.u64_field("cycle", state.cycle);
                 body.u64_field("shards", state.shards.len() as u64);
-                body.u64_field("jobs", state.jobs.len() as u64);
+                body.u64_field("jobs", live.service.job_count() as u64);
                 body.u64_field(
                     "queued",
                     state
@@ -790,7 +790,7 @@ fn cmd_serve_live(args: &Args) -> Result<(), String> {
                             "recover: resuming live service at cycle {} \
                              ({} jobs, {} re-applied submits{})",
                             recovered.service.cycle(),
-                            recovered.service.jobs().len(),
+                            recovered.service.job_count(),
                             recovered.resubmitted,
                             if recovered.discarded_tail {
                                 ", torn tail truncated"

@@ -723,6 +723,63 @@ fn live_serve_recovers_accepted_submits_after_a_kill() {
 }
 
 #[test]
+fn live_serve_answers_finished_jobs_from_the_archive_across_a_kill() {
+    let dir = temp_path("live-retired");
+    let _ = std::fs::remove_dir_all(&dir);
+    let journal_dir = ["--journal-dir", dir.to_str().unwrap()];
+    let (mut child, addr) = spawn_live(&journal_dir);
+    let accepted = live_request(
+        &addr,
+        "POST",
+        "/submit",
+        "{\"tenant\":\"alice\",\"nodes\":2,\"volume\":80,\"budget\":500.0}",
+    );
+    assert!(accepted.starts_with("HTTP/1.1 200"), "{accepted}");
+    let finished = (0..400).any(|_| {
+        let response = live_request(&addr, "GET", "/job/0", "");
+        std::thread::sleep(std::time::Duration::from_millis(25));
+        response_body(&response).contains("\"state\":\"finished\"")
+    });
+    assert!(finished, "job 0 never finished");
+    // A few more cycles, so barriers written after the retirement follow.
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    child.kill().expect("simulated crash");
+    let _ = child.wait();
+
+    // The finished job is journaled once, in its Finished record; no
+    // barrier lists it.
+    let journal = std::fs::read_to_string(dir.join("journal.wal")).unwrap();
+    let barriers: Vec<&str> = journal
+        .lines()
+        .filter(|line| line.contains("{\"CycleCommitted\""))
+        .collect();
+    assert!(barriers.len() > 1, "{} barriers", barriers.len());
+    assert!(barriers.iter().all(|line| !line.contains("\"Finished\"")));
+    assert!(journal
+        .lines()
+        .any(|line| line.contains("{\"Finished\"") && line.contains("\"entry\":{\"id\":0")));
+
+    // --recover rebuilds the archive: the job still answers, finished.
+    let mut args = journal_dir.to_vec();
+    args.push("--recover");
+    let (mut child, addr) = spawn_live(&args);
+    let job = live_request(&addr, "GET", "/job/0", "");
+    assert!(job.starts_with("HTTP/1.1 200"), "{job}");
+    assert!(
+        response_body(&job).contains("\"state\":\"finished\""),
+        "{job}"
+    );
+    let state = live_request(&addr, "GET", "/state", "");
+    let body = response_body(&state);
+    assert!(body.contains("\"jobs\":1,"), "{body}");
+    assert!(body.contains("\"queued\":0,\"scheduled\":0"), "{body}");
+
+    live_request(&addr, "POST", "/shutdown", "");
+    let _ = child.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn live_serve_journals_disjoint_shard_commits_distinctly() {
     use slotsel::sim::serve::LiveRecord;
 
