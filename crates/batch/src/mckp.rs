@@ -7,6 +7,13 @@
 //! solved here by dynamic programming over discretised budget units. This
 //! is the combination-selection step of the composite scheduling scheme the
 //! paper builds on (its refs [6, 7]).
+//!
+//! The DP only walks the *reachable band* of budget cells: after `k`
+//! classes every reachable total lies between the sum of the classes'
+//! cheapest and (clipped to the budget) dearest items. That costs
+//! `O(Σ_k |class_k| · band_{k-1})` time and `2 B · Σ_k band_k` of choice
+//! memory, instead of `O(total_items · budget_units)` time and 8 bytes per
+//! class per budget unit for a dense table (see `docs/PERFORMANCE.md` §6).
 
 use slotsel_core::money::Money;
 
@@ -25,6 +32,9 @@ pub struct MckpItem {
 /// never exceeds the real budget.
 const UNIT_MILLIS: i64 = 1_000;
 
+/// Choice-row marker for a cell no item of the class reaches.
+const NO_CHOICE: u16 = u16::MAX;
+
 /// An MCKP solution: for each class the index of the chosen item.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MckpSolution {
@@ -40,11 +50,17 @@ pub struct MckpSolution {
 /// under the budget.
 ///
 /// Returns `None` when some class is empty or no combination fits the
-/// budget. Complexity is `O(total_items × budget_units)`.
+/// budget. Complexity is `O(Σ_k |class_k| · band_{k-1})` time and
+/// `2 B · Σ_k band_k` memory, where `band_k ≤ budget_units + 1` is the
+/// number of budget cells reachable after the first `k` classes.
+///
+/// Ties go to the earlier item of a class for equal totals, and to the
+/// cheaper total between equally valued selections.
 ///
 /// # Panics
 ///
-/// Panics if any item has a negative cost or a non-finite value.
+/// Panics if any item has a negative cost or a non-finite value, or if a
+/// class has more than `u16::MAX - 1` items (choices are stored as `u16`).
 #[must_use]
 pub fn solve(classes: &[Vec<MckpItem>], budget: Money) -> Option<MckpSolution> {
     if classes.is_empty() {
@@ -57,67 +73,110 @@ pub fn solve(classes: &[Vec<MckpItem>], budget: Money) -> Option<MckpSolution> {
     if classes.iter().any(Vec::is_empty) || budget.is_negative() {
         return None;
     }
-    for item in classes.iter().flatten() {
-        assert!(!item.cost.is_negative(), "negative item cost {}", item.cost);
+    for class in classes {
         assert!(
-            item.value.is_finite(),
-            "non-finite item value {}",
-            item.value
+            class.len() < usize::from(NO_CHOICE),
+            "MCKP class of {} items exceeds the u16 choice limit",
+            class.len()
         );
+        for item in class {
+            assert!(!item.cost.is_negative(), "negative item cost {}", item.cost);
+            assert!(
+                item.value.is_finite(),
+                "non-finite item value {}",
+                item.value
+            );
+        }
     }
 
     let units = (budget.millis() / UNIT_MILLIS).max(0) as usize;
-    let width = units + 1;
     // Round costs up so discretised feasibility implies real feasibility.
     // Costs are validated non-negative above, so plain ceiling division.
     let unit_cost = |cost: Money| -> usize {
         ((cost.millis() + UNIT_MILLIS - 1) / UNIT_MILLIS).max(0) as usize
     };
 
-    // dp[u] = best value using budget u; choice[class][u] = item chosen.
-    let mut dp: Vec<f64> = vec![f64::NEG_INFINITY; width];
-    dp[0] = 0.0;
-    let mut choices: Vec<Vec<usize>> = Vec::with_capacity(classes.len());
-
+    // The reachable band [lo, hi] after each class: lo grows by the class's
+    // cheapest item, hi by its dearest, clipped to the budget. Every cell
+    // outside it is unreachable. rows[k] = (offset of class k's choice row
+    // in `choices`, lo_k); the row covers lo_k..=hi_k.
+    let mut rows: Vec<(usize, usize)> = Vec::with_capacity(classes.len());
+    let (mut lo, mut hi, mut cells, mut widest) = (0usize, 0usize, 0usize, 1usize);
     for class in classes {
-        let mut next: Vec<f64> = vec![f64::NEG_INFINITY; width];
-        let mut choice: Vec<usize> = vec![usize::MAX; width];
+        let (cheapest, dearest) = class
+            .iter()
+            .map(|item| unit_cost(item.cost))
+            .fold((usize::MAX, 0), |(min, max), c| (min.min(c), max.max(c)));
+        lo = lo.saturating_add(cheapest);
+        if lo > units {
+            return None;
+        }
+        hi = units.min(hi.saturating_add(dearest));
+        rows.push((cells, lo));
+        cells += hi - lo + 1;
+        widest = widest.max(hi - lo + 1);
+    }
+
+    // dp[u - lo] = best value using budget u, for u in the current band;
+    // choices[offset + u - lo] = the class's item chosen at u.
+    let mut choices: Vec<u16> = vec![NO_CHOICE; cells];
+    let mut dp: Vec<f64> = vec![f64::NEG_INFINITY; widest];
+    let mut next: Vec<f64> = vec![f64::NEG_INFINITY; widest];
+    dp[0] = 0.0;
+    let (mut prev_lo, mut prev_hi) = (0usize, 0usize);
+
+    for (k, (class, &(offset, lo))) in classes.iter().zip(&rows).enumerate() {
+        let end = rows
+            .get(k + 1)
+            .map_or(cells, |&(next_offset, _)| next_offset);
+        let width = end - offset;
+        let hi = lo + width - 1;
+        let row = &mut choices[offset..end];
+        let band = &mut next[..width];
+        band.fill(f64::NEG_INFINITY);
         for (item_index, item) in class.iter().enumerate() {
             let c = unit_cost(item.cost);
-            if c > units {
+            // Cells u in [prev_lo + c, min(prev_hi + c, hi)], read from
+            // dp[u - c - prev_lo], which starts at dp[0].
+            let first = prev_lo.saturating_add(c);
+            let last = hi.min(prev_hi.saturating_add(c));
+            if first > last {
                 continue;
             }
-            for u in c..width {
-                let base = dp[u - c];
+            let span = first - lo..=last - lo;
+            let sources = dp[..=last - first].iter();
+            for ((&base, best), pick) in sources.zip(&mut band[span.clone()]).zip(&mut row[span]) {
                 if base == f64::NEG_INFINITY {
                     continue;
                 }
                 let value = base + item.value;
-                if value > next[u] {
-                    next[u] = value;
-                    choice[u] = item_index;
+                if value > *best {
+                    *best = value;
+                    *pick = item_index as u16;
                 }
             }
         }
-        dp = next;
-        choices.push(choice);
+        std::mem::swap(&mut dp, &mut next);
+        (prev_lo, prev_hi) = (lo, hi);
     }
 
-    // Best reachable cell.
-    let (mut unit, best_value) = dp
+    // Best reachable cell, ties to the cheaper one.
+    let (offset, best_value) = dp[..=prev_hi - prev_lo]
         .iter()
         .enumerate()
         .filter(|&(_, &v)| v != f64::NEG_INFINITY)
         .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
         .map(|(u, &v)| (u, v))?;
+    let mut unit = prev_lo + offset;
 
     // Backtrack.
     let mut chosen = vec![0usize; classes.len()];
     for (class_index, class) in classes.iter().enumerate().rev() {
-        let item_index = choices[class_index][unit];
-        debug_assert_ne!(item_index, usize::MAX, "reachable cell must have a choice");
-        chosen[class_index] = item_index;
-        unit -= unit_cost(class[item_index].cost);
+        let (offset, lo) = rows[class_index];
+        let item_index = choices[offset + unit - lo];
+        debug_assert_ne!(item_index, NO_CHOICE, "reachable cell must have a choice");
+        chosen[class_index] = usize::from(item_index);
+        unit -= unit_cost(class[usize::from(item_index)].cost);
     }
 
     let cost: Money = chosen

@@ -554,20 +554,19 @@ impl BatchScheduler {
         let mut committed: Vec<Window> = Vec::new();
         let mut spent = Money::ZERO;
         let mut assignments: Vec<Assignment> = Vec::with_capacity(ordered.len());
+        let mut class_of_rank: Vec<Option<usize>> = vec![None; ordered.len()];
+        for (class_index, &rank) in schedulable.iter().enumerate() {
+            class_of_rank[rank] = Some(class_index);
+        }
         for (rank, job) in ordered.iter().enumerate() {
             let alts = &alternatives[rank];
-            let position = schedulable.iter().position(|&i| i == rank);
-            let window = position.and_then(|class_index| {
+            let window = class_of_rank[rank].and_then(|class_index| {
                 // Try the phase-2 pick first, then the job's remaining
-                // alternatives by descending objective value.
+                // alternatives by descending objective value (the values
+                // phase 2 already computed, parallel to `alts`).
+                let values = &classes[class_index];
                 let mut order: Vec<usize> = (0..alts.len()).collect();
-                order.sort_by(|&a, &b| {
-                    self.config
-                        .objective
-                        .value(&alts[b])
-                        .total_cmp(&self.config.objective.value(&alts[a]))
-                        .then(a.cmp(&b))
-                });
+                order.sort_by(|&a, &b| values[b].value.total_cmp(&values[a].value).then(a.cmp(&b)));
                 let pick = preferred[class_index];
                 order.retain(|&i| i != pick);
                 order.insert(0, pick);
