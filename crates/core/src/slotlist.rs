@@ -272,6 +272,26 @@ impl SlotList {
         })
     }
 
+    /// A 64-bit FNV-1a digest of the list's logical content: each slot's
+    /// id, node and span in iteration order, then the next id to
+    /// allocate. Lists that compare equal digest alike, whichever store
+    /// backs them. Performance and price are left out: they are fixed per
+    /// node by the platform.
+    #[must_use]
+    pub fn digest(&self) -> u64 {
+        const PRIME: u64 = 0x0100_0000_01b3;
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut feed = |word: u64| hash = (hash ^ word).wrapping_mul(PRIME);
+        for slot in self.iter() {
+            feed(slot.id().0);
+            feed(u64::from(slot.node().0));
+            feed(slot.start().ticks() as u64);
+            feed(slot.end().ticks() as u64);
+        }
+        feed(self.next_id);
+        hash
+    }
+
     /// Collects the slots into a fresh sorted vector.
     #[must_use]
     pub fn to_vec(&self) -> Vec<Slot> {
@@ -1046,6 +1066,21 @@ mod tests {
         converted.convert(SlotStoreKind::Vec);
         assert_eq!(converted.store_kind(), SlotStoreKind::Vec);
         assert_eq!(converted, vec_list);
+    }
+
+    #[test]
+    fn digest_is_store_agnostic_and_sees_spans_and_ids() {
+        let vec_list = list_of_in(SlotStoreKind::Vec, &[(50, 60), (0, 10), (20, 30)]);
+        let tree_list = list_of_in(SlotStoreKind::Tree, &[(50, 60), (0, 10), (20, 30)]);
+        assert_eq!(vec_list.digest(), tree_list.digest());
+        let shifted = list_of(&[(50, 60), (0, 10), (20, 31)]);
+        assert_ne!(vec_list.digest(), shifted.digest());
+        // Same spans, but the next id to allocate differs.
+        let mut grown = vec_list.clone();
+        let id = grown.add(NodeId(0), iv(70, 80), Performance::new(1), Money::ZERO);
+        grown.retain(|slot| slot.id() != id);
+        assert_eq!(grown.iter().count(), vec_list.len());
+        assert_ne!(vec_list.digest(), grown.digest());
     }
 
     #[test]

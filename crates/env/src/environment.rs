@@ -166,6 +166,13 @@ impl Environment {
         &self.slots
     }
 
+    /// Consumes the environment, returning its node set and free-slot
+    /// list without copying them.
+    #[must_use]
+    pub fn into_platform_and_slots(self) -> (Platform, SlotList) {
+        (self.platform, self.slots)
+    }
+
     /// The per-node local schedules.
     #[must_use]
     pub fn schedules(&self) -> &[NodeSchedule] {

@@ -122,6 +122,13 @@ pub trait Journal {
     /// Durability barrier: everything appended so far must survive a
     /// crash once this returns.
     fn commit(&mut self);
+
+    /// Offers a checkpoint of the full state as of the barrier just
+    /// committed. `full` encodes it; an implementation that keeps
+    /// periodic snapshots calls it only when one is due, so callers pay
+    /// for the encoding only then. Call it after the barrier's
+    /// [`commit`](Journal::commit). The default ignores it.
+    fn checkpoint(&mut self, _full: &dyn Fn() -> String) {}
 }
 
 /// The default journal: drops everything, compiles to nothing.
@@ -154,6 +161,10 @@ impl<J: Journal + ?Sized> Journal for &mut J {
 
     fn commit(&mut self) {
         (**self).commit();
+    }
+
+    fn checkpoint(&mut self, full: &dyn Fn() -> String) {
+        (**self).checkpoint(full);
     }
 }
 
@@ -594,6 +605,28 @@ mod tests {
             outer.commit();
         }
         assert_eq!(inner.committed_records().len(), 1);
+    }
+
+    #[test]
+    fn checkpoints_forward_through_mut_references_and_default_to_nothing() {
+        #[derive(Default)]
+        struct Snapshots(Vec<String>);
+        impl Journal for Snapshots {
+            fn append(&mut self, _payload: &str) {}
+            fn commit(&mut self) {}
+            fn checkpoint(&mut self, full: &dyn Fn() -> String) {
+                self.0.push(full());
+            }
+        }
+        fn barrier<J: Journal>(mut journal: J) {
+            journal.commit();
+            journal.checkpoint(&|| "state".to_owned());
+        }
+        let mut inner = Snapshots::default();
+        barrier(&mut inner);
+        assert_eq!(inner.0, ["state"]);
+        // The default never asks for the encoding.
+        MemoryJournal::new().checkpoint(&|| unreachable!("not encoded"));
     }
 
     #[test]

@@ -483,29 +483,23 @@ pub fn reopen_for_resume(dir: &Path, run: &RecoveredRun) -> std::io::Result<WalJ
 /// A [`Journal`] that persists to a run directory: a CRC-framed WAL plus
 /// a periodic snapshot of every Nth cycle barrier.
 ///
-/// The snapshot piggybacks on the record stream: when a
-/// [`JournalRecord::CycleCommitted`] payload passes through
-/// [`append`](Journal::append) and its barrier index hits the cadence,
-/// the same payload is written to the [`SnapshotStore`] right after the
-/// WAL commit that made it durable — so a snapshot can never be newer
-/// than the journal. After each save only the newest two generations stay
-/// on disk, so [`SnapshotStore::latest`] still has a fallback past a
-/// damaged one.
+/// Barriers are counted by [`checkpoint`](Journal::checkpoint) calls, one
+/// per committed barrier. When the count hits the cadence, the caller's
+/// full-state encoding is requested and saved to the [`SnapshotStore`] —
+/// after the WAL commit that made the barrier durable, so a snapshot can
+/// never be newer than the journal, and off every other cycle, so no
+/// commit waits on a full encode. After each save only the newest two
+/// generations stay on disk, so [`SnapshotStore::latest`] still has a
+/// fallback past a damaged one.
 #[derive(Debug)]
 pub struct DurableJournal {
     wal: WalJournal,
     snapshots: SnapshotStore,
     snapshot_every: u32,
     barriers: u64,
-    latest_barrier: Option<(u64, String)>,
     saved_generation: u64,
     snapshot_error: Option<std::io::Error>,
 }
-
-/// Prefix every `CycleCommitted` payload starts with (externally tagged
-/// enum encoding) — how [`DurableJournal`] spots barriers without
-/// parsing each record.
-const BARRIER_PREFIX: &str = "{\"CycleCommitted\"";
 
 /// Snapshot generations a [`DurableJournal`] keeps on disk.
 const SNAPSHOTS_KEPT: usize = 2;
@@ -527,7 +521,6 @@ impl DurableJournal {
             snapshots,
             snapshot_every,
             barriers: 0,
-            latest_barrier: None,
             saved_generation: 0,
             snapshot_error: None,
         })
@@ -568,18 +561,15 @@ impl DurableJournal {
             snapshots,
             snapshot_every,
             barriers,
-            latest_barrier: None,
             saved_generation: barriers,
             snapshot_error: None,
         })
     }
 
-    /// Flushes and fsyncs the tail, writes a *final* snapshot of the last
-    /// barrier regardless of cadence (the graceful-shutdown contract),
-    /// and surfaces the first error (WAL or snapshot store).
+    /// Flushes and fsyncs the tail and surfaces the first error (WAL or
+    /// snapshot store).
     pub fn finish(mut self) -> std::io::Result<()> {
         self.commit();
-        self.save_latest_barrier(true);
         self.wal.finish()?;
         match self.snapshot_error.take() {
             Some(error) => Err(error),
@@ -587,23 +577,28 @@ impl DurableJournal {
         }
     }
 
-    /// Saves the latest barrier to the snapshot store if it is due (`force`
-    /// ignores the cadence). Only state the WAL has durably committed may
-    /// be snapshotted — callers invoke this after a successful commit.
-    fn save_latest_barrier(&mut self, force: bool) {
-        let Some((generation, payload)) = &self.latest_barrier else {
-            return;
-        };
-        let due = force || generation % u64::from(self.snapshot_every) == 0;
-        if !due || *generation <= self.saved_generation {
-            return;
+    /// [`finish`](Self::finish), first saving `full` — the state as of
+    /// the last barrier — as a final snapshot when the cadence has not
+    /// already saved that barrier: the graceful-shutdown contract.
+    pub fn finish_with_snapshot(mut self, full: &dyn Fn() -> String) -> std::io::Result<()> {
+        self.commit();
+        if self.barriers > self.saved_generation {
+            self.save_snapshot(full);
         }
+        self.finish()
+    }
+
+    /// Saves `full()` as the snapshot of the current barrier. Only state
+    /// the WAL has durably committed may be snapshotted, so the WAL is
+    /// committed first (a no-op when the caller already did).
+    fn save_snapshot(&mut self, full: &dyn Fn() -> String) {
+        self.wal.commit();
         if self.wal.io_error().is_some() || self.snapshot_error.is_some() {
             return;
         }
-        match self.snapshots.save(*generation, payload) {
+        match self.snapshots.save(self.barriers, &full()) {
             Ok(()) => {
-                self.saved_generation = *generation;
+                self.saved_generation = self.barriers;
                 if let Err(error) = self.prune_snapshots() {
                     self.snapshot_error = Some(error);
                 }
@@ -624,16 +619,18 @@ impl DurableJournal {
 
 impl Journal for DurableJournal {
     fn append(&mut self, payload: &str) {
-        if payload.starts_with(BARRIER_PREFIX) {
-            self.barriers += 1;
-            self.latest_barrier = Some((self.barriers, payload.to_string()));
-        }
         self.wal.append(payload);
     }
 
     fn commit(&mut self) {
         self.wal.commit();
-        self.save_latest_barrier(false);
+    }
+
+    fn checkpoint(&mut self, full: &dyn Fn() -> String) {
+        self.barriers += 1;
+        if self.barriers.is_multiple_of(u64::from(self.snapshot_every)) {
+            self.save_snapshot(full);
+        }
     }
 }
 
@@ -881,18 +878,25 @@ mod tests {
         journal.append(&header());
         journal.commit();
         let store = SnapshotStore::open(&snapshot_dir(&dir)).unwrap();
+        let encoded = std::cell::Cell::new(0);
         for cycle in 0..9 {
             journal.append(&event(cycle));
             journal.append(&barrier(cycle + 1));
             journal.commit();
+            journal.checkpoint(&|| {
+                encoded.set(encoded.get() + 1);
+                barrier(cycle + 1)
+            });
             if cycle + 1 == 4 {
                 assert_eq!(store.generations().unwrap(), vec![2, 4]);
             }
         }
-        journal.finish().unwrap();
+        // The full state is encoded only for the barriers that were due.
+        assert_eq!(encoded.get(), 4);
+        journal.finish_with_snapshot(&|| barrier(9)).unwrap();
 
         // Only the newest two generations survive: the cadence's 8 and the
-        // final snapshot of barrier 9 that finish() writes.
+        // final snapshot of barrier 9 that finish_with_snapshot() writes.
         assert_eq!(store.generations().unwrap(), vec![8, 9]);
         let (generation, payload) = store.latest().unwrap().unwrap();
         assert_eq!(generation, 9);

@@ -819,8 +819,10 @@ fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
                 survival: survival.clone(),
                 model: model.as_ref().map(DisruptionModel::checkpoint),
             };
-            journal.append(&JournalRecord::CycleCommitted { state: barrier }.encode());
+            let payload = JournalRecord::CycleCommitted { state: barrier }.encode();
+            journal.append(&payload);
             journal.commit();
+            journal.checkpoint(&|| payload.clone());
         }
         if spanning {
             spans.attr_u64("scheduled", completed_now as u64);

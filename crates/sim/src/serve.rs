@@ -41,25 +41,31 @@
 //!
 //! ## Durability
 //!
-//! The serving loop journals through PR 6's
+//! The serving loop journals through the
 //! [`DurableJournal`](crate::journal::DurableJournal) with its
 //! own record schema, [`LiveRecord`]: a `ServiceStarted` header, one
 //! durable (fsync'd) `Submitted` record per admitted request, per-cycle
 //! `Committed`/`Deferred` audit events, a `Finished` record carrying each
 //! retired job's final entry, and a `CycleCommitted` barrier carrying the
-//! live [`LiveState`]. A finished job leaves `LiveState::jobs` for the
-//! service's retired archive in the cycle that finishes it, so it is
-//! journaled once, in its `Finished` record, and barrier size tracks live
-//! work rather than uptime. The barrier payload starts with the same
-//! `{"CycleCommitted"` prefix as the rolling schema's, so the journal's
-//! snapshot cadence applies unchanged. [`recover_live`] replays a journal
-//! directory: the last barrier wins, the archive is rebuilt from the
-//! `Finished` records before it, and trailing `Submitted` records —
-//! requests accepted after the last committed cycle — are re-applied,
-//! which is what makes an accepted-but-uncommitted request survive a
-//! crash (see `docs/SERVING.md`).
+//! live [`LiveState`] **without its shards**. A finished job leaves
+//! `LiveState::jobs` for the service's retired archive in the cycle that
+//! finishes it, so it is journaled once, in its `Finished` record.
+//!
+//! Barriers carry only what cannot be derived. The platform is regenerated
+//! from the `ServiceStarted` config, and a shard's free slots change only
+//! by the windows its `Committed` records cut and by the clock advance, so
+//! a barrier holds the cycle counter, the live jobs, the usage table and a
+//! per-shard digest of the free-slot list, never the slot lists. The full
+//! state goes only into the periodic snapshot, handed to the journal
+//! lazily through [`Journal::checkpoint`]. [`recover_live`] starts from
+//! the newest intact snapshot (or a freshly generated platform), replays
+//! each later cycle's commits and clock advance, checks every barrier's
+//! digests, rebuilds the archive from the `Finished` records, and
+//! re-applies trailing `Submitted` records — requests accepted after the
+//! last committed cycle — which is what makes an accepted-but-uncommitted
+//! request survive a crash (see `docs/SERVING.md`).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use rand::rngs::StdRng;
@@ -255,15 +261,16 @@ pub struct ShardState {
     pub horizon: TimePoint,
 }
 
-/// The live mutable state of a service — what a
-/// [`LiveRecord::CycleCommitted`] barrier checkpoints.
+/// The live mutable state of a service — what a snapshot holds in full
+/// and a [`LiveRecord::CycleCommitted`] barrier holds minus the shards.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct LiveState {
     /// Cycles executed so far.
     pub cycle: u64,
     /// Next job id to assign.
     pub next_job: u32,
-    /// Per-shard platform state.
+    /// Per-shard platform state. Empty in a barrier, where recovery
+    /// derives it (barriers written before that carried it in full).
     pub shards: Vec<ShardState>,
     /// Queued and scheduled jobs, in id order. Finished jobs are retired
     /// out of the table into the service's archive (barriers written
@@ -271,6 +278,12 @@ pub struct LiveState {
     pub jobs: Vec<JobEntry>,
     /// Per-tenant in-flight footprints, derived from `jobs`.
     pub usage: BTreeMap<String, TenantUsage>,
+    /// [`SlotList::digest`] of each shard's free slots, set only in a
+    /// barrier, where the shards themselves are left out: recovery checks
+    /// its replayed slot lists against them. Empty in memory and in
+    /// snapshots.
+    #[serde(default)]
+    pub slot_digests: Vec<u64>,
 }
 
 /// A raw submission, as decoded from the HTTP API's `POST /submit` body.
@@ -312,9 +325,7 @@ pub struct CycleOutcome {
 ///
 /// Same framing and [`crate::journal::DurableJournal`] mechanics as the
 /// rolling schema; the schemas are distinguished by their header record
-/// (`ServiceStarted` here vs `RunStarted` there). The `CycleCommitted`
-/// barrier intentionally shares the rolling barrier's encoded prefix so
-/// the journal's snapshot cadence treats both alike.
+/// (`ServiceStarted` here vs `RunStarted` there).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum LiveRecord {
     /// The service's configuration; always the first record.
@@ -360,7 +371,9 @@ pub enum LiveRecord {
         /// their barriers still list the entry instead.
         entry: Option<JobEntry>,
     },
-    /// The cycle barrier: the live post-cycle state.
+    /// The cycle barrier: the live post-cycle state. In the journal its
+    /// `shards` are empty and its `slot_digests` set; a snapshot holds the
+    /// same record with the shards in full.
     CycleCommitted {
         /// The service's live state after this cycle.
         state: LiveState,
@@ -377,6 +390,14 @@ impl LiveRecord {
     /// Parses a record from its JSON line.
     pub fn decode(line: &str) -> Result<Self, String> {
         serde_json::from_str(line).map_err(|error| error.to_string())
+    }
+
+    /// Encodes `CycleCommitted { state }` with the shards in full — a
+    /// snapshot payload — without cloning the state.
+    #[must_use]
+    pub fn encode_checkpoint(state: &LiveState) -> String {
+        let state = serde_json::to_string(state).expect("live state always serializes");
+        format!("{{\"CycleCommitted\":{{\"state\":{state}}}}}")
     }
 }
 
@@ -397,6 +418,9 @@ pub struct RecoveredService {
     /// Trailing `Submitted` records re-applied on top of the last
     /// barrier.
     pub resubmitted: usize,
+    /// The cycle of the snapshot replay started from; `None` when it
+    /// started from the platform generated from the header's config.
+    pub snapshot_cycle: Option<u64>,
 }
 
 /// The live metascheduler: persistent sharded platform state, tenant
@@ -433,10 +457,10 @@ impl LiveService {
         let shards = (0..config.shards)
             .map(|shard| {
                 let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(u64::from(shard)));
-                let env = env_config.generate(&mut rng);
+                let (platform, slots) = env_config.generate(&mut rng).into_platform_and_slots();
                 ShardState {
-                    platform: env.platform().clone(),
-                    slots: env.slots().clone(),
+                    platform,
+                    slots,
                     now: TimePoint::ZERO,
                     horizon: TimePoint::new(config.interval_length),
                 }
@@ -454,6 +478,7 @@ impl LiveService {
                 shards,
                 jobs: Vec::new(),
                 usage,
+                slot_digests: Vec::new(),
             },
             retired: BTreeMap::new(),
         }
@@ -852,36 +877,7 @@ impl LiveService {
         };
         let advance = TimeDelta::new(self.config.cycle_advance);
         for shard in &mut self.state.shards {
-            // Nodes are free beyond the generated non-dedicated interval:
-            // extend each node's free time by one cycle's worth (release
-            // merges it with a free slot already touching the horizon).
-            let grown = Interval::new(shard.horizon, shard.horizon + advance);
-            for node in shard.platform.iter().collect::<Vec<_>>() {
-                shard
-                    .slots
-                    .release(node.id(), grown, node.performance(), node.price_per_unit());
-            }
-            shard.horizon += advance;
-
-            // Trim free time that slipped into the past. `prune_ended_by`
-            // lets the tree store drop expired slots via its min-end
-            // aggregate, and the stale-prefix walk stops at the first slot
-            // starting at or after `now` (iteration is start-ordered).
-            let now = shard.now + advance;
-            shard.slots.prune_ended_by(now);
-            let stale: Vec<_> = shard
-                .slots
-                .iter()
-                .take_while(|slot| slot.start() < now)
-                .map(|slot| (slot.id(), Interval::new(slot.start(), now)))
-                .collect();
-            if !stale.is_empty() {
-                shard
-                    .slots
-                    .cut(&stale, TimeDelta::ZERO)
-                    .expect("stale prefixes lie inside their slots");
-            }
-            shard.now = now;
+            advance_shard(shard, advance);
         }
         if let Some(id) = advance_span {
             spans.attr_u64("shards", self.state.shards.len() as u64);
@@ -932,17 +928,27 @@ impl LiveService {
         self.recompute_usage();
 
         if journaling {
-            // Lend the state to the barrier record instead of cloning it.
+            // The barrier carries what replay cannot derive. Lend the
+            // state to the record instead of cloning it, with the shards
+            // moved out and only their slot digests in their place.
+            let shards = std::mem::take(&mut self.state.shards);
+            self.state.slot_digests = shards.iter().map(|shard| shard.slots.digest()).collect();
             let barrier = LiveRecord::CycleCommitted {
                 state: std::mem::take(&mut self.state),
             };
             journal.append(&barrier.encode());
-            let LiveRecord::CycleCommitted { state } = barrier else {
+            let LiveRecord::CycleCommitted { mut state } = barrier else {
                 unreachable!("built as a barrier above");
             };
+            state.shards = shards;
+            state.slot_digests.clear();
             self.state = state;
         }
         journal.commit();
+        if journaling {
+            // Encoded only when the journal's snapshot cadence is due.
+            journal.checkpoint(&|| LiveRecord::encode_checkpoint(&self.state));
+        }
 
         if spanning {
             spans.close(root);
@@ -1028,6 +1034,172 @@ impl LiveService {
         self.state.jobs.push(entry);
         self.recompute_usage();
     }
+
+    /// Moves every shard onto the tree store the live cycle runs on.
+    /// Snapshots and old full barriers deserialize onto the Vec store (the
+    /// wire format is store-agnostic); equality is unaffected, as
+    /// `SlotList` comparison is logical, not structural.
+    fn adopt_shards(&mut self) {
+        for shard in &mut self.state.shards {
+            shard.slots.convert(SlotStoreKind::Tree);
+        }
+    }
+
+    /// Whether a `Committed`/`Deferred` record of `cycle` belongs to the
+    /// cycle being replayed; `false` when the snapshot replay started
+    /// from already covers it.
+    fn replaying(&self, cycle: u64, record_no: u64) -> Result<bool, RecoverError> {
+        match cycle.cmp(&self.state.cycle) {
+            std::cmp::Ordering::Less => Ok(false),
+            std::cmp::Ordering::Equal => Ok(true),
+            std::cmp::Ordering::Greater => Err(RecoverError::ChainBroken {
+                detail: format!(
+                    "record {record_no} belongs to cycle {cycle} but the journal is at \
+                     cycle {}",
+                    self.state.cycle
+                ),
+            }),
+        }
+    }
+
+    /// Moves the replayed service on to `barrier`. A delta barrier of the
+    /// next cycle takes the slots replayed so far, cuts the cycle's
+    /// `commits` out of them, advances the clock and must match the
+    /// barrier's digests. A barrier the replay base already covers changes
+    /// nothing. A full barrier, written before barriers became deltas,
+    /// replaces the slots.
+    fn replay_barrier(
+        &mut self,
+        mut barrier: LiveState,
+        commits: &[(u32, Window)],
+    ) -> Result<(), String> {
+        if barrier.cycle <= self.state.cycle {
+            if barrier.cycle == self.state.cycle && !barrier.slot_digests.is_empty() {
+                check_digests(&self.state.shards, &barrier.slot_digests)?;
+            }
+            return Ok(());
+        }
+        if barrier.shards.is_empty() {
+            if barrier.cycle != self.state.cycle + 1 {
+                return Err(format!(
+                    "cycle {} follows slots replayed to cycle {}",
+                    barrier.cycle, self.state.cycle
+                ));
+            }
+            let mut shards = std::mem::take(&mut self.state.shards);
+            for (shard, window) in commits {
+                let Some(state) = shards.get_mut(*shard as usize) else {
+                    return Err(format!("a commit names shard {shard} of {}", shards.len()));
+                };
+                if !reserve_window(&mut state.slots, window) {
+                    return Err(format!(
+                        "the window committed on shard {shard} at {} is not free",
+                        window.start()
+                    ));
+                }
+            }
+            let advance = TimeDelta::new(self.config.cycle_advance);
+            for shard in &mut shards {
+                advance_shard(shard, advance);
+            }
+            check_digests(&shards, &barrier.slot_digests)?;
+            barrier.shards = shards;
+            barrier.slot_digests.clear();
+        } else if barrier.shards.len() != self.config.shards as usize {
+            return Err(format!(
+                "{} shards, the service has {}",
+                barrier.shards.len(),
+                self.config.shards
+            ));
+        }
+        self.state = barrier;
+        self.adopt_shards();
+        self.retire_finished(|_| {});
+        Ok(())
+    }
+}
+
+/// Checks replayed slot lists against a barrier's per-shard digests.
+fn check_digests(shards: &[ShardState], digests: &[u64]) -> Result<(), String> {
+    if digests.len() != shards.len() {
+        return Err(format!(
+            "{} slot digests for {} shards",
+            digests.len(),
+            shards.len()
+        ));
+    }
+    for (index, (shard, &want)) in shards.iter().zip(digests).enumerate() {
+        let got = shard.slots.digest();
+        if got != want {
+            return Err(format!(
+                "shard {index}'s replayed free slots digest to {got:#018x}, \
+                 the barrier says {want:#018x}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The cycle in progress during replay: its commits so far, and every
+/// job it has decided.
+#[derive(Debug, Default)]
+struct PendingCycle {
+    commits: Vec<(u32, Window)>,
+    decided: BTreeSet<u32>,
+}
+
+impl PendingCycle {
+    /// Notes a `Committed`/`Deferred` decision for `job`. A cycle decides
+    /// each batched job once, so a second decision means the earlier ones
+    /// came from a run of this cycle lost to a crash: they are dropped.
+    fn decide(&mut self, job: u32) {
+        if !self.decided.insert(job) {
+            self.clear();
+            self.decided.insert(job);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.commits.clear();
+        self.decided.clear();
+    }
+}
+
+/// Advances one shard's virtual clock by `advance`: the cycle's last
+/// platform step, and the step recovery replays after each cycle's
+/// commits.
+fn advance_shard(shard: &mut ShardState, advance: TimeDelta) {
+    let ShardState {
+        platform,
+        slots,
+        now,
+        horizon,
+    } = shard;
+    // Nodes are free beyond the generated non-dedicated interval: extend
+    // each node's free time by one cycle's worth (release merges it with a
+    // free slot already touching the horizon).
+    let grown = Interval::new(*horizon, *horizon + advance);
+    for node in platform.iter() {
+        slots.release(node.id(), grown, node.performance(), node.price_per_unit());
+    }
+    *horizon += advance;
+
+    // Trim free time that slipped into the past. `prune_ended_by` lets the
+    // tree store drop expired slots via its min-end aggregate, and the
+    // stale-prefix walk stops at the first slot starting at or after `now`
+    // (iteration is start-ordered).
+    *now += advance;
+    slots.prune_ended_by(*now);
+    let stale: Vec<_> = slots
+        .iter()
+        .take_while(|slot| slot.start() < *now)
+        .map(|slot| (slot.id(), Interval::new(slot.start(), *now)))
+        .collect();
+    if !stale.is_empty() {
+        slots
+            .cut(&stale, TimeDelta::ZERO)
+            .expect("stale prefixes lie inside their slots");
+    }
 }
 
 /// Cuts a committed window's reservations out of a shard's free slots.
@@ -1057,22 +1229,35 @@ fn reserve_window(slots: &mut SlotList, window: &Window) -> bool {
 
 /// Replays a live journal directory back into a resumable service.
 ///
-/// The last `CycleCommitted` barrier wins; the retired archive is rebuilt
-/// from the `Finished` records that precede it (those after it belong to
-/// the interrupted cycle, which re-runs); trailing `Submitted` records
-/// are re-applied on top (they were fsync'd at admission — losing them
-/// would drop accepted work). A barrier written before finished jobs were
-/// retired out of it still lists them; they are split into the archive
-/// exactly as a cycle's retire step does. A torn final line is truncated,
-/// exactly as the rolling recovery does. The snapshot store is cross-checked: a
-/// snapshot claiming more cycles than the journal means the files are not
-/// from the same run, and recovery refuses rather than guesses.
+/// Replay starts from the newest intact snapshot — or, without one, from
+/// the platform [`LiveService::new`] generates from the `ServiceStarted`
+/// config — and walks the journal. Each cycle's `Committed` windows are
+/// buffered; at that cycle's barrier they are cut out of the slot lists,
+/// the clock advance runs, and the result is checked against the
+/// barrier's slot digests. Barriers the snapshot already covers only feed
+/// the archive. The live jobs, usage and counters come from the last
+/// barrier, the retired archive from the `Finished` records before it,
+/// and trailing `Submitted` records are re-applied on top (they were
+/// fsync'd at admission — losing them would drop accepted work).
+///
+/// Records after the last barrier belong to the interrupted cycle, which
+/// re-runs, so its commits are dropped; so are a torn cycle's commits
+/// that a later record shows were superseded (a `Submitted` record, or a
+/// second decision for the same job — the re-run of that cycle). A
+/// barrier that still carries its shards (written before barriers became
+/// deltas) replaces the replayed slots, and one that still lists finished
+/// jobs has them split into the archive exactly as a cycle's retire step
+/// does. A torn final line is truncated, exactly as the rolling recovery
+/// does. A snapshot claiming more cycles than the journal means the files
+/// are not from the same run, and recovery refuses rather than guesses.
 ///
 /// # Errors
 ///
 /// Returns a [`RecoverError`] for an unreadable/corrupt journal, a
-/// missing or foreign (`RunStarted`) header, an unparsable record, or an
-/// inconsistent record chain.
+/// missing or foreign (`RunStarted`) header, an unparsable record or
+/// snapshot, or an inconsistent record chain — including a commit whose
+/// window is no longer free and replayed slots that disagree with a
+/// barrier's digest.
 pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
     let tail = read_journal(&journal_path(dir))?;
     if tail.records.is_empty() {
@@ -1087,10 +1272,35 @@ pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
         return Err(RecoverError::MissingHeader);
     };
 
-    let mut service = LiveService::new(config);
+    let snapshot = latest_snapshot(dir)?;
+    let snapshot_cycle = snapshot.as_ref().map(|state| state.cycle);
+    let mut service = match snapshot {
+        Some(state) => {
+            if state.shards.len() != config.shards as usize {
+                return Err(RecoverError::SnapshotDecode {
+                    message: format!(
+                        "snapshot holds {} shards, the service has {}",
+                        state.shards.len(),
+                        config.shards
+                    ),
+                });
+            }
+            LiveService {
+                config,
+                state,
+                retired: BTreeMap::new(),
+            }
+        }
+        None => LiveService::new(config),
+    };
+    service.adopt_shards();
+    service.retire_finished(|_| {});
+
     let mut barriers = 0u64;
+    let mut last_barrier: Option<u64> = None;
     let mut trailing: Vec<JobEntry> = Vec::new();
     let mut finishing: Vec<JobEntry> = Vec::new();
+    let mut pending = PendingCycle::default();
     for (index, payload) in records.enumerate() {
         let record_no = index as u64 + 2;
         let record = LiveRecord::decode(payload).map_err(|message| RecoverError::Decode {
@@ -1104,22 +1314,21 @@ pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
                 });
             }
             LiveRecord::CycleCommitted { state } => {
-                if state.cycle <= service.state.cycle && barriers > 0 {
+                if let Some(last) = last_barrier.filter(|&last| state.cycle <= last) {
                     return Err(RecoverError::ChainBroken {
                         detail: format!(
                             "barrier at record {record_no} goes back to cycle {} \
-                             after cycle {}",
-                            state.cycle, service.state.cycle
+                             after cycle {last}",
+                            state.cycle
                         ),
                     });
                 }
-                service.state = state;
+                last_barrier = Some(state.cycle);
                 // A `Finished` record whose job this barrier lists as live
                 // came from a cycle lost to a crash and re-run differently
                 // (new submits changed its commits); the barrier wins.
                 for entry in finishing.drain(..) {
-                    if service
-                        .state
+                    if state
                         .jobs
                         .binary_search_by_key(&entry.id, |job| job.id)
                         .is_err()
@@ -1127,19 +1336,51 @@ pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
                         service.retired.insert(entry.id.0, entry);
                     }
                 }
-                service.retire_finished(|_| {});
+                service
+                    .replay_barrier(state, &pending.commits)
+                    .map_err(|detail| RecoverError::ChainBroken {
+                        detail: format!("barrier at record {record_no}: {detail}"),
+                    })?;
+                pending.clear();
                 barriers += 1;
                 // The barrier state subsumes everything admitted before it.
                 trailing.clear();
             }
-            LiveRecord::Submitted { entry } => trailing.push(entry),
+            LiveRecord::Submitted { entry } => {
+                // No cycle's records straddle an admission: decisions
+                // before it belong to a cycle lost to a crash.
+                pending.clear();
+                trailing.push(entry);
+            }
+            LiveRecord::Committed {
+                cycle,
+                job,
+                shard,
+                window,
+            } => {
+                if service.replaying(cycle, record_no)? {
+                    pending.decide(job);
+                    pending.commits.push((shard, window));
+                }
+            }
+            LiveRecord::Deferred { cycle, job, .. } => {
+                if service.replaying(cycle, record_no)? {
+                    pending.decide(job);
+                }
+            }
             LiveRecord::Finished {
                 entry: Some(entry), ..
             } => finishing.push(entry),
-            // Audit events contribute nothing to the state.
-            LiveRecord::Committed { .. }
-            | LiveRecord::Deferred { .. }
-            | LiveRecord::Finished { entry: None, .. } => {}
+            LiveRecord::Finished { entry: None, .. } => {}
+        }
+    }
+    if let Some(snapshot_cycle) = snapshot_cycle {
+        let journal_cycle = last_barrier.unwrap_or(0);
+        if snapshot_cycle > journal_cycle {
+            return Err(RecoverError::SnapshotNewerThanJournal {
+                snapshot_cycle: snapshot_cycle.min(u64::from(u32::MAX)) as u32,
+                journal_cycle: journal_cycle.min(u64::from(u32::MAX)) as u32,
+            });
         }
     }
 
@@ -1148,41 +1389,32 @@ pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
         service.reapply(entry);
     }
 
-    // Journal barriers deserialize onto the Vec store (the wire format is
-    // store-agnostic); the live service runs its shards on the tree, so
-    // convert before resuming. Equality with pre-crash state is unaffected
-    // — SlotList comparison is logical, not structural.
-    for shard in &mut service.state.shards {
-        shard.slots.convert(SlotStoreKind::Tree);
-    }
-
-    let snapshots = snapshot_dir(dir);
-    if snapshots.is_dir() {
-        let store = SnapshotStore::open(&snapshots)?;
-        if let Some((_, payload)) = store.latest()? {
-            let record = LiveRecord::decode(&payload)
-                .map_err(|message| RecoverError::SnapshotDecode { message })?;
-            let LiveRecord::CycleCommitted { state } = record else {
-                return Err(RecoverError::SnapshotDecode {
-                    message: "snapshot payload is not a CycleCommitted barrier".to_string(),
-                });
-            };
-            if state.cycle > service.state.cycle {
-                return Err(RecoverError::SnapshotNewerThanJournal {
-                    snapshot_cycle: state.cycle.min(u64::from(u32::MAX)) as u32,
-                    journal_cycle: service.state.cycle.min(u64::from(u32::MAX)) as u32,
-                });
-            }
-        }
-    }
-
     Ok(RecoveredService {
         service,
         resume_len: tail.valid_len,
         barriers,
         discarded_tail: tail.torn,
         resubmitted,
+        snapshot_cycle,
     })
+}
+
+/// The state in the newest intact snapshot of `dir`, if any.
+fn latest_snapshot(dir: &Path) -> Result<Option<LiveState>, RecoverError> {
+    let snapshots = snapshot_dir(dir);
+    if !snapshots.is_dir() {
+        return Ok(None);
+    }
+    let Some((_, payload)) = SnapshotStore::open(&snapshots)?.latest()? else {
+        return Ok(None);
+    };
+    match LiveRecord::decode(&payload) {
+        Ok(LiveRecord::CycleCommitted { state }) => Ok(Some(state)),
+        Ok(_) => Err(RecoverError::SnapshotDecode {
+            message: "snapshot payload is not a CycleCommitted barrier".to_string(),
+        }),
+        Err(message) => Err(RecoverError::SnapshotDecode { message }),
+    }
 }
 
 #[cfg(test)]
@@ -1452,7 +1684,7 @@ mod tests {
     }
 
     #[test]
-    fn live_records_round_trip_and_the_barrier_prefix_matches_rolling() {
+    fn live_records_round_trip_and_checkpoints_encode_as_full_barriers() {
         let config = tiny_config(1);
         let mut service = LiveService::new(config.clone());
         let entry = service.submit(&submission("alice", 1, 9_000.0)).unwrap();
@@ -1471,8 +1703,11 @@ mod tests {
             let line = record.encode();
             assert_eq!(&LiveRecord::decode(&line).unwrap(), record);
         }
-        // The DurableJournal snapshot cadence keys off this prefix.
-        assert!(records[1].encode().starts_with("{\"CycleCommitted\""));
+        // A snapshot payload is the barrier record with the shards in full.
+        assert_eq!(
+            LiveRecord::encode_checkpoint(service.state()),
+            records[1].encode()
+        );
     }
 
     #[test]

@@ -2,15 +2,20 @@
 //! the live service (`sim::serve`).
 //!
 //! The contract under test (docs/DURABILITY.md, live journal): barriers
-//! checkpoint live state only, finished jobs are journaled once in their
-//! `Finished` record, and `recover_live` rebuilds the exact service —
-//! retired archive included — from any prefix of the record stream.
+//! carry live jobs and slot digests but no platform or slot lists,
+//! finished jobs are journaled once in their `Finished` record, and
+//! `recover_live` rebuilds the exact service — retired archive included —
+//! from any prefix of the record stream plus the snapshots written by then.
 //!
-//! 1. a record-prefix sweep over every crash point of a seeded run, and
-//!    recovery after a lost cycle whose `Finished` records reached disk;
-//! 2. recovery of a journal written before finished jobs were retired
-//!    out of the barrier, and of one continued past such a journal;
-//! 3. a 2000-cycle soak asserting barriers stay live-sized;
+//! 1. a record-prefix sweep over every crash point of a seeded run
+//!    journaled with a snapshot every third barrier, recovery after a lost
+//!    cycle whose records reached disk, and the refusal of a tampered
+//!    commit or digest;
+//! 2. recovery of journals written before finished jobs were retired out
+//!    of the barrier, or before barriers left the shards out, and of ones
+//!    continued past them; a header-only journal starts fresh;
+//! 3. a 2000-cycle soak asserting barriers stay live-sized and bounded,
+//!    and barrier size that does not grow with the platform;
 //! 4. a golden digest pinning every commit and defer decision of a
 //!    500-cycle run;
 //! 5. allocations per submit that do not grow with the jobs table.
@@ -26,10 +31,11 @@ use slotsel_batch::BatchSchedulerConfig;
 use slotsel_core::tenant::TenantQuota;
 use slotsel_obs::journal::{Journal, MemoryJournal, WalJournal};
 use slotsel_obs::NoopMetrics;
-use slotsel_sim::journal::journal_path;
+use slotsel_sim::journal::{journal_path, snapshot_dir, DurableJournal, RecoverError};
 use slotsel_sim::parallel::Parallelism;
 use slotsel_sim::serve::{
-    recover_live, JobEntry, JobPhase, LiveConfig, LiveRecord, LiveService, QuotaTable, Submission,
+    recover_live, JobEntry, JobPhase, LiveConfig, LiveRecord, LiveService, LiveState, QuotaTable,
+    Submission,
 };
 
 const CYCLE_ADVANCE: i64 = 60;
@@ -110,20 +116,79 @@ fn write_wal(dir: &Path, records: &[String]) {
     wal.finish().unwrap();
 }
 
-/// A seeded run journaled into memory, with the service as of every
-/// record recovery may stop at: the header, each `Submitted`, each
-/// barrier.
+/// The files of a snapshot directory, by name.
+type SnapshotFiles = Vec<(std::ffi::OsString, Vec<u8>)>;
+
+fn read_snapshots(dir: &Path) -> SnapshotFiles {
+    let mut files: SnapshotFiles = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            (entry.file_name(), std::fs::read(entry.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Forwards to `inner`, keeping a copy of every record and, for a journal
+/// on disk, the snapshot files as they stand after each checkpoint.
+struct Tap<J> {
+    inner: J,
+    records: Vec<String>,
+    snapshot_dir: Option<PathBuf>,
+    /// `(records written, snapshot files)`, one per change of the files.
+    snapshots: Vec<(usize, SnapshotFiles)>,
+}
+
+impl<J: Journal> Journal for Tap<J> {
+    fn append(&mut self, payload: &str) {
+        self.records.push(payload.to_owned());
+        self.inner.append(payload);
+    }
+
+    fn commit(&mut self) {
+        self.inner.commit();
+    }
+
+    fn checkpoint(&mut self, full: &dyn Fn() -> String) {
+        self.inner.checkpoint(full);
+        if let Some(dir) = &self.snapshot_dir {
+            let files = read_snapshots(dir);
+            if self.snapshots.last().map(|(_, last)| last) != Some(&files) {
+                self.snapshots.push((self.records.len(), files));
+            }
+        }
+    }
+}
+
+/// A seeded run with the service as of every record recovery may stop
+/// at: the header, each `Submitted`, each barrier.
 struct Run {
     records: Vec<String>,
     /// `(records written, service)` in record order.
     checkpoints: Vec<(usize, LiveService)>,
+    /// `(records written, snapshot files)` for a run journaled to disk.
+    snapshots: Vec<(usize, SnapshotFiles)>,
     service: LiveService,
 }
 
+/// A seeded run journaled into memory.
 fn drive(seed: u64, cycles: u64) -> Run {
+    drive_into(seed, cycles, MemoryJournal::new(), None)
+}
+
+/// A seeded run journaled into `inner`, whose snapshots (if any) land in
+/// `snapshot_dir`.
+fn drive_into<J: Journal>(seed: u64, cycles: u64, inner: J, snapshot_dir: Option<PathBuf>) -> Run {
     let config = config(seed);
     let mut service = LiveService::new(config.clone());
-    let mut journal = MemoryJournal::new();
+    let mut journal = Tap {
+        inner,
+        records: Vec::new(),
+        snapshot_dir,
+        snapshots: Vec::new(),
+    };
     journal.append(&LiveRecord::ServiceStarted { config }.encode());
     journal.commit();
     let mut checkpoints = vec![(1, service.clone())];
@@ -133,44 +198,244 @@ fn drive(seed: u64, cycles: u64) -> Run {
             if let Ok(entry) = service.submit(&submission) {
                 journal.append(&LiveRecord::Submitted { entry }.encode());
                 journal.commit();
-                checkpoints.push((journal.records().len(), service.clone()));
+                checkpoints.push((journal.records.len(), service.clone()));
             }
         }
         service.run_cycle_observed(Parallelism::Serial, &NoopMetrics, &mut journal);
-        checkpoints.push((journal.records().len(), service.clone()));
+        checkpoints.push((journal.records.len(), service.clone()));
     }
     Run {
-        records: journal.records().to_vec(),
+        records: journal.records,
         checkpoints,
+        snapshots: journal.snapshots,
         service,
     }
 }
 
+/// The service as of the last record recovery may stop at within the
+/// first `k` records.
+fn expected_after(run: &Run, k: usize) -> &LiveService {
+    let (_, expected) = run
+        .checkpoints
+        .iter()
+        .rev()
+        .find(|(written, _)| *written <= k)
+        .expect("the header is a checkpoint");
+    expected
+}
+
 #[test]
 fn every_crash_point_recovers_the_service_as_of_its_last_durable_record() {
-    let run = drive(21, 40);
+    // Journal to disk with a snapshot every third barrier, so crash points
+    // land before the first snapshot and on either side of later ones.
+    let source = temp_dir("sweep-source");
+    let journal = DurableJournal::create(&source, 3).unwrap();
+    let run = drive_into(21, 40, journal, Some(snapshot_dir(&source)));
     assert!(
         run.service.retired().len() >= 10,
         "the sweep must cover retired jobs, got {}",
         run.service.retired().len()
     );
+    assert!(
+        run.snapshots.len() >= 10,
+        "{} snapshots",
+        run.snapshots.len()
+    );
     let dir = temp_dir("sweep");
+    let (mut fresh, mut from_snapshot) = (0, 0);
     for k in 1..=run.records.len() {
         write_wal(&dir, &run.records[..k]);
-        let recovered = recover_live(&dir)
-            .unwrap_or_else(|error| panic!("prefix of {k} records must recover: {error}"));
-        let (_, expected) = run
-            .checkpoints
+        // The snapshot files as they stood when record k was written.
+        let snapshots = snapshot_dir(&dir);
+        let _ = std::fs::remove_dir_all(&snapshots);
+        std::fs::create_dir_all(&snapshots).unwrap();
+        let files = run
+            .snapshots
             .iter()
             .rev()
             .find(|(written, _)| *written <= k)
-            .expect("the header is a checkpoint");
+            .map_or(&[][..], |(_, files)| &files[..]);
+        for (name, bytes) in files {
+            std::fs::write(snapshots.join(name), bytes).unwrap();
+        }
+        let recovered = recover_live(&dir)
+            .unwrap_or_else(|error| panic!("prefix of {k} records must recover: {error}"));
+        match recovered.snapshot_cycle {
+            Some(_) => from_snapshot += 1,
+            None => fresh += 1,
+        }
         assert_eq!(
-            &recovered.service, expected,
+            &recovered.service,
+            expected_after(&run, k),
             "crash after record {k} must recover the service as of its last barrier \
              or Submitted record"
         );
     }
+    assert!(
+        fresh > 0 && from_snapshot > fresh,
+        "{fresh} crash points replayed from the generated platform, \
+         {from_snapshot} from a snapshot"
+    );
+
+    // The last snapshot next to a journal cut well before it: the files
+    // cannot be from the same run.
+    let tenth_barrier = run
+        .checkpoints
+        .iter()
+        .filter(|(_, service)| service.cycle() == 10)
+        .map(|(written, _)| *written)
+        .min()
+        .expect("a tenth barrier");
+    write_wal(&dir, &run.records[..tenth_barrier]);
+    assert!(matches!(
+        recover_live(&dir),
+        Err(RecoverError::SnapshotNewerThanJournal {
+            snapshot_cycle: 39..,
+            journal_cycle: 10,
+        })
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&source);
+}
+
+/// Index of the first barrier at or after `from`.
+fn next_barrier(records: &[String], from: usize) -> usize {
+    from + records[from..]
+        .iter()
+        .position(|line| line.starts_with("{\"CycleCommitted\""))
+        .expect("a later barrier")
+}
+
+fn decode_barrier(line: &str) -> LiveState {
+    match LiveRecord::decode(line).unwrap() {
+        LiveRecord::CycleCommitted { state } => state,
+        other => panic!("not a barrier: {other:?}"),
+    }
+}
+
+/// Recovers `records` and expects a `ChainBroken` refusal naming `what`.
+fn assert_refused(dir: &Path, records: &[String], what: &str) {
+    write_wal(dir, records);
+    match recover_live(dir) {
+        Err(RecoverError::ChainBroken { detail }) => {
+            assert!(
+                detail.contains(what),
+                "{detail:?} does not mention {what:?}"
+            );
+        }
+        Err(other) => panic!("expected ChainBroken, got {other}"),
+        Ok(_) => panic!("a journal whose {what} was tampered with recovered"),
+    }
+}
+
+#[test]
+fn a_tampered_commit_or_digest_is_refused() {
+    let run = drive(21, 40);
+    let dir = temp_dir("tampered");
+    write_wal(&dir, &run.records);
+    assert_eq!(recover_live(&dir).unwrap().service, run.service);
+    let commits: Vec<(usize, u64, u32)> = run
+        .records
+        .iter()
+        .enumerate()
+        .filter_map(|(index, line)| match LiveRecord::decode(line).unwrap() {
+            LiveRecord::Committed { cycle, shard, .. } => Some((index, cycle, shard)),
+            _ => None,
+        })
+        .collect();
+    let &(last, last_cycle, shard) = commits.last().expect("the run commits");
+    let barrier = next_barrier(&run.records, last);
+
+    // A lost commit leaves its window free in the replay: the digest of
+    // the shard it was cut from no longer matches.
+    let mut dropped = run.records[..=barrier].to_vec();
+    dropped.remove(last);
+    assert_refused(&dir, &dropped, "digest");
+
+    // A window moved onto one an earlier cycle already holds on the same
+    // shard cannot be cut again.
+    let &(earlier, ..) = commits
+        .iter()
+        .find(|&&(_, cycle, s)| s == shard && cycle + 3 < last_cycle)
+        .expect("an earlier commit on the same shard");
+    let LiveRecord::Committed { window, .. } = LiveRecord::decode(&run.records[earlier]).unwrap()
+    else {
+        unreachable!("filtered above");
+    };
+    let LiveRecord::Committed { cycle, job, .. } = LiveRecord::decode(&run.records[last]).unwrap()
+    else {
+        unreachable!("filtered above");
+    };
+    let mut moved = run.records[..=barrier].to_vec();
+    moved[last] = LiveRecord::Committed {
+        cycle,
+        job,
+        shard,
+        window,
+    }
+    .encode();
+    assert_refused(&dir, &moved, "not free");
+
+    // A barrier whose digest disagrees with the replay.
+    let mut wrong = run.records[..=barrier].to_vec();
+    let mut state = decode_barrier(&wrong[barrier]);
+    state.slot_digests[0] ^= 1;
+    wrong[barrier] = LiveRecord::CycleCommitted { state }.encode();
+    assert_refused(&dir, &wrong, "digest");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_torn_cycle_rerun_without_new_submits_recovers() {
+    // A cycle's records reach disk without their barrier, and the restarted
+    // daemon re-runs the cycle before any submit arrives: the journal holds
+    // the same commits twice, only the second run's with a barrier.
+    let run = drive(21, 40);
+    let (lost, _) = run
+        .records
+        .iter()
+        .enumerate()
+        .rev()
+        .find(|(_, line)| line.starts_with("{\"Committed\""))
+        .expect("the run commits");
+    let barrier = next_barrier(&run.records, lost);
+    let dir = temp_dir("torn-rerun");
+    let mut records = run.records[..barrier].to_vec();
+    write_wal(&dir, &records);
+    let mut restarted = recover_live(&dir).unwrap().service;
+    let mut journal = MemoryJournal::new();
+    restarted.run_cycle_observed(Parallelism::Serial, &NoopMetrics, &mut journal);
+    assert_eq!(&restarted, expected_after(&run, barrier + 1));
+    records.extend(journal.records().iter().cloned());
+    write_wal(&dir, &records);
+    assert_eq!(recover_live(&dir).unwrap().service, restarted);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_header_only_or_empty_journal_starts_fresh() {
+    let dir = temp_dir("header-only");
+    assert!(matches!(
+        recover_live(&dir),
+        Err(RecoverError::EmptyJournal)
+    ));
+    write_wal(&dir, &[]);
+    assert!(matches!(
+        recover_live(&dir),
+        Err(RecoverError::EmptyJournal)
+    ));
+    let config = config(4);
+    write_wal(
+        &dir,
+        &[LiveRecord::ServiceStarted {
+            config: config.clone(),
+        }
+        .encode()],
+    );
+    let recovered = recover_live(&dir).unwrap();
+    assert_eq!(recovered.service, LiveService::new(config));
+    assert_eq!((recovered.barriers, recovered.resubmitted), (0, 0));
+    assert_eq!(recovered.snapshot_cycle, None);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -320,28 +585,138 @@ fn a_pre_retirement_journal_recovers_into_the_archive_and_continues() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Rewrites a journal into the shape written before barriers left the
+/// shards out: every barrier carries its cycle's full state and no slot
+/// digests.
+fn full_barrier_shape(run: &Run) -> Vec<String> {
+    run.records
+        .iter()
+        .enumerate()
+        .map(|(index, line)| {
+            if !line.starts_with("{\"CycleCommitted\"") {
+                return line.clone();
+            }
+            let state = expected_after(run, index + 1).state().clone();
+            assert_eq!(state.jobs, decode_barrier(line).jobs);
+            let encoded = LiveRecord::CycleCommitted { state }.encode();
+            encoded.replace(",\"slot_digests\":[]", "")
+        })
+        .collect()
+}
+
 #[test]
-fn a_2000_cycle_soak_keeps_barriers_live_sized() {
-    /// Checks every barrier as it is written and keeps only sizes.
-    #[derive(Default)]
-    struct BarrierProbe {
-        sizes: Vec<usize>,
-        finished_in_barrier: usize,
-    }
-    impl Journal for BarrierProbe {
-        fn append(&mut self, payload: &str) {
-            if payload.starts_with("{\"CycleCommitted\"") {
-                self.sizes.push(payload.len());
-                // No other key of a barrier is named "Finished": the
-                // substring appears only as a finished job's phase.
-                if payload.contains("\"Finished\"") {
-                    self.finished_in_barrier += 1;
-                }
+fn a_full_barrier_journal_recovers_and_continues_with_delta_barriers() {
+    let cycles = 30;
+    let run = drive(5, cycles);
+    let old = full_barrier_shape(&run);
+    assert!(old
+        .iter()
+        .any(|line| line.contains("\"platform\"") && !line.contains("slot_digests")));
+    let dir = temp_dir("full-barriers");
+    write_wal(&dir, &old);
+    let recovered = recover_live(&dir).unwrap();
+    assert_eq!(recovered.service, run.service);
+    assert_eq!(recovered.barriers, cycles);
+
+    // Continue the old journal with delta barriers: their replay starts
+    // from the last full barrier's slots.
+    let mut reference = run.service;
+    let mut resumed = recovered.service;
+    let mut journal = MemoryJournal::new();
+    let mut rng = StdRng::seed_from_u64(41);
+    for cycle in cycles..cycles + 8 {
+        for submission in arrivals(&mut rng, cycle, false) {
+            let entry = resumed.submit(&submission);
+            assert_eq!(reference.submit(&submission), entry);
+            if let Ok(entry) = entry {
+                journal.append(&LiveRecord::Submitted { entry }.encode());
             }
         }
-        fn commit(&mut self) {}
+        reference.run_cycle(Parallelism::Serial);
+        resumed.run_cycle_observed(Parallelism::Serial, &NoopMetrics, &mut journal);
     }
+    let mut continued = old;
+    continued.extend(journal.records().iter().cloned());
+    write_wal(&dir, &continued);
+    let again = recover_live(&dir).unwrap();
+    assert_eq!(again.service, reference);
+    assert_eq!(again.service, resumed);
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
+/// Sizes of every barrier written, and of the jobs table inside each.
+#[derive(Default)]
+struct BarrierProbe {
+    sizes: Vec<usize>,
+    job_bytes: Vec<usize>,
+    finished_in_barrier: usize,
+}
+
+impl Journal for BarrierProbe {
+    fn append(&mut self, payload: &str) {
+        if payload.starts_with("{\"CycleCommitted\"") {
+            self.sizes.push(payload.len());
+            self.job_bytes.push(
+                serde_json::to_string(&decode_barrier(payload).jobs)
+                    .unwrap()
+                    .len(),
+            );
+            // No other key of a barrier is named "Finished": the
+            // substring appears only as a finished job's phase.
+            if payload.contains("\"Finished\"") {
+                self.finished_in_barrier += 1;
+            }
+        }
+    }
+    fn commit(&mut self) {}
+}
+
+impl BarrierProbe {
+    /// The largest barrier, jobs table left out.
+    fn max_without_jobs(&self) -> usize {
+        self.sizes
+            .iter()
+            .zip(&self.job_bytes)
+            .map(|(size, jobs)| size - jobs)
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+#[test]
+fn barrier_size_does_not_grow_with_the_platform() {
+    let probe = |nodes_per_shard: usize| {
+        let mut service = LiveService::new(LiveConfig {
+            nodes_per_shard,
+            scheduler: BatchSchedulerConfig {
+                max_alternatives_per_job: 2,
+                ..BatchSchedulerConfig::default()
+            },
+            ..config(9)
+        });
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut probe = BarrierProbe::default();
+        for cycle in 0..40 {
+            for submission in arrivals(&mut rng, cycle, false) {
+                let _ = service.submit(&submission);
+            }
+            service.run_cycle_observed(Parallelism::Serial, &NoopMetrics, &mut probe);
+        }
+        probe
+    };
+    let (small, large) = (probe(16), probe(1000));
+    // Beyond the jobs, a barrier differs only in the width of its two
+    // printed slot digests.
+    assert!(
+        large.max_without_jobs() <= small.max_without_jobs() + 2 * 20,
+        "1000-node barriers hold {} bytes besides their jobs, 16-node ones {}",
+        large.max_without_jobs(),
+        small.max_without_jobs()
+    );
+}
+
+#[test]
+fn a_2000_cycle_soak_keeps_barriers_live_sized() {
     // Few alternatives per job keep 2000 unoptimised cycles quick; the
     // barrier's contents do not depend on how hard the search tries.
     let mut service = LiveService::new(LiveConfig {
@@ -375,7 +750,17 @@ fn a_2000_cycle_soak_keeps_barriers_live_sized() {
         "the last barrier ({last} bytes) must stay within 2x the one at cycle 200 \
          ({at_200} bytes)"
     );
+    let largest = probe.sizes.iter().max().copied().unwrap_or(0);
+    assert!(
+        largest <= BARRIER_BOUND,
+        "a barrier of {largest} bytes, over the {BARRIER_BOUND}-byte bound"
+    );
 }
+
+/// Largest barrier the soak may write. With the slot lists left out a
+/// barrier is the live jobs plus a few counters (2.2 KB at most in this
+/// run); the two 10-node shards would add several kilobytes.
+const BARRIER_BOUND: usize = 4 * 1024;
 
 /// FNV-1a over the `Committed` and `Deferred` records, one line each.
 struct DecisionDigest(u64);

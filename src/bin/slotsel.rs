@@ -788,10 +788,14 @@ fn cmd_serve_live(args: &Args) -> Result<(), String> {
                     Ok(recovered) => {
                         println!(
                             "recover: resuming live service at cycle {} \
-                             ({} jobs, {} re-applied submits{})",
+                             ({} jobs, {} re-applied submits, {}{})",
                             recovered.service.cycle(),
                             recovered.service.job_count(),
                             recovered.resubmitted,
+                            match recovered.snapshot_cycle {
+                                Some(cycle) => format!("replayed from the cycle-{cycle} snapshot"),
+                                None => "replayed from the generated platform".to_owned(),
+                            },
                             if recovered.discarded_tail {
                                 ", torn tail truncated"
                             } else {
@@ -814,13 +818,14 @@ fn cmd_serve_live(args: &Args) -> Result<(), String> {
                         );
                         let mut journal = DurableJournal::create(dir, snapshot_every)
                             .map_err(|e| format!("{}: {e}", dir.display()))?;
+                        // No fsync of its own: every later commit flushes
+                        // the header first.
                         journal.append(
                             &LiveRecord::ServiceStarted {
                                 config: config.clone(),
                             }
                             .encode(),
                         );
-                        journal.commit();
                         (LiveService::new(config.clone()), Some(journal))
                     }
                     Err(error) => return Err(format!("recover {}: {error}", dir.display())),
@@ -828,13 +833,14 @@ fn cmd_serve_live(args: &Args) -> Result<(), String> {
             } else {
                 let mut journal = DurableJournal::create(dir, snapshot_every)
                     .map_err(|e| format!("{}: {e}", dir.display()))?;
+                // No fsync of its own: every later commit — each ack's
+                // included — flushes the header first.
                 journal.append(
                     &LiveRecord::ServiceStarted {
                         config: config.clone(),
                     }
                     .encode(),
                 );
-                journal.commit();
                 (LiveService::new(config.clone()), Some(journal))
             }
         }
@@ -967,8 +973,9 @@ fn cmd_serve_live(args: &Args) -> Result<(), String> {
 
     let mut live = lock_live(&shared);
     if let Some(journal) = live.journal.take() {
+        let state = live.service.state();
         journal
-            .finish()
+            .finish_with_snapshot(&|| LiveRecord::encode_checkpoint(state))
             .map_err(|e| format!("journal finish: {e}"))?;
     }
     drop(live);
@@ -1116,7 +1123,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                     registry.as_ref(),
                     &mut journal,
                 );
-                // Flush + fsync the tail and write the final snapshot.
+                // Flush + fsync the tail; the round ends in RunFinished.
                 journal
                     .finish()
                     .map_err(|e| format!("{}: {e}", dir.display()))?;
@@ -1140,7 +1147,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         std::thread::sleep(Duration::from_millis(pace_ms));
     }
     if server.shutdown_requested() {
-        println!("shutdown requested; journal flushed and final snapshot written");
+        println!("shutdown requested; journal flushed");
         std::io::stdout().flush().ok();
     }
     drop(server);

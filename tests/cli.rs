@@ -396,7 +396,7 @@ fn serve_journals_rounds_and_recovers_a_torn_journal() {
             std::fs::read_dir(dir.join(round).join("snapshots"))
                 .map(|entries| entries.count() > 0)
                 .unwrap_or(false),
-            "{round} must hold at least the final snapshot"
+            "{round} must hold the snapshots its cadence wrote"
         );
     }
 
@@ -776,6 +776,105 @@ fn live_serve_answers_finished_jobs_from_the_archive_across_a_kill() {
 
     live_request(&addr, "POST", "/shutdown", "");
     let _ = child.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `"key":N` integer field of a flat JSON body.
+fn json_u64(body: &str, key: &str) -> u64 {
+    let pattern = format!("\"{key}\":");
+    let start = body
+        .find(&pattern)
+        .unwrap_or_else(|| panic!("{key} in {body}"))
+        + pattern.len();
+    body[start..]
+        .split(|c: char| !c.is_ascii_digit())
+        .next()
+        .and_then(|digits| digits.parse().ok())
+        .unwrap_or_else(|| panic!("{key} is not an integer in {body}"))
+}
+
+fn dir_bytes(dir: &std::path::Path) -> u64 {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            let meta = entry.metadata().unwrap();
+            if meta.is_dir() {
+                dir_bytes(&entry.path())
+            } else {
+                meta.len()
+            }
+        })
+        .sum()
+}
+
+#[test]
+fn live_serve_recovers_a_wide_platform_from_small_barriers() {
+    let dir = temp_path("live-wide");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut args = vec![
+        "--shards",
+        "2",
+        "--nodes",
+        "1000",
+        "--journal-dir",
+        dir.to_str().unwrap(),
+    ];
+    let (mut child, addr) = spawn_live(&args);
+    for job in 0..6u32 {
+        let response = live_request(
+            &addr,
+            "POST",
+            "/submit",
+            &format!(
+                "{{\"tenant\":\"t{}\",\"nodes\":{},\"volume\":200,\"budget\":50000.0}}",
+                job % 2,
+                2 + job % 3
+            ),
+        );
+        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    }
+    for job in 0..6 {
+        wait_for_schedule(&addr, job);
+    }
+    // Past two snapshots (every fifth barrier by default).
+    let state = (0..800)
+        .find_map(|_| {
+            let body = response_body(&live_request(&addr, "GET", "/state", "")).to_owned();
+            std::thread::sleep(std::time::Duration::from_millis(25));
+            (json_u64(&body, "cycle") >= 12).then_some(body)
+        })
+        .expect("the daemon runs a dozen cycles");
+    child.kill().expect("simulated crash");
+    let _ = child.wait();
+
+    // No barrier carries the 2 x 1000-node platform or its slot lists.
+    let journal = std::fs::read_to_string(dir.join("journal.wal")).unwrap();
+    let barriers: Vec<&str> = journal
+        .lines()
+        .filter(|line| line.contains("{\"CycleCommitted\""))
+        .collect();
+    assert!(barriers.len() >= 12, "{} barriers", barriers.len());
+    let largest = barriers.iter().map(|line| line.len()).max().unwrap_or(0);
+    assert!(largest < 16 * 1024, "a {largest}-byte barrier");
+    // The full state lives in the snapshots, one per fifth barrier.
+    let snapshots = std::fs::read_dir(dir.join("snapshots")).unwrap().count();
+    assert!(snapshots >= 2, "{snapshots} snapshots");
+    let bytes = dir_bytes(&dir);
+    assert!(bytes < 4 << 20, "the journal directory holds {bytes} bytes");
+
+    args.push("--recover");
+    let (mut child, addr) = spawn_live(&args);
+    let recovered = response_body(&live_request(&addr, "GET", "/state", "")).to_owned();
+    assert_eq!(
+        json_u64(&recovered, "jobs"),
+        json_u64(&state, "jobs"),
+        "{recovered} vs {state}"
+    );
+    assert!(json_u64(&recovered, "cycle") >= 12, "{recovered}");
+    live_request(&addr, "POST", "/shutdown", "");
+    let status = child.wait().expect("daemon exits");
+    assert!(status.success(), "clean shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
