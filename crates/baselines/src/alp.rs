@@ -16,7 +16,7 @@
 //!
 //! [`NodeRequirements::max_price_per_unit`]: slotsel_core::NodeRequirements::max_price_per_unit
 
-use slotsel_core::aep::{scan, SelectionPolicy};
+use slotsel_core::aep::{scan_observed, ScanOptions, SelectionPolicy};
 use slotsel_core::money::Money;
 use slotsel_core::node::Platform;
 use slotsel_core::request::ResourceRequest;
@@ -24,7 +24,7 @@ use slotsel_core::selectors::Candidate;
 use slotsel_core::slotlist::SlotList;
 use slotsel_core::time::TimePoint;
 use slotsel_core::window::Window;
-use slotsel_core::SlotSelector;
+use slotsel_core::{Obs, SlotSelector};
 
 /// ALP: first window of `n` slots each locally priced within `F`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -89,16 +89,25 @@ impl SlotSelector for Alp {
         "ALP"
     }
 
-    fn select(
+    fn select_observed(
         &mut self,
         platform: &Platform,
         slots: &SlotList,
         request: &ResourceRequest,
+        obs: &mut Obs<'_>,
     ) -> Option<Window> {
         let mut policy = AlpPolicy {
             cap: Alp::price_cap(request),
         };
-        scan(platform, slots, request, &mut policy)
+        scan_observed(
+            platform,
+            slots,
+            request,
+            &mut policy,
+            ScanOptions::default(),
+            obs,
+        )
+        .best
     }
 }
 

@@ -17,7 +17,7 @@ use slotsel_core::node::Platform;
 use slotsel_core::request::ResourceRequest;
 use slotsel_core::slotlist::SlotList;
 use slotsel_core::window::{Window, WindowSlot};
-use slotsel_core::SlotSelector;
+use slotsel_core::{Obs, SlotSelector};
 
 /// Backfilling-style earliest-window co-allocation, ignoring cost limits.
 ///
@@ -61,11 +61,12 @@ impl SlotSelector for Backfill {
         "Backfill"
     }
 
-    fn select(
+    fn select_observed(
         &mut self,
         platform: &Platform,
         slots: &SlotList,
         request: &ResourceRequest,
+        _obs: &mut Obs<'_>,
     ) -> Option<Window> {
         let n = request.node_count();
         // Candidate anchors: every slot start, in non-decreasing order.

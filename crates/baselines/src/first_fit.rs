@@ -9,14 +9,14 @@
 //! budget; a cheaper subset that would fit is *not* considered (that is
 //! AMP's refinement).
 
-use slotsel_core::aep::{scan, SelectionPolicy};
+use slotsel_core::aep::{scan_observed, ScanOptions, SelectionPolicy};
 use slotsel_core::node::Platform;
 use slotsel_core::request::ResourceRequest;
 use slotsel_core::selectors::{total_cost, Candidate};
 use slotsel_core::slotlist::SlotList;
 use slotsel_core::time::TimePoint;
 use slotsel_core::window::Window;
-use slotsel_core::SlotSelector;
+use slotsel_core::{Obs, SlotSelector};
 
 /// First-fit co-allocation: the first `n` matching slots, in arrival order.
 ///
@@ -91,13 +91,22 @@ impl SlotSelector for FirstFit {
         "FirstFit"
     }
 
-    fn select(
+    fn select_observed(
         &mut self,
         platform: &Platform,
         slots: &SlotList,
         request: &ResourceRequest,
+        obs: &mut Obs<'_>,
     ) -> Option<Window> {
-        scan(platform, slots, request, &mut FirstFitPolicy)
+        scan_observed(
+            platform,
+            slots,
+            request,
+            &mut FirstFitPolicy,
+            ScanOptions::default(),
+            obs,
+        )
+        .best
     }
 }
 

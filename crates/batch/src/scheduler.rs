@@ -17,12 +17,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use slotsel_obs::journal::{Journal, NoopJournal};
-use slotsel_obs::json::ObjectWriter;
-use slotsel_obs::{
-    Metrics, NoopMetrics, NoopRecorder, NoopSpanSink, Recorder, SpanId, SpanSink, Stopwatch,
-    TraceEvent,
-};
+use slotsel_obs::{Obs, SpanId, Stopwatch, TraceEvent};
 
 use slotsel_core::money::Money;
 use slotsel_core::node::Platform;
@@ -230,137 +225,53 @@ impl BatchScheduler {
     /// determinism). The returned schedule contains one [`Assignment`] per
     /// input job.
     ///
-    /// Equivalent to [`schedule_traced`](Self::schedule_traced) with a
-    /// [`NoopRecorder`]; the probes compile away on this path.
+    /// Equivalent to [`schedule_observed`](Self::schedule_observed) with
+    /// [`Obs::dark`].
     #[must_use]
     pub fn schedule(&self, platform: &Platform, slots: &SlotList, jobs: &[Job]) -> BatchSchedule {
-        self.schedule_traced(platform, slots, jobs, &mut NoopRecorder)
+        self.schedule_observed(platform, slots, jobs, &mut Obs::dark())
     }
 
-    /// Runs one scheduling cycle with observability probes.
+    /// Runs one scheduling cycle, reporting to `obs`.
     ///
-    /// On top of [`schedule`](Self::schedule)'s behaviour, the cycle
-    /// reports to `recorder`:
+    /// The **recorder** receives [`TraceEvent::BatchStarted`], per job a
+    /// [`TraceEvent::AlternativesFound`] as phase 1 searches it,
+    /// [`TraceEvent::MckpSolved`] with the knapsack instance size and
+    /// whether the exact DP (vs the greedy fallback) produced the picks,
+    /// per job a [`TraceEvent::JobCommitted`] or [`TraceEvent::JobDeferred`]
+    /// as the commit step resolves conflicts, and wall-clock timings for
+    /// the three steps (`"batch.phase1"`, `"batch.phase2"`,
+    /// `"batch.commit"`). The per-job searches run with the recorder dark
+    /// ([`Obs::untraced`]), so the batch trace carries no per-scan events.
     ///
-    /// - [`TraceEvent::BatchStarted`], then per job a
-    ///   [`TraceEvent::AlternativesFound`] as phase 1 searches it;
-    /// - [`TraceEvent::MckpSolved`] with the knapsack instance size and
-    ///   whether the exact DP (vs the greedy fallback) produced the picks;
-    /// - per job a [`TraceEvent::JobCommitted`] or
-    ///   [`TraceEvent::JobDeferred`] as the commit step resolves conflicts;
-    /// - wall-clock timings for the three steps (`"batch.phase1"`,
-    ///   `"batch.phase2"`, `"batch.commit"`).
+    /// The **metrics** sink receives (all names prefixed `slotsel_`) the
+    /// counters `batch_total`, `batch_jobs_total`,
+    /// `batch_jobs_scheduled_total`, `batch_jobs_deferred_total` and
+    /// `mckp_total{mode="exact"|"greedy"|"fallback"}`, the histograms
+    /// `batch_phase_seconds{phase=…}` and `batch_alternatives_per_job`,
+    /// the `batch_spent_credits` gauge, and the searches' CSA and scan
+    /// metrics.
+    ///
+    /// The **span** sink receives a `"batch.schedule"` root with three
+    /// phase children: `"batch.phase1"` (one `"csa.search"`/`"aep.scan"`
+    /// grandchild per job, via
+    /// [`SearchStrategy::find_alternatives_observed`]), `"batch.phase2"`
+    /// (MCKP instance size and solver mode as attributes) and
+    /// `"batch.commit"` (committed/deferred counts).
     #[must_use]
-    pub fn schedule_traced<R: Recorder>(
+    #[allow(clippy::too_many_lines)]
+    pub fn schedule_observed(
         &self,
         platform: &Platform,
         slots: &SlotList,
         jobs: &[Job],
-        recorder: &mut R,
+        obs: &mut Obs<'_>,
     ) -> BatchSchedule {
-        self.schedule_metered(platform, slots, jobs, recorder, &NoopMetrics)
-    }
-
-    /// Runs one scheduling cycle with both event tracing and live metrics.
-    ///
-    /// On top of [`schedule_traced`](Self::schedule_traced)'s behaviour,
-    /// the cycle records to `metrics` (all names prefixed `slotsel_`):
-    ///
-    /// - `batch_total`, `batch_jobs_total`, `batch_jobs_scheduled_total`,
-    ///   `batch_jobs_deferred_total` — counters over the cycle's outcome;
-    /// - `mckp_total{mode="exact"|"greedy"|"fallback"}` — which phase-2
-    ///   solver produced the picks;
-    /// - `batch_phase_seconds{phase=…}` — a histogram per step;
-    /// - `batch_alternatives_per_job` — the phase-1 fan-out distribution.
-    ///
-    /// With [`NoopMetrics`] (or a disabled sink) every probe compiles away
-    /// and the schedule is identical to the untraced path, bit for bit.
-    #[must_use]
-    pub fn schedule_metered<R: Recorder, M: Metrics>(
-        &self,
-        platform: &Platform,
-        slots: &SlotList,
-        jobs: &[Job],
-        recorder: &mut R,
-        metrics: &M,
-    ) -> BatchSchedule {
-        self.schedule_journaled(platform, slots, jobs, recorder, metrics, &mut NoopJournal)
-    }
-
-    /// Runs one scheduling cycle with tracing, metrics and a durable audit
-    /// stream.
-    ///
-    /// On top of [`schedule_metered`](Self::schedule_metered)'s behaviour,
-    /// the cycle appends one flat JSON record per decision to `journal` and
-    /// commits the batch at the end of the cycle:
-    ///
-    /// - `{"record":"batch_started","jobs":N}` as the cycle begins;
-    /// - `{"record":"mckp_solved","classes":…,"items":…,"exact":…}` after
-    ///   phase 2;
-    /// - per job, `{"record":"job_committed","job":…,"start":…,
-    ///   "finish":…,"cost":…}` or `{"record":"job_deferred","job":…}` as
-    ///   the commit step resolves conflicts.
-    ///
-    /// This is an *audit stream* for standalone batch runs — flat records
-    /// any JSONL tool can consume — not the rolling simulation's typed
-    /// write-ahead log: a journaled rolling run records its scan commits in
-    /// its own WAL (`slotsel_sim::journal`) and does **not** forward that
-    /// WAL here. With a [`NoopJournal`] every probe compiles away and the
-    /// schedule is identical to [`schedule_metered`](Self::schedule_metered),
-    /// bit for bit (which delegates here).
-    #[must_use]
-    pub fn schedule_journaled<R: Recorder, M: Metrics, J: Journal>(
-        &self,
-        platform: &Platform,
-        slots: &SlotList,
-        jobs: &[Job],
-        recorder: &mut R,
-        metrics: &M,
-        journal: &mut J,
-    ) -> BatchSchedule {
-        self.schedule_spanned(
-            platform,
-            slots,
-            jobs,
-            recorder,
-            metrics,
-            journal,
-            &mut NoopSpanSink,
-        )
-    }
-
-    /// Runs one scheduling cycle with tracing, metrics, a journal **and**
-    /// hierarchical spans.
-    ///
-    /// On top of [`schedule_journaled`](Self::schedule_journaled)'s
-    /// behaviour, when `spans` is [enabled](SpanSink::enabled) the cycle
-    /// records a `"batch.schedule"` root span with three phase children —
-    /// `"batch.phase1"` (one `"csa.search"`/`"aep.scan"` grandchild per
-    /// job, via [`SearchStrategy::find_alternatives_spanned`]),
-    /// `"batch.phase2"` (MCKP instance size and solver mode as
-    /// attributes) and `"batch.commit"` (committed/deferred counts).
-    ///
-    /// With [`NoopSpanSink`] the span branches are dead code and this is
-    /// exactly [`schedule_journaled`](Self::schedule_journaled) — same
-    /// schedule, trace, metrics and journal, bit for bit (which delegates
-    /// here).
-    #[must_use]
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-    pub fn schedule_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
-        &self,
-        platform: &Platform,
-        slots: &SlotList,
-        jobs: &[Job],
-        recorder: &mut R,
-        metrics: &M,
-        journal: &mut J,
-        spans: &mut S,
-    ) -> BatchSchedule {
-        let metered = metrics.enabled();
-        let spanning = spans.enabled();
+        let metered = obs.metrics.enabled();
+        let spanning = obs.spans.enabled();
         let root = if spanning {
-            let root = spans.open("batch.schedule");
-            spans.attr_u64("jobs", jobs.len() as u64);
+            let root = obs.spans.open("batch.schedule");
+            obs.spans.attr_u64("jobs", jobs.len() as u64);
             root
         } else {
             SpanId::NONE
@@ -368,16 +279,10 @@ impl BatchScheduler {
         let mut ordered: Vec<&Job> = jobs.iter().collect();
         ordered.sort_by_key(|j| (std::cmp::Reverse(j.priority()), j.id()));
 
-        if recorder.enabled() {
-            recorder.emit(TraceEvent::BatchStarted {
+        if obs.recorder.enabled() {
+            obs.recorder.emit(TraceEvent::BatchStarted {
                 jobs: jobs.len() as u64,
             });
-        }
-        if journal.enabled() {
-            let mut record = ObjectWriter::new();
-            record.str_field("record", "batch_started");
-            record.u64_field("jobs", jobs.len() as u64);
-            journal.append(&record.finish());
         }
 
         // Phase 1: alternatives per job, all on the same slot list. A job
@@ -388,11 +293,11 @@ impl BatchScheduler {
         // O(log m) and scans through the aggregate-pruned cursor, and the
         // promoted copy is shared (read-only) across all jobs.
         let phase1 = if spanning {
-            Some(spans.open("batch.phase1"))
+            Some(obs.spans.open("batch.phase1"))
         } else {
             None
         };
-        let watch = Stopwatch::start_if(recorder.enabled() || metered);
+        let watch = Stopwatch::start_if(obs.recorder.enabled() || metered);
         let promoted = promote_for_search(slots);
         let slots = promoted.as_ref().unwrap_or(slots);
         let default_search = SearchStrategy::Csa {
@@ -407,21 +312,20 @@ impl BatchScheduler {
                     .iter()
                     .find(|(id, _)| *id == job.id())
                     .map_or(default_search, |&(_, s)| s);
-                let found = strategy.find_alternatives_spanned(
+                let found = strategy.find_alternatives_observed(
                     platform,
                     slots,
                     job.request(),
-                    metrics,
-                    spans,
+                    &mut obs.untraced(),
                 );
-                if recorder.enabled() {
-                    recorder.emit(TraceEvent::AlternativesFound {
+                if obs.recorder.enabled() {
+                    obs.recorder.emit(TraceEvent::AlternativesFound {
                         job: u64::from(job.id().0),
                         count: found.len() as u64,
                     });
                 }
                 if metered {
-                    metrics.observe(
+                    obs.metrics.observe(
                         "slotsel_batch_alternatives_per_job",
                         &[],
                         found.len() as f64,
@@ -432,11 +336,11 @@ impl BatchScheduler {
             .collect();
         if let Some(watch) = watch {
             let elapsed_ns = watch.elapsed_ns();
-            if recorder.enabled() {
-                recorder.time_ns("batch.phase1", elapsed_ns);
+            if obs.recorder.enabled() {
+                obs.recorder.time_ns("batch.phase1", elapsed_ns);
             }
             if metered {
-                metrics.observe(
+                obs.metrics.observe(
                     "slotsel_batch_phase_seconds",
                     &[("phase", "alternatives")],
                     elapsed_ns as f64 * 1e-9,
@@ -444,21 +348,21 @@ impl BatchScheduler {
             }
         }
         if let Some(span) = phase1 {
-            spans.attr_u64(
+            obs.spans.attr_u64(
                 "alternatives",
                 alternatives.iter().map(Vec::len).sum::<usize>() as u64,
             );
-            spans.close(span);
+            obs.spans.close(span);
         }
 
         // Phase 2: one alternative per schedulable job, extreme by the
         // batch objective under the VO budget.
         let phase2 = if spanning {
-            Some(spans.open("batch.phase2"))
+            Some(obs.spans.open("batch.phase2"))
         } else {
             None
         };
-        let watch = Stopwatch::start_if(recorder.enabled() || metered);
+        let watch = Stopwatch::start_if(obs.recorder.enabled() || metered);
         let schedulable: Vec<usize> = alternatives
             .iter()
             .enumerate()
@@ -506,31 +410,24 @@ impl BatchScheduler {
         let preferred: Vec<usize> = exact
             .or(greedy)
             .map_or_else(|| vec![0; schedulable.len()], |s| s.chosen);
-        if recorder.enabled() {
-            recorder.emit(TraceEvent::MckpSolved {
+        if obs.recorder.enabled() {
+            obs.recorder.emit(TraceEvent::MckpSolved {
                 classes: classes.len() as u64,
                 items: classes.iter().map(Vec::len).sum::<usize>() as u64,
                 exact: solved_exactly,
             });
         }
-        if journal.enabled() {
-            let mut record = ObjectWriter::new();
-            record.str_field("record", "mckp_solved");
-            record.u64_field("classes", classes.len() as u64);
-            record.u64_field("items", classes.iter().map(Vec::len).sum::<usize>() as u64);
-            record.bool_field("exact", solved_exactly);
-            journal.append(&record.finish());
-        }
         if metered {
-            metrics.counter_add("slotsel_mckp_total", &[("mode", mckp_mode)], 1);
+            obs.metrics
+                .counter_add("slotsel_mckp_total", &[("mode", mckp_mode)], 1);
         }
         if let Some(watch) = watch {
             let elapsed_ns = watch.elapsed_ns();
-            if recorder.enabled() {
-                recorder.time_ns("batch.phase2", elapsed_ns);
+            if obs.recorder.enabled() {
+                obs.recorder.time_ns("batch.phase2", elapsed_ns);
             }
             if metered {
-                metrics.observe(
+                obs.metrics.observe(
                     "slotsel_batch_phase_seconds",
                     &[("phase", "mckp")],
                     elapsed_ns as f64 * 1e-9,
@@ -538,19 +435,20 @@ impl BatchScheduler {
             }
         }
         if let Some(span) = phase2 {
-            spans.attr_u64("classes", classes.len() as u64);
-            spans.attr_u64("items", classes.iter().map(Vec::len).sum::<usize>() as u64);
-            spans.attr_str("mode", mckp_mode);
-            spans.close(span);
+            obs.spans.attr_u64("classes", classes.len() as u64);
+            obs.spans
+                .attr_u64("items", classes.iter().map(Vec::len).sum::<usize>() as u64);
+            obs.spans.attr_str("mode", mckp_mode);
+            obs.spans.close(span);
         }
 
         // Commit in priority order with conflict resolution.
         let commit = if spanning {
-            Some(spans.open("batch.commit"))
+            Some(obs.spans.open("batch.commit"))
         } else {
             None
         };
-        let watch = Stopwatch::start_if(recorder.enabled() || metered);
+        let watch = Stopwatch::start_if(obs.recorder.enabled() || metered);
         let mut committed: Vec<Window> = Vec::new();
         let mut spent = Money::ZERO;
         let mut assignments: Vec<Assignment> = Vec::with_capacity(ordered.len());
@@ -582,35 +480,18 @@ impl BatchScheduler {
                 spent += w.total_cost();
                 committed.push(w.clone());
             }
-            if recorder.enabled() {
+            if obs.recorder.enabled() {
                 match &window {
-                    Some(w) => recorder.emit(TraceEvent::JobCommitted {
+                    Some(w) => obs.recorder.emit(TraceEvent::JobCommitted {
                         job: u64::from(job.id().0),
                         start: w.start().ticks(),
                         finish: w.finish().ticks(),
                         cost: w.total_cost().as_f64(),
                     }),
-                    None => recorder.emit(TraceEvent::JobDeferred {
+                    None => obs.recorder.emit(TraceEvent::JobDeferred {
                         job: u64::from(job.id().0),
                     }),
                 }
-            }
-            if journal.enabled() {
-                let mut record = ObjectWriter::new();
-                match &window {
-                    Some(w) => {
-                        record.str_field("record", "job_committed");
-                        record.u64_field("job", u64::from(job.id().0));
-                        record.i64_field("start", w.start().ticks());
-                        record.i64_field("finish", w.finish().ticks());
-                        record.f64_field("cost", w.total_cost().as_f64());
-                    }
-                    None => {
-                        record.str_field("record", "job_deferred");
-                        record.u64_field("job", u64::from(job.id().0));
-                    }
-                }
-                journal.append(&record.finish());
             }
             assignments.push(Assignment {
                 job: (*job).clone(),
@@ -620,11 +501,11 @@ impl BatchScheduler {
         }
         if let Some(watch) = watch {
             let elapsed_ns = watch.elapsed_ns();
-            if recorder.enabled() {
-                recorder.time_ns("batch.commit", elapsed_ns);
+            if obs.recorder.enabled() {
+                obs.recorder.time_ns("batch.commit", elapsed_ns);
             }
             if metered {
-                metrics.observe(
+                obs.metrics.observe(
                     "slotsel_batch_phase_seconds",
                     &[("phase", "commit")],
                     elapsed_ns as f64 * 1e-9,
@@ -633,32 +514,29 @@ impl BatchScheduler {
         }
         let schedule = BatchSchedule { assignments };
         if let Some(span) = commit {
-            spans.attr_u64("committed", schedule.scheduled() as u64);
-            spans.attr_u64("deferred", schedule.deferred() as u64);
-            spans.close(span);
-        }
-        if journal.enabled() {
-            // One commit per cycle: the batch's records become durable
-            // together.
-            journal.commit();
+            obs.spans.attr_u64("committed", schedule.scheduled() as u64);
+            obs.spans.attr_u64("deferred", schedule.deferred() as u64);
+            obs.spans.close(span);
         }
         if metered {
-            metrics.counter_add("slotsel_batch_total", &[], 1);
-            metrics.counter_add("slotsel_batch_jobs_total", &[], jobs.len() as u64);
-            metrics.counter_add(
+            obs.metrics.counter_add("slotsel_batch_total", &[], 1);
+            obs.metrics
+                .counter_add("slotsel_batch_jobs_total", &[], jobs.len() as u64);
+            obs.metrics.counter_add(
                 "slotsel_batch_jobs_scheduled_total",
                 &[],
                 schedule.scheduled() as u64,
             );
-            metrics.counter_add(
+            obs.metrics.counter_add(
                 "slotsel_batch_jobs_deferred_total",
                 &[],
                 schedule.deferred() as u64,
             );
-            metrics.gauge_set("slotsel_batch_spent_credits", &[], spent.as_f64());
+            obs.metrics
+                .gauge_set("slotsel_batch_spent_credits", &[], spent.as_f64());
         }
         if spanning {
-            spans.close(root);
+            obs.spans.close(root);
         }
         schedule
     }
@@ -1052,137 +930,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_schedule_matches_untraced_and_reports_batch_events() {
-        use slotsel_obs::MemoryRecorder;
-
-        let p = platform(4, 2, 1.0);
-        let slots = idle(&p, 600);
-        // Job 2 requests more nodes than the platform has, so it finds no
-        // alternatives and is deferred.
-        let jobs = vec![
-            job(0, 3, 2, 100, 1_000.0),
-            job(1, 1, 2, 100, 1_000.0),
-            job(2, 2, 9, 100, 1_000.0),
-        ];
-        let scheduler = BatchScheduler::default();
-        let plain = scheduler.schedule(&p, &slots, &jobs);
-        let mut recorder = MemoryRecorder::new();
-        let traced = scheduler.schedule_traced(&p, &slots, &jobs, &mut recorder);
-
-        // The instrumented path must not change scheduling decisions.
-        assert_eq!(plain, traced);
-        assert_eq!(traced.scheduled(), 2);
-        assert_eq!(traced.deferred(), 1);
-
-        let started: Vec<_> = recorder
-            .events_where(|e| matches!(e, TraceEvent::BatchStarted { .. }))
-            .collect();
-        assert_eq!(started, [&TraceEvent::BatchStarted { jobs: 3 }]);
-
-        // One alternatives report per job, in priority order.
-        let alt_jobs: Vec<u64> = recorder
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::AlternativesFound { job, count } => Some((*job, *count)),
-                _ => None,
-            })
-            .map(|(job, count)| {
-                if job == 2 {
-                    assert_eq!(count, 0, "oversized job finds no alternatives");
-                } else {
-                    assert!(count > 0);
-                }
-                job
-            })
-            .collect();
-        assert_eq!(alt_jobs, [0, 2, 1], "phase 1 visits jobs by priority");
-
-        // One MCKP report covering exactly the schedulable jobs.
-        let mckp: Vec<_> = recorder
-            .events_where(|e| matches!(e, TraceEvent::MckpSolved { .. }))
-            .collect();
-        assert_eq!(mckp.len(), 1);
-        if let TraceEvent::MckpSolved { classes, items, .. } = mckp[0] {
-            assert_eq!(*classes, 2, "only jobs with alternatives enter MCKP");
-            assert!(*items >= *classes);
-        }
-
-        // Commit outcomes mirror the returned assignments.
-        let committed: Vec<_> = recorder
-            .events_where(|e| matches!(e, TraceEvent::JobCommitted { .. }))
-            .collect();
-        assert_eq!(committed.len(), 2);
-        let deferred: Vec<_> = recorder
-            .events_where(|e| matches!(e, TraceEvent::JobDeferred { .. }))
-            .collect();
-        assert_eq!(deferred, [&TraceEvent::JobDeferred { job: 2 }]);
-
-        for phase in ["batch.phase1", "batch.phase2", "batch.commit"] {
-            let timer = recorder.timer(phase).expect(phase);
-            assert_eq!(timer.count(), 1, "{phase} timed once");
-        }
-    }
-
-    #[test]
-    fn journaled_schedule_matches_plain_and_audits_every_decision() {
-        use slotsel_obs::journal::MemoryJournal;
-        use slotsel_obs::json::parse_object;
-
-        let p = platform(4, 2, 1.0);
-        let slots = idle(&p, 600);
-        // Job 2 is oversized, so it is deferred with no alternatives.
-        let jobs = vec![
-            job(0, 3, 2, 100, 1_000.0),
-            job(1, 1, 2, 100, 1_000.0),
-            job(2, 2, 9, 100, 1_000.0),
-        ];
-        let scheduler = BatchScheduler::default();
-        let plain = scheduler.schedule(&p, &slots, &jobs);
-        let mut journal = MemoryJournal::new();
-        let journaled = scheduler.schedule_journaled(
-            &p,
-            &slots,
-            &jobs,
-            &mut NoopRecorder,
-            &NoopMetrics,
-            &mut journal,
-        );
-        assert_eq!(
-            plain, journaled,
-            "the audit stream must not alter the schedule"
-        );
-
-        let kinds: Vec<String> = journal
-            .records()
-            .iter()
-            .map(|line| {
-                parse_object(line).unwrap()["record"]
-                    .as_str()
-                    .unwrap()
-                    .to_owned()
-            })
-            .collect();
-        assert_eq!(
-            kinds,
-            [
-                "batch_started",
-                "mckp_solved",
-                "job_committed",
-                "job_deferred",
-                "job_committed"
-            ],
-            "one record per decision, in commit order"
-        );
-        assert_eq!(journal.commits(), 1, "the cycle commits as one batch");
-        assert_eq!(
-            journal.committed_records().len(),
-            journal.records().len(),
-            "everything is durable after the cycle"
-        );
-    }
-
-    #[test]
     fn all_committed_windows_are_pairwise_conflict_free() {
         let p = platform(8, 3, 2.0);
         let slots = idle(&p, 600);
@@ -1197,61 +944,6 @@ mod tests {
             for j in (i + 1)..windows.len() {
                 assert!(!windows_conflict(windows[i], windows[j]), "{i} vs {j}");
             }
-        }
-    }
-
-    #[test]
-    fn spanned_schedule_matches_plain_and_records_phase_tree() {
-        use slotsel_obs::MemorySpanSink;
-        let p = platform(8, 3, 2.0);
-        let slots = idle(&p, 600);
-        let jobs: Vec<Job> = (0..4).map(|i| job(i, i, 2, 100, 10_000.0)).collect();
-        let scheduler = BatchScheduler::default();
-        let plain = scheduler.schedule(&p, &slots, &jobs);
-
-        // Disabled sink: identical schedule through the spanned path.
-        let dark = scheduler.schedule_spanned(
-            &p,
-            &slots,
-            &jobs,
-            &mut NoopRecorder,
-            &NoopMetrics,
-            &mut NoopJournal,
-            &mut NoopSpanSink,
-        );
-        assert_eq!(dark.assignments, plain.assignments);
-
-        // Enabled sink: still identical, and the root span carries the
-        // phase children plus one aep.scan per CSA inner select.
-        let mut sink = MemorySpanSink::new();
-        let spanned = scheduler.schedule_spanned(
-            &p,
-            &slots,
-            &jobs,
-            &mut NoopRecorder,
-            &NoopMetrics,
-            &mut NoopJournal,
-            &mut sink,
-        );
-        assert_eq!(spanned.assignments, plain.assignments);
-        let records = sink.take_records();
-        let root = records
-            .iter()
-            .find(|r| r.name == "batch.schedule")
-            .expect("root span");
-        for phase in ["batch.phase1", "batch.phase2", "batch.commit"] {
-            assert!(
-                records
-                    .iter()
-                    .any(|r| r.name == phase && r.parent == root.id),
-                "missing {phase} under the root"
-            );
-        }
-        assert!(records.iter().any(|r| r.name == "csa.search"));
-        assert!(records.iter().any(|r| r.name == "aep.scan"));
-        // Every non-root span nests inside the root's interval.
-        for record in &records {
-            assert!(record.start_us >= root.start_us && record.end_us <= root.end_us);
         }
     }
 }

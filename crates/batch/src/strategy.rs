@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use slotsel_obs::{Metrics, NoopMetrics, SpanSink};
+use slotsel_obs::Obs;
 
 use slotsel_core::algorithms::{MinCost, MinFinish, MinProcTime, MinRunTime};
 use slotsel_core::criteria::Criterion;
@@ -45,6 +45,10 @@ impl SearchStrategy {
     }
 
     /// Runs the strategy for one job.
+    ///
+    /// Equivalent to
+    /// [`find_alternatives_observed`](Self::find_alternatives_observed)
+    /// with [`Obs::dark`].
     #[must_use]
     pub fn find_alternatives(
         &self,
@@ -52,90 +56,44 @@ impl SearchStrategy {
         slots: &SlotList,
         request: &ResourceRequest,
     ) -> Vec<Window> {
-        self.find_alternatives_metered(platform, slots, request, &NoopMetrics)
+        self.find_alternatives_observed(platform, slots, request, &mut Obs::dark())
     }
 
-    /// Like [`find_alternatives`](Self::find_alternatives), threading a
-    /// live-metrics sink into the underlying scans. With [`NoopMetrics`]
-    /// this is the uninstrumented search, bit for bit.
+    /// Runs the strategy for one job, reporting to `obs`: the CSA arm is a
+    /// `"csa.search"` span with one `"aep.scan"` child per run, the
+    /// directed arm a bare `"aep.scan"` span, each with its scan metrics.
     #[must_use]
-    pub fn find_alternatives_metered(
+    pub fn find_alternatives_observed(
         &self,
         platform: &Platform,
         slots: &SlotList,
         request: &ResourceRequest,
-        metrics: &dyn Metrics,
+        obs: &mut Obs<'_>,
     ) -> Vec<Window> {
         match *self {
             SearchStrategy::Csa { max_alternatives } => Csa::new()
                 .cut_policy(CutPolicy::ReservationSpan)
                 .max_alternatives(max_alternatives)
-                .find_alternatives_metered(platform, slots, request, &mut Amp, metrics),
+                .find_alternatives_observed(platform, slots, request, &mut Amp, obs),
             SearchStrategy::Directed(criterion) => {
                 let window = match criterion {
-                    Criterion::EarliestStart => {
-                        Amp.select_metered(platform, slots, request, metrics)
-                    }
+                    Criterion::EarliestStart => Amp.select_observed(platform, slots, request, obs),
                     Criterion::EarliestFinish => {
-                        MinFinish::new().select_metered(platform, slots, request, metrics)
+                        MinFinish::new().select_observed(platform, slots, request, obs)
                     }
                     Criterion::MinTotalCost => {
-                        MinCost.select_metered(platform, slots, request, metrics)
+                        MinCost.select_observed(platform, slots, request, obs)
                     }
                     Criterion::MinRuntime => {
-                        MinRunTime::new().select_metered(platform, slots, request, metrics)
+                        MinRunTime::new().select_observed(platform, slots, request, obs)
                     }
+                    // Deterministic per-request seed keeps the batch cycle
+                    // reproducible.
                     Criterion::MinProcTime => {
-                        // Deterministic per-request seed keeps the batch
-                        // cycle reproducible.
                         MinProcTime::with_seed(request.volume().work() ^ 0x5EED)
-                            .select_metered(platform, slots, request, metrics)
+                            .select_observed(platform, slots, request, obs)
                     }
                 };
-                window.into_iter().collect()
-            }
-        }
-    }
-
-    /// Like [`find_alternatives_metered`](Self::find_alternatives_metered),
-    /// additionally recording spans on `spans`: a `"csa.search"` span with
-    /// per-run `"aep.scan"` children for the CSA arm, a bare `"aep.scan"`
-    /// span for the directed arm. With a disabled sink this is the metered
-    /// search, bit for bit.
-    #[must_use]
-    pub fn find_alternatives_spanned(
-        &self,
-        platform: &Platform,
-        slots: &SlotList,
-        request: &ResourceRequest,
-        metrics: &dyn Metrics,
-        spans: &mut dyn SpanSink,
-    ) -> Vec<Window> {
-        match *self {
-            SearchStrategy::Csa { max_alternatives } => Csa::new()
-                .cut_policy(CutPolicy::ReservationSpan)
-                .max_alternatives(max_alternatives)
-                .find_alternatives_spanned(platform, slots, request, &mut Amp, metrics, spans),
-            SearchStrategy::Directed(criterion) => {
-                let window =
-                    match criterion {
-                        Criterion::EarliestStart => {
-                            Amp.select_spanned(platform, slots, request, metrics, spans)
-                        }
-                        Criterion::EarliestFinish => MinFinish::new()
-                            .select_spanned(platform, slots, request, metrics, spans),
-                        Criterion::MinTotalCost => {
-                            MinCost.select_spanned(platform, slots, request, metrics, spans)
-                        }
-                        Criterion::MinRuntime => MinRunTime::new()
-                            .select_spanned(platform, slots, request, metrics, spans),
-                        Criterion::MinProcTime => {
-                            // Deterministic per-request seed keeps the batch
-                            // cycle reproducible.
-                            MinProcTime::with_seed(request.volume().work() ^ 0x5EED)
-                                .select_spanned(platform, slots, request, metrics, spans)
-                        }
-                    };
                 window.into_iter().collect()
             }
         }

@@ -18,7 +18,9 @@
 //! two-constraint selection); `slotsel-baselines`' branch-and-bound solves
 //! it exactly and the test suite compares the two.
 
-use crate::aep::{scan, SelectionPolicy};
+use slotsel_obs::Obs;
+
+use crate::aep::{scan_observed, ScanOptions, SelectionPolicy};
 use crate::node::Platform;
 use crate::request::ResourceRequest;
 use crate::selectors::{max_additive_greedy, min_additive_greedy, Candidate};
@@ -232,17 +234,26 @@ impl<S: SlotScore> SlotSelector for MinAdditive<S> {
         &self.name
     }
 
-    fn select(
+    fn select_observed(
         &mut self,
         platform: &Platform,
         slots: &SlotList,
         request: &ResourceRequest,
+        obs: &mut Obs<'_>,
     ) -> Option<Window> {
         let mut policy = AdditivePolicy {
             platform,
             score: &self.score,
         };
-        scan(platform, slots, request, &mut policy)
+        scan_observed(
+            platform,
+            slots,
+            request,
+            &mut policy,
+            ScanOptions::default(),
+            obs,
+        )
+        .best
     }
 }
 
@@ -319,17 +330,26 @@ impl<S: SlotScore> SlotSelector for MaxAdditive<S> {
         &self.name
     }
 
-    fn select(
+    fn select_observed(
         &mut self,
         platform: &Platform,
         slots: &SlotList,
         request: &ResourceRequest,
+        obs: &mut Obs<'_>,
     ) -> Option<Window> {
         let mut policy = MaxAdditivePolicy {
             platform,
             score: &self.score,
         };
-        scan(platform, slots, request, &mut policy)
+        scan_observed(
+            platform,
+            slots,
+            request,
+            &mut policy,
+            ScanOptions::default(),
+            obs,
+        )
+        .best
     }
 }
 

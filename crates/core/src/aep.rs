@@ -56,7 +56,7 @@
 //! # }
 //! ```
 
-use slotsel_obs::{Metrics, NoopMetrics, NoopRecorder, Recorder, SpanSink, Stopwatch, TraceEvent};
+use slotsel_obs::{NoopRecorder, Obs, Recorder, SpanId, Stopwatch, TraceEvent};
 
 use crate::node::Platform;
 use crate::pool::CandidatePool;
@@ -274,8 +274,7 @@ pub fn scan(
 /// traces are identical, with the pruning work reported in
 /// [`ScanStats::subtrees_skipped`] and [`ScanStats::windows_jumped`].
 ///
-/// Equivalent to [`scan_traced`] with a [`NoopRecorder`]; the probes
-/// compile away entirely on this path.
+/// Equivalent to [`scan_observed`] with [`Obs::dark`].
 #[must_use]
 pub fn scan_with(
     platform: &Platform,
@@ -284,50 +283,21 @@ pub fn scan_with(
     policy: &mut dyn SelectionPolicy,
     options: ScanOptions,
 ) -> ScanOutcome {
-    scan_traced(platform, slots, request, policy, options, &mut NoopRecorder)
+    scan_observed(platform, slots, request, policy, options, &mut Obs::dark())
 }
 
-/// Runs the AEP scan with observability probes.
+/// Runs the AEP scan, reporting to the observer context.
 ///
-/// On top of [`scan_with`]'s behaviour, the scan reports to `recorder`:
+/// On top of [`scan_with`]'s behaviour:
 ///
-/// - [`TraceEvent::ScanStarted`] / [`TraceEvent::ScanFinished`] bracketing
-///   the scan, the latter carrying the full [`ScanStats`];
-/// - [`TraceEvent::BestUpdated`] for every improvement of the best-so-far
-///   window (the paper's `maxCriterion` updates);
-/// - an `"aep.alive"` sample of the extended-window size at every
-///   admission, and an `"aep.scan"` wall-clock timing for the whole scan.
-///
-/// All probes are gated on [`Recorder::enabled`]: with the default
-/// [`NoopRecorder`] (a constant `false`) the instrumented branches are
-/// dead code and this function monomorphises to the uninstrumented scan.
-#[must_use]
-pub fn scan_traced<R: Recorder>(
-    platform: &Platform,
-    slots: &SlotList,
-    request: &ResourceRequest,
-    policy: &mut dyn SelectionPolicy,
-    options: ScanOptions,
-    recorder: &mut R,
-) -> ScanOutcome {
-    scan_metered(
-        platform,
-        slots,
-        request,
-        policy,
-        options,
-        recorder,
-        &NoopMetrics,
-    )
-}
-
-/// Runs the AEP scan with observability probes **and** live metrics.
-///
-/// On top of [`scan_traced`]'s behaviour, when `metrics` is
-/// [enabled](Metrics::enabled) the scan records — all labelled with the
-/// policy name:
-///
-/// - counters `slotsel_scan_total`, `slotsel_scan_windows_found_total`,
+/// - the **recorder** receives [`TraceEvent::ScanStarted`] /
+///   [`TraceEvent::ScanFinished`] bracketing the scan (the latter carrying
+///   the full [`ScanStats`]), a [`TraceEvent::BestUpdated`] for every
+///   improvement of the best-so-far window (the paper's `maxCriterion`
+///   updates), an `"aep.alive"` sample of the extended-window size at
+///   every admission, and an `"aep.scan"` wall-clock timing;
+/// - the **metrics** sink receives, labelled with the policy name, the
+///   counters `slotsel_scan_total`, `slotsel_scan_windows_found_total`,
 ///   `slotsel_scan_slots_admitted_total`,
 ///   `slotsel_scan_slots_rejected_total`,
 ///   `slotsel_scan_windows_evaluated_total`,
@@ -335,126 +305,188 @@ pub fn scan_traced<R: Recorder>(
 ///   `slotsel_scan_windows_jumped_total` (the aggregate-pruned cursor's
 ///   work on tree-backed lists; 0 on `Vec` lists),
 ///   `slotsel_pool_evicted_superseded_total` and
-///   `slotsel_pool_evicted_expired_total`;
-/// - histograms `slotsel_scan_seconds` (wall-clock per scan) and
-///   `slotsel_scan_alive_peak` (largest extended-window size).
+///   `slotsel_pool_evicted_expired_total`, plus the histograms
+///   `slotsel_scan_seconds` and `slotsel_scan_alive_peak`;
+/// - the **span** sink receives one `"aep.scan"` span, parented under
+///   whatever span is open on it, carrying the policy name, the same
+///   tallies as the counters and whether a window was found.
 ///
-/// With [`NoopMetrics`] this monomorphises to [`scan_traced`] exactly as
-/// [`scan_traced`] with a [`NoopRecorder`] monomorphises to [`scan_with`]:
-/// the metered path costs nothing unless a live sink is attached.
+/// The recorder is checked once: a dark one runs the scan body
+/// monomorphised over [`NoopRecorder`], so the per-slot probes are dead
+/// code and [`Obs::dark`] costs nothing but three `enabled` checks.
 #[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn scan_metered<R: Recorder, M: Metrics>(
+pub fn scan_observed(
     platform: &Platform,
     slots: &SlotList,
     request: &ResourceRequest,
     policy: &mut dyn SelectionPolicy,
     options: ScanOptions,
-    recorder: &mut R,
-    metrics: &M,
+    obs: &mut Obs<'_>,
 ) -> ScanOutcome {
-    let metered = metrics.enabled();
-    let watch = Stopwatch::start_if(metered);
-    let (outcome, superseded, expired) = if policy.stop_at_first() && policy.first_fit_feasibility()
-    {
-        first_fit_scan(platform, slots, request, policy, options, recorder, metrics)
-    } else if policy.random_pick().is_some() {
-        random_scan(platform, slots, request, policy, options, recorder, metrics)
+    let report = ScanReport::open(obs);
+    let (outcome, evictions) = if obs.recorder.enabled() {
+        scan_body(
+            platform,
+            slots,
+            request,
+            policy,
+            options,
+            &mut *obs.recorder,
+            report.metered,
+        )
     } else {
-        pool_scan(platform, slots, request, policy, options, recorder)
+        scan_body(
+            platform,
+            slots,
+            request,
+            policy,
+            options,
+            &mut NoopRecorder,
+            report.metered,
+        )
     };
-    if metered {
-        let name = policy.name().to_owned();
-        let labels = [("policy", name.as_str())];
-        metrics.counter_add("slotsel_scan_total", &labels, 1);
-        if outcome.best.is_some() {
-            metrics.counter_add("slotsel_scan_windows_found_total", &labels, 1);
-        }
-        metrics.counter_add(
-            "slotsel_scan_slots_admitted_total",
-            &labels,
-            outcome.stats.slots_admitted as u64,
-        );
-        metrics.counter_add(
-            "slotsel_scan_slots_rejected_total",
-            &labels,
-            outcome.stats.slots_rejected as u64,
-        );
-        metrics.counter_add(
-            "slotsel_scan_windows_evaluated_total",
-            &labels,
-            outcome.stats.windows_evaluated as u64,
-        );
-        metrics.counter_add(
-            "slotsel_scan_subtrees_skipped_total",
-            &labels,
-            outcome.stats.subtrees_skipped as u64,
-        );
-        metrics.counter_add(
-            "slotsel_scan_windows_jumped_total",
-            &labels,
-            outcome.stats.windows_jumped as u64,
-        );
-        metrics.counter_add("slotsel_pool_evicted_superseded_total", &labels, superseded);
-        metrics.counter_add("slotsel_pool_evicted_expired_total", &labels, expired);
-        #[allow(clippy::cast_precision_loss)]
-        metrics.observe(
-            "slotsel_scan_alive_peak",
-            &labels,
-            outcome.stats.peak_extended_window as f64,
-        );
-        if let Some(watch) = watch {
-            #[allow(clippy::cast_precision_loss)]
-            metrics.observe(
-                "slotsel_scan_seconds",
-                &labels,
-                watch.elapsed_ns() as f64 * 1e-9,
-            );
-        }
-    }
+    report.close(obs, policy.name(), &outcome, evictions);
     outcome
 }
 
-/// Runs the AEP scan with probes, metrics **and** a tracing span.
-///
-/// On top of [`scan_metered`]'s behaviour, when `spans` is
-/// [enabled](SpanSink::enabled) the whole scan runs inside an
-/// `"aep.scan"` span carrying the policy name, the full [`ScanStats`]
-/// (including the aggregate-pruned cursor's `subtrees_skipped` /
-/// `windows_jumped` tallies) and whether a window was found. The span
-/// parents under whatever span is open on the sink — the batch
-/// scheduler's per-job search, the serve daemon's per-shard track.
-///
-/// With [`NoopSpanSink`](slotsel_obs::NoopSpanSink) the span branch is
-/// dead code and this is exactly [`scan_metered`]: same windows, same
-/// stats, same trace, same metrics — the contract the bit-identity tests
-/// pin.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn scan_spanned<R: Recorder, M: Metrics, S: SpanSink + ?Sized>(
+/// Picks the scan body the policy's opt-ins allow.
+fn scan_body<R: Recorder + ?Sized>(
     platform: &Platform,
     slots: &SlotList,
     request: &ResourceRequest,
     policy: &mut dyn SelectionPolicy,
     options: ScanOptions,
     recorder: &mut R,
-    metrics: &M,
-    spans: &mut S,
-) -> ScanOutcome {
-    if !spans.enabled() {
-        return scan_metered(platform, slots, request, policy, options, recorder, metrics);
+    count_evictions: bool,
+) -> (ScanOutcome, Evictions) {
+    if policy.stop_at_first() && policy.first_fit_feasibility() {
+        first_fit_scan(
+            platform,
+            slots,
+            request,
+            policy,
+            options,
+            recorder,
+            count_evictions,
+        )
+    } else if policy.random_pick().is_some() {
+        random_scan(
+            platform,
+            slots,
+            request,
+            policy,
+            options,
+            recorder,
+            count_evictions,
+        )
+    } else {
+        pool_scan(platform, slots, request, policy, options, recorder)
     }
-    let span = spans.open("aep.scan");
-    let outcome = scan_metered(platform, slots, request, policy, options, recorder, metrics);
-    spans.attr_str("policy", policy.name());
-    spans.attr_u64("slots_admitted", outcome.stats.slots_admitted as u64);
-    spans.attr_u64("slots_rejected", outcome.stats.slots_rejected as u64);
-    spans.attr_u64("windows_evaluated", outcome.stats.windows_evaluated as u64);
-    spans.attr_u64("subtrees_skipped", outcome.stats.subtrees_skipped as u64);
-    spans.attr_u64("windows_jumped", outcome.stats.windows_jumped as u64);
-    spans.attr_u64("found", u64::from(outcome.best.is_some()));
-    spans.close(span);
-    outcome
+}
+
+/// `(superseded, expired)` extended-window evictions of one scan; only
+/// the metrics sink reads them.
+pub(crate) type Evictions = (u64, u64);
+
+/// The metrics and span side of one observed scan: [`open`](Self::open)
+/// before the body runs, [`close`](Self::close) after. The pool scan and
+/// the reference scan share it, so both report the same signals.
+pub(crate) struct ScanReport {
+    /// Whether the metrics sink is lit; bodies count evictions only then.
+    pub(crate) metered: bool,
+    span: Option<SpanId>,
+    watch: Option<Stopwatch>,
+}
+
+impl ScanReport {
+    pub(crate) fn open(obs: &mut Obs<'_>) -> Self {
+        let metered = obs.metrics.enabled();
+        let span = obs.spans.enabled().then(|| obs.spans.open("aep.scan"));
+        ScanReport {
+            metered,
+            span,
+            watch: Stopwatch::start_if(metered),
+        }
+    }
+
+    /// Emits the scan's counters and histograms and closes its span. Both
+    /// are read off one tally list, so the two sinks cannot drift apart.
+    pub(crate) fn close(
+        self,
+        obs: &mut Obs<'_>,
+        policy: &str,
+        outcome: &ScanOutcome,
+        (superseded, expired): Evictions,
+    ) {
+        let stats = &outcome.stats;
+        // (span attribute, metrics counter, value)
+        let tallies = [
+            (
+                "slots_admitted",
+                "slotsel_scan_slots_admitted_total",
+                stats.slots_admitted,
+            ),
+            (
+                "slots_rejected",
+                "slotsel_scan_slots_rejected_total",
+                stats.slots_rejected,
+            ),
+            (
+                "windows_evaluated",
+                "slotsel_scan_windows_evaluated_total",
+                stats.windows_evaluated,
+            ),
+            (
+                "subtrees_skipped",
+                "slotsel_scan_subtrees_skipped_total",
+                stats.subtrees_skipped,
+            ),
+            (
+                "windows_jumped",
+                "slotsel_scan_windows_jumped_total",
+                stats.windows_jumped,
+            ),
+            (
+                "found",
+                "slotsel_scan_windows_found_total",
+                usize::from(outcome.best.is_some()),
+            ),
+        ];
+        if self.metered {
+            let labels = [("policy", policy)];
+            let metrics = obs.metrics;
+            metrics.counter_add("slotsel_scan_total", &labels, 1);
+            for (attr, counter, value) in tallies {
+                // A scan that found nothing leaves the found series alone.
+                if attr != "found" || value > 0 {
+                    metrics.counter_add(counter, &labels, value as u64);
+                }
+            }
+            metrics.counter_add("slotsel_pool_evicted_superseded_total", &labels, superseded);
+            metrics.counter_add("slotsel_pool_evicted_expired_total", &labels, expired);
+            #[allow(clippy::cast_precision_loss)]
+            metrics.observe(
+                "slotsel_scan_alive_peak",
+                &labels,
+                stats.peak_extended_window as f64,
+            );
+            if let Some(watch) = self.watch {
+                #[allow(clippy::cast_precision_loss)]
+                metrics.observe(
+                    "slotsel_scan_seconds",
+                    &labels,
+                    watch.elapsed_ns() as f64 * 1e-9,
+                );
+            }
+        }
+        if let Some(span) = self.span {
+            obs.spans.attr_str("policy", policy);
+            for (attr, _, value) in tallies {
+                obs.spans.attr_u64(attr, value as u64);
+            }
+            obs.spans.close(span);
+        }
+    }
 }
 
 /// The slot stream every scan body consumes: the plain in-order iterator,
@@ -525,14 +557,14 @@ impl<'a> ScanStream<'a> {
 /// The regular pool-driven scan body shared by every non-first-fit policy.
 /// Returns the outcome plus the pool's `(superseded, expired)` eviction
 /// counts for the metrics layer.
-fn pool_scan<R: Recorder>(
+fn pool_scan<R: Recorder + ?Sized>(
     platform: &Platform,
     slots: &SlotList,
     request: &ResourceRequest,
     policy: &mut dyn SelectionPolicy,
     options: ScanOptions,
     recorder: &mut R,
-) -> (ScanOutcome, u64, u64) {
+) -> (ScanOutcome, Evictions) {
     let n = request.node_count();
     let mut pool = CandidatePool::new();
     let mut stats = ScanStats::default();
@@ -641,14 +673,12 @@ fn pool_scan<R: Recorder>(
         }
     }
 
-    let (superseded, expired) = pool.evictions();
     (
         ScanOutcome {
             best: best.map(|(_, w)| w),
             stats,
         },
-        superseded,
-        expired,
+        pool.evictions(),
     )
 }
 
@@ -666,21 +696,20 @@ fn pool_scan<R: Recorder>(
 /// index buffer hoisted out of the loop, so consulted steps allocate
 /// nothing. The alive vector is pre-sized for the `n` needed plus churn
 /// slack, sparing the early growth reallocations. Eviction counts feed
-/// the metrics layer alone, so with metrics disabled the retain pass
-/// compiles down to the reference's.
+/// the metrics layer alone; the retain pass tallies them only when
+/// `count_evictions` is set.
 #[inline]
-fn first_fit_scan<R: Recorder, M: Metrics>(
+fn first_fit_scan<R: Recorder + ?Sized>(
     platform: &Platform,
     slots: &SlotList,
     request: &ResourceRequest,
     policy: &mut dyn SelectionPolicy,
     options: ScanOptions,
     recorder: &mut R,
-    metrics: &M,
-) -> (ScanOutcome, u64, u64) {
+    count_evictions: bool,
+) -> (ScanOutcome, Evictions) {
     let n = request.node_count();
     let budget = request.budget();
-    let count_evictions = metrics.enabled();
     let mut alive: Vec<Candidate> = Vec::with_capacity(2 * n.max(4));
     let mut order: Vec<usize> = Vec::with_capacity(2 * n.max(4));
     let mut superseded: u64 = 0;
@@ -812,8 +841,7 @@ fn first_fit_scan<R: Recorder, M: Metrics>(
             best: best.map(|(_, w)| w),
             stats,
         },
-        superseded,
-        expired,
+        (superseded, expired),
     )
 }
 
@@ -837,18 +865,17 @@ fn first_fit_scan<R: Recorder, M: Metrics>(
 ///
 /// [`random_feasible`]: crate::selectors::random_feasible
 #[inline]
-fn random_scan<R: Recorder, M: Metrics>(
+fn random_scan<R: Recorder + ?Sized>(
     platform: &Platform,
     slots: &SlotList,
     request: &ResourceRequest,
     policy: &mut dyn SelectionPolicy,
     options: ScanOptions,
     recorder: &mut R,
-    metrics: &M,
-) -> (ScanOutcome, u64, u64) {
+    count_evictions: bool,
+) -> (ScanOutcome, Evictions) {
     let n = request.node_count();
     let budget = request.budget();
-    let count_evictions = metrics.enabled();
     let mut alive: Vec<Candidate> = Vec::with_capacity(2 * n.max(4));
     let mut order: Vec<usize> = Vec::with_capacity(2 * n.max(4));
     let mut superseded: u64 = 0;
@@ -999,8 +1026,7 @@ fn random_scan<R: Recorder, M: Metrics>(
             best: best.map(|(_, w)| w),
             stats,
         },
-        superseded,
-        expired,
+        (superseded, expired),
     )
 }
 
@@ -1397,100 +1423,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_scan_matches_untraced_and_reports_consistent_events() {
-        use slotsel_obs::MemoryRecorder;
-
-        let p = platform(&[2, 4, 8, 3]);
-        let mut slots = full_slots(&p, 600);
-        // One slot on an unknown node: must show up as a rejection.
-        slots.add(
-            NodeId(77),
-            Interval::new(TimePoint::new(5), TimePoint::new(600)),
-            Performance::new(2),
-            Money::from_units(1),
-        );
-        let req = request(2, 100, 100_000);
-
-        let mut plain_policy = CheapestBy {
-            criterion: Criterion::MinTotalCost,
-            first: false,
-        };
-        let plain = scan_with(&p, &slots, &req, &mut plain_policy, ScanOptions::default());
-
-        let mut traced_policy = CheapestBy {
-            criterion: Criterion::MinTotalCost,
-            first: false,
-        };
-        let mut recorder = MemoryRecorder::new();
-        let traced = scan_traced(
-            &p,
-            &slots,
-            &req,
-            &mut traced_policy,
-            ScanOptions::default(),
-            &mut recorder,
-        );
-
-        // Identical outcome with and without probes.
-        assert_eq!(plain.stats, traced.stats);
-        assert_eq!(
-            plain.best.as_ref().map(Window::total_cost),
-            traced.best.as_ref().map(Window::total_cost)
-        );
-        assert_eq!(plain.stats.slots_rejected, 1);
-
-        // The emitted ScanFinished mirrors the returned stats.
-        let finished = recorder
-            .events()
-            .iter()
-            .find_map(|e| match e {
-                slotsel_obs::TraceEvent::ScanFinished {
-                    slots_admitted,
-                    slots_rejected,
-                    windows_evaluated,
-                    peak_alive,
-                    found,
-                    ..
-                } => Some((
-                    *slots_admitted,
-                    *slots_rejected,
-                    *windows_evaluated,
-                    *peak_alive,
-                    *found,
-                )),
-                _ => None,
-            })
-            .expect("a ScanFinished event");
-        assert_eq!(
-            finished,
-            (
-                traced.stats.slots_admitted as u64,
-                traced.stats.slots_rejected as u64,
-                traced.stats.windows_evaluated as u64,
-                traced.stats.peak_extended_window as u64,
-                traced.best.is_some(),
-            )
-        );
-        // One alive-set sample per admission; a timing for the scan.
-        assert_eq!(
-            recorder.samples("aep.alive").unwrap().count(),
-            traced.stats.slots_admitted as u64
-        );
-        assert_eq!(recorder.timer("aep.scan").unwrap().count(), 1);
-        // Scores only ever improve across BestUpdated events.
-        let scores: Vec<f64> = recorder
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                slotsel_obs::TraceEvent::BestUpdated { score, .. } => Some(*score),
-                _ => None,
-            })
-            .collect();
-        assert!(!scores.is_empty());
-        assert!(scores.windows(2).all(|w| w[1] < w[0]));
-    }
-
-    #[test]
     fn duplicate_node_slots_superseded_not_coallocated() {
         // Malformed input: two overlapping slots on one node. The scan must
         // not co-allocate both.
@@ -1611,61 +1543,5 @@ mod tests {
         assert_eq!(on_vec.stats.subtrees_skipped, 0);
         assert_eq!(on_vec.stats.windows_jumped, 0);
         assert!(on_tree.stats.windows_jumped >= 1);
-    }
-
-    #[test]
-    fn spanned_scan_with_disabled_sink_matches_metered_bit_for_bit() {
-        use slotsel_obs::{MemorySpanSink, NoopSpanSink};
-        let p = platform(&[2, 4, 8, 3]);
-        let slots = full_slots(&p, 600);
-        let req = request(2, 120, 100_000);
-        let run = |spans: &mut dyn SpanSink| {
-            let mut policy = CheapestBy {
-                criterion: Criterion::MinTotalCost,
-                first: false,
-            };
-            scan_spanned(
-                &p,
-                &slots,
-                &req,
-                &mut policy,
-                ScanOptions::default(),
-                &mut NoopRecorder,
-                &NoopMetrics,
-                spans,
-            )
-        };
-        let mut policy = CheapestBy {
-            criterion: Criterion::MinTotalCost,
-            first: false,
-        };
-        let metered = scan_metered(
-            &p,
-            &slots,
-            &req,
-            &mut policy,
-            ScanOptions::default(),
-            &mut NoopRecorder,
-            &NoopMetrics,
-        );
-        let noop = run(&mut NoopSpanSink);
-        assert_eq!(noop.best, metered.best);
-        assert_eq!(noop.stats, metered.stats);
-
-        // An enabled sink changes nothing about the outcome and records
-        // exactly one "aep.scan" span carrying the scan tallies.
-        let mut sink = MemorySpanSink::new();
-        let spanned = run(&mut sink);
-        assert_eq!(spanned.best, metered.best);
-        assert_eq!(spanned.stats, metered.stats);
-        let records = sink.take_records();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].name, "aep.scan");
-        for attr in ["policy", "slots_admitted", "windows_evaluated", "found"] {
-            assert!(
-                records[0].attrs.iter().any(|(name, _)| name == attr),
-                "missing attr {attr}"
-            );
-        }
     }
 }

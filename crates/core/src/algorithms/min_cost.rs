@@ -1,8 +1,8 @@
 //! MinCost — the minimum-total-allocation-cost algorithm.
 
-use slotsel_obs::{Metrics, NoopRecorder, SpanSink};
+use slotsel_obs::Obs;
 
-use crate::aep::{scan, scan_metered, scan_spanned, ScanOptions, SelectionPolicy};
+use crate::aep::{scan_observed, ScanOptions, SelectionPolicy};
 use crate::node::Platform;
 use crate::pool::CandidatePool;
 use crate::request::ResourceRequest;
@@ -36,7 +36,7 @@ impl MinCost {
     }
 
     /// The scan policy behind [`select`](SlotSelector::select), for driving
-    /// [`crate::aep::scan_traced`] or the reference scan directly.
+    /// [`crate::aep::scan_observed`] or the reference scan directly.
     #[must_use]
     pub fn policy(&self) -> impl SelectionPolicy {
         MinCostPolicy
@@ -78,51 +78,20 @@ impl SlotSelector for MinCost {
         "MinCost"
     }
 
-    fn select(
+    fn select_observed(
         &mut self,
         platform: &Platform,
         slots: &SlotList,
         request: &ResourceRequest,
+        obs: &mut Obs<'_>,
     ) -> Option<Window> {
-        scan(platform, slots, request, &mut MinCostPolicy)
-    }
-
-    fn select_metered(
-        &mut self,
-        platform: &Platform,
-        slots: &SlotList,
-        request: &ResourceRequest,
-        metrics: &dyn Metrics,
-    ) -> Option<Window> {
-        scan_metered(
+        scan_observed(
             platform,
             slots,
             request,
             &mut MinCostPolicy,
             ScanOptions::default(),
-            &mut NoopRecorder,
-            &metrics,
-        )
-        .best
-    }
-
-    fn select_spanned(
-        &mut self,
-        platform: &Platform,
-        slots: &SlotList,
-        request: &ResourceRequest,
-        metrics: &dyn Metrics,
-        spans: &mut dyn SpanSink,
-    ) -> Option<Window> {
-        scan_spanned(
-            platform,
-            slots,
-            request,
-            &mut MinCostPolicy,
-            ScanOptions::default(),
-            &mut NoopRecorder,
-            &metrics,
-            spans,
+            obs,
         )
         .best
     }

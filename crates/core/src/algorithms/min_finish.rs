@@ -1,8 +1,8 @@
 //! MinFinish — the earliest-finish-time algorithm.
 
-use slotsel_obs::{Metrics, NoopRecorder, SpanSink};
+use slotsel_obs::Obs;
 
-use crate::aep::{scan_metered, scan_spanned, scan_with, ScanOptions, SelectionPolicy};
+use crate::aep::{scan_observed, ScanOptions, SelectionPolicy};
 use crate::node::Platform;
 use crate::pool::CandidatePool;
 use crate::request::ResourceRequest;
@@ -72,7 +72,7 @@ impl MinFinish {
     }
 
     /// The scan policy behind [`select`](SlotSelector::select), for driving
-    /// [`crate::aep::scan_traced`] or the reference scan directly. Pruning
+    /// [`crate::aep::scan_observed`] or the reference scan directly. Pruning
     /// is a scan option, not part of the policy; pass it via
     /// [`ScanOptions`].
     #[must_use]
@@ -134,11 +134,12 @@ impl SlotSelector for MinFinish {
         "MinFinish"
     }
 
-    fn select(
+    fn select_observed(
         &mut self,
         platform: &Platform,
         slots: &SlotList,
         request: &ResourceRequest,
+        obs: &mut Obs<'_>,
     ) -> Option<Window> {
         let mut policy = MinFinishPolicy {
             selection: self.selection,
@@ -146,59 +147,7 @@ impl SlotSelector for MinFinish {
         let options = ScanOptions {
             prune_start_bounded: self.prune,
         };
-        scan_with(platform, slots, request, &mut policy, options).best
-    }
-
-    fn select_metered(
-        &mut self,
-        platform: &Platform,
-        slots: &SlotList,
-        request: &ResourceRequest,
-        metrics: &dyn Metrics,
-    ) -> Option<Window> {
-        let mut policy = MinFinishPolicy {
-            selection: self.selection,
-        };
-        let options = ScanOptions {
-            prune_start_bounded: self.prune,
-        };
-        scan_metered(
-            platform,
-            slots,
-            request,
-            &mut policy,
-            options,
-            &mut NoopRecorder,
-            &metrics,
-        )
-        .best
-    }
-
-    fn select_spanned(
-        &mut self,
-        platform: &Platform,
-        slots: &SlotList,
-        request: &ResourceRequest,
-        metrics: &dyn Metrics,
-        spans: &mut dyn SpanSink,
-    ) -> Option<Window> {
-        let mut policy = MinFinishPolicy {
-            selection: self.selection,
-        };
-        let options = ScanOptions {
-            prune_start_bounded: self.prune,
-        };
-        scan_spanned(
-            platform,
-            slots,
-            request,
-            &mut policy,
-            options,
-            &mut NoopRecorder,
-            &metrics,
-            spans,
-        )
-        .best
+        scan_observed(platform, slots, request, &mut policy, options, obs).best
     }
 }
 

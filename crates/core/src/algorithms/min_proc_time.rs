@@ -1,8 +1,8 @@
 //! MinProcTime — the simplified minimum-total-processor-time algorithm.
 
-use slotsel_obs::{Metrics, NoopRecorder, SpanSink};
+use slotsel_obs::Obs;
 
-use crate::aep::{scan, scan_metered, scan_spanned, RandomPick, ScanOptions, SelectionPolicy};
+use crate::aep::{scan_observed, RandomPick, ScanOptions, SelectionPolicy};
 use crate::node::Platform;
 use crate::pool::CandidatePool;
 use crate::request::ResourceRequest;
@@ -73,7 +73,7 @@ impl MinProcTime {
     }
 
     /// The scan policy behind [`select`](SlotSelector::select), for driving
-    /// [`crate::aep::scan_traced`] or the reference scan directly. The
+    /// [`crate::aep::scan_observed`] or the reference scan directly. The
     /// policy borrows (and advances) this algorithm's generator.
     #[must_use]
     pub fn policy(&mut self) -> impl SelectionPolicy + '_ {
@@ -151,63 +151,24 @@ impl SlotSelector for MinProcTime {
         "MinProcTime"
     }
 
-    fn select(
+    fn select_observed(
         &mut self,
         platform: &Platform,
         slots: &SlotList,
         request: &ResourceRequest,
+        obs: &mut Obs<'_>,
     ) -> Option<Window> {
         let mut policy = MinProcTimePolicy {
             rng: &mut self.rng,
             attempts: self.attempts,
         };
-        scan(platform, slots, request, &mut policy)
-    }
-
-    fn select_metered(
-        &mut self,
-        platform: &Platform,
-        slots: &SlotList,
-        request: &ResourceRequest,
-        metrics: &dyn Metrics,
-    ) -> Option<Window> {
-        let mut policy = MinProcTimePolicy {
-            rng: &mut self.rng,
-            attempts: self.attempts,
-        };
-        scan_metered(
+        scan_observed(
             platform,
             slots,
             request,
             &mut policy,
             ScanOptions::default(),
-            &mut NoopRecorder,
-            &metrics,
-        )
-        .best
-    }
-
-    fn select_spanned(
-        &mut self,
-        platform: &Platform,
-        slots: &SlotList,
-        request: &ResourceRequest,
-        metrics: &dyn Metrics,
-        spans: &mut dyn SpanSink,
-    ) -> Option<Window> {
-        let mut policy = MinProcTimePolicy {
-            rng: &mut self.rng,
-            attempts: self.attempts,
-        };
-        scan_spanned(
-            platform,
-            slots,
-            request,
-            &mut policy,
-            ScanOptions::default(),
-            &mut NoopRecorder,
-            &metrics,
-            spans,
+            obs,
         )
         .best
     }

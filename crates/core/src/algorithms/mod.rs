@@ -57,7 +57,7 @@ pub use min_finish::MinFinish;
 pub use min_proc_time::MinProcTime;
 pub use min_runtime::MinRunTime;
 
-use slotsel_obs::{Metrics, SpanSink};
+use slotsel_obs::Obs;
 
 use crate::node::Platform;
 use crate::request::ResourceRequest;
@@ -74,56 +74,32 @@ pub trait SlotSelector {
 
     /// Selects a window for `request` from `slots` on `platform`, or `None`
     /// when no suitable window exists.
+    ///
+    /// Equivalent to [`select_observed`](SlotSelector::select_observed)
+    /// with [`Obs::dark`].
     fn select(
         &mut self,
         platform: &Platform,
         slots: &SlotList,
         request: &ResourceRequest,
+    ) -> Option<Window> {
+        self.select_observed(platform, slots, request, &mut Obs::dark())
+    }
+
+    /// Like [`select`](SlotSelector::select), reporting to `obs` along the
+    /// way. The scan-based algorithms drive
+    /// [`crate::aep::scan_observed`], so each selection is one
+    /// `"aep.scan"` span and one set of scan counters; algorithms that do
+    /// not scan may ignore `obs`. The context is a concrete type, which
+    /// keeps the trait object-safe for [`crate::csa::Csa`]'s
+    /// `&mut dyn SlotSelector` bases.
+    fn select_observed(
+        &mut self,
+        platform: &Platform,
+        slots: &SlotList,
+        request: &ResourceRequest,
+        obs: &mut Obs<'_>,
     ) -> Option<Window>;
-
-    /// Like [`select`](SlotSelector::select), recording live metrics into
-    /// `metrics` along the way.
-    ///
-    /// The default implementation ignores the sink and delegates to
-    /// `select`, so external implementations keep working unchanged; the
-    /// built-in AEP algorithms override it to drive
-    /// [`crate::aep::scan_metered`]. The sink is a `&dyn` reference so the
-    /// trait stays object-safe — the scan's per-slot probes are still
-    /// gated on one [`Metrics::enabled`] call per scan, which keeps the
-    /// virtual dispatch off the hot loop.
-    fn select_metered(
-        &mut self,
-        platform: &Platform,
-        slots: &SlotList,
-        request: &ResourceRequest,
-        metrics: &dyn Metrics,
-    ) -> Option<Window> {
-        let _ = metrics;
-        self.select(platform, slots, request)
-    }
-
-    /// Like [`select_metered`](SlotSelector::select_metered), additionally
-    /// wrapping the scan in an `"aep.scan"` span on `spans`.
-    ///
-    /// The default implementation ignores the span sink and delegates to
-    /// `select_metered`, so external implementations keep working
-    /// unchanged; the built-in AEP algorithms override it to drive
-    /// [`crate::aep::scan_spanned`]. Like the metrics sink, `spans` is a
-    /// `&mut dyn` reference for object safety — one
-    /// [`SpanSink::enabled`] check per scan keeps the dispatch off the
-    /// hot loop, and with a disabled sink the spanned path is exactly the
-    /// metered one.
-    fn select_spanned(
-        &mut self,
-        platform: &Platform,
-        slots: &SlotList,
-        request: &ResourceRequest,
-        metrics: &dyn Metrics,
-        spans: &mut dyn SpanSink,
-    ) -> Option<Window> {
-        let _ = spans;
-        self.select_metered(platform, slots, request, metrics)
-    }
 }
 
 /// How the minimum-runtime subset is computed at each scan step.

@@ -45,7 +45,7 @@
 //! # }
 //! ```
 
-use slotsel_obs::{Metrics, SpanSink};
+use slotsel_obs::Obs;
 
 use crate::algorithms::{Amp, SlotSelector};
 use crate::node::Platform;
@@ -156,6 +156,10 @@ impl Csa {
     ///
     /// Discovery order follows the base algorithm's criterion, not start
     /// time; disjointness by slots is preserved regardless.
+    ///
+    /// Equivalent to
+    /// [`find_alternatives_observed`](Self::find_alternatives_observed)
+    /// with [`Obs::dark`].
     #[must_use]
     pub fn find_alternatives_with(
         &self,
@@ -164,93 +168,46 @@ impl Csa {
         request: &ResourceRequest,
         base: &mut dyn SlotSelector,
     ) -> Vec<Window> {
-        let mut working = slots.clone();
-        let mut found = Vec::new();
-        let limit = self.max_alternatives.unwrap_or(usize::MAX);
-
-        while found.len() < limit {
-            let Some(window) = base.select(platform, &working, request) else {
-                break;
-            };
-            self.apply_cut(&mut working, request, &window)
-                .expect("window was built from slots of the working list");
-            found.push(window);
-        }
-        found
+        self.find_alternatives_observed(platform, slots, request, base, &mut Obs::dark())
     }
 
-    /// Like [`find_alternatives_with`](Self::find_alternatives_with), but
-    /// threading a live-metrics sink into every underlying scan via
-    /// [`SlotSelector::select_metered`], and counting the produced
-    /// alternatives in `slotsel_csa_alternatives_total`.
-    #[must_use]
-    pub fn find_alternatives_metered(
-        &self,
-        platform: &Platform,
-        slots: &SlotList,
-        request: &ResourceRequest,
-        base: &mut dyn SlotSelector,
-        metrics: &dyn Metrics,
-    ) -> Vec<Window> {
-        let mut working = slots.clone();
-        let mut found = Vec::new();
-        let limit = self.max_alternatives.unwrap_or(usize::MAX);
-
-        while found.len() < limit {
-            let Some(window) = base.select_metered(platform, &working, request, metrics) else {
-                break;
-            };
-            self.apply_cut(&mut working, request, &window)
-                .expect("window was built from slots of the working list");
-            found.push(window);
-        }
-        if metrics.enabled() {
-            metrics.counter_add("slotsel_csa_alternatives_total", &[], found.len() as u64);
-        }
-        found
-    }
-
-    /// Like [`find_alternatives_metered`](Self::find_alternatives_metered),
-    /// additionally wrapping the whole search in a `"csa.search"` span and
-    /// each underlying scan in its own `"aep.scan"` child (via
-    /// [`SlotSelector::select_spanned`]). The span carries the base
+    /// The multi-alternative search, reporting to `obs`: every underlying
+    /// selection runs through [`SlotSelector::select_observed`] (one
+    /// `"aep.scan"` span and one set of scan counters per run), the
+    /// alternatives are counted in `slotsel_csa_alternatives_total`, and
+    /// the whole search is one `"csa.search"` span carrying the base
     /// algorithm's name and the alternative count.
-    ///
-    /// With a disabled sink this takes the metered path verbatim — same
-    /// windows, same metrics, no span bookkeeping.
     #[must_use]
-    pub fn find_alternatives_spanned(
+    pub fn find_alternatives_observed(
         &self,
         platform: &Platform,
         slots: &SlotList,
         request: &ResourceRequest,
         base: &mut dyn SlotSelector,
-        metrics: &dyn Metrics,
-        spans: &mut dyn SpanSink,
+        obs: &mut Obs<'_>,
     ) -> Vec<Window> {
-        if !spans.enabled() {
-            return self.find_alternatives_metered(platform, slots, request, base, metrics);
-        }
-        let span = spans.open("csa.search");
+        let span = obs.spans.enabled().then(|| obs.spans.open("csa.search"));
         let mut working = slots.clone();
         let mut found = Vec::new();
         let limit = self.max_alternatives.unwrap_or(usize::MAX);
 
         while found.len() < limit {
-            let Some(window) = base.select_spanned(platform, &working, request, metrics, spans)
-            else {
+            let Some(window) = base.select_observed(platform, &working, request, obs) else {
                 break;
             };
             self.apply_cut(&mut working, request, &window)
                 .expect("window was built from slots of the working list");
             found.push(window);
         }
-        if metrics.enabled() {
-            metrics.counter_add("slotsel_csa_alternatives_total", &[], found.len() as u64);
+        if obs.metrics.enabled() {
+            obs.metrics
+                .counter_add("slotsel_csa_alternatives_total", &[], found.len() as u64);
         }
-        spans.attr_str("base", base.name());
-        spans.attr_u64("alternatives", found.len() as u64);
-        spans.close(span);
+        if let Some(span) = span {
+            obs.spans.attr_str("base", base.name());
+            obs.spans.attr_u64("alternatives", found.len() as u64);
+            obs.spans.close(span);
+        }
         found
     }
 

@@ -120,8 +120,7 @@ pub mod window;
 
 pub use additive::{CostScore, MaxAdditive, MinAdditive, ProcTimeScore, SlotScore, WeightedScore};
 pub use aep::{
-    scan, scan_metered, scan_traced, scan_with, ScanOptions, ScanOutcome, ScanStats,
-    SelectionPolicy,
+    scan, scan_observed, scan_with, ScanOptions, ScanOutcome, ScanStats, SelectionPolicy,
 };
 pub use algorithms::{Amp, MinCost, MinFinish, MinProcTime, MinRunTime, SlotSelector};
 pub use criteria::{best_by, Criterion, WindowCriterion};
@@ -131,11 +130,15 @@ pub use error::{CutError, RequestError};
 pub use money::Money;
 pub use node::{NodeId, NodeSpec, OsFamily, Performance, Platform, Volume};
 pub use pool::CandidatePool;
-pub use reference::{reference_scan, reference_scan_traced, reference_scan_with};
+pub use reference::{reference_scan, reference_scan_observed, reference_scan_with};
 pub use request::{Job, JobId, NodeRequirements, ResourceRequest};
 pub use scenario::Scenario;
 pub use slot::{Slot, SlotId};
 pub use slotlist::{SlotList, SlotListStats, SlotStoreKind};
+/// The observer context of [`SlotSelector::select_observed`] and the other
+/// `*_observed` entry points, re-exported so implementors need no direct
+/// dependency on `slotsel-obs`.
+pub use slotsel_obs::Obs;
 pub use tenant::{AdmitError, TenantId, TenantQuota, TenantUsage};
 pub use time::{Interval, TimeDelta, TimePoint};
 pub use treeslots::TreeSlots;

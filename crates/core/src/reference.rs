@@ -1,7 +1,7 @@
 //! The historical sort-per-step AEP scan, retained as a correctness oracle
 //! and benchmark baseline.
 //!
-//! [`crate::aep::scan_traced`] now runs the extended window through the
+//! [`crate::aep::scan_observed`] now runs the extended window through the
 //! incremental [`CandidatePool`](crate::pool::CandidatePool), which keeps
 //! the candidates sorted across steps. This module preserves the previous
 //! formulation — an insertion-ordered `Vec<Candidate>` pruned with `retain`
@@ -23,9 +23,9 @@
 //! exactly when it passes the same liveness and deadline predicates, which
 //! preserves the original alive-set contents and order.
 
-use slotsel_obs::{NoopRecorder, Recorder, Stopwatch, TraceEvent};
+use slotsel_obs::{NoopRecorder, Obs, Recorder, Stopwatch, TraceEvent};
 
-use crate::aep::{ScanOptions, ScanOutcome, ScanStats, SelectionPolicy};
+use crate::aep::{Evictions, ScanOptions, ScanOutcome, ScanReport, ScanStats, SelectionPolicy};
 use crate::node::Platform;
 use crate::request::ResourceRequest;
 use crate::selectors::{build_window, Candidate};
@@ -47,7 +47,7 @@ pub fn reference_scan(
 
 /// Runs the sort-per-step reference scan with explicit options.
 ///
-/// Equivalent to [`reference_scan_traced`] with a [`NoopRecorder`].
+/// Equivalent to [`reference_scan_observed`] with [`Obs::dark`].
 #[must_use]
 pub fn reference_scan_with(
     platform: &Platform,
@@ -56,26 +56,62 @@ pub fn reference_scan_with(
     policy: &mut dyn SelectionPolicy,
     options: ScanOptions,
 ) -> ScanOutcome {
-    reference_scan_traced(platform, slots, request, policy, options, &mut NoopRecorder)
+    reference_scan_observed(platform, slots, request, policy, options, &mut Obs::dark())
 }
 
-/// The sort-per-step reference scan with observability probes.
+/// The sort-per-step reference scan, reporting to the observer context.
 ///
-/// Behaviour, statistics and emitted events are identical to
-/// [`crate::aep::scan_traced`]; only the complexity differs. Policies are
-/// driven through their slice-based [`SelectionPolicy::pick`], which is
-/// where the per-step `O(m' log m')` re-sorting lives.
+/// Behaviour, statistics, trace events, metrics and spans are identical to
+/// [`crate::aep::scan_observed`]; only the complexity differs. Policies
+/// are driven through their slice-based [`SelectionPolicy::pick`], which
+/// is where the per-step `O(m' log m')` re-sorting lives.
 #[must_use]
-pub fn reference_scan_traced<R: Recorder>(
+pub fn reference_scan_observed(
+    platform: &Platform,
+    slots: &SlotList,
+    request: &ResourceRequest,
+    policy: &mut dyn SelectionPolicy,
+    options: ScanOptions,
+    obs: &mut Obs<'_>,
+) -> ScanOutcome {
+    let report = ScanReport::open(obs);
+    let (outcome, evictions) = if obs.recorder.enabled() {
+        reference_body(
+            platform,
+            slots,
+            request,
+            policy,
+            options,
+            &mut *obs.recorder,
+            report.metered,
+        )
+    } else {
+        reference_body(
+            platform,
+            slots,
+            request,
+            policy,
+            options,
+            &mut NoopRecorder,
+            report.metered,
+        )
+    };
+    report.close(obs, policy.name(), &outcome, evictions);
+    outcome
+}
+
+fn reference_body<R: Recorder + ?Sized>(
     platform: &Platform,
     slots: &SlotList,
     request: &ResourceRequest,
     policy: &mut dyn SelectionPolicy,
     options: ScanOptions,
     recorder: &mut R,
-) -> ScanOutcome {
+    count_evictions: bool,
+) -> (ScanOutcome, Evictions) {
     let n = request.node_count();
     let mut alive: Vec<Candidate> = Vec::new();
+    let (mut superseded, mut expired) = (0, 0);
     let mut stats = ScanStats::default();
     let mut best: Option<(f64, Window)> = None;
 
@@ -129,7 +165,18 @@ pub fn reference_scan_traced<R: Recorder>(
                     .deadline()
                     .is_none_or(|d| window_start + c.length <= d)
         };
-        alive.retain(|c| c.slot.node() != candidate.slot.node() && survives(c));
+        alive.retain(|c| {
+            let same_node = c.slot.node() == candidate.slot.node();
+            let keep = !same_node && survives(c);
+            if !keep && count_evictions {
+                if same_node {
+                    superseded += 1;
+                } else {
+                    expired += 1;
+                }
+            }
+            keep
+        });
         if survives(&candidate) {
             alive.push(candidate);
         }
@@ -183,8 +230,11 @@ pub fn reference_scan_traced<R: Recorder>(
         }
     }
 
-    ScanOutcome {
-        best: best.map(|(_, w)| w),
-        stats,
-    }
+    (
+        ScanOutcome {
+            best: best.map(|(_, w)| w),
+            stats,
+        },
+        (superseded, expired),
+    )
 }

@@ -5,21 +5,21 @@
 
 use proptest::prelude::*;
 
-use slotsel_core::aep::{scan_traced, ScanOptions, ScanOutcome, SelectionPolicy};
+use slotsel_core::aep::{scan_observed, ScanOptions, ScanOutcome, SelectionPolicy};
 use slotsel_core::algorithms::{
     Amp, MinCost, MinFinish, MinProcTime, MinRunTime, RuntimeSelection,
 };
 use slotsel_core::money::Money;
 use slotsel_core::node::{NodeId, NodeSpec, Performance, Platform, Volume};
 use slotsel_core::pool::CandidatePool;
-use slotsel_core::reference::reference_scan_traced;
+use slotsel_core::reference::reference_scan_observed;
 use slotsel_core::request::{NodeRequirements, ResourceRequest};
 use slotsel_core::rng::SplitMix64;
 use slotsel_core::selectors::{self, Candidate};
 use slotsel_core::slot::{Slot, SlotId};
 use slotsel_core::slotlist::SlotList;
 use slotsel_core::time::{Interval, TimeDelta, TimePoint};
-use slotsel_obs::MemoryRecorder;
+use slotsel_obs::{MemoryRecorder, Obs};
 
 /// A randomized scan environment: platform, slot list and request.
 #[derive(Debug, Clone)]
@@ -106,22 +106,22 @@ fn assert_scans_agree(
     reference_policy: &mut dyn SelectionPolicy,
 ) -> Result<(), TestCaseError> {
     let mut pool_rec = MemoryRecorder::new();
-    let pool: ScanOutcome = scan_traced(
+    let pool: ScanOutcome = scan_observed(
         &env.platform,
         &env.slots,
         &env.request,
         pool_policy,
         options,
-        &mut pool_rec,
+        &mut Obs::dark().with_recorder(&mut pool_rec),
     );
     let mut ref_rec = MemoryRecorder::new();
-    let reference: ScanOutcome = reference_scan_traced(
+    let reference: ScanOutcome = reference_scan_observed(
         &env.platform,
         &env.slots,
         &env.request,
         reference_policy,
         options,
-        &mut ref_rec,
+        &mut Obs::dark().with_recorder(&mut ref_rec),
     );
 
     prop_assert_eq!(&pool.best, &reference.best, "windows must be identical");

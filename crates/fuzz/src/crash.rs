@@ -21,12 +21,12 @@ use slotsel_core::money::Money;
 use slotsel_core::node::Volume;
 use slotsel_core::request::{Job, JobId, ResourceRequest};
 use slotsel_env::{EnvironmentConfig, NodeGenConfig};
-use slotsel_obs::{NoopMetrics, NoopRecorder};
+use slotsel_obs::Obs;
 use slotsel_sim::disruption::DisruptionConfig;
 use slotsel_sim::journal::{replay, RecordingJournal};
 use slotsel_sim::recovery::RecoveryPolicy;
 use slotsel_sim::rolling::{
-    resume_with_recovery_journaled, simulate_with_recovery_journaled, RollingConfig,
+    resume_with_recovery_observed, simulate_with_recovery_observed, RollingConfig,
 };
 
 use crate::rng::SplitMix64;
@@ -147,11 +147,10 @@ fn records_within(records: &[String], resume_len: u64) -> usize {
 #[must_use]
 pub fn check_crash_case(case: &CrashCase, stride: usize) -> Vec<CrashFailure> {
     let mut journal = RecordingJournal::new();
-    let report = simulate_with_recovery_journaled(
+    let report = simulate_with_recovery_observed(
         &case.config,
         case.jobs.clone(),
-        &mut NoopRecorder,
-        &NoopMetrics,
+        &mut Obs::dark(),
         &mut journal,
     );
     let records = journal.into_records();
@@ -189,12 +188,7 @@ pub fn check_crash_case(case: &CrashCase, stride: usize) -> Vec<CrashFailure> {
         };
         let trusted = records_within(&records[..k], run.resume_len);
         let mut resumed_journal = RecordingJournal::new();
-        let resumed = resume_with_recovery_journaled(
-            run,
-            &mut NoopRecorder,
-            &NoopMetrics,
-            &mut resumed_journal,
-        );
+        let resumed = resume_with_recovery_observed(run, &mut Obs::dark(), &mut resumed_journal);
         if resumed != report {
             fail(
                 k,

@@ -28,14 +28,14 @@ use serde::{Deserialize, Serialize};
 
 use slotsel_baselines::oracle::{exhaustive_best_checked, is_additive, subset_space};
 use slotsel_baselines::{bnb_best, OracleTooLarge};
-use slotsel_core::aep::{scan_traced, ScanOptions, ScanOutcome, SelectionPolicy};
+use slotsel_core::aep::{scan_observed, ScanOptions, ScanOutcome, SelectionPolicy};
 use slotsel_core::algorithms::{
     Amp, MinCost, MinFinish, MinProcTime, MinRunTime, RuntimeSelection,
 };
 use slotsel_core::criteria::{Criterion, WindowCriterion};
 use slotsel_core::money::Money;
 use slotsel_core::node::{NodeSpec, Platform};
-use slotsel_core::reference::reference_scan_traced;
+use slotsel_core::reference::reference_scan_observed;
 use slotsel_core::scenario::Scenario;
 use slotsel_core::slot::{Slot, SlotId};
 use slotsel_core::slotlist::{SlotList, SlotStoreKind};
@@ -520,27 +520,24 @@ fn traced_scan_over(
     seed: u64,
     side: ScanSide,
 ) -> (ScanOutcome, Vec<String>, (u64, f64)) {
-    use slotsel_obs::{MemoryRecorder, TraceEvent};
+    use slotsel_obs::{MemoryRecorder, Obs, TraceEvent};
 
     let mut recorder = MemoryRecorder::new();
     let outcome = {
-        let mut run = |policy: &mut dyn SelectionPolicy| match side {
-            ScanSide::Pool => scan_traced(
+        let mut obs = Obs::dark().with_recorder(&mut recorder);
+        let mut run = |policy: &mut dyn SelectionPolicy| {
+            let scan = match side {
+                ScanSide::Pool => scan_observed,
+                ScanSide::Reference => reference_scan_observed,
+            };
+            scan(
                 &scenario.platform,
                 slots,
                 &scenario.request,
                 policy,
                 ScanOptions::default(),
-                &mut recorder,
-            ),
-            ScanSide::Reference => reference_scan_traced(
-                &scenario.platform,
-                slots,
-                &scenario.request,
-                policy,
-                ScanOptions::default(),
-                &mut recorder,
-            ),
+                &mut obs,
+            )
         };
         match kind {
             PolicyKind::Amp => run(&mut Amp.policy()),

@@ -48,7 +48,7 @@ pub enum TraceEvent {
         nanos: u64,
     },
 
-    /// An AEP scan began (`slotsel_core::aep::scan_traced`).
+    /// An AEP scan began (`slotsel_core::aep::scan_observed`).
     ScanStarted {
         /// The selection policy's name.
         policy: String,

@@ -9,8 +9,10 @@
 //! that the algorithms compute and would otherwise throw away. This crate
 //! is how that telemetry gets out:
 //!
-//! - [`recorder::Recorder`] — the probe interface the hot paths are
-//!   generic over, with three stock implementations:
+//! - [`context::Obs`] — the one observer context every instrumented
+//!   layer takes: a recorder, a metrics sink and a span sink;
+//! - [`recorder::Recorder`] — the probe interface of the trace, with three
+//!   stock implementations:
 //!   [`recorder::NoopRecorder`] (the default; compiles to the
 //!   uninstrumented code), [`recorder::TraceRecorder`] (streams JSONL)
 //!   and [`recorder::MemoryRecorder`] (in-process aggregates);
@@ -71,6 +73,7 @@
 #![forbid(unsafe_code)]
 
 pub mod chrome;
+pub mod context;
 pub mod event;
 pub mod export;
 pub mod http;
@@ -82,6 +85,7 @@ pub mod recorder;
 pub mod span;
 pub mod stats;
 
+pub use context::Obs;
 pub use event::{EventDecodeError, TraceEvent};
 pub use export::render_prometheus;
 pub use http::{Handler, HttpRequest, HttpResponse, MetricsServer};

@@ -5,7 +5,7 @@
 //! CRC framing, fsync'd commit batches, torn-tail detection, snapshot
 //! files. This module owns what the payloads *mean*: the
 //! [`JournalRecord`] schema a journaled rolling run
-//! ([`crate::rolling::simulate_with_recovery_journaled`]) appends, the
+//! ([`crate::rolling::simulate_with_recovery_observed`]) appends, the
 //! serializable [`RollingState`] those records checkpoint, and the
 //! [`recover`] path that turns a journal directory back into a resumable
 //! simulation.

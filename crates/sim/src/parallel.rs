@@ -25,8 +25,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
-use slotsel_obs::{Metrics, MetricsRegistry};
-
 /// How many workers a sweep fans out to.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Parallelism {
@@ -99,88 +97,6 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Like [`map`], threading a live-metrics registry through the fan-out.
-///
-/// Each worker records into its own private [`MetricsRegistry`] (handed to
-/// `f` as a third argument), and the per-worker registries are merged into
-/// `registry` **in worker-index order** after the pool joins — so the
-/// merged totals are deterministic even though the workers race. On top of
-/// whatever `f` records, the fan-out itself contributes:
-///
-/// - `slotsel_parallel_fanout_total` / `slotsel_parallel_items_total` —
-///   counters over calls and work items;
-/// - `slotsel_parallel_workers` — a gauge with the pool size used;
-/// - `slotsel_parallel_items_per_worker` — a histogram of how evenly the
-///   atomic claim counter spread the work.
-///
-/// The determinism contract of [`map`] carries over unchanged: the
-/// returned results are `items.iter().map(..)` in input order.
-pub fn map_metered<T, R, F>(
-    parallelism: Parallelism,
-    items: &[T],
-    registry: &MetricsRegistry,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T, &MetricsRegistry) -> R + Sync,
-{
-    let workers = parallelism.workers(items.len());
-    registry.counter_add("slotsel_parallel_fanout_total", &[], 1);
-    registry.counter_add("slotsel_parallel_items_total", &[], items.len() as u64);
-    registry.gauge_set("slotsel_parallel_workers", &[], workers as f64);
-    if workers <= 1 {
-        registry.observe("slotsel_parallel_items_per_worker", &[], items.len() as f64);
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t, registry))
-            .collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, R)> = Vec::with_capacity(items.len());
-    let mut locals: Vec<MetricsRegistry> = Vec::with_capacity(workers);
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let local_registry = MetricsRegistry::new();
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(index) else {
-                            break;
-                        };
-                        local.push((index, f(index, item, &local_registry)));
-                    }
-                    local_registry.observe(
-                        "slotsel_parallel_items_per_worker",
-                        &[],
-                        local.len() as f64,
-                    );
-                    (local, local_registry)
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (local, local_registry) = handle.join().expect("sweep worker panicked");
-            tagged.extend(local);
-            locals.push(local_registry);
-        }
-    });
-    // Merge in worker-index order: counter and histogram merges commute,
-    // but last-write-wins gauges make the order observable — pin it.
-    for local_registry in &locals {
-        registry.merge_from(local_registry);
-    }
-
-    tagged.sort_unstable_by_key(|&(index, _)| index);
-    debug_assert!(tagged.iter().enumerate().all(|(i, &(idx, _))| i == idx));
-    tagged.into_iter().map(|(_, r)| r).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,48 +129,6 @@ mod tests {
         assert_eq!(Parallelism::Threads(8).workers(3), 3);
         assert!(Parallelism::Auto.workers(100) >= 1);
         assert_eq!(Parallelism::Auto.workers(0), 1);
-    }
-
-    #[test]
-    fn map_metered_matches_map_and_merges_worker_registries() {
-        let items: Vec<u64> = (0..100).collect();
-        let expected = map(Parallelism::Serial, &items, |i, &x| x + i as u64);
-        for parallelism in [
-            Parallelism::Serial,
-            Parallelism::Threads(4),
-            Parallelism::Threads(16),
-        ] {
-            let registry = MetricsRegistry::new();
-            let out = map_metered(parallelism, &items, &registry, |i, &x, m| {
-                m.counter_add("cell_total", &[], 1);
-                m.observe("cell_value", &[], x as f64);
-                x + i as u64
-            });
-            assert_eq!(out, expected);
-            assert_eq!(registry.counter_value("cell_total", &[]), 100);
-            assert_eq!(
-                registry.counter_value("slotsel_parallel_items_total", &[]),
-                100
-            );
-            assert_eq!(
-                registry.counter_value("slotsel_parallel_fanout_total", &[]),
-                1
-            );
-            let hist = registry
-                .histogram("cell_value", &[])
-                .expect("merged histogram");
-            assert_eq!(hist.count(), 100);
-            let workers = parallelism.workers(items.len());
-            assert_eq!(
-                registry.gauge_value("slotsel_parallel_workers", &[]),
-                Some(workers as f64)
-            );
-            let per_worker = registry
-                .histogram("slotsel_parallel_items_per_worker", &[])
-                .expect("fan-out histogram");
-            assert_eq!(per_worker.count(), workers as u64);
-            assert_eq!(per_worker.sum(), 100.0);
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use slotsel_obs::{NoopRecorder, Recorder, SpanSink, TraceEvent};
+use slotsel_obs::{Obs, TraceEvent};
 
 use slotsel_core::money::Money;
 use slotsel_core::node::Platform;
@@ -94,21 +94,26 @@ pub fn stretched(platform: &Platform, job: &Job, window: &Window) -> Window {
 /// stretched edge colliding with an earlier survivor) the window is a
 /// victim. The returned survivor set always passes the joint audit.
 ///
-/// Equivalent to [`detect_victims_traced`] with a [`NoopRecorder`].
+/// Equivalent to [`detect_victims_observed`] with [`Obs::dark`].
 #[must_use]
 pub fn detect_victims(env: &Environment, committed: &[(&Job, &Window)]) -> VictimReport {
-    detect_victims_traced(env, committed, &mut NoopRecorder)
+    detect_victims_observed(env, committed, &mut Obs::dark())
 }
 
-/// [`detect_victims`] with observability probes: every committed window's
-/// replay verdict is reported to `recorder` as a
-/// [`TraceEvent::WindowAudited`], in commit order.
+/// [`detect_victims`], reporting to `obs`: every committed window's
+/// replay verdict goes to the recorder as a [`TraceEvent::WindowAudited`],
+/// in commit order, and the detection is one `"recovery.detect"` span
+/// carrying the audited/victim counts.
 #[must_use]
-pub fn detect_victims_traced<R: Recorder>(
+pub fn detect_victims_observed(
     env: &Environment,
     committed: &[(&Job, &Window)],
-    recorder: &mut R,
+    obs: &mut Obs<'_>,
 ) -> VictimReport {
+    let span = obs
+        .spans
+        .enabled()
+        .then(|| obs.spans.open("recovery.detect"));
     let mut report = VictimReport {
         survivor_indices: Vec::new(),
         victim_indices: Vec::new(),
@@ -125,34 +130,19 @@ pub fn detect_victims_traced<R: Recorder>(
             report.survivor_windows.pop();
             report.victim_indices.push(index);
         }
-        if recorder.enabled() {
-            recorder.emit(TraceEvent::WindowAudited {
+        if obs.recorder.enabled() {
+            obs.recorder.emit(TraceEvent::WindowAudited {
                 job: u64::from(job.id().0),
                 survived,
             });
         }
     }
-    report
-}
-
-/// [`detect_victims_traced`] wrapped in a `"recovery.detect"` span
-/// carrying the audited/victim counts. With a disabled sink this is the
-/// traced detection verbatim.
-#[must_use]
-pub fn detect_victims_spanned<R: Recorder, S: SpanSink + ?Sized>(
-    env: &Environment,
-    committed: &[(&Job, &Window)],
-    recorder: &mut R,
-    spans: &mut S,
-) -> VictimReport {
-    if !spans.enabled() {
-        return detect_victims_traced(env, committed, recorder);
+    if let Some(span) = span {
+        obs.spans.attr_u64("windows", committed.len() as u64);
+        obs.spans
+            .attr_u64("victims", report.victim_indices.len() as u64);
+        obs.spans.close(span);
     }
-    let span = spans.open("recovery.detect");
-    let report = detect_victims_traced(env, committed, recorder);
-    spans.attr_u64("windows", committed.len() as u64);
-    spans.attr_u64("victims", report.victim_indices.len() as u64);
-    spans.close(span);
     report
 }
 

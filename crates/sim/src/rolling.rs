@@ -20,10 +20,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use slotsel_obs::journal::{Journal, NoopJournal};
-use slotsel_obs::{
-    Metrics, NoopMetrics, NoopRecorder, NoopSpanSink, Recorder, SpanId, SpanSink, Stopwatch,
-    TraceEvent,
-};
+use slotsel_obs::{Obs, SpanId, Stopwatch, TraceEvent};
 
 use slotsel_batch::{BatchScheduler, BatchSchedulerConfig};
 use slotsel_core::money::Money;
@@ -147,134 +144,69 @@ pub fn simulate(config: &RollingConfig, jobs: Vec<Job>) -> RollingOutcome {
 /// successful migrations complete in the cycle; everything that completes
 /// has passed the replay audit against the *perturbed* environment.
 ///
-/// Equivalent to [`simulate_with_recovery_traced`] with a
-/// [`NoopRecorder`]; the probes compile away on this path.
+/// Equivalent to [`simulate_with_recovery_observed`] with [`Obs::dark`]
+/// and a [`NoopJournal`].
 #[must_use]
 pub fn simulate_with_recovery(config: &RollingConfig, jobs: Vec<Job>) -> RollingReport {
-    simulate_with_recovery_traced(config, jobs, &mut NoopRecorder)
+    simulate_with_recovery_observed(config, jobs, &mut Obs::dark(), &mut NoopJournal)
 }
 
-/// Runs the fault-injected rolling simulation with observability probes.
+/// Runs the fault-injected rolling simulation, reporting to `obs` and
+/// journaling to `journal`.
 ///
-/// On top of [`simulate_with_recovery`]'s behaviour, the run reports to
-/// `recorder`:
+/// The **recorder** receives [`TraceEvent::CycleStarted`] /
+/// [`TraceEvent::CycleFinished`] around every executed cycle plus a
+/// `"rolling.cycle"` wall-clock timing; the per-cycle batch scheduling
+/// events (see [`BatchScheduler::schedule_observed`]); every injected
+/// disruption ([`TraceEvent::SlotRevoked`], [`TraceEvent::NodeFailed`],
+/// [`TraceEvent::NodeRestored`], [`TraceEvent::NodeDegraded`]); and every
+/// replay-audit verdict ([`TraceEvent::WindowAudited`]) and recovery
+/// decision ([`TraceEvent::JobRescued`], [`TraceEvent::JobLost`],
+/// [`TraceEvent::JobParked`], [`TraceEvent::JobReadmitted`]). With a
+/// deterministic recorder (one that drops wall-clock timings, such as
+/// [`slotsel_obs::TraceRecorder::deterministic`]) the trace is a pure
+/// function of `(config, jobs)` — byte-identical across runs.
 ///
-/// - [`TraceEvent::CycleStarted`] / [`TraceEvent::CycleFinished`] around
-///   every executed cycle, plus a `"rolling.cycle"` wall-clock timing;
-/// - the per-cycle batch scheduling events (the cycle calls
-///   [`BatchScheduler::schedule_traced`] on the same recorder);
-/// - every injected disruption ([`TraceEvent::SlotRevoked`],
-///   [`TraceEvent::NodeFailed`], [`TraceEvent::NodeRestored`],
-///   [`TraceEvent::NodeDegraded`]);
-/// - every replay-audit verdict ([`TraceEvent::WindowAudited`]) and
-///   recovery decision ([`TraceEvent::JobRescued`],
-///   [`TraceEvent::JobLost`], [`TraceEvent::JobParked`],
-///   [`TraceEvent::JobReadmitted`]).
+/// The **metrics** sink receives (all names prefixed `slotsel_`)
+/// `rolling_cycles_total`, `rolling_jobs_completed_total` and the
+/// `rolling_cycle_seconds` histogram per executed cycle; the
+/// `rolling_pending_jobs`, `rolling_parked_jobs` and
+/// `rolling_cycle_spent_credits` gauges; `disruption_events_total{kind=…}`
+/// per injected fault; at run end the survival tallies
+/// `windows_disrupted_total`, `jobs_lost_total`,
+/// `jobs_rescued_total{via="retry"|"migrate"}`, `audit_failures_total`
+/// and the `survival_rate` and `rolling_starved_jobs` gauges; and the
+/// per-cycle batch and scan metrics.
 ///
-/// With a deterministic sink (one that drops wall-clock timings, such as
-/// [`slotsel_obs::TraceRecorder::deterministic`]), the emitted trace is a
-/// pure function of `(config, jobs)` — byte-identical across runs.
+/// The **span** sink receives one `"rolling.cycle"` root per executed
+/// cycle, whose children are the scheduler's `"batch.schedule"` tree
+/// plus, under fault injection, `"rolling.disruption"` (injected events),
+/// `"recovery.detect"` (the victim replay audit), `"rolling.recovery"`
+/// (the policy's decisions) and `"rolling.audit"` (the repaired-schedule
+/// re-validation).
+///
+/// The **journal** receives a [`JournalRecord`] stream (see
+/// `docs/DURABILITY.md`): [`JournalRecord::RunStarted`] with the full
+/// `(config, jobs)` inputs, committed before the first cycle; per cycle
+/// the audit trail — every re-admission, window commit, deferral,
+/// injected disruption and recovery decision — then a
+/// [`JournalRecord::CycleCommitted`] barrier carrying the complete
+/// post-cycle [`RollingState`] (including the disruption model's RNG
+/// checkpoint), followed by a [`Journal::commit`], the fsync point; and
+/// [`JournalRecord::RunFinished`] with the final report, committed. A run
+/// killed at *any* point mid-stream recovers through
+/// [`crate::journal::recover`] + [`resume_with_recovery_observed`] to the
+/// bit-identical report of the uninterrupted run: the interrupted cycle's
+/// events are discarded and the cycle re-executes deterministically from
+/// the last barrier.
+///
+/// No sink changes the report: a dark context and a [`NoopJournal`] give
+/// the same report as any lit ones.
 #[must_use]
-pub fn simulate_with_recovery_traced<R: Recorder>(
+pub fn simulate_with_recovery_observed<J: Journal>(
     config: &RollingConfig,
     jobs: Vec<Job>,
-    recorder: &mut R,
-) -> RollingReport {
-    simulate_with_recovery_metered(config, jobs, recorder, &NoopMetrics)
-}
-
-/// Runs the fault-injected rolling simulation with tracing and live
-/// metrics.
-///
-/// On top of [`simulate_with_recovery_traced`]'s behaviour, the run
-/// records to `metrics` (all names prefixed `slotsel_`):
-///
-/// - `rolling_cycles_total`, `rolling_jobs_completed_total` and the
-///   `rolling_cycle_seconds` histogram — per executed cycle;
-/// - `rolling_pending_jobs`, `rolling_parked_jobs`,
-///   `rolling_cycle_spent_credits` — gauges refreshed every cycle;
-/// - `disruption_events_total{kind=…}` — per injected fault;
-/// - at run end, the survival tallies: `windows_disrupted_total`,
-///   `jobs_lost_total`, `jobs_rescued_total{via="retry"|"migrate"}`,
-///   `audit_failures_total`, plus the `survival_rate` and
-///   `rolling_starved_jobs` gauges;
-/// - the per-cycle batch and scan metrics (the cycle calls
-///   [`BatchScheduler::schedule_metered`] on the same sink).
-///
-/// With [`NoopMetrics`] (or a disabled sink) every probe compiles away
-/// and the report is identical to the untraced simulation, bit for bit.
-#[must_use]
-pub fn simulate_with_recovery_metered<R: Recorder, M: Metrics>(
-    config: &RollingConfig,
-    jobs: Vec<Job>,
-    recorder: &mut R,
-    metrics: &M,
-) -> RollingReport {
-    run_journaled(
-        config,
-        RollingState::initial(jobs),
-        recorder,
-        metrics,
-        &mut NoopJournal,
-    )
-}
-
-/// Runs the fault-injected rolling simulation with tracing, metrics and
-/// hierarchical spans.
-///
-/// On top of [`simulate_with_recovery_metered`]'s behaviour, when `spans`
-/// is [enabled](SpanSink::enabled) every executed cycle records a
-/// `"rolling.cycle"` span tree — the scheduler's `"batch.schedule"`
-/// phases with their per-job `"aep.scan"` leaves, plus the
-/// disruption/recovery/audit phases under fault injection. With
-/// [`NoopSpanSink`] this is the metered simulation, bit for bit.
-#[must_use]
-pub fn simulate_with_recovery_spanned<R: Recorder, M: Metrics, S: SpanSink>(
-    config: &RollingConfig,
-    jobs: Vec<Job>,
-    recorder: &mut R,
-    metrics: &M,
-    spans: &mut S,
-) -> RollingReport {
-    run_spanned(
-        config,
-        RollingState::initial(jobs),
-        recorder,
-        metrics,
-        &mut NoopJournal,
-        spans,
-    )
-}
-
-/// Runs the fault-injected rolling simulation with a write-ahead journal.
-///
-/// On top of [`simulate_with_recovery_metered`]'s behaviour, the run
-/// appends a [`JournalRecord`] stream to `journal`
-/// (see `docs/DURABILITY.md`):
-///
-/// - [`JournalRecord::RunStarted`] with the full `(config, jobs)` inputs,
-///   committed before the first cycle;
-/// - per cycle, the audit trail — every re-admission, window commit,
-///   deferral, injected disruption and recovery decision;
-/// - a [`JournalRecord::CycleCommitted`] barrier carrying the complete
-///   post-cycle [`RollingState`] (including the disruption model's RNG
-///   checkpoint), followed by a [`Journal::commit`] — the fsync point;
-/// - [`JournalRecord::RunFinished`] with the final report, committed.
-///
-/// A run killed at *any* point mid-stream recovers through
-/// [`crate::journal::recover`] +
-/// [`resume_with_recovery_journaled`] to the bit-identical report of the
-/// uninterrupted run: the interrupted cycle's events are discarded and
-/// the cycle re-executes deterministically from the last barrier.
-///
-/// With a [`NoopJournal`] every journal probe compiles away and this is
-/// exactly [`simulate_with_recovery_metered`] (which delegates here).
-#[must_use]
-pub fn simulate_with_recovery_journaled<R: Recorder, M: Metrics, J: Journal>(
-    config: &RollingConfig,
-    jobs: Vec<Job>,
-    recorder: &mut R,
-    metrics: &M,
+    obs: &mut Obs<'_>,
     journal: &mut J,
 ) -> RollingReport {
     if journal.enabled() {
@@ -287,23 +219,8 @@ pub fn simulate_with_recovery_journaled<R: Recorder, M: Metrics, J: Journal>(
         );
         journal.commit();
     }
-    let report = run_journaled(
-        config,
-        RollingState::initial(jobs),
-        recorder,
-        metrics,
-        journal,
-    );
-    if journal.enabled() {
-        journal.append(
-            &JournalRecord::RunFinished {
-                report: report.clone(),
-            }
-            .encode(),
-        );
-        journal.commit();
-    }
-    report
+    let report = run(config, RollingState::initial(jobs), obs, journal);
+    finish(report, journal)
 }
 
 /// Resumes a recovered journaled run from its last intact barrier and
@@ -316,22 +233,20 @@ pub fn simulate_with_recovery_journaled<R: Recorder, M: Metrics, J: Journal>(
 /// its checkpoint, which reproduces the uninterrupted run bit for bit
 /// (the crash-at-any-event property tests pin this).
 #[must_use]
-pub fn resume_with_recovery_journaled<R: Recorder, M: Metrics, J: Journal>(
+pub fn resume_with_recovery_observed<J: Journal>(
     recovered: RecoveredRun,
-    recorder: &mut R,
-    metrics: &M,
+    obs: &mut Obs<'_>,
     journal: &mut J,
 ) -> RollingReport {
     if let Some(report) = recovered.finished {
         return report;
     }
-    let report = run_journaled(
-        &recovered.config,
-        recovered.state,
-        recorder,
-        metrics,
-        journal,
-    );
+    let report = run(&recovered.config, recovered.state, obs, journal);
+    finish(report, journal)
+}
+
+/// Appends and commits the [`JournalRecord::RunFinished`] record.
+fn finish<J: Journal>(report: RollingReport, journal: &mut J) -> RollingReport {
     if journal.enabled() {
         journal.append(
             &JournalRecord::RunFinished {
@@ -346,41 +261,17 @@ pub fn resume_with_recovery_journaled<R: Recorder, M: Metrics, J: Journal>(
 
 /// The rolling loop proper, parameterised over its starting
 /// [`RollingState`] — cycle `state.next_cycle` up to `config.max_cycles`.
-///
-/// All journal emissions are gated on [`Journal::enabled`]; with
-/// [`NoopJournal`] the gates are constant-false and monomorphise away,
-/// keeping the plain path bit-identical to the pre-journal
-/// implementation.
-fn run_journaled<R: Recorder, M: Metrics, J: Journal>(
-    config: &RollingConfig,
-    state: RollingState,
-    recorder: &mut R,
-    metrics: &M,
-    journal: &mut J,
-) -> RollingReport {
-    run_spanned(config, state, recorder, metrics, journal, &mut NoopSpanSink)
-}
-
-/// [`run_journaled`] with hierarchical spans: when `spans` is
-/// [enabled](SpanSink::enabled) every executed cycle records a
-/// `"rolling.cycle"` span whose children are the scheduler's
-/// `"batch.schedule"` tree plus, under fault injection,
-/// `"rolling.disruption"` (injected events), `"recovery.detect"` (the
-/// victim replay audit), `"rolling.recovery"` (the policy's decisions)
-/// and `"rolling.audit"` (the repaired-schedule re-validation). With
-/// [`NoopSpanSink`] every span branch is dead code and this is exactly
-/// [`run_journaled`] (which delegates here).
+/// Every journal emission is gated on [`Journal::enabled`], so with
+/// [`NoopJournal`] the gates are constant-false and monomorphise away.
 #[allow(clippy::too_many_lines)]
-fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
+fn run<J: Journal>(
     config: &RollingConfig,
     state: RollingState,
-    recorder: &mut R,
-    metrics: &M,
+    obs: &mut Obs<'_>,
     journal: &mut J,
-    spans: &mut S,
 ) -> RollingReport {
-    let metered = metrics.enabled();
-    let spanning = spans.enabled();
+    let metered = obs.metrics.enabled();
+    let spanning = obs.spans.enabled();
     let scheduler = BatchScheduler::new(config.scheduler.clone());
     let RollingState {
         next_cycle,
@@ -409,8 +300,8 @@ fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
             parked.drain(..).partition(|p| p.eligible_at <= cycle);
         parked = waiting;
         for p in ready {
-            if recorder.enabled() {
-                recorder.emit(TraceEvent::JobReadmitted {
+            if obs.recorder.enabled() {
+                obs.recorder.emit(TraceEvent::JobReadmitted {
                     cycle: u64::from(cycle),
                     job: u64::from(p.job.id().0),
                 });
@@ -431,16 +322,16 @@ fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
             break;
         }
         let cycle_span = if spanning {
-            let span = spans.open("rolling.cycle");
-            spans.attr_u64("cycle", u64::from(cycle));
-            spans.attr_u64("pending", pending.len() as u64);
+            let span = obs.spans.open("rolling.cycle");
+            obs.spans.attr_u64("cycle", u64::from(cycle));
+            obs.spans.attr_u64("pending", pending.len() as u64);
             span
         } else {
             SpanId::NONE
         };
-        let watch = Stopwatch::start_if(recorder.enabled() || metered);
-        if recorder.enabled() {
-            recorder.emit(TraceEvent::CycleStarted {
+        let watch = Stopwatch::start_if(obs.recorder.enabled() || metered);
+        if obs.recorder.enabled() {
+            obs.recorder.emit(TraceEvent::CycleStarted {
                 cycle: u64::from(cycle),
                 pending: pending.len() as u64,
             });
@@ -448,15 +339,7 @@ fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
         let mut env = config
             .env
             .generate(&mut StdRng::seed_from_u64(config.seed + u64::from(cycle)));
-        let schedule = scheduler.schedule_spanned(
-            env.platform(),
-            env.slots(),
-            &pending,
-            recorder,
-            metrics,
-            &mut NoopJournal,
-            spans,
-        );
+        let schedule = scheduler.schedule_observed(env.platform(), env.slots(), &pending, obs);
 
         let mut committed: Vec<(Job, Window)> = Vec::new();
         let mut still_pending = Vec::new();
@@ -510,20 +393,20 @@ fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
             }
             Some(model) => {
                 let disruption_span = if spanning {
-                    Some(spans.open("rolling.disruption"))
+                    Some(obs.spans.open("rolling.disruption"))
                 } else {
                     None
                 };
                 let window_refs: Vec<&Window> = committed.iter().map(|(_, w)| w).collect();
                 let events = model.inject(&mut env, cycle, &window_refs);
                 if let Some(span) = disruption_span {
-                    spans.attr_u64("events", events.len() as u64);
-                    spans.close(span);
+                    obs.spans.attr_u64("events", events.len() as u64);
+                    obs.spans.close(span);
                 }
                 for event in &events {
                     survival.record_event(event);
-                    if recorder.enabled() {
-                        recorder.emit(disruption_trace_event(cycle, event));
+                    if obs.recorder.enabled() {
+                        obs.recorder.emit(disruption_trace_event(cycle, event));
                     }
                     if journal.enabled() {
                         journal.append(
@@ -535,7 +418,7 @@ fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
                         );
                     }
                     if metered {
-                        metrics.counter_add(
+                        obs.metrics.counter_add(
                             "slotsel_disruption_events_total",
                             &[("kind", disruption_kind(event))],
                             1,
@@ -544,11 +427,10 @@ fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
                 }
 
                 let pairs: Vec<(&Job, &Window)> = committed.iter().map(|(j, w)| (j, w)).collect();
-                let mut detection =
-                    recovery::detect_victims_spanned(&env, &pairs, &mut *recorder, spans);
+                let mut detection = recovery::detect_victims_observed(&env, &pairs, obs);
                 survival.windows_disrupted += detection.victim_indices.len() as u64;
                 let recovery_span = if spanning {
-                    Some(spans.open("rolling.recovery"))
+                    Some(obs.spans.open("rolling.recovery"))
                 } else {
                     None
                 };
@@ -566,8 +448,8 @@ fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
                         survival
                             .recovery_latency_cycles
                             .push(f64::from(cycle - since));
-                        if recorder.enabled() {
-                            recorder.emit(TraceEvent::JobRescued {
+                        if obs.recorder.enabled() {
+                            obs.recorder.emit(TraceEvent::JobRescued {
                                 cycle: u64::from(cycle),
                                 job: u64::from(job.id().0),
                                 via: "retry".to_owned(),
@@ -600,8 +482,8 @@ fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
                         RecoveryPolicy::Abandon => {
                             survival.jobs_lost += 1;
                             victim_since.retain(|(id, _)| *id != job.id());
-                            if recorder.enabled() {
-                                recorder.emit(TraceEvent::JobLost {
+                            if obs.recorder.enabled() {
+                                obs.recorder.emit(TraceEvent::JobLost {
                                     cycle: u64::from(cycle),
                                     job: u64::from(job.id().0),
                                 });
@@ -634,8 +516,8 @@ fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
                             if attempts > max_attempts {
                                 survival.jobs_lost += 1;
                                 victim_since.retain(|(id, _)| *id != job.id());
-                                if recorder.enabled() {
-                                    recorder.emit(TraceEvent::JobLost {
+                                if obs.recorder.enabled() {
+                                    obs.recorder.emit(TraceEvent::JobLost {
                                         cycle: u64::from(cycle),
                                         job: u64::from(job.id().0),
                                     });
@@ -651,8 +533,8 @@ fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
                                 }
                             } else {
                                 let eligible_at = cycle + 1 + backoff;
-                                if recorder.enabled() {
-                                    recorder.emit(TraceEvent::JobParked {
+                                if obs.recorder.enabled() {
+                                    obs.recorder.emit(TraceEvent::JobParked {
                                         cycle: u64::from(cycle),
                                         job: u64::from(job.id().0),
                                         eligible_at: u64::from(eligible_at),
@@ -700,8 +582,8 @@ fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
                                     completions.push((job.id(), cycle));
                                     completed_now += 1;
                                     detection.survivor_windows.push(migrated);
-                                    if recorder.enabled() {
-                                        recorder.emit(TraceEvent::JobRescued {
+                                    if obs.recorder.enabled() {
+                                        obs.recorder.emit(TraceEvent::JobRescued {
                                             cycle: u64::from(cycle),
                                             job: u64::from(job.id().0),
                                             via: "migrate".to_owned(),
@@ -720,8 +602,8 @@ fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
                                 }
                                 None => {
                                     survival.jobs_lost += 1;
-                                    if recorder.enabled() {
-                                        recorder.emit(TraceEvent::JobLost {
+                                    if obs.recorder.enabled() {
+                                        obs.recorder.emit(TraceEvent::JobLost {
                                             cycle: u64::from(cycle),
                                             job: u64::from(job.id().0),
                                         });
@@ -743,15 +625,16 @@ fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
                 }
 
                 if let Some(span) = recovery_span {
-                    spans.attr_u64("victims", detection.victim_indices.len() as u64);
-                    spans.close(span);
+                    obs.spans
+                        .attr_u64("victims", detection.victim_indices.len() as u64);
+                    obs.spans.close(span);
                 }
 
                 // The repaired schedule (survivors + migrations) must
                 // replay cleanly against the perturbed environment; the
                 // recovery paths maintain this, the audit enforces it.
                 let audit_span = if spanning {
-                    Some(spans.open("rolling.audit"))
+                    Some(obs.spans.open("rolling.audit"))
                 } else {
                     None
                 };
@@ -760,14 +643,14 @@ fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
                     survival.audit_failures += 1;
                 }
                 if let Some(span) = audit_span {
-                    spans.attr_u64("windows", repaired.len() as u64);
-                    spans.close(span);
+                    obs.spans.attr_u64("windows", repaired.len() as u64);
+                    obs.spans.close(span);
                 }
             }
         }
 
-        if recorder.enabled() {
-            recorder.emit(TraceEvent::CycleFinished {
+        if obs.recorder.enabled() {
+            obs.recorder.emit(TraceEvent::CycleFinished {
                 cycle: u64::from(cycle),
                 scheduled: completed_now as u64,
                 spent: spent.as_f64(),
@@ -775,11 +658,11 @@ fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
         }
         if let Some(watch) = watch {
             let elapsed_ns = watch.elapsed_ns();
-            if recorder.enabled() {
-                recorder.time_ns("rolling.cycle", elapsed_ns);
+            if obs.recorder.enabled() {
+                obs.recorder.time_ns("rolling.cycle", elapsed_ns);
             }
             if metered {
-                metrics.observe(
+                obs.metrics.observe(
                     "slotsel_rolling_cycle_seconds",
                     &[],
                     elapsed_ns as f64 * 1e-9,
@@ -794,15 +677,19 @@ fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
         });
         pending = still_pending;
         if metered {
-            metrics.counter_add("slotsel_rolling_cycles_total", &[], 1);
-            metrics.counter_add(
+            obs.metrics
+                .counter_add("slotsel_rolling_cycles_total", &[], 1);
+            obs.metrics.counter_add(
                 "slotsel_rolling_jobs_completed_total",
                 &[],
                 completed_now as u64,
             );
-            metrics.gauge_set("slotsel_rolling_pending_jobs", &[], pending.len() as f64);
-            metrics.gauge_set("slotsel_rolling_parked_jobs", &[], parked.len() as f64);
-            metrics.gauge_set("slotsel_rolling_cycle_spent_credits", &[], spent.as_f64());
+            obs.metrics
+                .gauge_set("slotsel_rolling_pending_jobs", &[], pending.len() as f64);
+            obs.metrics
+                .gauge_set("slotsel_rolling_parked_jobs", &[], parked.len() as f64);
+            obs.metrics
+                .gauge_set("slotsel_rolling_cycle_spent_credits", &[], spent.as_f64());
         }
         if journal.enabled() {
             // The cycle barrier: the full post-cycle state, made durable
@@ -825,18 +712,18 @@ fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
             journal.checkpoint(&|| payload.clone());
         }
         if spanning {
-            spans.attr_u64("scheduled", completed_now as u64);
-            spans.close(cycle_span);
+            obs.spans.attr_u64("scheduled", completed_now as u64);
+            obs.spans.close(cycle_span);
         }
     }
 
     // Victims still waiting (parked or re-pending) when the run ended
     // never recovered.
     survival.jobs_lost += victim_since.len() as u64;
-    if recorder.enabled() {
+    if obs.recorder.enabled() {
         let last_cycle = cycles.last().map_or(0, |c| c.cycle);
         for (id, _) in &victim_since {
-            recorder.emit(TraceEvent::JobLost {
+            obs.recorder.emit(TraceEvent::JobLost {
                 cycle: u64::from(last_cycle),
                 job: u64::from(id.0),
             });
@@ -857,25 +744,28 @@ fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
     };
     if metered {
         let survival = &report.survival;
-        metrics.counter_add(
+        obs.metrics.counter_add(
             "slotsel_windows_disrupted_total",
             &[],
             survival.windows_disrupted,
         );
-        metrics.counter_add("slotsel_jobs_lost_total", &[], survival.jobs_lost);
-        metrics.counter_add(
+        obs.metrics
+            .counter_add("slotsel_jobs_lost_total", &[], survival.jobs_lost);
+        obs.metrics.counter_add(
             "slotsel_jobs_rescued_total",
             &[("via", "retry")],
             survival.rescued_by_retry,
         );
-        metrics.counter_add(
+        obs.metrics.counter_add(
             "slotsel_jobs_rescued_total",
             &[("via", "migrate")],
             survival.rescued_by_migration,
         );
-        metrics.counter_add("slotsel_audit_failures_total", &[], survival.audit_failures);
-        metrics.gauge_set("slotsel_survival_rate", &[], survival.survival_rate());
-        metrics.gauge_set(
+        obs.metrics
+            .counter_add("slotsel_audit_failures_total", &[], survival.audit_failures);
+        obs.metrics
+            .gauge_set("slotsel_survival_rate", &[], survival.survival_rate());
+        obs.metrics.gauge_set(
             "slotsel_rolling_starved_jobs",
             &[],
             report.outcome.starved.len() as f64,
@@ -1148,61 +1038,5 @@ mod tests {
         }
         let scheduled_total: usize = outcome.cycles.iter().map(|c| c.scheduled).sum();
         assert_eq!(scheduled_total, outcome.completions.len());
-    }
-
-    #[test]
-    fn spanned_simulation_matches_metered_and_nests_cycle_phases() {
-        use slotsel_obs::{MemorySpanSink, NoopSpanSink, SpanId};
-        let config = disrupted_config(RecoveryPolicy::RetryNextCycle {
-            backoff: 1,
-            max_attempts: 3,
-        });
-        let jobs: Vec<Job> = (0..6).map(|i| job(i, 1, 3, 200, 5_000)).collect();
-        let metered =
-            simulate_with_recovery_metered(&config, jobs.clone(), &mut NoopRecorder, &NoopMetrics);
-
-        // Disabled sink: the spanned entry point is the metered run.
-        let dark = simulate_with_recovery_spanned(
-            &config,
-            jobs.clone(),
-            &mut NoopRecorder,
-            &NoopMetrics,
-            &mut NoopSpanSink,
-        );
-        assert_eq!(dark, metered);
-
-        // Enabled sink: same report, plus a per-cycle span tree.
-        let mut sink = MemorySpanSink::new();
-        let spanned = simulate_with_recovery_spanned(
-            &config,
-            jobs,
-            &mut NoopRecorder,
-            &NoopMetrics,
-            &mut sink,
-        );
-        assert_eq!(spanned, metered);
-        let records = sink.take_records();
-        let cycles: Vec<_> = records
-            .iter()
-            .filter(|r| r.name == "rolling.cycle")
-            .collect();
-        assert_eq!(cycles.len(), metered.outcome.cycles.len());
-        for cycle in &cycles {
-            assert_eq!(cycle.parent, SpanId::NONE, "cycles are roots");
-        }
-        // Disruptions fired (adversarial model), so the phase spans
-        // exist and each nests inside some cycle span.
-        for phase in ["batch.schedule", "rolling.disruption", "rolling.audit"] {
-            let child = records
-                .iter()
-                .find(|r| r.name == phase)
-                .unwrap_or_else(|| panic!("missing {phase}"));
-            assert!(
-                cycles.iter().any(|c| c.id == child.parent
-                    && child.start_us >= c.start_us
-                    && child.end_us <= c.end_us),
-                "{phase} must nest inside its cycle"
-            );
-        }
     }
 }

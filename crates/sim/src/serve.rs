@@ -83,7 +83,7 @@ use slotsel_core::window::Window;
 use slotsel_env::EnvironmentConfig;
 use slotsel_obs::journal::{read_journal, Journal, NoopJournal, SnapshotStore};
 use slotsel_obs::metrics::{Metrics, NoopMetrics};
-use slotsel_obs::{MemorySpanSink, NoopRecorder, NoopSpanSink, SpanId, SpanSink};
+use slotsel_obs::{MemorySpanSink, NoopSpanSink, Obs, SpanId, SpanSink};
 
 use crate::journal::{journal_path, snapshot_dir, RecoverError};
 use crate::parallel::{self, Parallelism};
@@ -781,14 +781,11 @@ impl LiveService {
                 let span = sink.open("serve.shard");
                 sink.attr_u64("shard", shard as u64);
                 sink.attr_u64("jobs", jobs.len() as u64);
-                let schedule = scheduler.schedule_spanned(
+                let schedule = scheduler.schedule_observed(
                     &shards[shard].platform,
                     &shards[shard].slots,
                     jobs,
-                    &mut NoopRecorder,
-                    &NoopMetrics,
-                    &mut NoopJournal,
-                    &mut sink,
+                    &mut Obs::dark().with_spans(&mut sink),
                 );
                 sink.close(span);
                 (schedule, sink.take_records())

@@ -15,10 +15,10 @@
 
 use slotsel::core::{Job, JobId, Money, RequestError, ResourceRequest, Volume};
 use slotsel::env::{EnvironmentConfig, NodeGenConfig};
-use slotsel::obs::{render_prometheus, MetricsRegistry, NoopRecorder};
+use slotsel::obs::{render_prometheus, MetricsRegistry, NoopJournal, Obs};
 use slotsel::sim::disruption::DisruptionConfig;
 use slotsel::sim::recovery::RecoveryPolicy;
-use slotsel::sim::rolling::{simulate_with_recovery_metered, RollingConfig};
+use slotsel::sim::rolling::{simulate_with_recovery_observed, RollingConfig};
 
 fn job(
     id: u32,
@@ -57,7 +57,12 @@ fn main() -> Result<(), RequestError> {
         .collect::<Result<Vec<_>, _>>()?;
 
     let registry = MetricsRegistry::new();
-    let report = simulate_with_recovery_metered(&config, jobs, &mut NoopRecorder, &registry);
+    let report = simulate_with_recovery_observed(
+        &config,
+        jobs,
+        &mut Obs::dark().with_metrics(&registry),
+        &mut NoopJournal,
+    );
 
     println!(
         "ran {} cycles: {} completed, {} starved, survival rate {:.3}",

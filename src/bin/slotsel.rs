@@ -37,17 +37,17 @@ use slotsel::obs::journal::{Journal, NoopJournal};
 use slotsel::obs::json::{parse_object, JsonObject, ObjectWriter};
 use slotsel::obs::{
     chrome, FlightRecorder, Handler, HttpRequest, HttpResponse, MemorySpanSink, Metrics,
-    MetricsRegistry, MetricsServer, NoopRecorder, SpanRecord,
+    MetricsRegistry, MetricsServer, Obs, SpanRecord,
 };
 use slotsel::sim::gantt::render_gantt;
 use slotsel::sim::journal::{recover, DurableJournal, RecoverError};
-use slotsel::sim::rolling::resume_with_recovery_journaled;
+use slotsel::sim::rolling::resume_with_recovery_observed;
 use slotsel::sim::serve::{
     recover_live, JobEntry, LiveConfig, LiveRecord, LiveService, QuotaTable, Submission,
 };
 use slotsel::sim::{
-    simulate_with_recovery_journaled, simulate_with_recovery_metered, DisruptionConfig,
-    Parallelism, RecoveryPolicy, RollingConfig, RollingReport,
+    simulate_with_recovery_observed, DisruptionConfig, Parallelism, RecoveryPolicy, RollingConfig,
+    RollingReport,
 };
 
 /// The on-disk environment format.
@@ -1065,10 +1065,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                         registry.counter_add("slotsel_serve_recoveries_total", &[], 1);
                         let mut journal = DurableJournal::resume(&dir, &run, snapshot_every)
                             .map_err(|e| format!("{}: {e}", dir.display()))?;
-                        let report = resume_with_recovery_journaled(
+                        let report = resume_with_recovery_observed(
                             run,
-                            &mut NoopRecorder,
-                            registry.as_ref(),
+                            &mut Obs::dark().with_metrics(registry.as_ref()),
                             &mut journal,
                         );
                         journal
@@ -1111,30 +1110,23 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             ..RollingConfig::default()
         };
         registry.counter_add("slotsel_serve_rounds_total", &[], 1);
+        let mut obs = Obs::dark().with_metrics(registry.as_ref());
         let report = match &journal_base {
             Some(base) => {
                 let dir = round_dir(base, round);
                 let mut journal = DurableJournal::create(&dir, snapshot_every)
                     .map_err(|e| format!("{}: {e}", dir.display()))?;
-                let report = simulate_with_recovery_journaled(
-                    &config,
-                    batch.clone(),
-                    &mut NoopRecorder,
-                    registry.as_ref(),
-                    &mut journal,
-                );
+                let report =
+                    simulate_with_recovery_observed(&config, batch.clone(), &mut obs, &mut journal);
                 // Flush + fsync the tail; the round ends in RunFinished.
                 journal
                     .finish()
                     .map_err(|e| format!("{}: {e}", dir.display()))?;
                 report
             }
-            None => simulate_with_recovery_metered(
-                &config,
-                batch.clone(),
-                &mut NoopRecorder,
-                registry.as_ref(),
-            ),
+            None => {
+                simulate_with_recovery_observed(&config, batch.clone(), &mut obs, &mut NoopJournal)
+            }
         };
         print_round(round, &report);
         round += 1;

@@ -2,8 +2,9 @@
 //! simulation populates a [`MetricsRegistry`], the exporter serves it over
 //! HTTP on an ephemeral port, and a raw `TcpStream` scrape must come back
 //! as valid Prometheus text exposition carrying counters, gauges and
-//! histograms from every instrumented layer — while the metered run's
-//! report stays bit-identical to the unmetered one.
+//! histograms from every instrumented layer. (That the metered run's
+//! report is bit-identical to the unmetered one is pinned by
+//! `tests/observer_identity.rs`.)
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -13,10 +14,9 @@ use std::time::Duration;
 
 use slotsel::core::{Job, JobId, Money, ResourceRequest, Volume};
 use slotsel::env::{EnvironmentConfig, NodeGenConfig};
-use slotsel::obs::{MetricsRegistry, MetricsServer, NoopRecorder};
+use slotsel::obs::{MetricsRegistry, MetricsServer, NoopJournal, Obs};
 use slotsel::sim::{
-    simulate_with_recovery, simulate_with_recovery_metered, DisruptionConfig, RecoveryPolicy,
-    RollingConfig,
+    simulate_with_recovery_observed, DisruptionConfig, RecoveryPolicy, RollingConfig,
 };
 
 fn job(id: u32, priority: u32, n: usize, volume: u64, budget: i64) -> Job {
@@ -71,22 +71,14 @@ fn scrape(addr: std::net::SocketAddr, path: &str) -> (String, String, String) {
 }
 
 #[test]
-fn metered_simulation_is_bit_identical_to_plain() {
-    let registry = MetricsRegistry::new();
-    let metered = simulate_with_recovery_metered(&config(), jobs(), &mut NoopRecorder, &registry);
-    let plain = simulate_with_recovery(&config(), jobs());
-    assert_eq!(metered, plain, "metrics must not alter scheduling");
-    assert!(
-        registry.counter_value("slotsel_rolling_cycles_total", &[]) > 0,
-        "the metered run must actually record"
-    );
-}
-
-#[test]
 fn exporter_serves_a_scrapeable_prometheus_endpoint() {
     let registry = Arc::new(MetricsRegistry::new());
-    let report =
-        simulate_with_recovery_metered(&config(), jobs(), &mut NoopRecorder, registry.as_ref());
+    let report = simulate_with_recovery_observed(
+        &config(),
+        jobs(),
+        &mut Obs::dark().with_metrics(registry.as_ref()),
+        &mut NoopJournal,
+    );
     assert!(!report.outcome.cycles.is_empty());
 
     let server =
