@@ -18,9 +18,10 @@
 //! ```
 //!
 //! A third family, **cutting scaling**, times the slot-store mutation
-//! rounds (cut + release, per-node refresh) on the `Vec` store against the
-//! interval-tree store at 1k/10k/100k nodes (the largest ≈ one million
-//! slots) — see `docs/PERFORMANCE.md` for the store design.
+//! rounds (cut + release, per-node refresh, the live clock advance) on
+//! the `Vec` store against the interval-tree store at 1k/10k/100k nodes
+//! (the largest ≈ one million slots) — see `docs/PERFORMANCE.md` for the
+//! store design.
 //!
 //! A fourth family, **CSA repeated search**, runs the full multi-
 //! alternative search (scan, cut, rescan) over the same cutting fixture on
@@ -51,7 +52,7 @@ use slotsel_core::aep::{scan_with, ScanOptions, SelectionPolicy};
 use slotsel_core::algorithms::{Amp, MinCost, MinFinish, MinProcTime, MinRunTime};
 use slotsel_core::csa::Csa;
 use slotsel_core::money::Money;
-use slotsel_core::node::{NodeSpec, Platform, Volume};
+use slotsel_core::node::Volume;
 use slotsel_core::reference::reference_scan_with;
 use slotsel_core::request::ResourceRequest;
 use slotsel_core::slotlist::{SlotList, SlotStoreKind};
@@ -149,7 +150,7 @@ struct ScanRow {
 /// tree-backed list of the same size.
 #[derive(Debug, Serialize, Deserialize)]
 struct CuttingRow {
-    /// `cut_release` or `node_refresh`.
+    /// `cut_release`, `node_refresh` or `advance`.
     operation: String,
     nodes: u64,
     slots: u64,
@@ -350,11 +351,18 @@ fn cutting_benchmarks(sizes: &[u64], repeats: u64) -> Vec<CuttingRow> {
         let mut vec_list = cutting::fixture(nodes, SlotStoreKind::Vec);
         let mut tree_list = cutting::fixture(nodes, SlotStoreKind::Tree);
         let slots = vec_list.len() as u64;
-        let rounds = cutting::rounds_for(vec_list.len());
-        for operation in ["cut_release", "node_refresh"] {
+        let platform = cutting::platform(nodes);
+        // The advance runs last: it reshapes every node's schedule, which
+        // the refresh rounds expect whole.
+        for operation in ["cut_release", "node_refresh", "advance"] {
+            let rounds = match operation {
+                "advance" => cutting::advance_rounds_for(vec_list.len()),
+                _ => cutting::rounds_for(vec_list.len()),
+            };
             let run = |list: &mut SlotList| match operation {
                 "cut_release" => cutting::cut_release_round(list, rounds),
-                _ => cutting::node_refresh_round(list, nodes, rounds),
+                "node_refresh" => cutting::node_refresh_round(list, nodes, rounds),
+                _ => cutting::advance_round(list, &platform, rounds),
             };
             let mut vec_ms = Vec::with_capacity(repeats as usize);
             let mut tree_ms = Vec::with_capacity(repeats as usize);
@@ -398,20 +406,6 @@ fn cutting_benchmarks(sizes: &[u64], repeats: u64) -> Vec<CuttingRow> {
 /// stay tractable at the million-slot tier.
 const CSA_MAX_ALTERNATIVES: usize = 32;
 
-/// The platform matching [`cutting::fixture`]'s node attributes.
-fn cutting_platform(nodes: u64) -> Platform {
-    (0..nodes)
-        .map(|node| {
-            let (perf, price) = cutting::node_attrs(node);
-            #[allow(clippy::cast_possible_truncation)]
-            NodeSpec::builder(node as u32)
-                .performance(perf)
-                .price_per_unit(price)
-                .build()
-        })
-        .collect()
-}
-
 /// Times the full CSA multi-alternative search (repeated AMP scan plus
 /// cut) on a `Vec`-backed and a tree-backed copy of the cutting fixture.
 /// The alternatives must match window-for-window — each run is also a
@@ -419,7 +413,7 @@ fn cutting_platform(nodes: u64) -> Platform {
 fn csa_benchmarks(sizes: &[u64], repeats: u64) -> Vec<CsaRow> {
     let mut rows = Vec::new();
     for &nodes in sizes {
-        let platform = cutting_platform(nodes);
+        let platform = cutting::platform(nodes);
         let vec_list = cutting::fixture(nodes, SlotStoreKind::Vec);
         let mut tree_list = vec_list.clone();
         tree_list.convert(SlotStoreKind::Tree);

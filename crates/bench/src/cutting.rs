@@ -12,7 +12,10 @@
 //!   cutting plus the serve daemon's cancellation path);
 //! - [`node_refresh_round`] — the perturbation path: drop one node's
 //!   slots and re-add its schedule, the incremental rebuild the
-//!   environment performs on revoke/fail/restore.
+//!   environment performs on revoke/fail/restore;
+//! - [`advance_round`] — the live service's clock advance: grow every
+//!   node's free time past the horizon and trim what slipped into the
+//!   past, one [`SlotList::advance_horizon`] pass per step.
 //!
 //! Every round is a pure function of the list state, so running the same
 //! rounds against a `Vec`-backed and a tree-backed copy must leave the two
@@ -21,8 +24,8 @@
 
 use slotsel_core::rng::SplitMix64;
 use slotsel_core::{
-    Interval, Money, NodeId, Performance, Slot, SlotId, SlotList, SlotStoreKind, TimeDelta,
-    TimePoint,
+    Interval, Money, NodeId, NodeSpec, Performance, Platform, Slot, SlotId, SlotList,
+    SlotStoreKind, TimeDelta, TimePoint,
 };
 
 /// Free slots per node in the scaling fixture; 100 000 nodes ≈ 10⁶ slots.
@@ -84,6 +87,21 @@ pub fn fixture(nodes: u64, kind: SlotStoreKind) -> SlotList {
     SlotList::from_slots_in(kind, slots)
 }
 
+/// The platform matching [`fixture`]'s node attributes.
+#[must_use]
+pub fn platform(nodes: u64) -> Platform {
+    (0..nodes)
+        .map(|node| {
+            let (perf, price) = node_attrs(node);
+            #[allow(clippy::cast_possible_truncation)]
+            NodeSpec::builder(node as u32)
+                .performance(perf)
+                .price_per_unit(price)
+                .build()
+        })
+        .collect()
+}
+
 /// Cuts the middle half out of `rounds` slots spread evenly across the
 /// list, releasing each reserved span straight back. The release
 /// coalesces with both remainder pieces, so the slot spans are restored
@@ -129,6 +147,29 @@ pub fn node_refresh_round(list: &mut SlotList, nodes: u64, rounds: u64) {
     }
 }
 
+/// Moves the list's rolling horizon forward one tick `rounds` times, as
+/// the live service's cycle does: each step grows every node of
+/// `platform` past the horizon and trims the free time before the clock.
+/// The horizon starts at the latest slot end and the clock at the first
+/// slot's start, so the round is a pure function of the list state.
+pub fn advance_round(list: &mut SlotList, platform: &Platform, rounds: u64) {
+    let Some(first) = list.nth(0) else {
+        return;
+    };
+    let mut now = first.start();
+    let mut horizon = list
+        .iter()
+        .map(Slot::end)
+        .max()
+        .expect("the list is non-empty");
+    for _ in 0..rounds {
+        let grown = Interval::new(horizon, horizon + TimeDelta::new(1));
+        horizon = grown.end();
+        now += TimeDelta::new(1);
+        list.advance_horizon(platform, grown, now);
+    }
+}
+
 /// Rounds per timed sample: scaled down at the million-slot tier where a
 /// single `Vec` round already spans many milliseconds, and up at the
 /// small tiers where the tree side would otherwise finish in timer noise.
@@ -141,6 +182,13 @@ pub fn rounds_for(slots: usize) -> u64 {
     } else {
         256
     }
+}
+
+/// Advance steps per timed sample. One step is a full O(m) pass, so a
+/// sixteenth of [`rounds_for`]: a single step at the million-slot tier.
+#[must_use]
+pub fn advance_rounds_for(slots: usize) -> u64 {
+    rounds_for(slots) / 16
 }
 
 #[cfg(test)]
@@ -157,10 +205,12 @@ mod tests {
             cut_release_round(list, 16);
             node_refresh_round(list, 50, 8);
             cut_release_round(list, 16);
+            advance_round(list, &platform(50), 8);
         }
         assert_eq!(vec_list, tree_list);
         assert_eq!(vec_list.stats(), tree_list.stats());
         assert!(tree_list.is_sorted());
+        assert!(tree_list.as_tree().expect("tree-backed").check_invariants());
     }
 
     #[test]

@@ -29,6 +29,19 @@
 //! errors, same panics. `docs/PERFORMANCE.md` documents the equivalence
 //! contract and measured speedups.
 //!
+//! The mutations, for `m` slots, `s` of them on the touched node, `k`
+//! removed, and a platform of `n` nodes:
+//!
+//! | operation                                      | `Vec` store    | tree store        |
+//! |------------------------------------------------|----------------|-------------------|
+//! | [`cut`](SlotList::cut), per reservation        | O(m)           | O(log m)          |
+//! | [`release`](SlotList::release)                 | O(m)           | O(s log m)        |
+//! | [`prune_ended_by`](SlotList::prune_ended_by)   | O(m)           | O(k log m)        |
+//! | [`advance_horizon`](SlotList::advance_horizon) | O(m + n log n) | O(m + n log n)¹   |
+//!
+//! ¹ Plus the tree rebuild's sort of one `u64` per slot for its per-node
+//! index.
+//!
 //! # Examples
 //!
 //! ```
@@ -61,7 +74,7 @@ use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::error::CutError;
 use crate::money::Money;
-use crate::node::{NodeId, Performance};
+use crate::node::{NodeId, Performance, Platform};
 use crate::slot::{Slot, SlotId};
 use crate::time::{Interval, TimeDelta, TimePoint};
 use crate::treeslots::{TreeIter, TreeSlots};
@@ -247,6 +260,12 @@ impl SlotList {
             Backend::Tree(tree) => tree.insert(slot),
         }
         id
+    }
+
+    /// The id the next allocated slot will receive.
+    #[must_use]
+    pub fn next_id(&self) -> SlotId {
+        SlotId(self.next_id)
     }
 
     /// Number of slots.
@@ -529,6 +548,92 @@ impl SlotList {
             }
         }
         self.add(node, Interval::new(start, end), performance, price_per_unit)
+    }
+
+    /// Moves a rolling horizon forward in one O(m + n log n) pass over the
+    /// `m` slots and the platform's `n` nodes: every platform node becomes
+    /// free over `grown` (the span past the old horizon), then free time
+    /// before `now` is trimmed away.
+    ///
+    /// The result — slot ids and `next_id` included — is exactly what this
+    /// incremental sequence produces, so lists advanced either way digest
+    /// alike:
+    ///
+    /// 1. [`release`](Self::release) of `grown` on each platform node, in
+    ///    platform order: node `i` gets the `i`-th fresh id for `grown`
+    ///    merged with its free slots touching it;
+    /// 2. [`prune_ended_by`](Self::prune_ended_by)`(now)`;
+    /// 3. one [`cut`](Self::cut) of `[start, now)` from each remaining slot
+    ///    starting before `now`, in `(start, id)` order, each remainder
+    ///    `[now, end)` taking the next fresh id.
+    ///
+    /// Both stores are rebuilt from the resulting sorted run, the tree
+    /// with [`TreeSlots::from_sorted_slots`]. Slots on nodes outside the
+    /// platform are only pruned and trimmed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grown` is empty, or if a slot on a platform node ends
+    /// past `grown.start()`: the old horizon bounds every node's free
+    /// time, and releasing `grown` over a slot reaching beyond it would
+    /// return time that is already free, which [`release`](Self::release)
+    /// refuses too.
+    pub fn advance_horizon(&mut self, platform: &Platform, grown: Interval, now: TimePoint) {
+        assert!(!grown.is_empty(), "the grown horizon span {grown} is empty");
+        let horizon = grown.start();
+        // Per platform node (ids are dense, so the id is the index): where
+        // its released slot starts once the free slots touching `grown`
+        // are absorbed. The walk is in (start, id) order, as release's is.
+        let mut starts = vec![horizon; platform.len()];
+        let mut slots = Vec::with_capacity(self.len() + platform.len());
+        for slot in self.iter() {
+            if let Some(start) = starts.get_mut(slot.node().0 as usize) {
+                assert!(
+                    slot.end() <= horizon,
+                    "free slot {slot} runs past the horizon {horizon}"
+                );
+                if slot.end() == *start {
+                    *start = slot.start();
+                    continue;
+                }
+            }
+            if slot.end() > now {
+                slots.push(*slot);
+            }
+        }
+        // Node `i` releases under the `i`-th fresh id; a released slot
+        // that ends by `now` is pruned at once, its id still spent.
+        let mut fresh = self.next_id;
+        for (node, &start) in platform.iter().zip(&starts) {
+            if grown.end() > now {
+                slots.push(Slot::new(
+                    SlotId(fresh),
+                    node.id(),
+                    Interval::new(start, grown.end()),
+                    node.performance(),
+                    node.price_per_unit(),
+                ));
+            }
+            fresh += 1;
+        }
+        // The survivors are one sorted run and the released slots another;
+        // the run-adaptive stable sort merges them.
+        slots.sort_by_key(|slot| (slot.start(), slot.id()));
+        // Trim the stale prefix. Its remainders start at `now` under ids
+        // newer than any other slot's, so they follow the slots that
+        // already start at `now`.
+        let stale = slots.partition_point(|slot| slot.start() < now);
+        let at_now = stale + slots[stale..].partition_point(|slot| slot.start() == now);
+        for slot in &mut slots[..stale] {
+            *slot = slot.with_span(SlotId(fresh), Interval::new(now, slot.end()));
+            fresh += 1;
+        }
+        slots[..at_now].rotate_left(stale);
+        self.next_id = fresh;
+        self.backend = match self.backend {
+            Backend::Vec(_) => Backend::Vec(slots),
+            Backend::Tree(_) => Backend::Tree(TreeSlots::from_sorted_slots(&slots)),
+        };
     }
 
     /// Fragmentation statistics of the free-slot set — how broken up the
@@ -1116,6 +1221,60 @@ mod tests {
             let hit = list.find_covering(NodeId(1), iv(40, 80)).unwrap();
             assert_eq!(hit.node(), NodeId(1));
             assert!(list.find_covering(NodeId(0), iv(40, 80)).is_none());
+        });
+    }
+
+    #[test]
+    fn advance_horizon_grows_prunes_and_trims_under_fresh_ids() {
+        use crate::node::{NodeSpec, Platform};
+        for_both(|kind| {
+            let slot = |id, node, a, b| {
+                Slot::new(
+                    SlotId(id),
+                    NodeId(node),
+                    iv(a, b),
+                    Performance::new(2),
+                    Money::ZERO,
+                )
+            };
+            let mut list = SlotList::from_slots_in(
+                kind,
+                vec![
+                    slot(0, 0, 0, 40),
+                    slot(1, 0, 60, 100),
+                    slot(2, 1, 30, 70),
+                    slot(3, 2, 50, 80),
+                    slot(4, 2, 90, 95),
+                ],
+            );
+            let platform: Platform = (0..3)
+                .map(|id| {
+                    NodeSpec::builder(id)
+                        .performance(Performance::new(2))
+                        .build()
+                })
+                .collect();
+            list.advance_horizon(&platform, iv(100, 130), TimePoint::new(50));
+            // Node 0's [60, 100) merges into its release (id 5), nodes 1 and
+            // 2 release bare (ids 6, 7), [0, 40) has ended, and [30, 70) is
+            // trimmed to [50, 70) under id 8, after id 3 that already
+            // starts at 50.
+            let got: Vec<(u64, u32, i64, i64)> = list
+                .iter()
+                .map(|s| (s.id().0, s.node().0, s.start().ticks(), s.end().ticks()))
+                .collect();
+            assert_eq!(
+                got,
+                vec![
+                    (3, 2, 50, 80),
+                    (8, 1, 50, 70),
+                    (5, 0, 60, 130),
+                    (4, 2, 90, 95),
+                    (6, 1, 100, 130),
+                    (7, 2, 100, 130),
+                ]
+            );
+            assert_eq!(list.next_id(), SlotId(9));
         });
     }
 

@@ -23,8 +23,15 @@
 //! | `nth` (order statistic)       | O(1)        | O(log m)       |
 //! | `find_covering(node, span)`   | O(m)        | O(log m)       |
 //! | `prune_ended_by(t)` (k hits)  | O(m)        | O(k log m)     |
-//! | bulk build from sorted slots  | O(m)        | O(m)           |
+//! | bulk build from sorted slots  | O(m)        | O(m)¹          |
+//! | clock advance (`n` nodes)     | O(m+n log n)| O(m+n log n)¹  |
 //! | in-order iteration            | O(m)        | O(m)           |
+//!
+//! ¹ Plus one sort of a `u64` per slot, which orders the per-node index
+//! for its bulk build. The clock advance
+//! ([`SlotList::advance_horizon`](crate::slotlist::SlotList::advance_horizon))
+//! is one pass over the list and a rebuild on either store, not a
+//! mutation per node.
 //!
 //! ## Determinism
 //!
@@ -142,6 +149,19 @@ struct TreeNode {
     agg: Agg,
 }
 
+impl TreeNode {
+    /// An unlinked leaf holding `slot`.
+    fn of(slot: Slot) -> TreeNode {
+        TreeNode {
+            slot,
+            prio: priority(slot.id()),
+            left: NIL,
+            right: NIL,
+            agg: Agg::of(&slot),
+        }
+    }
+}
+
 /// The tree-backed slot store. See the [module documentation](self).
 ///
 /// `TreeSlots` is deliberately id-agnostic: it stores whatever [`Slot`]s
@@ -173,8 +193,9 @@ impl TreeSlots {
         }
     }
 
-    /// Builds a store from slots already sorted by `(start, id)` in O(m),
-    /// using the right-spine construction: the produced treap is
+    /// Builds a store from slots already sorted by `(start, id)` in O(m)
+    /// plus one sort of a `u64` per slot for the per-node index, using
+    /// the right-spine construction: the produced treap is
     /// bit-identical in shape to one grown by `m` successive
     /// [`insert`](Self::insert) calls.
     ///
@@ -184,23 +205,28 @@ impl TreeSlots {
     /// duplicate id.
     #[must_use]
     pub fn from_sorted_slots(slots: &[Slot]) -> Self {
-        let mut store = TreeSlots {
-            arena: Vec::with_capacity(slots.len()),
-            free: Vec::new(),
-            root: NIL,
-            by_id: HashMap::with_capacity(slots.len()),
-            by_node: BTreeMap::new(),
-        };
-        // The right spine of the tree built so far, root first.
-        let mut spine: Vec<u32> = Vec::new();
         for pair in slots.windows(2) {
             assert!(
                 key_of(&pair[0]) < key_of(&pair[1]),
                 "from_sorted_slots requires strictly increasing (start, id) keys"
             );
         }
-        for slot in slots {
-            let idx = store.alloc(*slot);
+        assert!(slots.len() < NIL as usize, "arena full");
+        let mut store = TreeSlots {
+            arena: slots.iter().map(|&slot| TreeNode::of(slot)).collect(),
+            free: Vec::new(),
+            root: NIL,
+            by_id: slots
+                .iter()
+                .zip(0u32..)
+                .map(|(slot, idx)| (slot.id().0, idx))
+                .collect(),
+            by_node: BTreeMap::new(),
+        };
+        assert_eq!(store.by_id.len(), slots.len(), "duplicate slot id");
+        // The right spine of the tree built so far, root first.
+        let mut spine: Vec<u32> = Vec::new();
+        for idx in 0..slots.len() as u32 {
             // Pop spine entries with lower priority; they become the new
             // node's left subtree.
             let mut last_popped = NIL;
@@ -224,6 +250,23 @@ impl TreeSlots {
         // in-order pull is simplest and still O(m).
         let root = store.root;
         store.pull_deep(root);
+        // Arena index `i` holds the `i`-th slot in (start, id) order, so
+        // sorting the packed `(node, i)` words orders the per-node index
+        // by (node, start, id), ready for the map's bulk build.
+        let mut by_node: Vec<u64> = slots
+            .iter()
+            .zip(0u64..)
+            .map(|(slot, idx)| u64::from(slot.node().0) << 32 | idx)
+            .collect();
+        by_node.sort_unstable();
+        store.by_node = by_node
+            .into_iter()
+            .map(|packed| {
+                let idx = packed as u32;
+                let slot = &slots[idx as usize];
+                ((slot.node().0, slot.start().ticks(), slot.id().0), idx)
+            })
+            .collect();
         store
     }
 
@@ -567,13 +610,7 @@ impl TreeSlots {
     // -- internals ----------------------------------------------------
 
     fn alloc(&mut self, slot: Slot) -> u32 {
-        let node = TreeNode {
-            slot,
-            prio: priority(slot.id()),
-            left: NIL,
-            right: NIL,
-            agg: Agg::of(&slot),
-        };
+        let node = TreeNode::of(slot);
         let idx = match self.free.pop() {
             Some(idx) => {
                 self.arena[idx as usize] = node;
@@ -922,6 +959,12 @@ mod tests {
         for i in 0..slots.len() {
             assert_eq!(bulk.nth(i), incremental.nth(i));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate slot id")]
+    fn from_sorted_rejects_a_duplicate_id() {
+        let _ = TreeSlots::from_sorted_slots(&[slot(4, 0, 0, 10), slot(4, 1, 20, 30)]);
     }
 
     #[test]

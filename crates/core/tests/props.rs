@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use slotsel_core::money::Money;
-use slotsel_core::node::{NodeId, Performance, Volume};
+use slotsel_core::node::{NodeId, NodeSpec, Performance, Platform, Volume};
 use slotsel_core::rng::SplitMix64;
 use slotsel_core::selectors::{
     cheapest_n, min_runtime_exact, min_runtime_greedy, random_feasible, total_cost, Candidate,
@@ -47,6 +47,94 @@ fn arb_candidates(max: usize) -> impl Strategy<Value = Vec<Candidate>> {
             .map(|slot| Candidate::new(slot, Volume::new(volume)))
             .collect()
     })
+}
+
+/// The clock advance as a release of `grown` per platform node, a prune
+/// and a cut of each stale prefix — the incremental sequence
+/// [`SlotList::advance_horizon`] must reproduce slot for slot.
+fn advance_one_step_at_a_time(
+    list: &mut SlotList,
+    platform: &Platform,
+    grown: Interval,
+    now: TimePoint,
+) {
+    for node in platform.iter() {
+        list.release(node.id(), grown, node.performance(), node.price_per_unit());
+    }
+    list.prune_ended_by(now);
+    let stale: Vec<_> = list
+        .iter()
+        .take_while(|slot| slot.start() < now)
+        .map(|slot| (slot.id(), Interval::new(slot.start(), now)))
+        .collect();
+    if !stale.is_empty() {
+        list.cut(&stale, TimeDelta::ZERO)
+            .expect("stale prefixes lie inside their slots");
+    }
+}
+
+fn advance_platform(nodes: usize) -> Platform {
+    Platform::new(
+        (0..nodes as u32)
+            .map(|id| {
+                NodeSpec::builder(id)
+                    .performance(Performance::new(id % 5 + 1))
+                    .price_per_unit(Money::from_millis(i64::from(id) * 700 + 300))
+                    .build()
+            })
+            .collect(),
+    )
+}
+
+/// Free slots below a horizon: per node up to four disjoint spans laid
+/// left to right (gaps of zero make touching neighbours), the last one
+/// stretched to end exactly at the horizon when `touch` is set. Node
+/// `nodes` lies outside the platform. Ids are a permutation of the
+/// generation order, so `(start, id)` ties break both ways.
+fn arb_horizon_slots() -> impl Strategy<Value = (usize, i64, Vec<Slot>)> {
+    let node = (
+        prop::collection::vec((0i64..60, 1i64..90), 0..5),
+        any::<bool>(),
+    );
+    (
+        1usize..6,
+        40i64..300,
+        prop::collection::vec(node, 7..8),
+        1u64..1009,
+    )
+        .prop_map(|(nodes, horizon, layouts, stride)| {
+            let mut slots = Vec::new();
+            for (node, (pieces, touch)) in layouts.into_iter().take(nodes + 1).enumerate() {
+                let first = slots.len();
+                let mut cursor = 0;
+                for (gap, len) in pieces {
+                    let start = cursor + gap;
+                    if start >= horizon {
+                        break;
+                    }
+                    let end = (start + len).min(horizon);
+                    slots.push((node, start, end));
+                    cursor = end;
+                }
+                if touch && slots.len() > first {
+                    slots.last_mut().expect("non-empty").2 = horizon;
+                }
+            }
+            let slots = slots
+                .into_iter()
+                .enumerate()
+                .map(|(i, (node, start, end))| {
+                    Slot::new(
+                        SlotId(i as u64 * stride % 1009),
+                        NodeId(node as u32),
+                        Interval::new(TimePoint::new(start), TimePoint::new(end)),
+                        Performance::new(node as u32 % 5 + 1),
+                        Money::from_millis(node as i64 * 700 + 300),
+                    )
+                })
+                .collect();
+            (nodes, horizon, slots)
+        })
 }
 
 proptest! {
@@ -390,6 +478,41 @@ proptest! {
     }
 
     #[test]
+    fn advance_horizon_matches_the_per_node_sequence(
+        (nodes, horizon, slots) in arb_horizon_slots(),
+        steps in prop::collection::vec((1i64..80, any::<bool>(), 0usize..64, 0i64..400), 1..4),
+    ) {
+        // Each step grows the horizon by `advance` and moves the clock to
+        // either a slot boundary (so slots end at or start exactly at
+        // `now`) or an arbitrary point up to past the new horizon.
+        let platform = advance_platform(nodes);
+        let mut oracle = SlotList::from_slots_in(SlotStoreKind::Vec, slots.clone());
+        let mut vec_list = oracle.clone();
+        let mut tree_list = SlotList::from_slots_in(SlotStoreKind::Tree, slots);
+        let mut horizon = TimePoint::new(horizon);
+        for (advance, on_boundary, pick, offset) in steps {
+            let grown = Interval::new(horizon, horizon + TimeDelta::new(advance));
+            horizon = grown.end();
+            let bounds: Vec<TimePoint> =
+                oracle.iter().flat_map(|slot| [slot.start(), slot.end()]).collect();
+            let now = if on_boundary && !bounds.is_empty() {
+                bounds[pick % bounds.len()]
+            } else {
+                TimePoint::new(offset)
+            };
+            advance_one_step_at_a_time(&mut oracle, &platform, grown, now);
+            vec_list.advance_horizon(&platform, grown, now);
+            tree_list.advance_horizon(&platform, grown, now);
+            for list in [&vec_list, &tree_list] {
+                prop_assert_eq!(list.to_vec(), oracle.to_vec());
+                prop_assert_eq!(list.digest(), oracle.digest());
+                prop_assert_eq!(list.next_id(), oracle.next_id());
+            }
+            prop_assert!(tree_list.as_tree().expect("tree-backed").check_invariants());
+        }
+    }
+
+    #[test]
     fn money_sum_is_order_independent(mut values in prop::collection::vec(-1_000_000i64..1_000_000, 0..50)) {
         let forward: Money = values.iter().map(|&v| Money::from_millis(v)).sum();
         values.reverse();
@@ -409,4 +532,40 @@ proptest! {
         prop_assert!(t * u64::from(perf) >= volume);
         prop_assert!((t - 1) * u64::from(perf) < volume);
     }
+}
+
+fn past_the_horizon(kind: SlotStoreKind) {
+    // Node 1's slot runs 10 ticks past the horizon at 100: growing free
+    // time over [100, 160) would release time that is already free.
+    let span = |a, b| Interval::new(TimePoint::new(a), TimePoint::new(b));
+    let slots = vec![
+        Slot::new(
+            SlotId(0),
+            NodeId(0),
+            span(20, 100),
+            Performance::new(1),
+            Money::ZERO,
+        ),
+        Slot::new(
+            SlotId(1),
+            NodeId(1),
+            span(40, 110),
+            Performance::new(2),
+            Money::ZERO,
+        ),
+    ];
+    let mut list = SlotList::from_slots_in(kind, slots);
+    list.advance_horizon(&advance_platform(2), span(100, 160), TimePoint::new(60));
+}
+
+#[test]
+#[should_panic(expected = "runs past the horizon")]
+fn advance_horizon_rejects_a_slot_past_the_horizon_on_vec() {
+    past_the_horizon(SlotStoreKind::Vec);
+}
+
+#[test]
+#[should_panic(expected = "runs past the horizon")]
+fn advance_horizon_rejects_a_slot_past_the_horizon_on_tree() {
+    past_the_horizon(SlotStoreKind::Tree);
 }

@@ -39,7 +39,7 @@ use slotsel_core::reference::reference_scan_observed;
 use slotsel_core::scenario::Scenario;
 use slotsel_core::slot::{Slot, SlotId};
 use slotsel_core::slotlist::{SlotList, SlotStoreKind};
-use slotsel_core::time::{Interval, TimeDelta};
+use slotsel_core::time::{Interval, TimeDelta, TimePoint};
 use slotsel_core::validate::validate_window;
 use slotsel_core::window::Window;
 
@@ -729,7 +729,7 @@ fn store_equivalence(scenario: &Scenario, seed: u64) -> Result<(), String> {
     // demand they stay slot-for-slot identical after every step. The ops
     // cover everything the simulators do to a live list: cutting a
     // reservation out, releasing it back (coalescing), pruning expired
-    // slots, dropping nodes and arbitrary retains.
+    // slots, dropping nodes, arbitrary retains and the live clock advance.
     let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
     let mut next = move || {
         state ^= state << 13;
@@ -744,7 +744,7 @@ fn store_equivalence(scenario: &Scenario, seed: u64) -> Result<(), String> {
         }
         let pick = (next() % vec_list.len() as u64) as usize;
         let slot = *vec_list.nth(pick).expect("index is below len");
-        match next() % 6 {
+        match next() % 7 {
             // Cut the middle half out of a slot, then release it again —
             // remainder insertion, fresh-id allocation and coalescing.
             0..=2 => {
@@ -802,7 +802,7 @@ fn store_equivalence(scenario: &Scenario, seed: u64) -> Result<(), String> {
                 tree_list.retain(|s| s.id().0 % 7 != residue);
                 stores_match(step, "retain", &vec_list, &tree_list)?;
             }
-            _ => {
+            5 => {
                 let dropped_vec = vec_list.remove_node_slots(slot.node());
                 let dropped_tree = tree_list.remove_node_slots(slot.node());
                 if dropped_vec != dropped_tree {
@@ -813,6 +813,25 @@ fn store_equivalence(scenario: &Scenario, seed: u64) -> Result<(), String> {
                     ));
                 }
                 stores_match(step, "remove_node_slots", &vec_list, &tree_list)?;
+            }
+            // The serve daemon's clock advance: grow every platform node
+            // past the latest free time and trim what lies before the
+            // picked slot's start. Both stores must also match the
+            // per-node sequence the one-pass advance replaces.
+            _ => {
+                let horizon = vec_list
+                    .iter()
+                    .map(Slot::end)
+                    .max()
+                    .expect("list is non-empty");
+                let advance = TimeDelta::new((next() % 97 + 1) as i64);
+                let grown = Interval::new(horizon, horizon + advance);
+                let mut stepped = vec_list.clone();
+                advance_per_node(&mut stepped, &scenario.platform, grown, slot.start());
+                vec_list.advance_horizon(&scenario.platform, grown, slot.start());
+                tree_list.advance_horizon(&scenario.platform, grown, slot.start());
+                stores_match(step, "advance_horizon", &stepped, &vec_list)?;
+                stores_match(step, "advance_horizon", &vec_list, &tree_list)?;
             }
         }
     }
@@ -826,6 +845,25 @@ fn store_equivalence(scenario: &Scenario, seed: u64) -> Result<(), String> {
         return Err("serialized layouts diverge between vec and tree stores".to_owned());
     }
     Ok(())
+}
+
+/// The clock advance as [`SlotList::advance_horizon`] documents it: a
+/// release of `grown` per platform node, a prune, then one cut of each
+/// stale prefix. Kept as the one-pass advance's oracle.
+fn advance_per_node(list: &mut SlotList, platform: &Platform, grown: Interval, now: TimePoint) {
+    for node in platform.iter() {
+        list.release(node.id(), grown, node.performance(), node.price_per_unit());
+    }
+    list.prune_ended_by(now);
+    let stale: Vec<_> = list
+        .iter()
+        .take_while(|slot| slot.start() < now)
+        .map(|slot| (slot.id(), Interval::new(slot.start(), now)))
+        .collect();
+    if !stale.is_empty() {
+        list.cut(&stale, TimeDelta::ZERO)
+            .expect("stale prefixes lie inside their slots");
+    }
 }
 
 /// Demands two store backends hold identical slot sequences and statistics.

@@ -445,11 +445,17 @@ impl LiveService {
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero or the environment parameters are
+    /// Panics if `shards` is zero, if `cycle_advance` is below 1 (a cycle
+    /// must move the clock forward), or if the environment parameters are
     /// invalid (non-positive interval, zero nodes).
     #[must_use]
     pub fn new(config: LiveConfig) -> Self {
         assert!(config.shards > 0, "a service needs at least one shard");
+        assert!(
+            config.cycle_advance >= 1,
+            "cycle_advance must be at least 1, got {}",
+            config.cycle_advance
+        );
         let env_config = EnvironmentConfig {
             interval_length: config.interval_length,
             ..EnvironmentConfig::with_node_count(config.nodes_per_shard)
@@ -1166,37 +1172,15 @@ impl PendingCycle {
 /// platform step, and the step recovery replays after each cycle's
 /// commits.
 fn advance_shard(shard: &mut ShardState, advance: TimeDelta) {
-    let ShardState {
-        platform,
-        slots,
-        now,
-        horizon,
-    } = shard;
-    // Nodes are free beyond the generated non-dedicated interval: extend
-    // each node's free time by one cycle's worth (release merges it with a
-    // free slot already touching the horizon).
-    let grown = Interval::new(*horizon, *horizon + advance);
-    for node in platform.iter() {
-        slots.release(node.id(), grown, node.performance(), node.price_per_unit());
-    }
-    *horizon += advance;
-
-    // Trim free time that slipped into the past. `prune_ended_by` lets the
-    // tree store drop expired slots via its min-end aggregate, and the
-    // stale-prefix walk stops at the first slot starting at or after `now`
-    // (iteration is start-ordered).
-    *now += advance;
-    slots.prune_ended_by(*now);
-    let stale: Vec<_> = slots
-        .iter()
-        .take_while(|slot| slot.start() < *now)
-        .map(|slot| (slot.id(), Interval::new(slot.start(), *now)))
-        .collect();
-    if !stale.is_empty() {
-        slots
-            .cut(&stale, TimeDelta::ZERO)
-            .expect("stale prefixes lie inside their slots");
-    }
+    // Nodes are free beyond the generated non-dedicated interval: each
+    // node's free time grows by one cycle's worth past the horizon, and
+    // free time that slipped into the past is trimmed, in one pass.
+    let grown = Interval::new(shard.horizon, shard.horizon + advance);
+    shard.horizon += advance;
+    shard.now += advance;
+    shard
+        .slots
+        .advance_horizon(&shard.platform, grown, shard.now);
 }
 
 /// Cuts a committed window's reservations out of a shard's free slots.
@@ -1268,6 +1252,14 @@ pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
     let Ok(LiveRecord::ServiceStarted { config }) = LiveRecord::decode(first) else {
         return Err(RecoverError::MissingHeader);
     };
+    // Daemons once accepted a non-positive advance; such a run cannot be
+    // replayed, since every cycle must move the clock forward.
+    if config.cycle_advance < 1 {
+        return Err(RecoverError::Decode {
+            record: 1,
+            message: format!("cycle_advance {} is below 1", config.cycle_advance),
+        });
+    }
 
     let snapshot = latest_snapshot(dir)?;
     let snapshot_cycle = snapshot.as_ref().map(|state| state.cycle);
@@ -1678,6 +1670,36 @@ mod tests {
             recover_live(&dir),
             Err(RecoverError::MissingHeader)
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "cycle_advance must be at least 1")]
+    fn a_service_refuses_a_cycle_advance_below_one() {
+        // A zero advance would add a zero-length slot per node per cycle
+        // that nothing prunes; a negative one would run the clock back.
+        let _ = LiveService::new(LiveConfig {
+            cycle_advance: 0,
+            ..tiny_config(1)
+        });
+    }
+
+    #[test]
+    fn recovery_refuses_a_journal_whose_cycle_advance_is_below_one() {
+        let dir = temp_dir("no-advance");
+        let mut journal = DurableJournal::create(&dir, 2).unwrap();
+        let config = LiveConfig {
+            cycle_advance: 0,
+            ..tiny_config(1)
+        };
+        journal.append(&LiveRecord::ServiceStarted { config }.encode());
+        journal.finish().unwrap();
+        match recover_live(&dir) {
+            Err(RecoverError::Decode { record: 1, message }) => {
+                assert!(message.contains("cycle_advance 0"), "{message}");
+            }
+            other => panic!("expected a refused header, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! 3. a 2000-cycle soak asserting barriers stay live-sized and bounded,
 //!    and barrier size that does not grow with the platform;
 //! 4. a golden digest pinning every commit and defer decision of a
-//!    500-cycle run;
+//!    500-cycle run, and golden free-slot digests of a 2 x 200-node
+//!    300-cycle run;
 //! 5. allocations per submit that do not grow with the jobs table.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -799,6 +800,38 @@ fn scheduling_decisions_match_the_golden_digest() {
     assert_eq!((committed, deferred, finished), (488, 14_399, 486));
     assert_eq!(service.job_count(), 546);
     assert_eq!(digest.0, GOLDEN, "digest {:#018x}", digest.0);
+}
+
+#[test]
+fn free_slot_lists_match_the_golden_digests() {
+    // Computed when the clock advance still released each node's grown
+    // span, pruned and cut the stale prefixes one slot at a time. A
+    // barrier carries these digests, so journals written then recover
+    // only while the advance keeps every slot id and span bit-identical.
+    const GOLDEN: [(u64, u64); 2] = [
+        (0xc5fd_70e5_fb3b_3eae, 120_363),
+        (0x331f_077d_5b38_3eff, 120_392),
+    ];
+    let mut service = LiveService::new(LiveConfig {
+        nodes_per_shard: 200,
+        ..config(5)
+    });
+    let mut rng = StdRng::seed_from_u64(23);
+    let mut committed = 0;
+    for cycle in 0..300 {
+        for submission in arrivals(&mut rng, cycle, false) {
+            let _ = service.submit(&submission);
+        }
+        committed += service.run_cycle(Parallelism::Serial).committed.len();
+    }
+    assert_eq!(committed, 464);
+    let pinned: Vec<(u64, u64)> = service
+        .state()
+        .shards
+        .iter()
+        .map(|shard| (shard.slots.digest(), shard.slots.next_id().0))
+        .collect();
+    assert_eq!(pinned, GOLDEN, "{pinned:#x?}");
 }
 
 /// Counts this thread's heap allocations, so tests running on other

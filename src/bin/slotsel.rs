@@ -758,6 +758,9 @@ fn cmd_serve_live(args: &Args) -> Result<(), String> {
     if shards == 0 {
         return Err("--shards must be at least 1".to_owned());
     }
+    if cycle_advance < 1 {
+        return Err("--cycle-advance must be at least 1".to_owned());
+    }
     if snapshot_every == 0 {
         return Err("--snapshot-every must be at least 1".to_owned());
     }

@@ -461,6 +461,37 @@ fn serve_recover_requires_a_journal_dir() {
     assert!(stderr(&out).contains("--recover requires --journal-dir"));
 }
 
+#[test]
+fn live_serve_refuses_a_cycle_advance_below_one() {
+    // Zero would grow every shard by a zero-length slot per node per
+    // cycle; a negative advance would panic inside the first cycle.
+    for advance in ["0", "-5"] {
+        let out = slotsel(&[
+            "serve",
+            "--live",
+            "--addr",
+            "127.0.0.1:0",
+            "--nodes",
+            "4",
+            "--cycles",
+            "2",
+            "--cycle-ms",
+            "1",
+            "--cycle-advance",
+            advance,
+        ]);
+        assert!(
+            !out.status.success(),
+            "--cycle-advance {advance} was accepted"
+        );
+        assert!(
+            stderr(&out).contains("--cycle-advance must be at least 1"),
+            "--cycle-advance {advance}: {}",
+            stderr(&out)
+        );
+    }
+}
+
 /// Spawns `slotsel serve --live` with `extra` flags appended, waits for
 /// the banner and returns the child plus its bound `host:port`.
 fn spawn_live(extra: &[&str]) -> (std::process::Child, String) {
