@@ -70,7 +70,7 @@
 
 use std::fmt;
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Value, Writer};
 
 use crate::error::CutError;
 use crate::money::Money;
@@ -732,14 +732,16 @@ impl Eq for SlotList {}
 /// deliberately *not* part of the wire format: it is a runtime tuning
 /// choice, not data.
 impl Serialize for SlotList {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (
-                "slots".to_owned(),
-                Value::Array(self.iter().map(Serialize::to_value).collect()),
-            ),
-            ("next_id".to_owned(), self.next_id.to_value()),
-        ])
+    fn serialize(&self, out: &mut Writer<'_>) {
+        out.begin_object();
+        out.key("slots");
+        out.begin_array();
+        for slot in self.iter() {
+            slot.serialize(out);
+        }
+        out.end_array();
+        out.field("next_id", &self.next_id);
+        out.end_object();
     }
 }
 
@@ -1201,12 +1203,13 @@ mod tests {
         let vec_list = list_of_in(SlotStoreKind::Vec, &[(0, 10), (20, 30)]);
         let mut tree_list = vec_list.clone();
         tree_list.convert(SlotStoreKind::Tree);
+        let json = serde_json::to_string(&tree_list).unwrap();
         assert_eq!(
-            vec_list.to_value(),
-            tree_list.to_value(),
+            serde_json::to_string(&vec_list).unwrap(),
+            json,
             "the wire format must not leak the store kind"
         );
-        let restored = SlotList::from_value(&tree_list.to_value()).unwrap();
+        let restored: SlotList = serde_json::from_str(&json).unwrap();
         assert_eq!(restored.store_kind(), SlotStoreKind::Vec);
         assert_eq!(restored, tree_list);
     }

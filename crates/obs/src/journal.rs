@@ -72,11 +72,25 @@ pub fn frame(payload: &str) -> String {
     format!("{:08x} {payload}", crc32(payload.as_bytes()))
 }
 
+/// Bytes of a frame before its payload: the CRC's 8 hex digits and a space.
+const FRAME_HEADER_LEN: usize = 9;
+
+/// Writes `payload` as one terminated journal line — byte for byte
+/// `frame(payload)` and a newline — without copying the payload into a
+/// framed string first.
+fn write_framed(out: &mut impl Write, payload: &str) -> std::io::Result<()> {
+    let mut header = [0; FRAME_HEADER_LEN];
+    write!(&mut header[..], "{:08x} ", crc32(payload.as_bytes()))?;
+    out.write_all(&header)?;
+    out.write_all(payload.as_bytes())?;
+    out.write_all(b"\n")
+}
+
 /// Unframes one journal line, verifying its CRC.
 ///
 /// Returns the payload, or a description of why the line is invalid.
 pub fn unframe(line: &str) -> Result<&str, String> {
-    if line.len() < 9 {
+    if line.len() < FRAME_HEADER_LEN {
         return Err(format!(
             "line too short for a CRC frame ({} bytes)",
             line.len()
@@ -291,12 +305,7 @@ impl Journal for WalJournal {
         if self.error.is_some() {
             return;
         }
-        let line = frame(payload);
-        if let Err(error) = self
-            .writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-        {
+        if let Err(error) = write_framed(&mut self.writer, payload) {
             self.error = Some(error);
         } else {
             self.appended += 1;
@@ -452,11 +461,23 @@ pub struct SnapshotStore {
 
 const SNAPSHOT_PREFIX: &str = "snapshot-";
 const SNAPSHOT_SUFFIX: &str = ".snap";
+const TMP_PREFIX: &str = ".snapshot-";
+const TMP_SUFFIX: &str = ".tmp";
 
 impl SnapshotStore {
-    /// Opens (creating if needed) a snapshot directory.
+    /// Opens (creating if needed) a snapshot directory, deleting any temp
+    /// file a crash between a save's write and its rename left behind:
+    /// nothing else would ever remove one.
     pub fn open(dir: &Path) -> std::io::Result<Self> {
         fs::create_dir_all(dir)?;
+        for entry in fs::read_dir(dir)? {
+            let entry = entry?;
+            let name = entry.file_name();
+            let Some(name) = name.to_str() else { continue };
+            if name.starts_with(TMP_PREFIX) && name.ends_with(TMP_SUFFIX) {
+                fs::remove_file(entry.path())?;
+            }
+        }
         Ok(SnapshotStore {
             dir: dir.to_path_buf(),
         })
@@ -478,11 +499,10 @@ impl SnapshotStore {
     pub fn save(&self, generation: u64, payload: &str) -> std::io::Result<()> {
         let tmp = self
             .dir
-            .join(format!(".{SNAPSHOT_PREFIX}{generation:012}.tmp"));
+            .join(format!("{TMP_PREFIX}{generation:012}{TMP_SUFFIX}"));
         {
             let mut file = File::create(&tmp)?;
-            file.write_all(frame(payload).as_bytes())?;
-            file.write_all(b"\n")?;
+            write_framed(&mut file, payload)?;
             file.sync_data()?;
         }
         fs::rename(&tmp, self.path_for(generation))?;
@@ -518,13 +538,16 @@ impl SnapshotStore {
     /// verifies.
     pub fn latest(&self) -> std::io::Result<Option<(u64, String)>> {
         for generation in self.generations()?.into_iter().rev() {
-            let raw = match fs::read_to_string(self.path_for(generation)) {
+            let mut raw = match fs::read_to_string(self.path_for(generation)) {
                 Ok(raw) => raw,
                 Err(error) if error.kind() == std::io::ErrorKind::NotFound => continue,
                 Err(error) => return Err(error),
             };
             if let Ok(payload) = unframe(raw.trim_end_matches('\n')) {
-                return Ok(Some((generation, payload.to_string())));
+                // Cut the frame off in place rather than copying the payload.
+                raw.truncate(FRAME_HEADER_LEN + payload.len());
+                raw.drain(..FRAME_HEADER_LEN);
+                return Ok(Some((generation, raw)));
             }
         }
         Ok(None)
@@ -570,6 +593,40 @@ mod tests {
         let mut tampered = line.clone();
         tampered.push('x');
         assert!(unframe(&tampered).is_err());
+    }
+
+    #[test]
+    fn written_lines_equal_their_frames() {
+        for payload in [
+            "",
+            "x",
+            r#"{"k":"v","n":42}"#,
+            "µs → ✓ \u{0}",
+            &"y".repeat(70_000),
+        ] {
+            let mut written = Vec::new();
+            write_framed(&mut written, payload).unwrap();
+            assert_eq!(written, format!("{}\n", frame(payload)).into_bytes());
+        }
+    }
+
+    #[test]
+    fn opening_a_snapshot_store_deletes_leftover_temp_files() {
+        let dir = temp_dir("leftover-tmp");
+        let store = SnapshotStore::open(&dir).unwrap();
+        store.save(4, "gen-four").unwrap();
+        // A crash between a save's write and its rename leaves this.
+        let leftover = dir.join(".snapshot-000000000005.tmp");
+        fs::write(&leftover, format!("{}\n", frame("gen-five"))).unwrap();
+        let unrelated = dir.join("notes.tmp");
+        fs::write(&unrelated, b"kept").unwrap();
+
+        let store = SnapshotStore::open(&dir).unwrap();
+        assert!(!leftover.exists(), "the temp file survived reopening");
+        assert!(unrelated.exists());
+        assert_eq!(store.generations().unwrap(), vec![4]);
+        assert_eq!(store.latest().unwrap(), Some((4, "gen-four".to_string())));
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -70,7 +70,7 @@ use std::path::Path;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Writer};
 
 use slotsel_batch::{BatchScheduler, BatchSchedulerConfig};
 use slotsel_core::money::Money;
@@ -396,8 +396,15 @@ impl LiveRecord {
     /// snapshot payload — without cloning the state.
     #[must_use]
     pub fn encode_checkpoint(state: &LiveState) -> String {
-        let state = serde_json::to_string(state).expect("live state always serializes");
-        format!("{{\"CycleCommitted\":{{\"state\":{state}}}}}")
+        let mut out = String::new();
+        let mut writer = Writer::compact(&mut out);
+        writer.begin_object();
+        writer.key("CycleCommitted");
+        writer.begin_object();
+        writer.field("state", state);
+        writer.end_object();
+        writer.end_object();
+        out
     }
 }
 
