@@ -46,24 +46,29 @@
 //! own record schema, [`LiveRecord`]: a `ServiceStarted` header, one
 //! durable (fsync'd) `Submitted` record per admitted request, per-cycle
 //! `Committed`/`Deferred` audit events, a `Finished` record carrying each
-//! retired job's final entry, and a `CycleCommitted` barrier carrying the
-//! live [`LiveState`] **without its shards**. A finished job leaves
-//! `LiveState::jobs` for the service's retired archive in the cycle that
-//! finishes it, so it is journaled once, in its `Finished` record.
+//! retired job's final entry, and a `CycleCommitted` barrier. A finished
+//! job leaves `LiveState::jobs` for the service's retired archive in the
+//! cycle that finishes it, so it is journaled once, in its `Finished`
+//! record.
 //!
 //! Barriers carry only what cannot be derived. The platform is regenerated
-//! from the `ServiceStarted` config, and a shard's free slots change only
-//! by the windows its `Committed` records cut and by the clock advance, so
-//! a barrier holds the cycle counter, the live jobs, the usage table and a
-//! per-shard digest of the free-slot list, never the slot lists. The full
-//! state goes only into the periodic snapshot, handed to the journal
-//! lazily through [`Journal::checkpoint`]. [`recover_live`] starts from
-//! the newest intact snapshot (or a freshly generated platform), replays
-//! each later cycle's commits and clock advance, checks every barrier's
-//! digests, rebuilds the archive from the `Finished` records, and
-//! re-applies trailing `Submitted` records — requests accepted after the
-//! last committed cycle — which is what makes an accepted-but-uncommitted
-//! request survive a crash (see `docs/SERVING.md`).
+//! from the `ServiceStarted` config; a shard's free slots change only by
+//! the windows its `Committed` records cut and by the clock advance; and
+//! the job table changes only by `Submitted` records, by the cycle's
+//! `Committed`/`Deferred` decisions and by the clock advance retiring
+//! finished windows. So a barrier holds the cycle counter, the next job
+//! id, a per-shard digest of the free-slot list and one digest of the job
+//! table ([`job_digest`]): about 150 bytes, whatever the platform and the
+//! load. The full state goes only into the periodic snapshot, handed to
+//! the journal lazily through [`Journal::checkpoint`]. [`recover_live`]
+//! starts from the newest intact snapshot (or a freshly generated
+//! platform), re-applies each `Submitted` record, replays each later
+//! cycle through the same transition functions the live cycle runs,
+//! checks every barrier's digests, and rebuilds the archive of jobs
+//! retired before the snapshot from the `Finished` records. Requests
+//! accepted after the last committed cycle come back queued, which is
+//! what makes an accepted-but-uncommitted request survive a crash (see
+//! `docs/SERVING.md`).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -75,7 +80,7 @@ use serde::{Deserialize, Serialize, Writer};
 use slotsel_batch::{BatchScheduler, BatchSchedulerConfig};
 use slotsel_core::money::Money;
 use slotsel_core::node::{Platform, Volume};
-use slotsel_core::request::{Job, JobId, ResourceRequest};
+use slotsel_core::request::{Job, JobId, NodeRequirements, ResourceRequest};
 use slotsel_core::slotlist::{SlotList, SlotStoreKind};
 use slotsel_core::tenant::{AdmitError, TenantId, TenantQuota, TenantUsage};
 use slotsel_core::time::{Interval, TimeDelta, TimePoint};
@@ -261,29 +266,122 @@ pub struct ShardState {
     pub horizon: TimePoint,
 }
 
-/// The live mutable state of a service — what a snapshot holds in full
-/// and a [`LiveRecord::CycleCommitted`] barrier holds minus the shards.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+/// The live mutable state of a service — what a snapshot holds in full.
+///
+/// A [`LiveRecord::CycleCommitted`] barrier decodes into this type too,
+/// with only the counters and digests set: `shards`, `jobs` and `usage`
+/// are empty there, because recovery replays them (barriers written
+/// before that listed the jobs and usage, and earlier ones the shards).
+#[derive(Debug, Clone, PartialEq, Default, Deserialize)]
 pub struct LiveState {
     /// Cycles executed so far.
     pub cycle: u64,
     /// Next job id to assign.
     pub next_job: u32,
-    /// Per-shard platform state. Empty in a barrier, where recovery
-    /// derives it (barriers written before that carried it in full).
+    /// Per-shard platform state.
+    #[serde(default)]
     pub shards: Vec<ShardState>,
     /// Queued and scheduled jobs, in id order. Finished jobs are retired
     /// out of the table into the service's archive (barriers written
     /// before retirement existed may still list some).
+    #[serde(default)]
     pub jobs: Vec<JobEntry>,
     /// Per-tenant in-flight footprints, derived from `jobs`.
+    #[serde(default)]
     pub usage: BTreeMap<String, TenantUsage>,
     /// [`SlotList::digest`] of each shard's free slots, set only in a
-    /// barrier, where the shards themselves are left out: recovery checks
-    /// its replayed slot lists against them. Empty in memory and in
-    /// snapshots.
+    /// barrier: recovery checks its replayed slot lists against them.
+    /// Empty in memory and in snapshots.
     #[serde(default)]
     pub slot_digests: Vec<u64>,
+    /// [`job_digest`] of the live jobs, set only in a barrier: recovery
+    /// checks its replayed job table against it. `None` in memory, in
+    /// snapshots, and in barriers that list the jobs instead.
+    #[serde(default)]
+    pub job_digest: Option<u64>,
+}
+
+impl Serialize for LiveState {
+    /// The derived field order, with `job_digest` written only when set,
+    /// so snapshots keep their bytes.
+    fn serialize(&self, out: &mut Writer<'_>) {
+        out.begin_object();
+        out.field("cycle", &self.cycle);
+        out.field("next_job", &self.next_job);
+        out.field("shards", &self.shards);
+        out.field("jobs", &self.jobs);
+        out.field("usage", &self.usage);
+        out.field("slot_digests", &self.slot_digests);
+        if let Some(digest) = &self.job_digest {
+            out.field("job_digest", digest);
+        }
+        out.end_object();
+    }
+}
+
+/// FNV-1a over every field of a job table, a word at a time as
+/// [`SlotList::digest`] hashes slots: what a barrier carries in place of
+/// the live jobs. A request's node requirements, which a live submission
+/// cannot set, contribute only whether they are the default.
+#[must_use]
+pub fn job_digest(jobs: &[JobEntry]) -> u64 {
+    const PRIME: u64 = 0x0100_0000_01b3;
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |word: u64| hash = (hash ^ word).wrapping_mul(PRIME);
+    feed(jobs.len() as u64);
+    for entry in jobs {
+        feed(u64::from(entry.id.0));
+        let tenant = entry.tenant.as_str().as_bytes();
+        feed(tenant.len() as u64);
+        for chunk in tenant.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            feed(u64::from_le_bytes(word));
+        }
+        feed(u64::from(entry.shard));
+        feed(u64::from(entry.priority));
+        let request = &entry.request;
+        feed(request.node_count() as u64);
+        feed(request.volume().work());
+        feed(request.budget().millis() as u64);
+        for optional in [
+            request.deadline().map(TimePoint::ticks),
+            request.reference_span().map(TimeDelta::ticks),
+        ] {
+            feed(u64::from(optional.is_some()));
+            feed(optional.unwrap_or(0) as u64);
+        }
+        feed(u64::from(
+            *request.requirements() == NodeRequirements::any(),
+        ));
+        feed(entry.submitted_cycle);
+        let (tag, window, cycles) = match &entry.phase {
+            JobPhase::Queued => (0, None, [0, 0]),
+            JobPhase::Scheduled {
+                window,
+                committed_cycle,
+            } => (1, Some(window), [*committed_cycle, 0]),
+            JobPhase::Finished {
+                window,
+                committed_cycle,
+                finished_cycle,
+            } => (2, Some(window), [*committed_cycle, *finished_cycle]),
+        };
+        feed(tag);
+        if let Some(window) = window {
+            feed(window.start().ticks() as u64);
+            feed(window.size() as u64);
+            for slot in window.slots() {
+                feed(slot.slot().0);
+                feed(u64::from(slot.node().0));
+                feed(slot.length().ticks() as u64);
+                feed(slot.cost().millis() as u64);
+            }
+        }
+        feed(cycles[0]);
+        feed(cycles[1]);
+    }
+    hash
 }
 
 /// A raw submission, as decoded from the HTTP API's `POST /submit` body.
@@ -360,7 +458,9 @@ pub enum LiveRecord {
         shard: u32,
     },
     /// A job's window finished as the clock advanced, and the job left
-    /// the live table. The only record that journals its final entry.
+    /// the live table. The only record that journals its final entry:
+    /// replay retires the job by itself, but recovery rebuilds the archive
+    /// of jobs retired before its snapshot from these entries.
     Finished {
         /// The cycle.
         cycle: u64,
@@ -371,11 +471,13 @@ pub enum LiveRecord {
         /// their barriers still list the entry instead.
         entry: Option<JobEntry>,
     },
-    /// The cycle barrier: the live post-cycle state. In the journal its
-    /// `shards` are empty and its `slot_digests` set; a snapshot holds the
-    /// same record with the shards in full.
+    /// The cycle barrier. In the journal it holds only what replay cannot
+    /// derive or must check — the cycle, `next_job`, the per-shard
+    /// `slot_digests` and the `job_digest` — as written by
+    /// [`LiveRecord::encode_barrier`]; a snapshot holds the same record
+    /// with the full post-cycle state.
     CycleCommitted {
-        /// The service's live state after this cycle.
+        /// The service's state after this cycle.
         state: LiveState,
     },
 }
@@ -392,20 +494,46 @@ impl LiveRecord {
         serde_json::from_str(line).map_err(|error| error.to_string())
     }
 
-    /// Encodes `CycleCommitted { state }` with the shards in full — a
+    /// Encodes `CycleCommitted { state }` with the state in full — a
     /// snapshot payload — without cloning the state.
     #[must_use]
     pub fn encode_checkpoint(state: &LiveState) -> String {
-        let mut out = String::new();
-        let mut writer = Writer::compact(&mut out);
-        writer.begin_object();
-        writer.key("CycleCommitted");
-        writer.begin_object();
-        writer.field("state", state);
-        writer.end_object();
-        writer.end_object();
-        out
+        encode_cycle_committed(|writer| state.serialize(writer))
     }
+
+    /// Encodes the journal barrier of `state`: its cycle and next job id,
+    /// one [`SlotList::digest`] per shard and the [`job_digest`] of its
+    /// jobs. Its size does not depend on the platform or the jobs.
+    #[must_use]
+    pub fn encode_barrier(state: &LiveState) -> String {
+        let slot_digests: Vec<u64> = state
+            .shards
+            .iter()
+            .map(|shard| shard.slots.digest())
+            .collect();
+        encode_cycle_committed(|writer| {
+            writer.begin_object();
+            writer.field("cycle", &state.cycle);
+            writer.field("next_job", &state.next_job);
+            writer.field("slot_digests", &slot_digests);
+            writer.field("job_digest", &job_digest(&state.jobs));
+            writer.end_object();
+        })
+    }
+}
+
+/// `{"CycleCommitted":{"state":…}}`, with the state written by `state`.
+fn encode_cycle_committed(state: impl FnOnce(&mut Writer<'_>)) -> String {
+    let mut out = String::new();
+    let mut writer = Writer::compact(&mut out);
+    writer.begin_object();
+    writer.key("CycleCommitted");
+    writer.begin_object();
+    writer.key("state");
+    state(&mut writer);
+    writer.end_object();
+    writer.end_object();
+    out
 }
 
 /// A live journal directory replayed back into a resumable service.
@@ -492,6 +620,7 @@ impl LiveService {
                 jobs: Vec::new(),
                 usage,
                 slot_digests: Vec::new(),
+                job_digest: None,
             },
             retired: BTreeMap::new(),
         }
@@ -537,10 +666,15 @@ impl LiveService {
     /// table, then the archive.
     #[must_use]
     pub fn job(&self, id: JobId) -> Option<&JobEntry> {
-        match self.state.jobs.binary_search_by_key(&id, |entry| entry.id) {
+        match self.job_index(id) {
             Ok(index) => Some(&self.state.jobs[index]),
             Err(_) => self.retired.get(&id.0),
         }
+    }
+
+    /// Where `id` is, or would be inserted, in the id-ordered live table.
+    fn job_index(&self, id: JobId) -> Result<usize, usize> {
+        self.state.jobs.binary_search_by_key(&id, |entry| entry.id)
     }
 
     /// Every known tenant with its usage and governing quota, in name
@@ -744,7 +878,7 @@ impl LiveService {
             }
         }
         let mut batches: Vec<Vec<Job>> = vec![Vec::new(); self.config.shards as usize];
-        let mut batched: Vec<usize> = Vec::new();
+        let mut batched = 0;
         for index in order {
             let entry = &self.state.jobs[index];
             let admitted = self
@@ -768,13 +902,13 @@ impl LiveService {
                         entry.priority,
                         entry.request.clone(),
                     ));
-                    batched.push(index);
+                    batched += 1;
                 }
                 Err(_) => outcome.over_quota.push(entry.id),
             }
         }
         if let Some(id) = formation_span {
-            spans.attr_u64("batched", batched.len() as u64);
+            spans.attr_u64("batched", batched as u64);
             spans.attr_u64("over_quota", outcome.over_quota.len() as u64);
             spans.close(id);
         }
@@ -822,57 +956,39 @@ impl LiveService {
         } else {
             None
         };
-        let mut new_phase: BTreeMap<u32, JobPhase> = BTreeMap::new();
+        let mut decisions = Vec::with_capacity(batched);
         for (shard, schedule) in schedules.iter().enumerate() {
+            let slots = &mut self.state.shards[shard].slots;
             for assignment in &schedule.assignments {
                 let job = assignment.job.id();
-                match &assignment.window {
-                    Some(window) if reserve_window(&mut self.state.shards[shard].slots, window) => {
-                        if journaling {
-                            journal.append(
-                                &LiveRecord::Committed {
-                                    cycle,
-                                    job: job.0,
-                                    shard: shard as u32,
-                                    window: window.clone(),
-                                }
-                                .encode(),
-                            );
-                        }
-                        outcome.committed.push((job, shard as u32));
-                        new_phase.insert(
-                            job.0,
-                            JobPhase::Scheduled {
-                                window: window.clone(),
-                                committed_cycle: cycle,
-                            },
-                        );
-                    }
-                    _ => {
-                        if journaling {
-                            journal.append(
-                                &LiveRecord::Deferred {
-                                    cycle,
-                                    job: job.0,
-                                    shard: shard as u32,
-                                }
-                                .encode(),
-                            );
-                        }
-                        outcome.deferred.push(job);
-                    }
+                let window = assignment
+                    .window
+                    .as_ref()
+                    .filter(|window| reserve_window(slots, window));
+                if journaling {
+                    let record = match window {
+                        Some(window) => LiveRecord::Committed {
+                            cycle,
+                            job: job.0,
+                            shard: shard as u32,
+                            window: window.clone(),
+                        },
+                        None => LiveRecord::Deferred {
+                            cycle,
+                            job: job.0,
+                            shard: shard as u32,
+                        },
+                    };
+                    journal.append(&record.encode());
                 }
+                match window {
+                    Some(_) => outcome.committed.push((job, shard as u32)),
+                    None => outcome.deferred.push(job),
+                }
+                decisions.push((shard as u32, job.0, window.cloned()));
             }
         }
-        for index in batched {
-            let entry = &mut self.state.jobs[index];
-            match new_phase.remove(&entry.id.0) {
-                Some(phase) => entry.phase = phase,
-                // Deferred: age the priority so it cannot starve behind a
-                // stream of fresh work (the rolling loop's rule).
-                None => entry.priority = entry.priority.saturating_add(1),
-            }
-        }
+        self.apply_decisions(cycle, decisions);
         if let Some(id) = commit_span {
             spans.attr_u64("committed", outcome.committed.len() as u64);
             spans.attr_u64("deferred", outcome.deferred.len() as u64);
@@ -885,10 +1001,7 @@ impl LiveService {
         } else {
             None
         };
-        let advance = TimeDelta::new(self.config.cycle_advance);
-        for shard in &mut self.state.shards {
-            advance_shard(shard, advance);
-        }
+        self.advance_clock();
         if let Some(id) = advance_span {
             spans.attr_u64("shards", self.state.shards.len() as u64);
             spans.close(id);
@@ -900,22 +1013,7 @@ impl LiveService {
         } else {
             None
         };
-        for entry in &mut self.state.jobs {
-            if let JobPhase::Scheduled {
-                window,
-                committed_cycle,
-            } = &entry.phase
-            {
-                if window.finish() <= self.state.shards[entry.shard as usize].now {
-                    entry.phase = JobPhase::Finished {
-                        window: window.clone(),
-                        committed_cycle: *committed_cycle,
-                        finished_cycle: cycle,
-                    };
-                }
-            }
-        }
-        self.retire_finished(|entry| {
+        self.retire_finished(cycle, |entry| {
             outcome.finished.push(entry.id);
             if journaling {
                 journal.append(
@@ -934,25 +1032,10 @@ impl LiveService {
             spans.close(id);
         }
 
-        self.state.cycle += 1;
-        self.recompute_usage();
+        self.close_cycle();
 
         if journaling {
-            // The barrier carries what replay cannot derive. Lend the
-            // state to the record instead of cloning it, with the shards
-            // moved out and only their slot digests in their place.
-            let shards = std::mem::take(&mut self.state.shards);
-            self.state.slot_digests = shards.iter().map(|shard| shard.slots.digest()).collect();
-            let barrier = LiveRecord::CycleCommitted {
-                state: std::mem::take(&mut self.state),
-            };
-            journal.append(&barrier.encode());
-            let LiveRecord::CycleCommitted { mut state } = barrier else {
-                unreachable!("built as a barrier above");
-            };
-            state.shards = shards;
-            state.slot_digests.clear();
-            self.state = state;
+            journal.append(&LiveRecord::encode_barrier(&self.state));
         }
         journal.commit();
         if journaling {
@@ -1022,10 +1105,60 @@ impl LiveService {
         }
     }
 
-    /// Moves every `Finished` job out of the live table into the archive,
-    /// in id order, calling `each` on it first. The cycle's retire step
-    /// and recovery of barriers that still list finished jobs share it.
-    fn retire_finished(&mut self, mut each: impl FnMut(&JobEntry)) {
+    /// Applies a cycle's decisions to the job table: a committed job is
+    /// scheduled in its window, a deferred one ages by one priority step
+    /// so it cannot starve behind a stream of fresh work (the rolling
+    /// loop's rule). The live cycle and replay share it. A decision naming
+    /// no live job changes nothing; in replay the barrier's job digest
+    /// then refuses the chain.
+    fn apply_decisions(&mut self, cycle: u64, decisions: Vec<Decision>) {
+        for (_, job, window) in decisions {
+            let Ok(index) = self.job_index(JobId(job)) else {
+                continue;
+            };
+            let entry = &mut self.state.jobs[index];
+            match window {
+                Some(window) => {
+                    entry.phase = JobPhase::Scheduled {
+                        window,
+                        committed_cycle: cycle,
+                    };
+                }
+                None => entry.priority = entry.priority.saturating_add(1),
+            }
+        }
+    }
+
+    /// Advances every shard's virtual clock by one cycle.
+    fn advance_clock(&mut self) {
+        let advance = TimeDelta::new(self.config.cycle_advance);
+        for shard in &mut self.state.shards {
+            advance_shard(shard, advance);
+        }
+    }
+
+    /// Marks every scheduled job whose window has finished by its shard's
+    /// clock as finished in `cycle`, then moves every `Finished` job out of
+    /// the live table into the archive, in id order, calling `each` on it
+    /// first. The cycle's retire step, replay, and the adoption of states
+    /// that still list finished jobs share it (a state written after a
+    /// cycle holds no finished window still marked scheduled).
+    fn retire_finished(&mut self, cycle: u64, mut each: impl FnMut(&JobEntry)) {
+        for entry in &mut self.state.jobs {
+            if let JobPhase::Scheduled {
+                window,
+                committed_cycle,
+            } = &entry.phase
+            {
+                if window.finish() <= self.state.shards[entry.shard as usize].now {
+                    entry.phase = JobPhase::Finished {
+                        window: window.clone(),
+                        committed_cycle: *committed_cycle,
+                        finished_cycle: cycle,
+                    };
+                }
+            }
+        }
         let finished = self
             .state
             .jobs
@@ -1036,13 +1169,24 @@ impl LiveService {
         }
     }
 
-    /// Re-applies a recovered trailing `Submitted` record: the request
-    /// was durably accepted after the last barrier, so it re-enters the
-    /// queue exactly as admitted.
+    /// Counts a finished cycle and recomputes usage from the settled jobs.
+    fn close_cycle(&mut self) {
+        self.state.cycle += 1;
+        self.recompute_usage();
+    }
+
+    /// Applies a journaled `Submitted` record: the request was durably
+    /// accepted, so it enters the queue exactly as admitted, and its
+    /// tenant gets a usage entry as at admission. Usage is recomputed at
+    /// the next barrier, or once recovery has read the whole journal.
     fn reapply(&mut self, entry: JobEntry) {
         self.state.next_job = self.state.next_job.max(entry.id.0 + 1);
+        if !self.state.usage.contains_key(entry.tenant.as_str()) {
+            self.state
+                .usage
+                .insert(entry.tenant.as_str().to_owned(), TenantUsage::default());
+        }
         self.state.jobs.push(entry);
-        self.recompute_usage();
     }
 
     /// Moves every shard onto the tree store the live cycle runs on.
@@ -1072,60 +1216,90 @@ impl LiveService {
         }
     }
 
-    /// Moves the replayed service on to `barrier`. A delta barrier of the
-    /// next cycle takes the slots replayed so far, cuts the cycle's
-    /// `commits` out of them, advances the clock and must match the
-    /// barrier's digests. A barrier the replay base already covers changes
-    /// nothing. A full barrier, written before barriers became deltas,
-    /// replaces the slots.
+    /// Moves the replayed service on to `barrier`. A barrier the replay
+    /// base already covers changes nothing. A delta barrier of the next
+    /// cycle replays that cycle: its `decisions`, in record order, cut
+    /// their windows out of the slots and settle the jobs, the clock advances and retires finished windows, and the
+    /// result must match the barrier's digests. A barrier that lists the
+    /// jobs (written before the job digest) has them adopted as written,
+    /// and one that carries its shards (written before barriers became
+    /// deltas) replaces the whole state.
     fn replay_barrier(
         &mut self,
-        mut barrier: LiveState,
-        commits: &[(u32, Window)],
+        barrier: LiveState,
+        decisions: Vec<Decision>,
     ) -> Result<(), String> {
         if barrier.cycle <= self.state.cycle {
-            if barrier.cycle == self.state.cycle && !barrier.slot_digests.is_empty() {
-                check_digests(&self.state.shards, &barrier.slot_digests)?;
+            if barrier.cycle == self.state.cycle {
+                if !barrier.slot_digests.is_empty() {
+                    check_digests(&self.state.shards, &barrier.slot_digests)?;
+                }
+                if let Some(want) = barrier.job_digest {
+                    check_job_digest(&self.state.jobs, want)?;
+                }
             }
             return Ok(());
         }
-        if barrier.shards.is_empty() {
-            if barrier.cycle != self.state.cycle + 1 {
+        let cycle = self.state.cycle;
+        if !barrier.shards.is_empty() {
+            if barrier.shards.len() != self.config.shards as usize {
                 return Err(format!(
-                    "cycle {} follows slots replayed to cycle {}",
-                    barrier.cycle, self.state.cycle
+                    "{} shards, the service has {}",
+                    barrier.shards.len(),
+                    self.config.shards
                 ));
             }
-            let mut shards = std::mem::take(&mut self.state.shards);
-            for (shard, window) in commits {
-                let Some(state) = shards.get_mut(*shard as usize) else {
-                    return Err(format!("a commit names shard {shard} of {}", shards.len()));
-                };
-                if !reserve_window(&mut state.slots, window) {
-                    return Err(format!(
-                        "the window committed on shard {shard} at {} is not free",
-                        window.start()
-                    ));
-                }
-            }
-            let advance = TimeDelta::new(self.config.cycle_advance);
-            for shard in &mut shards {
-                advance_shard(shard, advance);
-            }
-            check_digests(&shards, &barrier.slot_digests)?;
-            barrier.shards = shards;
-            barrier.slot_digests.clear();
-        } else if barrier.shards.len() != self.config.shards as usize {
+            self.state = barrier;
+            self.adopt_shards();
+            self.retire_finished(cycle, |_| {});
+            return Ok(());
+        }
+        if barrier.cycle != cycle + 1 {
             return Err(format!(
-                "{} shards, the service has {}",
-                barrier.shards.len(),
-                self.config.shards
+                "cycle {} follows a replay at cycle {cycle}",
+                barrier.cycle
             ));
         }
-        self.state = barrier;
-        self.adopt_shards();
-        self.retire_finished(|_| {});
+        let shards = self.state.shards.len();
+        for (shard, _, window) in &decisions {
+            let Some(window) = window else { continue };
+            let Some(state) = self.state.shards.get_mut(*shard as usize) else {
+                return Err(format!("a commit names shard {shard} of {shards}"));
+            };
+            if !reserve_window(&mut state.slots, window) {
+                return Err(format!(
+                    "the window committed on shard {shard} at {} is not free",
+                    window.start()
+                ));
+            }
+        }
+        self.apply_decisions(cycle, decisions);
+        self.advance_clock();
+        self.retire_finished(cycle, |_| {});
+        self.close_cycle();
+        check_digests(&self.state.shards, &barrier.slot_digests)?;
+        self.state.next_job = barrier.next_job;
+        match barrier.job_digest {
+            Some(want) => check_job_digest(&self.state.jobs, want),
+            None => {
+                self.state.jobs = barrier.jobs;
+                self.state.usage = barrier.usage;
+                self.retire_finished(cycle, |_| {});
+                Ok(())
+            }
+        }
+    }
+}
+
+/// Checks a replayed job table against a barrier's job digest.
+fn check_job_digest(jobs: &[JobEntry], want: u64) -> Result<(), String> {
+    let got = job_digest(jobs);
+    if got == want {
         Ok(())
+    } else {
+        Err(format!(
+            "the replayed jobs digest to {got:#018x}, the barrier says {want:#018x}"
+        ))
     }
 }
 
@@ -1150,11 +1324,15 @@ fn check_digests(shards: &[ShardState], digests: &[u64]) -> Result<(), String> {
     Ok(())
 }
 
-/// The cycle in progress during replay: its commits so far, and every
-/// job it has decided.
+/// One scheduling decision of a cycle: `(shard, job, window)`, the window
+/// `None` for a deferral.
+type Decision = (u32, u32, Option<Window>);
+
+/// The cycle in progress during replay: its decisions so far, in record
+/// order, and every job it has decided.
 #[derive(Debug, Default)]
 struct PendingCycle {
-    commits: Vec<(u32, Window)>,
+    decisions: Vec<Decision>,
     decided: BTreeSet<u32>,
 }
 
@@ -1162,15 +1340,16 @@ impl PendingCycle {
     /// Notes a `Committed`/`Deferred` decision for `job`. A cycle decides
     /// each batched job once, so a second decision means the earlier ones
     /// came from a run of this cycle lost to a crash: they are dropped.
-    fn decide(&mut self, job: u32) {
+    fn decide(&mut self, shard: u32, job: u32, window: Option<Window>) {
         if !self.decided.insert(job) {
             self.clear();
             self.decided.insert(job);
         }
+        self.decisions.push((shard, job, window));
     }
 
     fn clear(&mut self) {
-        self.commits.clear();
+        self.decisions.clear();
         self.decided.clear();
     }
 }
@@ -1219,33 +1398,35 @@ fn reserve_window(slots: &mut SlotList, window: &Window) -> bool {
 ///
 /// Replay starts from the newest intact snapshot — or, without one, from
 /// the platform [`LiveService::new`] generates from the `ServiceStarted`
-/// config — and walks the journal. Each cycle's `Committed` windows are
-/// buffered; at that cycle's barrier they are cut out of the slot lists,
-/// the clock advance runs, and the result is checked against the
-/// barrier's slot digests. Barriers the snapshot already covers only feed
-/// the archive. The live jobs, usage and counters come from the last
-/// barrier, the retired archive from the `Finished` records before it,
-/// and trailing `Submitted` records are re-applied on top (they were
-/// fsync'd at admission — losing them would drop accepted work).
+/// config — and walks the journal. Each `Submitted` record the base does
+/// not hold yet queues its job (they were fsync'd at admission — losing
+/// them would drop accepted work). Each cycle's `Committed` and `Deferred`
+/// decisions are buffered; at that cycle's barrier the windows are cut out
+/// of the slot lists, the decisions settle the jobs, the clock advance
+/// runs and retires finished windows, and the result is checked against
+/// the barrier's slot and job digests. Barriers the snapshot already
+/// covers only feed the archive, from their cycles' `Finished` records.
 ///
 /// Records after the last barrier belong to the interrupted cycle, which
-/// re-runs, so its commits are dropped; so are a torn cycle's commits
+/// re-runs, so its decisions are dropped; so are a torn cycle's decisions
 /// that a later record shows were superseded (a `Submitted` record, or a
 /// second decision for the same job — the re-run of that cycle). A
-/// barrier that still carries its shards (written before barriers became
-/// deltas) replaces the replayed slots, and one that still lists finished
-/// jobs has them split into the archive exactly as a cycle's retire step
-/// does. A torn final line is truncated, exactly as the rolling recovery
-/// does. A snapshot claiming more cycles than the journal means the files
-/// are not from the same run, and recovery refuses rather than guesses.
+/// barrier that lists the jobs (written before the job digest) has them
+/// adopted as written, one that still carries its shards (written before
+/// barriers became deltas) replaces the replayed state, and finished jobs
+/// either still lists are split into the archive exactly as a cycle's
+/// retire step does. A torn final line is truncated, exactly as the
+/// rolling recovery does. A snapshot claiming more cycles than the journal
+/// means the files are not from the same run, and recovery refuses rather
+/// than guesses.
 ///
 /// # Errors
 ///
 /// Returns a [`RecoverError`] for an unreadable/corrupt journal, a
 /// missing or foreign (`RunStarted`) header, an unparsable record or
 /// snapshot, or an inconsistent record chain — including a commit whose
-/// window is no longer free and replayed slots that disagree with a
-/// barrier's digest.
+/// window is no longer free and a replay that disagrees with a barrier's
+/// slot or job digest.
 pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
     let tail = read_journal(&journal_path(dir))?;
     if tail.records.is_empty() {
@@ -1290,11 +1471,11 @@ pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
         None => LiveService::new(config),
     };
     service.adopt_shards();
-    service.retire_finished(|_| {});
+    service.retire_finished(service.state.cycle, |_| {});
 
     let mut barriers = 0u64;
     let mut last_barrier: Option<u64> = None;
-    let mut trailing: Vec<JobEntry> = Vec::new();
+    let mut resubmitted = 0;
     let mut finishing: Vec<JobEntry> = Vec::new();
     let mut pending = PendingCycle::default();
     for (index, payload) in records.enumerate() {
@@ -1320,33 +1501,33 @@ pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
                     });
                 }
                 last_barrier = Some(state.cycle);
-                // A `Finished` record whose job this barrier lists as live
-                // came from a cycle lost to a crash and re-run differently
-                // (new submits changed its commits); the barrier wins.
-                for entry in finishing.drain(..) {
-                    if state
-                        .jobs
-                        .binary_search_by_key(&entry.id, |job| job.id)
-                        .is_err()
-                    {
-                        service.retired.insert(entry.id.0, entry);
-                    }
-                }
                 service
-                    .replay_barrier(state, &pending.commits)
+                    .replay_barrier(state, std::mem::take(&mut pending.decisions))
                     .map_err(|detail| RecoverError::ChainBroken {
                         detail: format!("barrier at record {record_no}: {detail}"),
                     })?;
+                // A `Finished` record whose job is live after this barrier
+                // came from a cycle lost to a crash and re-run differently
+                // (new submits changed its commits); the barrier wins.
+                for entry in finishing.drain(..) {
+                    if service.job_index(entry.id).is_err() {
+                        service.retired.insert(entry.id.0, entry);
+                    }
+                }
                 pending.clear();
                 barriers += 1;
-                // The barrier state subsumes everything admitted before it.
-                trailing.clear();
+                resubmitted = 0;
             }
             LiveRecord::Submitted { entry } => {
                 // No cycle's records straddle an admission: decisions
                 // before it belong to a cycle lost to a crash.
                 pending.clear();
-                trailing.push(entry);
+                // The replay base already holds every job below its
+                // next id.
+                if entry.id.0 >= service.state.next_job {
+                    service.reapply(entry);
+                    resubmitted += 1;
+                }
             }
             LiveRecord::Committed {
                 cycle,
@@ -1355,13 +1536,12 @@ pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
                 window,
             } => {
                 if service.replaying(cycle, record_no)? {
-                    pending.decide(job);
-                    pending.commits.push((shard, window));
+                    pending.decide(shard, job, Some(window));
                 }
             }
-            LiveRecord::Deferred { cycle, job, .. } => {
+            LiveRecord::Deferred { cycle, job, shard } => {
                 if service.replaying(cycle, record_no)? {
-                    pending.decide(job);
+                    pending.decide(shard, job, None);
                 }
             }
             LiveRecord::Finished {
@@ -1379,11 +1559,7 @@ pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
             });
         }
     }
-
-    let resubmitted = trailing.len();
-    for entry in trailing {
-        service.reapply(entry);
-    }
+    service.recompute_usage();
 
     Ok(RecoveredService {
         service,

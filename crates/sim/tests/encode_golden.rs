@@ -164,7 +164,9 @@ fn live_records_match_their_golden_encodings() {
         &digest_by_variant(&records),
         &[
             ("Committed", (218, 44_160, 0x3b64_5ed9_e26f_f653)),
-            ("CycleCommitted", (150, 930_698, 0x53a8_6d3b_c7fe_2203)),
+            // Re-recorded when barriers dropped the jobs table for a job
+            // digest; every other group still has its tree-encoder bytes.
+            ("CycleCommitted", (150, 22_053, 0x5495_bf80_7daf_f876)),
             ("Deferred", (1_366, 61_090, 0x6a74_2954_f2af_8470)),
             ("Finished", (216, 129_103, 0x139a_610e_2706_56b7)),
             ("ServiceStarted", (1, 263, 0x47e1_0e11_ee90_ef22)),
