@@ -63,16 +63,18 @@ impl SelectionPolicy for AlpPolicy {
         _window_start: TimePoint,
         alive: &[Candidate],
         request: &ResourceRequest,
-    ) -> Option<Vec<usize>> {
+        picked: &mut Vec<usize>,
+    ) -> bool {
         let n = request.node_count();
-        let picked: Vec<usize> = alive
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| self.cap.is_none_or(|cap| c.slot.price_per_unit() <= cap))
-            .map(|(i, _)| i)
-            .take(n)
-            .collect();
-        (picked.len() == n).then_some(picked)
+        picked.extend(
+            alive
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| self.cap.is_none_or(|cap| c.slot.price_per_unit() <= cap))
+                .map(|(i, _)| i)
+                .take(n),
+        );
+        picked.len() == n
     }
 
     fn score(&self, window: &Window) -> f64 {

@@ -66,15 +66,16 @@ impl SelectionPolicy for FirstFitPolicy {
         _window_start: TimePoint,
         alive: &[Candidate],
         request: &ResourceRequest,
-    ) -> Option<Vec<usize>> {
+        picked: &mut Vec<usize>,
+    ) -> bool {
         let n = request.node_count();
         if alive.len() < n {
-            return None;
+            return false;
         }
         // Arrival order: the first n candidates that entered the extended
         // window and are still alive.
-        let picked: Vec<usize> = (0..n).collect();
-        (total_cost(alive, &picked) <= request.budget()).then_some(picked)
+        picked.extend(0..n);
+        total_cost(alive, picked) <= request.budget()
     }
 
     fn score(&self, window: &Window) -> f64 {

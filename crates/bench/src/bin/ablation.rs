@@ -101,12 +101,15 @@ fn ablate_scan_pruning(envs: &[Environment], request: &ResourceRequest) {
                 _start: slotsel_core::TimePoint,
                 alive: &[slotsel_core::selectors::Candidate],
                 request: &ResourceRequest,
-            ) -> Option<Vec<usize>> {
+                picked: &mut Vec<usize>,
+            ) -> bool {
                 slotsel_core::selectors::min_runtime_greedy(
                     alive,
                     request.node_count(),
                     request.budget(),
                 )
+                .map(|ids| *picked = ids)
+                .is_some()
             }
             fn score(&self, w: &slotsel_core::Window) -> f64 {
                 w.finish().ticks() as f64

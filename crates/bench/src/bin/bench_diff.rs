@@ -15,8 +15,9 @@
 //! ```
 //!
 //! Two further gates ride along when both reports carry the columns:
-//! **allocations per pool scan** (hardware-independent, compared
-//! directly against the baseline count plus the tolerance) and the
+//! **allocations per pool scan** (deterministic and hardware-independent,
+//! so compared exactly: the baseline count is the ceiling, with no
+//! tolerance) and the
 //! **slot-store cutting rows** (the tree store's speedup over the `Vec`
 //! oracle, gated like the scan speedups).
 //!
@@ -145,14 +146,11 @@ fn run() -> Result<bool, String> {
             row.reference_median_ms,
             row.pool_median_ms,
         );
-        // Allocation counts are hardware-independent, so unlike the
-        // wall-clock columns they gate directly: the pool scan may not
-        // allocate more than the baseline plus the tolerance.
+        // Allocation counts are deterministic and hardware-independent, so
+        // unlike the wall-clock columns they gate exactly: the pool scan may
+        // not allocate more than the baseline did.
         if base.pool_allocs > 0 && row.pool_allocs > 0 {
-            #[allow(clippy::cast_precision_loss)]
-            let ceiling = base.pool_allocs as f64 * (1.0 + tolerance_pct / 100.0);
-            #[allow(clippy::cast_precision_loss)]
-            let alloc_regressed = row.pool_allocs as f64 > ceiling;
+            let alloc_regressed = row.pool_allocs > base.pool_allocs;
             if alloc_regressed {
                 regressions += 1;
             }

@@ -196,12 +196,15 @@ impl<S: SlotScore> SelectionPolicy for AdditivePolicy<'_, S> {
         _window_start: TimePoint,
         alive: &[Candidate],
         request: &ResourceRequest,
-    ) -> Option<Vec<usize>> {
+        picked: &mut Vec<usize>,
+    ) -> bool {
         let z: Vec<f64> = alive
             .iter()
             .map(|c| self.score.z(self.platform, c))
             .collect();
         min_additive_greedy(alive, request.node_count(), request.budget(), &z)
+            .map(|ids| *picked = ids)
+            .is_some()
     }
 
     fn score(&self, window: &Window) -> f64 {
@@ -306,12 +309,15 @@ impl<S: SlotScore> SelectionPolicy for MaxAdditivePolicy<'_, S> {
         _window_start: TimePoint,
         alive: &[Candidate],
         request: &ResourceRequest,
-    ) -> Option<Vec<usize>> {
+        picked: &mut Vec<usize>,
+    ) -> bool {
         let z: Vec<f64> = alive
             .iter()
             .map(|c| self.score.z(self.platform, c))
             .collect();
         max_additive_greedy(alive, request.node_count(), request.budget(), &z)
+            .map(|ids| *picked = ids)
+            .is_some()
     }
 
     fn score(&self, window: &Window) -> f64 {

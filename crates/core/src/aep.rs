@@ -9,13 +9,17 @@
 //! resulting window. The best-scoring window over all steps is returned.
 //!
 //! The scan never looks back: it visits each of the `m` slots exactly once.
-//! The extended window lives in an incremental [`CandidatePool`] that keeps
-//! the candidates cost- and length-ordered across steps (`O(log m')` per
-//! admission/eviction), so the per-step subset selection never re-sorts —
-//! this is what actually delivers the linear-in-`m` working time the paper
-//! claims for all AEP implementations (§2.2, Table 1). The historical
-//! sort-per-step formulation is retained verbatim in [`crate::reference`]
-//! as a correctness oracle and benchmark baseline.
+//! One loop runs it for every policy, over one of two forms of the
+//! extended window. Policies whose picks walk a cost or length order
+//! ([`SelectionPolicy::uses_pool`]) get an incremental [`CandidatePool`]
+//! that keeps the candidates ordered across steps (`O(log m')` per
+//! admission/eviction), so their per-step subset selection never re-sorts
+//! — this is what actually delivers the linear-in-`m` working time the
+//! paper claims for all AEP implementations (§2.2, Table 1). Every other
+//! policy gets a plain admission-ordered vector pruned with one retain
+//! pass per admission. The historical sort-per-step formulation is
+//! retained verbatim in [`crate::reference`] as a correctness oracle and
+//! benchmark baseline.
 //!
 //! # Examples
 //!
@@ -61,25 +65,12 @@ use slotsel_obs::{NoopRecorder, Obs, Recorder, SpanId, Stopwatch, TraceEvent};
 use crate::node::Platform;
 use crate::pool::CandidatePool;
 use crate::request::ResourceRequest;
-use crate::rng::SplitMix64;
-use crate::selectors::Candidate;
+use crate::selectors::{build_window, Candidate};
 use crate::slot::Slot;
 use crate::slotlist::{Iter, SlotList};
 use crate::time::TimePoint;
 use crate::treeslots::{PruneSpec, PrunedCursor};
 use crate::window::Window;
-
-/// Borrowed draw state for the scan's random-draw fast path — see
-/// [`SelectionPolicy::random_pick`].
-#[derive(Debug)]
-pub struct RandomPick<'a> {
-    /// The policy's generator; the scan advances it exactly as the
-    /// slice-based picker would.
-    pub rng: &'a mut SplitMix64,
-    /// Random subsets tried per consulted step before the cheapest-subset
-    /// fallback.
-    pub attempts: usize,
-}
 
 /// The pluggable step of the AEP scan: subset selection and window scoring.
 ///
@@ -87,46 +78,70 @@ pub struct RandomPick<'a> {
 /// Implementations must be consistent: `score` has to be the criterion that
 /// `pick` extremises at each step, otherwise the scan's "best over all
 /// steps" result loses its meaning.
+///
+/// The scan keeps the extended window in one of two forms, chosen by
+/// [`uses_pool`](SelectionPolicy::uses_pool): a plain admission-ordered
+/// vector handed to [`pick`](SelectionPolicy::pick), or the incremental
+/// [`CandidatePool`] handed to [`pick_pool`](SelectionPolicy::pick_pool).
+/// Either way the picked indices go into one buffer the scan owns and
+/// reuses across steps.
 pub trait SelectionPolicy {
     /// Human-readable policy name for reports.
     fn name(&self) -> &str;
 
-    /// Picks the indices of the best `n`-subset of `alive` for a window
-    /// anchored at `window_start`, or `None` when no subset satisfies the
-    /// budget.
+    /// Picks the best `n`-subset of `alive` for a window anchored at
+    /// `window_start`, writing indices into `alive` to `picked`. Returns
+    /// `false` when no subset satisfies the budget; `picked` then holds
+    /// nothing the caller reads.
     ///
-    /// This is the slice-based formulation: `alive` lists the extended
-    /// window in admission order and the returned indices point into it.
-    /// The scan itself calls [`pick_pool`](SelectionPolicy::pick_pool);
-    /// policies that only implement `pick` are adapted automatically.
+    /// `alive` lists the extended window in admission order. `picked`
+    /// arrives empty and its capacity is reused from step to step, so a
+    /// pick that only writes into it allocates nothing once it has grown.
+    /// The scan calls this method for every policy that does not
+    /// [`use the pool`](SelectionPolicy::uses_pool); the reference scan
+    /// calls it for every policy.
     fn pick(
         &mut self,
         window_start: TimePoint,
         alive: &[Candidate],
         request: &ResourceRequest,
-    ) -> Option<Vec<usize>>;
+        picked: &mut Vec<usize>,
+    ) -> bool;
 
-    /// Picks the best `n`-subset directly from the scan's incremental
-    /// [`CandidatePool`], returning arena ids.
+    /// Whether the scan keeps the extended window in a [`CandidatePool`]
+    /// and picks through [`pick_pool`](SelectionPolicy::pick_pool).
     ///
-    /// The pool keeps the extended window cost- and length-ordered across
-    /// scan steps, so overriding this method lets a policy skip the
-    /// per-step re-sorting entirely (the built-in algorithms all do). The
-    /// default implementation is a compatibility shim: it materialises the
-    /// alive set in admission order — exactly the slice the historical scan
-    /// passed — delegates to [`pick`](SelectionPolicy::pick), and maps the
-    /// returned slice indices back to arena ids. Overrides must pick the
-    /// same subsets `pick` would, in the same order.
+    /// The pool keeps the candidates cost- and length-ordered across
+    /// steps, which pays off for picks that walk those orders at every
+    /// step (MinCost, MinRunTime and MinFinish return `true`). Every
+    /// other pick — first-fit, arrival order, random draws, per-step
+    /// score vectors — runs cheaper on the plain vector with one retain
+    /// pass per admission, which is the default.
+    fn uses_pool(&self) -> bool {
+        false
+    }
+
+    /// Picks the best `n`-subset directly from the scan's
+    /// [`CandidatePool`], writing arena ids to `picked` under the same
+    /// contract as [`pick`](SelectionPolicy::pick).
+    ///
+    /// The scan calls it only for a policy whose
+    /// [`uses_pool`](SelectionPolicy::uses_pool) is `true`, and such a
+    /// policy must pick the same subsets `pick` would, in the same order:
+    /// the reference scan drives `pick` and must agree with it.
+    ///
+    /// # Panics
+    ///
+    /// The provided method panics; a policy that uses the pool overrides
+    /// it.
     fn pick_pool(
         &mut self,
-        window_start: TimePoint,
-        pool: &CandidatePool,
-        request: &ResourceRequest,
-    ) -> Option<Vec<usize>> {
-        let ids = pool.alive_ids();
-        let alive: Vec<Candidate> = ids.iter().map(|&id| *pool.candidate(id)).collect();
-        let picked = self.pick(window_start, &alive, request)?;
-        Some(picked.into_iter().map(|i| ids[i]).collect())
+        _window_start: TimePoint,
+        _pool: &CandidatePool,
+        _request: &ResourceRequest,
+        _picked: &mut Vec<usize>,
+    ) -> bool {
+        unreachable!("{} uses the pool but does not pick from it", self.name())
     }
 
     /// Scores a picked window; **lower is better**.
@@ -136,47 +151,6 @@ pub trait SelectionPolicy {
     /// earliest-start behaviour, where later steps can never improve.
     fn stop_at_first(&self) -> bool {
         false
-    }
-
-    /// Opt-in contract for the scan's first-fit fast path.
-    ///
-    /// Return `true` only when **both** hold:
-    /// [`stop_at_first`](SelectionPolicy::stop_at_first) is `true`, and
-    /// [`pick`](SelectionPolicy::pick) succeeds at a step *iff* the `n`
-    /// cheapest alive candidates fit the request's budget (i.e. `pick` is
-    /// exactly [`cheapest_n`](crate::selectors::cheapest_n), as in AMP).
-    ///
-    /// Under that contract the scan skips the incremental
-    /// [`CandidatePool`] — whose ordered indexes only pay off when many
-    /// steps run many subset queries — and instead keeps a plain alive
-    /// vector, calling `cheapest_n` directly at each consulted step
-    /// without the per-step virtual `pick` dispatch. Windows,
-    /// [`ScanStats`] and trace events are identical to the regular scan;
-    /// only the constant factors change.
-    fn first_fit_feasibility(&self) -> bool {
-        false
-    }
-
-    /// Opt-in contract for the scan's random-draw fast path.
-    ///
-    /// Return `Some` only when **both** hold:
-    /// [`stop_at_first`](SelectionPolicy::stop_at_first) is `false`, and
-    /// [`pick`](SelectionPolicy::pick) is exactly
-    /// [`random_feasible`](crate::selectors::random_feasible) over the
-    /// alive slice with the returned generator and attempt count (i.e. the
-    /// simplified MinProcTime scheme).
-    ///
-    /// Random draws never benefit from the incremental
-    /// [`CandidatePool`]'s ordered indexes: the subset is a shuffle of the
-    /// whole alive set, and the budget fallback is a single sort. Under
-    /// the contract the scan skips the pool — whose three `O(log m')`
-    /// index updates per admission are pure overhead here — and keeps a
-    /// plain alive vector in admission order (the order the pool's
-    /// ascending arena ids preserve), drawing subsets over a hoisted index
-    /// buffer. Windows, [`ScanStats`] and trace events are identical to
-    /// the regular scan; only the constant factors change.
-    fn random_pick(&mut self) -> Option<RandomPick<'_>> {
-        None
     }
 }
 
@@ -311,7 +285,7 @@ pub fn scan_with(
 ///   whatever span is open on it, carrying the policy name, the same
 ///   tallies as the counters and whether a window was found.
 ///
-/// The recorder is checked once: a dark one runs the scan body
+/// The recorder is checked once: a dark one runs the scan loop
 /// monomorphised over [`NoopRecorder`], so the per-slot probes are dead
 /// code and [`Obs::dark`] costs nothing but three `enabled` checks.
 #[must_use]
@@ -332,24 +306,15 @@ pub fn scan_observed(
             policy,
             options,
             &mut *obs.recorder,
-            report.metered,
         )
     } else {
-        scan_body(
-            platform,
-            slots,
-            request,
-            policy,
-            options,
-            &mut NoopRecorder,
-            report.metered,
-        )
+        scan_body(platform, slots, request, policy, options, &mut NoopRecorder)
     };
     report.close(obs, policy.name(), &outcome, evictions);
     outcome
 }
 
-/// Picks the scan body the policy's opt-ins allow.
+/// Runs the scan loop over the extended window the policy picks from.
 fn scan_body<R: Recorder + ?Sized>(
     platform: &Platform,
     slots: &SlotList,
@@ -357,30 +322,15 @@ fn scan_body<R: Recorder + ?Sized>(
     policy: &mut dyn SelectionPolicy,
     options: ScanOptions,
     recorder: &mut R,
-    count_evictions: bool,
 ) -> (ScanOutcome, Evictions) {
-    if policy.stop_at_first() && policy.first_fit_feasibility() {
-        first_fit_scan(
-            platform,
-            slots,
-            request,
-            policy,
-            options,
-            recorder,
-            count_evictions,
-        )
-    } else if policy.random_pick().is_some() {
-        random_scan(
-            platform,
-            slots,
-            request,
-            policy,
-            options,
-            recorder,
-            count_evictions,
-        )
+    if policy.uses_pool() {
+        let window = CandidatePool::new();
+        scan_loop(window, platform, slots, request, policy, options, recorder)
     } else {
-        pool_scan(platform, slots, request, policy, options, recorder)
+        // Pre-sized for the n needed plus churn slack, sparing the early
+        // growth reallocations.
+        let window = AdmissionOrder::with_capacity(2 * request.node_count().max(4));
+        scan_loop(window, platform, slots, request, policy, options, recorder)
     }
 }
 
@@ -389,10 +339,11 @@ fn scan_body<R: Recorder + ?Sized>(
 pub(crate) type Evictions = (u64, u64);
 
 /// The metrics and span side of one observed scan: [`open`](Self::open)
-/// before the body runs, [`close`](Self::close) after. The pool scan and
-/// the reference scan share it, so both report the same signals.
+/// before the body runs, [`close`](Self::close) after. The scan and the
+/// reference scan share it, so both report the same signals.
 pub(crate) struct ScanReport {
-    /// Whether the metrics sink is lit; bodies count evictions only then.
+    /// Whether the metrics sink is lit; the reference scan counts
+    /// evictions only then.
     pub(crate) metered: bool,
     span: Option<SpanId>,
     watch: Option<Stopwatch>,
@@ -489,7 +440,7 @@ impl ScanReport {
     }
 }
 
-/// The slot stream every scan body consumes: the plain in-order iterator,
+/// The slot stream the scan loop consumes: the plain in-order iterator,
 /// or — when the list is tree-backed — the aggregate-pruned cursor that
 /// skips whole subtrees of provably-rejected slots.
 ///
@@ -554,10 +505,140 @@ impl<'a> ScanStream<'a> {
     }
 }
 
-/// The regular pool-driven scan body shared by every non-first-fit policy.
-/// Returns the outcome plus the pool's `(superseded, expired)` eviction
-/// counts for the metrics layer.
-fn pool_scan<R: Recorder + ?Sized>(
+/// The extended window as the scan loop drives it: the candidates that
+/// could still host a task anchored at the current window start.
+///
+/// Both forms hold the same candidates in the same admission order after
+/// every step, so the loop's stats, traces and eviction tallies do not
+/// depend on which one a policy picks from.
+trait ExtendedWindow {
+    /// Admits `candidate` at its own start, the scan's new window start.
+    /// Supersedes the candidate on the same node (a node hosts at most one
+    /// task), then evicts every candidate whose remainder became too short
+    /// or, under `deadline`, that can no longer finish in time. A
+    /// candidate that could not finish in time from its own start never
+    /// enters: it was never alive, so it is no eviction either.
+    fn admit(&mut self, candidate: Candidate, deadline: Option<TimePoint>);
+
+    /// Number of alive candidates, the extended window size `m'`.
+    fn len(&self) -> usize;
+
+    /// Asks `policy` for the best `n`-subset, written to `picked`.
+    fn pick(
+        &self,
+        policy: &mut dyn SelectionPolicy,
+        window_start: TimePoint,
+        request: &ResourceRequest,
+        picked: &mut Vec<usize>,
+    ) -> bool;
+
+    /// Materialises a pick into a window anchored at `window_start`.
+    fn build_window(&self, window_start: TimePoint, picked: &[usize]) -> Window;
+
+    /// `(superseded, expired)` evictions so far.
+    fn evictions(&self) -> Evictions;
+}
+
+impl ExtendedWindow for CandidatePool {
+    fn admit(&mut self, candidate: Candidate, deadline: Option<TimePoint>) {
+        let window_start = candidate.slot.start();
+        CandidatePool::admit(self, candidate, deadline);
+        self.advance(window_start);
+    }
+
+    fn len(&self) -> usize {
+        CandidatePool::len(self)
+    }
+
+    fn pick(
+        &self,
+        policy: &mut dyn SelectionPolicy,
+        window_start: TimePoint,
+        request: &ResourceRequest,
+        picked: &mut Vec<usize>,
+    ) -> bool {
+        policy.pick_pool(window_start, self, request, picked)
+    }
+
+    fn build_window(&self, window_start: TimePoint, picked: &[usize]) -> Window {
+        CandidatePool::build_window(self, window_start, picked)
+    }
+
+    fn evictions(&self) -> Evictions {
+        CandidatePool::evictions(self)
+    }
+}
+
+/// The extended window as a plain vector in admission order, pruned with
+/// one retain pass per admission — the representation the reference scan
+/// keeps, for policies whose picks need no order maintained across steps.
+struct AdmissionOrder {
+    alive: Vec<Candidate>,
+    superseded: u64,
+    expired: u64,
+}
+
+impl AdmissionOrder {
+    fn with_capacity(capacity: usize) -> Self {
+        AdmissionOrder {
+            alive: Vec::with_capacity(capacity),
+            superseded: 0,
+            expired: 0,
+        }
+    }
+}
+
+impl ExtendedWindow for AdmissionOrder {
+    fn admit(&mut self, candidate: Candidate, deadline: Option<TimePoint>) {
+        let window_start = candidate.slot.start();
+        let node = candidate.slot.node();
+        let survives = |c: &Candidate| {
+            c.alive_at(window_start) && deadline.is_none_or(|d| window_start + c.length <= d)
+        };
+        self.alive.retain(|c| {
+            if c.slot.node() == node {
+                self.superseded += 1;
+                false
+            } else if survives(c) {
+                true
+            } else {
+                self.expired += 1;
+                false
+            }
+        });
+        if survives(&candidate) {
+            self.alive.push(candidate);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.alive.len()
+    }
+
+    fn pick(
+        &self,
+        policy: &mut dyn SelectionPolicy,
+        window_start: TimePoint,
+        request: &ResourceRequest,
+        picked: &mut Vec<usize>,
+    ) -> bool {
+        policy.pick(window_start, &self.alive, request, picked)
+    }
+
+    fn build_window(&self, window_start: TimePoint, picked: &[usize]) -> Window {
+        build_window(window_start, &self.alive, picked)
+    }
+
+    fn evictions(&self) -> Evictions {
+        (self.superseded, self.expired)
+    }
+}
+
+/// The AEP scan loop over either form of the extended window. Returns the
+/// outcome plus the window's `(superseded, expired)` eviction counts for
+/// the metrics layer.
+fn scan_loop<W: ExtendedWindow, R: Recorder + ?Sized>(
+    mut alive: W,
     platform: &Platform,
     slots: &SlotList,
     request: &ResourceRequest,
@@ -566,7 +647,9 @@ fn pool_scan<R: Recorder + ?Sized>(
     recorder: &mut R,
 ) -> (ScanOutcome, Evictions) {
     let n = request.node_count();
-    let mut pool = CandidatePool::new();
+    // One pick buffer for the whole scan: picks write into it instead of
+    // allocating a vector per consulted step.
+    let mut picked: Vec<usize> = Vec::with_capacity(2 * n.max(4));
     let mut stats = ScanStats::default();
     let mut best: Option<(f64, Window)> = None;
 
@@ -614,26 +697,21 @@ fn pool_scan<R: Recorder + ?Sized>(
             stats.slots_rejected += 1;
             continue; // Too short even when fully used.
         }
-        // Admission supersedes any candidate on the same node (a node hosts
-        // at most one task); advancing to this window start then evicts
-        // every candidate whose remainder became too short or, under a
-        // deadline, that can no longer finish in time. Both are O(log m')
-        // pool updates instead of full passes over the alive set.
-        pool.admit(candidate, request.deadline());
+        alive.admit(candidate, request.deadline());
         stats.slots_admitted += 1;
-        pool.advance(window_start);
-        stats.peak_extended_window = stats.peak_extended_window.max(pool.len());
+        stats.peak_extended_window = stats.peak_extended_window.max(alive.len());
         if recorder.enabled() {
             #[allow(clippy::cast_precision_loss)]
-            recorder.observe("aep.alive", pool.len() as f64);
+            recorder.observe("aep.alive", alive.len() as f64);
         }
 
-        if pool.len() < n {
+        if alive.len() < n {
             continue;
         }
-        if let Some(picked) = policy.pick_pool(window_start, &pool, request) {
+        picked.clear();
+        if alive.pick(policy, window_start, request, &mut picked) {
             debug_assert_eq!(picked.len(), n, "policy must pick exactly n slots");
-            let window = pool.build_window(window_start, &picked);
+            let window = alive.build_window(window_start, &picked);
             let score = policy.score(&window);
             stats.windows_evaluated += 1;
             let improved = best.as_ref().is_none_or(|(s, _)| score < *s);
@@ -678,355 +756,7 @@ fn pool_scan<R: Recorder + ?Sized>(
             best: best.map(|(_, w)| w),
             stats,
         },
-        pool.evictions(),
-    )
-}
-
-/// The first-fit fast path for policies that opt in via
-/// [`SelectionPolicy::first_fit_feasibility`] (AMP).
-///
-/// AMP stops at the first feasible step, so the pool's ordered indexes —
-/// three `O(log m')` B-tree inserts plus a heap push per admission — are
-/// pure overhead: most admissions never see a second query. This body
-/// mirrors [`crate::reference`]'s plain alive vector (same retain pass,
-/// same stats, same trace events) and inlines the pick the opt-in
-/// contract pins to [`cheapest_n`](crate::selectors::cheapest_n) — the
-/// identical stable `(cost, index)` sort, acceptance test and canonical
-/// order, but with the per-step virtual `pick` dispatch gone and the
-/// index buffer hoisted out of the loop, so consulted steps allocate
-/// nothing. The alive vector is pre-sized for the `n` needed plus churn
-/// slack, sparing the early growth reallocations. Eviction counts feed
-/// the metrics layer alone; the retain pass tallies them only when
-/// `count_evictions` is set.
-#[inline]
-fn first_fit_scan<R: Recorder + ?Sized>(
-    platform: &Platform,
-    slots: &SlotList,
-    request: &ResourceRequest,
-    policy: &mut dyn SelectionPolicy,
-    options: ScanOptions,
-    recorder: &mut R,
-    count_evictions: bool,
-) -> (ScanOutcome, Evictions) {
-    let n = request.node_count();
-    let budget = request.budget();
-    let mut alive: Vec<Candidate> = Vec::with_capacity(2 * n.max(4));
-    let mut order: Vec<usize> = Vec::with_capacity(2 * n.max(4));
-    let mut superseded: u64 = 0;
-    let mut expired: u64 = 0;
-    let mut stats = ScanStats::default();
-    let mut best: Option<(f64, Window)> = None;
-
-    let watch = Stopwatch::start_if(recorder.enabled());
-    let policy_name: Option<String> = recorder.enabled().then(|| policy.name().to_string());
-    if let Some(name) = &policy_name {
-        recorder.emit(TraceEvent::ScanStarted {
-            policy: name.clone(),
-            nodes_requested: n as u64,
-            slots_total: slots.len() as u64,
-        });
-    }
-
-    let mut stream = ScanStream::for_scan(platform, slots, request, options);
-    while let Some(slot) = stream.next() {
-        let window_start = slot.start();
-
-        if let Some(deadline) = request.deadline() {
-            // Later slots only start later; nothing can finish in time.
-            if window_start >= deadline {
-                break;
-            }
-        }
-        if options.prune_start_bounded {
-            if let Some((best_score, _)) = &best {
-                if *best_score <= window_start.ticks() as f64 {
-                    break;
-                }
-            }
-        }
-
-        // properHardwareAndSoftware: the node must satisfy the request.
-        let admitted = platform
-            .get(slot.node())
-            .is_some_and(|node| request.requirements().admits(node));
-        if !admitted {
-            stats.slots_rejected += 1;
-            continue;
-        }
-        let candidate = Candidate::new(*slot, request.volume());
-        if slot.length() < candidate.length {
-            stats.slots_rejected += 1;
-            continue; // Too short even when fully used.
-        }
-        // Same single retain pass as the reference scan; the eviction
-        // split feeds the metrics layer only.
-        let survives = |c: &Candidate| {
-            c.alive_at(window_start)
-                && request
-                    .deadline()
-                    .is_none_or(|d| window_start + c.length <= d)
-        };
-        alive.retain(|c| {
-            let keep = c.slot.node() != candidate.slot.node() && survives(c);
-            if !keep && count_evictions {
-                if c.slot.node() == candidate.slot.node() {
-                    superseded += 1;
-                } else {
-                    expired += 1;
-                }
-            }
-            keep
-        });
-        if survives(&candidate) {
-            alive.push(candidate);
-        }
-        stats.slots_admitted += 1;
-        stats.peak_extended_window = stats.peak_extended_window.max(alive.len());
-        if recorder.enabled() {
-            #[allow(clippy::cast_precision_loss)]
-            recorder.observe("aep.alive", alive.len() as f64);
-        }
-
-        if alive.len() < n || n == 0 {
-            continue;
-        }
-        // cheapest_n, inlined over the hoisted index buffer: the same
-        // stable (cost, index) sort, acceptance test and canonical pick
-        // order, with neither the per-step allocation nor the virtual
-        // `pick` dispatch.
-        order.clear();
-        order.extend(0..alive.len());
-        order.sort_by_key(|&i| (alive[i].cost, i));
-        let total: crate::money::Money = order[..n].iter().map(|&i| alive[i].cost).sum();
-        if total > budget {
-            continue;
-        }
-        let picked = &order[..n];
-        let window = crate::selectors::build_window(window_start, &alive, picked);
-        let score = policy.score(&window);
-        stats.windows_evaluated += 1;
-        if let Some(name) = &policy_name {
-            recorder.emit(TraceEvent::BestUpdated {
-                policy: name.clone(),
-                step: stats.slots_admitted as u64,
-                window_start: window_start.ticks(),
-                score,
-            });
-        }
-        best = Some((score, window));
-        break; // stop_at_first is part of the opt-in contract.
-    }
-
-    stream.settle(&mut stats);
-
-    if let Some(name) = policy_name {
-        recorder.emit(TraceEvent::ScanFinished {
-            policy: name,
-            slots_admitted: stats.slots_admitted as u64,
-            slots_rejected: stats.slots_rejected as u64,
-            windows_evaluated: stats.windows_evaluated as u64,
-            peak_alive: stats.peak_extended_window as u64,
-            subtrees_skipped: stats.subtrees_skipped as u64,
-            windows_jumped: stats.windows_jumped as u64,
-            found: best.is_some(),
-            best_score: best.as_ref().map_or(0.0, |(score, _)| *score),
-        });
-        if let Some(watch) = watch {
-            recorder.time_ns("aep.scan", watch.elapsed_ns());
-        }
-    }
-
-    (
-        ScanOutcome {
-            best: best.map(|(_, w)| w),
-            stats,
-        },
-        (superseded, expired),
-    )
-}
-
-/// The random-draw fast path for policies that opt in via
-/// [`SelectionPolicy::random_pick`] (the simplified MinProcTime scheme).
-///
-/// A random draw shuffles the *whole* alive set at every consulted step,
-/// so the pool's cost/length/expiry indexes — three `O(log m')` B-tree
-/// inserts plus a heap push per admission, and a fresh `alive_ids`
-/// allocation per query — buy nothing and cost plenty. This body keeps
-/// the plain alive vector in admission order (exactly the order the
-/// pool's ascending arena ids preserve, so the shuffles see the same
-/// sequence) and draws subsets over a hoisted index buffer. The RNG
-/// advances identically to [`random_feasible`]: `shuffle` draws depend
-/// only on the slice length, attempts accumulate over the same buffer,
-/// and the cheapest-subset fallback — a sort by the unique `(cost,
-/// index)` key, so the pre-sort shuffle order cannot affect it — draws
-/// nothing. Unlike [`first_fit_scan`] the loop keeps full best-tracking:
-/// `BestUpdated` fires on improvements only, and the scan never breaks
-/// early. Eviction counts feed the metrics layer alone.
-///
-/// [`random_feasible`]: crate::selectors::random_feasible
-#[inline]
-fn random_scan<R: Recorder + ?Sized>(
-    platform: &Platform,
-    slots: &SlotList,
-    request: &ResourceRequest,
-    policy: &mut dyn SelectionPolicy,
-    options: ScanOptions,
-    recorder: &mut R,
-    count_evictions: bool,
-) -> (ScanOutcome, Evictions) {
-    let n = request.node_count();
-    let budget = request.budget();
-    let mut alive: Vec<Candidate> = Vec::with_capacity(2 * n.max(4));
-    let mut order: Vec<usize> = Vec::with_capacity(2 * n.max(4));
-    let mut superseded: u64 = 0;
-    let mut expired: u64 = 0;
-    let mut stats = ScanStats::default();
-    let mut best: Option<(f64, Window)> = None;
-
-    let watch = Stopwatch::start_if(recorder.enabled());
-    let policy_name: Option<String> = recorder.enabled().then(|| policy.name().to_string());
-    if let Some(name) = &policy_name {
-        recorder.emit(TraceEvent::ScanStarted {
-            policy: name.clone(),
-            nodes_requested: n as u64,
-            slots_total: slots.len() as u64,
-        });
-    }
-
-    let mut stream = ScanStream::for_scan(platform, slots, request, options);
-    while let Some(slot) = stream.next() {
-        let window_start = slot.start();
-
-        if let Some(deadline) = request.deadline() {
-            // Later slots only start later; nothing can finish in time.
-            if window_start >= deadline {
-                break;
-            }
-        }
-        if options.prune_start_bounded {
-            if let Some((best_score, _)) = &best {
-                if *best_score <= window_start.ticks() as f64 {
-                    break;
-                }
-            }
-        }
-
-        // properHardwareAndSoftware: the node must satisfy the request.
-        let admitted = platform
-            .get(slot.node())
-            .is_some_and(|node| request.requirements().admits(node));
-        if !admitted {
-            stats.slots_rejected += 1;
-            continue;
-        }
-        let candidate = Candidate::new(*slot, request.volume());
-        if slot.length() < candidate.length {
-            stats.slots_rejected += 1;
-            continue; // Too short even when fully used.
-        }
-        // Same single retain pass as the reference scan; the eviction
-        // split feeds the metrics layer only.
-        let survives = |c: &Candidate| {
-            c.alive_at(window_start)
-                && request
-                    .deadline()
-                    .is_none_or(|d| window_start + c.length <= d)
-        };
-        alive.retain(|c| {
-            let keep = c.slot.node() != candidate.slot.node() && survives(c);
-            if !keep && count_evictions {
-                if c.slot.node() == candidate.slot.node() {
-                    superseded += 1;
-                } else {
-                    expired += 1;
-                }
-            }
-            keep
-        });
-        if survives(&candidate) {
-            alive.push(candidate);
-        }
-        stats.slots_admitted += 1;
-        stats.peak_extended_window = stats.peak_extended_window.max(alive.len());
-        if recorder.enabled() {
-            #[allow(clippy::cast_precision_loss)]
-            recorder.observe("aep.alive", alive.len() as f64);
-        }
-
-        if alive.len() < n || n == 0 {
-            continue;
-        }
-        // random_feasible, inlined over the hoisted index buffer: the
-        // same draw sequence (shuffle consumes draws dependent only on
-        // the buffer length), the same budget tests, and the identical
-        // stable (cost, index) fallback sort — whose unique keys erase
-        // any trace of the preceding shuffles.
-        let picked = {
-            let pick = policy
-                .random_pick()
-                .expect("random_scan requires the random_pick opt-in");
-            order.clear();
-            order.extend(0..alive.len());
-            let mut found = false;
-            for _ in 0..pick.attempts {
-                pick.rng.shuffle(&mut order);
-                let total: crate::money::Money = order[..n].iter().map(|&i| alive[i].cost).sum();
-                if total <= budget {
-                    found = true;
-                    break;
-                }
-            }
-            if !found {
-                order.sort_by_key(|&i| (alive[i].cost, i));
-                let total: crate::money::Money = order[..n].iter().map(|&i| alive[i].cost).sum();
-                if total > budget {
-                    continue;
-                }
-            }
-            &order[..n]
-        };
-        let window = crate::selectors::build_window(window_start, &alive, picked);
-        let score = policy.score(&window);
-        stats.windows_evaluated += 1;
-        let improved = best.as_ref().is_none_or(|(s, _)| score < *s);
-        if improved {
-            if let Some(name) = &policy_name {
-                recorder.emit(TraceEvent::BestUpdated {
-                    policy: name.clone(),
-                    step: stats.slots_admitted as u64,
-                    window_start: window_start.ticks(),
-                    score,
-                });
-            }
-            best = Some((score, window));
-        }
-    }
-
-    stream.settle(&mut stats);
-
-    if let Some(name) = policy_name {
-        recorder.emit(TraceEvent::ScanFinished {
-            policy: name,
-            slots_admitted: stats.slots_admitted as u64,
-            slots_rejected: stats.slots_rejected as u64,
-            windows_evaluated: stats.windows_evaluated as u64,
-            peak_alive: stats.peak_extended_window as u64,
-            subtrees_skipped: stats.subtrees_skipped as u64,
-            windows_jumped: stats.windows_jumped as u64,
-            found: best.is_some(),
-            best_score: best.as_ref().map_or(0.0, |(score, _)| *score),
-        });
-        if let Some(watch) = watch {
-            recorder.time_ns("aep.scan", watch.elapsed_ns());
-        }
-    }
-
-    (
-        ScanOutcome {
-            best: best.map(|(_, w)| w),
-            stats,
-        },
-        (superseded, expired),
+        alive.evictions(),
     )
 }
 
@@ -1054,8 +784,9 @@ mod tests {
             _window_start: TimePoint,
             alive: &[Candidate],
             request: &ResourceRequest,
-        ) -> Option<Vec<usize>> {
-            cheapest_n(alive, request.node_count(), request.budget())
+            picked: &mut Vec<usize>,
+        ) -> bool {
+            cheapest_n(alive, request.node_count(), request.budget(), picked)
         }
         fn score(&self, window: &Window) -> f64 {
             self.criterion.score(window)

@@ -4,7 +4,6 @@ use slotsel_obs::Obs;
 
 use crate::aep::{scan_observed, ScanOptions, SelectionPolicy};
 use crate::node::Platform;
-use crate::pool::CandidatePool;
 use crate::request::ResourceRequest;
 use crate::selectors::{cheapest_n, Candidate};
 use crate::slotlist::SlotList;
@@ -81,17 +80,9 @@ impl SelectionPolicy for AmpPolicy {
         _window_start: TimePoint,
         alive: &[Candidate],
         request: &ResourceRequest,
-    ) -> Option<Vec<usize>> {
-        cheapest_n(alive, request.node_count(), request.budget())
-    }
-
-    fn pick_pool(
-        &mut self,
-        _window_start: TimePoint,
-        pool: &CandidatePool,
-        request: &ResourceRequest,
-    ) -> Option<Vec<usize>> {
-        pool.cheapest_n(request.node_count(), request.budget())
+        picked: &mut Vec<usize>,
+    ) -> bool {
+        cheapest_n(alive, request.node_count(), request.budget(), picked)
     }
 
     fn score(&self, window: &Window) -> f64 {
@@ -99,13 +90,6 @@ impl SelectionPolicy for AmpPolicy {
     }
 
     fn stop_at_first(&self) -> bool {
-        true
-    }
-
-    /// AMP's `pick` is exactly `cheapest_n` feasibility, so the scan may
-    /// take its first-fit fast path: no pool maintenance, `O(1)` running
-    /// total feasibility per step.
-    fn first_fit_feasibility(&self) -> bool {
         true
     }
 }

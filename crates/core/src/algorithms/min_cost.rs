@@ -55,8 +55,13 @@ impl SelectionPolicy for MinCostPolicy {
         _window_start: TimePoint,
         alive: &[Candidate],
         request: &ResourceRequest,
-    ) -> Option<Vec<usize>> {
-        cheapest_n(alive, request.node_count(), request.budget())
+        picked: &mut Vec<usize>,
+    ) -> bool {
+        cheapest_n(alive, request.node_count(), request.budget(), picked)
+    }
+
+    fn uses_pool(&self) -> bool {
+        true
     }
 
     fn pick_pool(
@@ -64,8 +69,9 @@ impl SelectionPolicy for MinCostPolicy {
         _window_start: TimePoint,
         pool: &CandidatePool,
         request: &ResourceRequest,
-    ) -> Option<Vec<usize>> {
-        pool.cheapest_n(request.node_count(), request.budget())
+        picked: &mut Vec<usize>,
+    ) -> bool {
+        pool.cheapest_n(request.node_count(), request.budget(), picked)
     }
 
     fn score(&self, window: &Window) -> f64 {

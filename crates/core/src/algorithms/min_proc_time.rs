@@ -2,9 +2,8 @@
 
 use slotsel_obs::Obs;
 
-use crate::aep::{scan_observed, RandomPick, ScanOptions, SelectionPolicy};
+use crate::aep::{scan_observed, ScanOptions, SelectionPolicy};
 use crate::node::Platform;
-use crate::pool::CandidatePool;
 use crate::request::ResourceRequest;
 use crate::rng::SplitMix64;
 use crate::selectors::{random_feasible, Candidate};
@@ -105,44 +104,20 @@ impl SelectionPolicy for MinProcTimePolicy<'_> {
         _window_start: TimePoint,
         alive: &[Candidate],
         request: &ResourceRequest,
-    ) -> Option<Vec<usize>> {
+        picked: &mut Vec<usize>,
+    ) -> bool {
         random_feasible(
             alive,
             request.node_count(),
             request.budget(),
             self.rng,
             self.attempts,
-        )
-    }
-
-    fn pick_pool(
-        &mut self,
-        _window_start: TimePoint,
-        pool: &CandidatePool,
-        request: &ResourceRequest,
-    ) -> Option<Vec<usize>> {
-        // The infeasible-draw fallback inside reuses the pool's maintained
-        // cost order instead of re-deriving it with a per-step sort.
-        pool.random_feasible(
-            request.node_count(),
-            request.budget(),
-            self.rng,
-            self.attempts,
+            picked,
         )
     }
 
     fn score(&self, window: &Window) -> f64 {
         window.proc_time().ticks() as f64
-    }
-
-    // `pick` is exactly `random_feasible` and the scan never stops early,
-    // so the random-draw fast path applies; the scan advances the same
-    // generator the slice/pool pickers would.
-    fn random_pick(&mut self) -> Option<RandomPick<'_>> {
-        Some(RandomPick {
-            rng: &mut *self.rng,
-            attempts: self.attempts,
-        })
     }
 }
 

@@ -6,7 +6,7 @@ use crate::aep::{scan_observed, ScanOptions, SelectionPolicy};
 use crate::node::Platform;
 use crate::pool::CandidatePool;
 use crate::request::ResourceRequest;
-use crate::selectors::{min_runtime_exact, min_runtime_greedy, Candidate};
+use crate::selectors::Candidate;
 use crate::slotlist::SlotList;
 use crate::time::TimePoint;
 use crate::window::Window;
@@ -74,15 +74,13 @@ impl SelectionPolicy for MinRuntimePolicy {
         _window_start: TimePoint,
         alive: &[Candidate],
         request: &ResourceRequest,
-    ) -> Option<Vec<usize>> {
-        match self.selection {
-            RuntimeSelection::Greedy => {
-                min_runtime_greedy(alive, request.node_count(), request.budget())
-            }
-            RuntimeSelection::Exact => {
-                min_runtime_exact(alive, request.node_count(), request.budget())
-            }
-        }
+        picked: &mut Vec<usize>,
+    ) -> bool {
+        self.selection.pick(alive, request, picked)
+    }
+
+    fn uses_pool(&self) -> bool {
+        true
     }
 
     fn pick_pool(
@@ -90,15 +88,9 @@ impl SelectionPolicy for MinRuntimePolicy {
         _window_start: TimePoint,
         pool: &CandidatePool,
         request: &ResourceRequest,
-    ) -> Option<Vec<usize>> {
-        match self.selection {
-            RuntimeSelection::Greedy => {
-                pool.min_runtime_greedy(request.node_count(), request.budget())
-            }
-            RuntimeSelection::Exact => {
-                pool.min_runtime_exact(request.node_count(), request.budget())
-            }
-        }
+        picked: &mut Vec<usize>,
+    ) -> bool {
+        self.selection.pick_pool(pool, request, picked)
     }
 
     fn score(&self, window: &Window) -> f64 {

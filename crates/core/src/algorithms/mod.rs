@@ -60,7 +60,9 @@ pub use min_runtime::MinRunTime;
 use slotsel_obs::Obs;
 
 use crate::node::Platform;
+use crate::pool::CandidatePool;
 use crate::request::ResourceRequest;
+use crate::selectors::{min_runtime_exact, min_runtime_greedy, Candidate};
 use crate::slotlist::SlotList;
 use crate::window::Window;
 
@@ -112,8 +114,35 @@ pub enum RuntimeSelection {
     #[default]
     Greedy,
     /// The exact length-threshold scan
-    /// ([`min_runtime_exact`](crate::selectors::min_runtime_exact)).
+    /// ([`min_runtime_exact`]).
     Exact,
+}
+
+impl RuntimeSelection {
+    /// The slice-side minimum-runtime pick, written to `picked`.
+    fn pick(self, alive: &[Candidate], request: &ResourceRequest, picked: &mut Vec<usize>) -> bool {
+        let (n, budget) = (request.node_count(), request.budget());
+        let found = match self {
+            RuntimeSelection::Greedy => min_runtime_greedy(alive, n, budget),
+            RuntimeSelection::Exact => min_runtime_exact(alive, n, budget),
+        };
+        // The selector allocates its own vector: move it in, don't copy.
+        found.map(|ids| *picked = ids).is_some()
+    }
+
+    /// The same pick answered from the pool's maintained orders.
+    fn pick_pool(
+        self,
+        pool: &CandidatePool,
+        request: &ResourceRequest,
+        picked: &mut Vec<usize>,
+    ) -> bool {
+        let (n, budget) = (request.node_count(), request.budget());
+        match self {
+            RuntimeSelection::Greedy => pool.min_runtime_greedy(n, budget, picked),
+            RuntimeSelection::Exact => pool.min_runtime_exact(n, budget, picked),
+        }
+    }
 }
 
 #[cfg(test)]

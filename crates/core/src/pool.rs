@@ -53,7 +53,8 @@
 //!     pool.admit(Candidate::new(slot, Volume::new(60)), None);
 //! }
 //! pool.advance(TimePoint::new(0));
-//! let picked = pool.cheapest_n(2, Money::MAX).unwrap();
+//! let mut picked = Vec::new();
+//! assert!(pool.cheapest_n(2, Money::MAX, &mut picked));
 //! assert_eq!(picked.len(), 2);
 //! ```
 
@@ -80,14 +81,15 @@ struct Entry {
 ///
 /// See the [module documentation](self) for the design; the
 /// [`cheapest_n`](CandidatePool::cheapest_n),
-/// [`min_runtime_greedy`](CandidatePool::min_runtime_greedy),
-/// [`min_runtime_exact`](CandidatePool::min_runtime_exact) and
-/// [`random_feasible`](CandidatePool::random_feasible) queries mirror the
-/// slice-based selectors of [`crate::selectors`] pick-for-pick.
+/// [`min_runtime_greedy`](CandidatePool::min_runtime_greedy) and
+/// [`min_runtime_exact`](CandidatePool::min_runtime_exact) queries mirror
+/// the slice-based selectors of [`crate::selectors`] pick-for-pick.
 ///
-/// Returned indices are **arena ids**: stable handles assigned in admission
-/// order, resolvable through [`candidate`](CandidatePool::candidate) and
-/// materialisable with [`build_window`](CandidatePool::build_window).
+/// Queries write **arena ids** into a caller-owned buffer and return
+/// whether they found a budget-feasible subset. Arena ids are stable
+/// handles assigned in admission order, resolvable through
+/// [`candidate`](CandidatePool::candidate) and materialisable with
+/// [`build_window`](CandidatePool::build_window).
 #[derive(Debug, Clone, Default)]
 pub struct CandidatePool {
     arena: Vec<Entry>,
@@ -144,19 +146,24 @@ impl CandidatePool {
     }
 
     /// Admits a candidate, superseding any alive candidate on the same node
-    /// (a node hosts at most one task), and returns its arena id.
+    /// (a node hosts at most one task).
     ///
     /// The candidate's expiry is `min(slot.end, deadline) - length`: the
     /// last window start at which it can still host the task. A candidate
-    /// already expired at admission time is evicted by the next
-    /// [`advance`](CandidatePool::advance).
-    pub fn admit(&mut self, candidate: Candidate, deadline: Option<TimePoint>) -> usize {
+    /// whose expiry lies before its own slot's start is dead on arrival:
+    /// it still supersedes its node's old candidate, but it never enters
+    /// the pool, so no later [`advance`](CandidatePool::advance) counts it
+    /// as an eviction.
+    pub fn admit(&mut self, candidate: Candidate, deadline: Option<TimePoint>) {
         if let Some(&old) = self.by_node.get(&candidate.slot.node()) {
             self.evict(old);
             self.superseded += 1;
         }
         let horizon = deadline.map_or(candidate.slot.end(), |d| candidate.slot.end().min(d));
         let expiry = horizon.ticks() - candidate.length.ticks();
+        if expiry < candidate.slot.start().ticks() {
+            return;
+        }
         let id = self.arena.len();
         self.arena.push(Entry {
             candidate,
@@ -167,7 +174,6 @@ impl CandidatePool {
         self.by_length.insert((candidate.length, id));
         self.expiry_heap.push(Reverse((expiry, id)));
         self.by_node.insert(candidate.slot.node(), id);
-        id
     }
 
     /// Moves the scan to `window_start`, evicting every candidate that can
@@ -237,44 +243,36 @@ impl CandidatePool {
         Window::new(window_start, slots)
     }
 
-    /// Picks the `n` cheapest alive candidates if their total cost fits the
-    /// budget — [`selectors::cheapest_n`](crate::selectors::cheapest_n)
-    /// answered from the maintained cost order: `O(n)` instead of
-    /// `O(m' log m')`.
-    #[must_use]
-    pub fn cheapest_n(&self, n: usize, budget: Money) -> Option<Vec<usize>> {
+    /// Picks the `n` cheapest alive candidates into `picked` if their total
+    /// cost fits the budget —
+    /// [`selectors::cheapest_n`](crate::selectors::cheapest_n) answered
+    /// from the maintained cost order: `O(n)` instead of `O(m' log m')`.
+    pub fn cheapest_n(&self, n: usize, budget: Money, picked: &mut Vec<usize>) -> bool {
         if n == 0 || self.len() < n {
-            return None;
+            return false;
         }
-        let mut cost = Money::ZERO;
-        let picked: Vec<usize> = self
-            .by_cost
-            .iter()
-            .take(n)
-            .map(|&(c, id)| {
-                cost += c;
-                id
-            })
-            .collect();
-        (cost <= budget).then_some(picked)
+        picked.clear();
+        picked.extend(self.by_cost.iter().take(n).map(|&(_, id)| id));
+        self.total_cost(picked) <= budget
     }
 
-    /// The §2.2 greedy substitution for the minimum-runtime subset —
+    /// The §2.2 greedy substitution for the minimum-runtime subset, written
+    /// into `picked` —
     /// [`selectors::min_runtime_greedy`](crate::selectors::min_runtime_greedy)
     /// walking the maintained cost order instead of sorting per step.
-    #[must_use]
-    pub fn min_runtime_greedy(&self, n: usize, budget: Money) -> Option<Vec<usize>> {
+    pub fn min_runtime_greedy(&self, n: usize, budget: Money, picked: &mut Vec<usize>) -> bool {
         if n == 0 || self.len() < n {
-            return None;
+            return false;
         }
         let mut by_cost = self.by_cost.iter();
-        let mut result: Vec<usize> = by_cost.by_ref().take(n).map(|&(_, id)| id).collect();
-        let mut cost = self.total_cost(&result);
+        picked.clear();
+        picked.extend(by_cost.by_ref().take(n).map(|&(_, id)| id));
+        let mut cost = self.total_cost(picked);
         if cost > budget {
-            return None;
+            return false;
         }
         for &(short_cost, short) in by_cost {
-            let (long_pos, &long) = result
+            let (long_pos, &long) = picked
                 .iter()
                 .enumerate()
                 .max_by_key(|&(_, &id)| (self.arena[id].candidate.length, id))
@@ -283,20 +281,20 @@ impl CandidatePool {
             if self.arena[short].candidate.length < self.arena[long].candidate.length
                 && swapped_cost <= budget
             {
-                result[long_pos] = short;
+                picked[long_pos] = short;
                 cost = swapped_cost;
             }
         }
-        Some(result)
+        true
     }
 
-    /// Exact minimum-runtime subset via a length-threshold scan —
+    /// Exact minimum-runtime subset via a length-threshold scan, written
+    /// into `picked` —
     /// [`selectors::min_runtime_exact`](crate::selectors::min_runtime_exact)
     /// walking the maintained length order instead of sorting per step.
-    #[must_use]
-    pub fn min_runtime_exact(&self, n: usize, budget: Money) -> Option<Vec<usize>> {
+    pub fn min_runtime_exact(&self, n: usize, budget: Money, picked: &mut Vec<usize>) -> bool {
         if n == 0 || self.len() < n {
-            return None;
+            return false;
         }
         // Max-heap of (cost, id) keeping the n cheapest of the length prefix.
         let mut heap: BinaryHeap<(Money, usize)> = BinaryHeap::new();
@@ -320,43 +318,12 @@ impl CandidatePool {
                 }
             }
             if heap.len() == n && heap_cost <= budget {
-                return Some(heap.into_iter().map(|(_, id)| id).collect());
+                picked.clear();
+                picked.extend(heap.into_iter().map(|(_, id)| id));
+                return true;
             }
         }
-        None
-    }
-
-    /// Picks a random budget-feasible `n`-subset — the simplified
-    /// MinProcTime scheme's "random window",
-    /// [`selectors::random_feasible`](crate::selectors::random_feasible)
-    /// over the pool.
-    ///
-    /// The random draws shuffle the alive set in admission order, consuming
-    /// the generator exactly like the slice-based picker; the fallback
-    /// reuses the pool's maintained cost order through
-    /// [`cheapest_n`](CandidatePool::cheapest_n) instead of re-deriving it
-    /// with a sort, and therefore shares its budget semantics exactly:
-    /// `random_feasible` succeeds if and only if `cheapest_n` does.
-    #[must_use]
-    pub fn random_feasible(
-        &self,
-        n: usize,
-        budget: Money,
-        rng: &mut crate::rng::SplitMix64,
-        attempts: usize,
-    ) -> Option<Vec<usize>> {
-        if n == 0 || self.len() < n {
-            return None;
-        }
-        let mut ids = self.alive_ids();
-        for _ in 0..attempts {
-            rng.shuffle(&mut ids);
-            let picked = &ids[..n];
-            if self.total_cost(picked) <= budget {
-                return Some(picked.to_vec());
-            }
-        }
-        self.cheapest_n(n, budget)
+        false
     }
 }
 
@@ -364,7 +331,6 @@ impl CandidatePool {
 mod tests {
     use super::*;
     use crate::node::Performance;
-    use crate::rng::SplitMix64;
     use crate::selectors;
     use crate::slot::{Slot, SlotId};
     use crate::time::Interval;
@@ -394,6 +360,12 @@ mod tests {
         pool
     }
 
+    /// Runs a buffer-writing query, returning its pick when it succeeds.
+    fn query(run: impl FnOnce(&mut Vec<usize>) -> bool) -> Option<Vec<usize>> {
+        let mut picked = Vec::new();
+        run(&mut picked).then_some(picked)
+    }
+
     fn lengths(pool: &CandidatePool, picked: &[usize]) -> Vec<i64> {
         let mut v: Vec<i64> = picked
             .iter()
@@ -406,24 +378,24 @@ mod tests {
     #[test]
     fn cheapest_n_matches_slice_picker() {
         let pool = pool_of(&[(10, 5), (10, 1), (10, 3), (10, 2)]);
-        let picked = pool.cheapest_n(2, Money::from_units(100)).unwrap();
+        let picked = query(|p| pool.cheapest_n(2, Money::from_units(100), p)).unwrap();
         assert_eq!(pool.total_cost(&picked), Money::from_units(3));
-        assert!(pool.cheapest_n(4, Money::from_units(10)).is_none());
-        assert!(pool.cheapest_n(0, Money::MAX).is_none());
-        assert!(pool.cheapest_n(5, Money::MAX).is_none());
+        assert!(!pool.cheapest_n(4, Money::from_units(10), &mut Vec::new()));
+        assert!(!pool.cheapest_n(0, Money::MAX, &mut Vec::new()));
+        assert!(!pool.cheapest_n(5, Money::MAX, &mut Vec::new()));
     }
 
     #[test]
     fn greedy_swaps_toward_shorter() {
         let pool = pool_of(&[(100, 1), (90, 2), (10, 5), (20, 50)]);
-        let picked = pool.min_runtime_greedy(2, Money::from_units(10)).unwrap();
+        let picked = query(|p| pool.min_runtime_greedy(2, Money::from_units(10), p)).unwrap();
         assert_eq!(lengths(&pool, &picked), vec![10, 90]);
     }
 
     #[test]
     fn exact_finds_threshold() {
         let pool = pool_of(&[(100, 1), (50, 2), (30, 3), (10, 100)]);
-        let picked = pool.min_runtime_exact(2, Money::from_units(5)).unwrap();
+        let picked = query(|p| pool.min_runtime_exact(2, Money::from_units(5), p)).unwrap();
         assert_eq!(lengths(&pool, &picked), vec![30, 50]);
     }
 
@@ -448,7 +420,7 @@ mod tests {
         );
         pool.advance(TimePoint::new(5));
         assert_eq!(pool.len(), 2);
-        let picked = pool.cheapest_n(2, Money::MAX).unwrap();
+        let picked = query(|p| pool.cheapest_n(2, Money::MAX, p)).unwrap();
         let ids: Vec<u64> = picked
             .iter()
             .map(|&id| pool.candidate(id).slot.id().0)
@@ -510,17 +482,27 @@ mod tests {
     }
 
     #[test]
-    fn random_feasible_matches_cheapest_budget_semantics() {
-        let pool = pool_of(&[(10, 1), (20, 1), (30, 100), (40, 100)]);
-        let mut rng = SplitMix64::new(1);
-        let picked = pool
-            .random_feasible(2, Money::from_units(2), &mut rng, 3)
-            .unwrap();
-        assert_eq!(pool.total_cost(&picked), Money::from_units(2));
-        let mut rng = SplitMix64::new(1);
-        assert!(pool
-            .random_feasible(2, Money::from_units(1), &mut rng, 3)
-            .is_none());
+    fn dead_on_arrival_candidate_supersedes_but_never_enters() {
+        let mut pool = pool_of(&[(10, 1)]);
+        // Node 0's new slot cannot finish by the deadline from its start.
+        let slot = Slot::new(
+            SlotId(9),
+            NodeId(0),
+            Interval::new(TimePoint::new(80), TimePoint::new(1_000)),
+            Performance::new(1),
+            Money::ZERO,
+        );
+        pool.admit(
+            Candidate {
+                slot,
+                length: TimeDelta::new(50),
+                cost: Money::from_units(1),
+            },
+            Some(TimePoint::new(100)),
+        );
+        pool.advance(TimePoint::new(80));
+        assert!(pool.is_empty());
+        assert_eq!(pool.evictions(), (1, 0), "superseded, not expired");
     }
 
     #[test]
@@ -549,29 +531,22 @@ mod tests {
                     })
                 };
                 assert_eq!(
-                    to_slots(pool.cheapest_n(n, budget), true),
-                    to_slots(selectors::cheapest_n(&slice, n, budget), false),
+                    to_slots(query(|p| pool.cheapest_n(n, budget, p)), true),
+                    to_slots(
+                        query(|p| selectors::cheapest_n(&slice, n, budget, p)),
+                        false
+                    ),
                     "cheapest_n n={n} budget={budget:?}"
                 );
                 assert_eq!(
-                    to_slots(pool.min_runtime_greedy(n, budget), true),
+                    to_slots(query(|p| pool.min_runtime_greedy(n, budget, p)), true),
                     to_slots(selectors::min_runtime_greedy(&slice, n, budget), false),
                     "greedy n={n} budget={budget:?}"
                 );
                 assert_eq!(
-                    to_slots(pool.min_runtime_exact(n, budget), true),
+                    to_slots(query(|p| pool.min_runtime_exact(n, budget, p)), true),
                     to_slots(selectors::min_runtime_exact(&slice, n, budget), false),
                     "exact n={n} budget={budget:?}"
-                );
-                let mut rng_pool = SplitMix64::new(42);
-                let mut rng_slice = SplitMix64::new(42);
-                assert_eq!(
-                    to_slots(pool.random_feasible(n, budget, &mut rng_pool, 4), true),
-                    to_slots(
-                        selectors::random_feasible(&slice, n, budget, &mut rng_slice, 4),
-                        false
-                    ),
-                    "random n={n} budget={budget:?}"
                 );
             }
         }

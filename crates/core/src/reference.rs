@@ -3,8 +3,8 @@
 //!
 //! [`crate::aep::scan_observed`] now runs the extended window through the
 //! incremental [`CandidatePool`](crate::pool::CandidatePool), which keeps
-//! the candidates sorted across steps. This module preserves the previous
-//! formulation — an insertion-ordered `Vec<Candidate>` pruned with `retain`
+//! the candidates sorted across steps, for the policies whose picks walk
+//! those orders. This module preserves the previous formulation — an insertion-ordered `Vec<Candidate>` pruned with `retain`
 //! and re-sorted inside every [`SelectionPolicy::pick`] call — with
 //! byte-identical behaviour: same windows, same [`ScanStats`], same trace
 //! events.
@@ -190,7 +190,8 @@ fn reference_body<R: Recorder + ?Sized>(
         if alive.len() < n {
             continue;
         }
-        if let Some(picked) = policy.pick(window_start, &alive, request) {
+        let mut picked = Vec::new();
+        if policy.pick(window_start, &alive, request, &mut picked) {
             debug_assert_eq!(picked.len(), n, "policy must pick exactly n slots");
             let window = build_window(window_start, &alive, &picked);
             let score = policy.score(&window);

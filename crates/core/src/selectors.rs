@@ -81,20 +81,28 @@ pub fn total_cost(candidates: &[Candidate], picked: &[usize]) -> Money {
     picked.iter().map(|&i| candidates[i].cost).sum()
 }
 
-/// Picks the `n` cheapest candidates if their total cost fits the budget.
+/// Picks the `n` cheapest candidates into `picked` if their total cost fits
+/// the budget, returning whether it does.
 ///
 /// This is the exact optimum of the minimum-total-cost selection problem:
 /// no other `n`-subset can cost less than the `n` cheapest elements.
 /// Ties are broken by candidate order, keeping results deterministic.
-#[must_use]
-pub fn cheapest_n(candidates: &[Candidate], n: usize, budget: Money) -> Option<Vec<usize>> {
+/// `picked` is overwritten and doubles as the sort buffer, so a caller
+/// that reuses it across calls allocates nothing once it has grown.
+pub fn cheapest_n(
+    candidates: &[Candidate],
+    n: usize,
+    budget: Money,
+    picked: &mut Vec<usize>,
+) -> bool {
     if n == 0 || candidates.len() < n {
-        return None;
+        return false;
     }
-    let mut order: Vec<usize> = (0..candidates.len()).collect();
-    order.sort_by_key(|&i| (candidates[i].cost, i));
-    order.truncate(n);
-    (total_cost(candidates, &order) <= budget).then_some(order)
+    picked.clear();
+    picked.extend(0..candidates.len());
+    picked.sort_by_key(|&i| (candidates[i].cost, i));
+    picked.truncate(n);
+    total_cost(candidates, picked) <= budget
 }
 
 /// The paper's §2.2 greedy substitution for the minimum-runtime subset.
@@ -303,33 +311,36 @@ pub fn max_additive_greedy(
     Some(result)
 }
 
-/// Picks a random budget-feasible `n`-subset — the simplified MinProcTime
-/// scheme's "random window".
+/// Picks a random budget-feasible `n`-subset into `picked` — the
+/// simplified MinProcTime scheme's "random window" — returning whether one
+/// was found.
 ///
 /// Tries up to `attempts` uniformly random subsets; if none fits the budget,
 /// falls back to [`cheapest_n`] (feasible whenever any subset is). This
 /// keeps the picker total while preserving the "no optimisation at the
-/// step" character the paper describes.
-#[must_use]
+/// step" character the paper describes. `picked` is overwritten and holds
+/// the shuffled draws, as with [`cheapest_n`].
 pub fn random_feasible(
     candidates: &[Candidate],
     n: usize,
     budget: Money,
     rng: &mut crate::rng::SplitMix64,
     attempts: usize,
-) -> Option<Vec<usize>> {
+    picked: &mut Vec<usize>,
+) -> bool {
     if n == 0 || candidates.len() < n {
-        return None;
+        return false;
     }
-    let mut indices: Vec<usize> = (0..candidates.len()).collect();
+    picked.clear();
+    picked.extend(0..candidates.len());
     for _ in 0..attempts {
-        rng.shuffle(&mut indices);
-        let picked = &indices[..n];
-        if total_cost(candidates, picked) <= budget {
-            return Some(picked.to_vec());
+        rng.shuffle(picked);
+        if total_cost(candidates, &picked[..n]) <= budget {
+            picked.truncate(n);
+            return true;
         }
     }
-    cheapest_n(candidates, n, budget)
+    cheapest_n(candidates, n, budget, picked)
 }
 
 #[cfg(test)]
@@ -387,22 +398,23 @@ mod tests {
     #[test]
     fn cheapest_n_picks_minimum_cost() {
         let c = cands(&[(10, 5), (10, 1), (10, 3), (10, 2)]);
-        let picked = cheapest_n(&c, 2, Money::from_units(100)).unwrap();
+        let mut picked = Vec::new();
+        assert!(cheapest_n(&c, 2, Money::from_units(100), &mut picked));
         assert_eq!(total_cost(&c, &picked), Money::from_units(3));
     }
 
     #[test]
     fn cheapest_n_respects_budget() {
         let c = cands(&[(10, 5), (10, 6)]);
-        assert!(cheapest_n(&c, 2, Money::from_units(10)).is_none());
-        assert!(cheapest_n(&c, 2, Money::from_units(11)).is_some());
+        assert!(!cheapest_n(&c, 2, Money::from_units(10), &mut Vec::new()));
+        assert!(cheapest_n(&c, 2, Money::from_units(11), &mut Vec::new()));
     }
 
     #[test]
     fn cheapest_n_too_few_candidates() {
         let c = cands(&[(10, 1)]);
-        assert!(cheapest_n(&c, 2, Money::MAX).is_none());
-        assert!(cheapest_n(&c, 0, Money::MAX).is_none());
+        assert!(!cheapest_n(&c, 2, Money::MAX, &mut Vec::new()));
+        assert!(!cheapest_n(&c, 0, Money::MAX, &mut Vec::new()));
     }
 
     #[test]
@@ -479,8 +491,16 @@ mod tests {
     fn random_feasible_is_feasible() {
         let mut rng = SplitMix64::new(42);
         let c = cands(&[(10, 5), (20, 6), (30, 7), (40, 8), (50, 9)]);
+        let mut picked = Vec::new();
         for _ in 0..50 {
-            let picked = random_feasible(&c, 3, Money::from_units(100), &mut rng, 10).unwrap();
+            assert!(random_feasible(
+                &c,
+                3,
+                Money::from_units(100),
+                &mut rng,
+                10,
+                &mut picked
+            ));
             assert_eq!(picked.len(), 3);
             assert!(total_cost(&c, &picked) <= Money::from_units(100));
             let mut unique = picked.clone();
@@ -495,7 +515,15 @@ mod tests {
         let mut rng = SplitMix64::new(1);
         // Only the 2 cheapest fit the budget; random 2-subsets mostly fail.
         let c = cands(&[(10, 1), (20, 1), (30, 100), (40, 100)]);
-        let picked = random_feasible(&c, 2, Money::from_units(2), &mut rng, 3).unwrap();
+        let mut picked = Vec::new();
+        assert!(random_feasible(
+            &c,
+            2,
+            Money::from_units(2),
+            &mut rng,
+            3,
+            &mut picked
+        ));
         assert_eq!(total_cost(&c, &picked), Money::from_units(2));
     }
 
@@ -503,7 +531,14 @@ mod tests {
     fn random_feasible_infeasible_returns_none() {
         let mut rng = SplitMix64::new(1);
         let c = cands(&[(10, 10), (20, 10)]);
-        assert!(random_feasible(&c, 2, Money::from_units(19), &mut rng, 5).is_none());
+        assert!(!random_feasible(
+            &c,
+            2,
+            Money::from_units(19),
+            &mut rng,
+            5,
+            &mut Vec::new()
+        ));
     }
 
     #[test]

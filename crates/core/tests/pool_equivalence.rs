@@ -1,7 +1,9 @@
-//! The incremental-pool scan must be indistinguishable from the reference
-//! sort-per-step scan: pick-for-pick identical windows, identical stats and
-//! byte-identical trace events, for every policy, over randomized
-//! environments.
+//! The AEP scan must be indistinguishable from the reference sort-per-step
+//! scan: pick-for-pick identical windows, identical stats, byte-identical
+//! trace events and identical extended-window eviction counters, for every
+//! policy and on either form of the extended window (the incremental pool
+//! for MinCost, MinRunTime and MinFinish, the admission-ordered vector for
+//! AMP and MinProcTime), over randomized environments.
 
 use proptest::prelude::*;
 
@@ -14,12 +16,11 @@ use slotsel_core::node::{NodeId, NodeSpec, Performance, Platform, Volume};
 use slotsel_core::pool::CandidatePool;
 use slotsel_core::reference::reference_scan_observed;
 use slotsel_core::request::{NodeRequirements, ResourceRequest};
-use slotsel_core::rng::SplitMix64;
 use slotsel_core::selectors::{self, Candidate};
 use slotsel_core::slot::{Slot, SlotId};
 use slotsel_core::slotlist::SlotList;
 use slotsel_core::time::{Interval, TimeDelta, TimePoint};
-use slotsel_obs::{MemoryRecorder, Obs};
+use slotsel_obs::{MemoryRecorder, MetricsRegistry, Obs};
 
 /// A randomized scan environment: platform, slot list and request.
 #[derive(Debug, Clone)]
@@ -97,8 +98,16 @@ fn arb_env() -> impl Strategy<Value = Env> {
         })
 }
 
+/// Runs a buffer-writing pool or selector query, returning its pick when
+/// it succeeds.
+fn query(run: impl FnOnce(&mut Vec<usize>) -> bool) -> Option<Vec<usize>> {
+    let mut picked = Vec::new();
+    run(&mut picked).then_some(picked)
+}
+
 /// Runs the pool scan and the reference scan with the given policies and
-/// asserts identical outcomes, identical stats and byte-identical traces.
+/// asserts identical outcomes, identical stats, byte-identical traces and
+/// identical extended-window eviction counters.
 fn assert_scans_agree(
     env: &Env,
     options: ScanOptions,
@@ -106,22 +115,28 @@ fn assert_scans_agree(
     reference_policy: &mut dyn SelectionPolicy,
 ) -> Result<(), TestCaseError> {
     let mut pool_rec = MemoryRecorder::new();
+    let pool_metrics = MetricsRegistry::new();
     let pool: ScanOutcome = scan_observed(
         &env.platform,
         &env.slots,
         &env.request,
         pool_policy,
         options,
-        &mut Obs::dark().with_recorder(&mut pool_rec),
+        &mut Obs::dark()
+            .with_recorder(&mut pool_rec)
+            .with_metrics(&pool_metrics),
     );
     let mut ref_rec = MemoryRecorder::new();
+    let ref_metrics = MetricsRegistry::new();
     let reference: ScanOutcome = reference_scan_observed(
         &env.platform,
         &env.slots,
         &env.request,
         reference_policy,
         options,
-        &mut Obs::dark().with_recorder(&mut ref_rec),
+        &mut Obs::dark()
+            .with_recorder(&mut ref_rec)
+            .with_metrics(&ref_metrics),
     );
 
     prop_assert_eq!(&pool.best, &reference.best, "windows must be identical");
@@ -139,6 +154,19 @@ fn assert_scans_agree(
         jsonl(&ref_rec),
         "traces must be byte-identical"
     );
+
+    let labels = [("policy", pool_policy.name())];
+    for counter in [
+        "slotsel_pool_evicted_superseded_total",
+        "slotsel_pool_evicted_expired_total",
+    ] {
+        prop_assert_eq!(
+            pool_metrics.counter_value(counter, &labels),
+            ref_metrics.counter_value(counter, &labels),
+            "{} must be identical",
+            counter
+        );
+    }
     Ok(())
 }
 
@@ -199,53 +227,11 @@ proptest! {
         )?;
     }
 
-    // Regression: the pool's `random_feasible` must share `cheapest_n`'s
-    // budget semantics exactly — it succeeds if and only if the cheapest
-    // `n`-subset fits the budget, regardless of the draws.
-    #[test]
-    fn random_feasible_feasibility_matches_cheapest_n(
-        specs in prop::collection::vec((1i64..500, 0i64..5_000), 1..12),
-        n in 1usize..5,
-        budget_millis in 0i64..20_000,
-        seed in any::<u64>(),
-        attempts in 1usize..6,
-    ) {
-        let mut pool = CandidatePool::new();
-        for (i, &(len, cost)) in specs.iter().enumerate() {
-            let slot = Slot::new(
-                SlotId(i as u64),
-                NodeId(i as u32),
-                Interval::new(TimePoint::new(0), TimePoint::new(10_000)),
-                Performance::new(1),
-                Money::ZERO,
-            );
-            pool.admit(
-                Candidate {
-                    slot,
-                    length: TimeDelta::new(len),
-                    cost: Money::from_millis(cost),
-                },
-                None,
-            );
-        }
-        pool.advance(TimePoint::ZERO);
-        let budget = Money::from_millis(budget_millis);
-        let mut rng = SplitMix64::new(seed);
-        let random = pool.random_feasible(n, budget, &mut rng, attempts);
-        let cheapest = pool.cheapest_n(n, budget);
-        prop_assert_eq!(random.is_some(), cheapest.is_some());
-        if let Some(picked) = random {
-            prop_assert_eq!(picked.len(), n);
-            prop_assert!(pool.total_cost(&picked) <= budget);
-        }
-    }
-
     // The pool queries and the slice selectors pick the same slots for the
     // same alive set, across the full (n, budget) grid.
     #[test]
     fn pool_queries_match_slice_selectors(
         specs in prop::collection::vec((1i64..300, 0i64..8_000), 1..10),
-        seed in any::<u64>(),
     ) {
         let mut pool = CandidatePool::new();
         for (i, &(len, cost)) in specs.iter().enumerate() {
@@ -281,23 +267,17 @@ proptest! {
             for budget_millis in [0, 500, 4_000, 40_000, i64::MAX / 1_000] {
                 let budget = Money::from_millis(budget_millis);
                 prop_assert_eq!(
-                    pool.cheapest_n(n, budget).map(|p| to_slots(p, true)),
-                    selectors::cheapest_n(&slice, n, budget).map(|p| to_slots(p, false))
+                    query(|p| pool.cheapest_n(n, budget, p)).map(|p| to_slots(p, true)),
+                    query(|p| selectors::cheapest_n(&slice, n, budget, p))
+                        .map(|p| to_slots(p, false))
                 );
                 prop_assert_eq!(
-                    pool.min_runtime_greedy(n, budget).map(|p| to_slots(p, true)),
+                    query(|p| pool.min_runtime_greedy(n, budget, p)).map(|p| to_slots(p, true)),
                     selectors::min_runtime_greedy(&slice, n, budget).map(|p| to_slots(p, false))
                 );
                 prop_assert_eq!(
-                    pool.min_runtime_exact(n, budget).map(|p| to_slots(p, true)),
+                    query(|p| pool.min_runtime_exact(n, budget, p)).map(|p| to_slots(p, true)),
                     selectors::min_runtime_exact(&slice, n, budget).map(|p| to_slots(p, false))
-                );
-                let mut rng_pool = SplitMix64::new(seed);
-                let mut rng_slice = SplitMix64::new(seed);
-                prop_assert_eq!(
-                    pool.random_feasible(n, budget, &mut rng_pool, 4).map(|p| to_slots(p, true)),
-                    selectors::random_feasible(&slice, n, budget, &mut rng_slice, 4)
-                        .map(|p| to_slots(p, false))
                 );
             }
         }

@@ -40,6 +40,12 @@ fn arb_slots(max: usize) -> impl Strategy<Value = Vec<Slot>> {
     })
 }
 
+/// [`cheapest_n`]'s pick, when it fits the budget.
+fn cheapest(cands: &[Candidate], n: usize, budget: Money) -> Option<Vec<usize>> {
+    let mut picked = Vec::new();
+    cheapest_n(cands, n, budget, &mut picked).then_some(picked)
+}
+
 fn arb_candidates(max: usize) -> impl Strategy<Value = Vec<Candidate>> {
     (arb_slots(max), 1u64..2_000).prop_map(|(slots, volume)| {
         slots
@@ -178,7 +184,7 @@ proptest! {
     fn cheapest_n_is_optimal_cost(cands in arb_candidates(12), n in 1usize..5) {
         prop_assume!(cands.len() >= n);
         let budget = Money::MAX;
-        let picked = cheapest_n(&cands, n, budget).expect("unbounded budget");
+        let picked = cheapest(&cands, n, budget).expect("unbounded budget");
         let best = total_cost(&cands, &picked);
         // Compare against every n-subset by brute force.
         let indices: Vec<usize> = (0..cands.len()).collect();
@@ -259,7 +265,8 @@ proptest! {
         prop_assume!(cands.len() >= n);
         let budget = Money::from_units(500);
         let mut rng = SplitMix64::new(seed);
-        if let Some(picked) = random_feasible(&cands, n, budget, &mut rng, 4) {
+        let mut picked = Vec::new();
+        if random_feasible(&cands, n, budget, &mut rng, 4, &mut picked) {
             prop_assert_eq!(picked.len(), n);
             prop_assert!(total_cost(&cands, &picked) <= budget);
             let mut unique = picked.clone();
@@ -268,7 +275,7 @@ proptest! {
             prop_assert_eq!(unique.len(), n);
         } else {
             // No feasible subset may exist at all.
-            prop_assert!(cheapest_n(&cands, n, budget).is_none());
+            prop_assert!(cheapest(&cands, n, budget).is_none());
         }
     }
 
@@ -297,7 +304,7 @@ proptest! {
         let budget = Money::from_units(budget_units);
         let z: Vec<f64> = cands.iter().map(|c| c.length.ticks() as f64).collect();
         let greedy = min_additive_greedy(&cands, n, budget, &z);
-        prop_assert_eq!(greedy.is_some(), cheapest_n(&cands, n, budget).is_some());
+        prop_assert_eq!(greedy.is_some(), cheapest(&cands, n, budget).is_some());
         if let Some(picked) = greedy {
             prop_assert_eq!(picked.len(), n);
             prop_assert!(total_cost(&cands, &picked) <= budget);
@@ -306,7 +313,7 @@ proptest! {
             unique.dedup();
             prop_assert_eq!(unique.len(), n);
             // Never worse than the seed (the n cheapest by cost).
-            let seed = cheapest_n(&cands, n, budget).expect("same feasibility");
+            let seed = cheapest(&cands, n, budget).expect("same feasibility");
             let sum = |p: &[usize]| p.iter().map(|&i| z[i]).sum::<f64>();
             prop_assert!(sum(&picked) <= sum(&seed) + 1e-9);
         }

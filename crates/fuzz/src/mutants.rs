@@ -355,7 +355,8 @@ fn buggy_reference_scan(
         if alive.len() < n {
             continue;
         }
-        if let Some(picked) = policy.pick(window_start, &alive, request) {
+        let mut picked = Vec::new();
+        if policy.pick(window_start, &alive, request, &mut picked) {
             let window = build_window(window_start, &alive, &picked);
             let score = policy.score(&window);
             stats.windows_evaluated += 1;
@@ -568,7 +569,8 @@ fn buggy_pruned_scan(
         if alive.len() < n {
             continue;
         }
-        if let Some(picked) = policy.pick(window_start, &alive, request) {
+        let mut picked = Vec::new();
+        if policy.pick(window_start, &alive, request, &mut picked) {
             let window = build_window(window_start, &alive, &picked);
             let score = policy.score(&window);
             stats.windows_evaluated += 1;
@@ -613,7 +615,10 @@ impl BuggyPolicy {
                 let total: Money = picked.iter().map(|&i| alive[i].cost).sum();
                 (total <= request.budget()).then_some(picked)
             }
-            PolicyBug::StopAtFirstMinCost => cheapest_n(alive, n, request.budget()),
+            PolicyBug::StopAtFirstMinCost => {
+                let mut picked = Vec::new();
+                cheapest_n(alive, n, request.budget(), &mut picked).then_some(picked)
+            }
             PolicyBug::LongestRuntime => {
                 let mut order: Vec<usize> = (0..alive.len()).collect();
                 // BUG: longest placements first instead of shortest.
@@ -644,8 +649,11 @@ impl SelectionPolicy for BuggyPolicy {
         _window_start: TimePoint,
         alive: &[Candidate],
         request: &ResourceRequest,
-    ) -> Option<Vec<usize>> {
+        picked: &mut Vec<usize>,
+    ) -> bool {
         self.pick_indices(alive, request)
+            .map(|ids| *picked = ids)
+            .is_some()
     }
 
     fn score(&self, window: &Window) -> f64 {

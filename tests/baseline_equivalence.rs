@@ -97,7 +97,9 @@ proptest! {
         prop_assume!(candidates.len() >= n);
         let budget = Money::from_units(1_200);
         let by_cost = bnb_solve(&candidates, n, budget, |c| c.cost.as_f64());
-        let direct = slotsel::core::selectors::cheapest_n(&candidates, n, budget);
+        let mut picked = Vec::new();
+        let direct = slotsel::core::selectors::cheapest_n(&candidates, n, budget, &mut picked)
+            .then_some(picked);
         match (by_cost, direct) {
             (Some(solution), Some(picked)) => {
                 let direct_cost: Money = picked.iter().map(|&i| candidates[i].cost).sum();
