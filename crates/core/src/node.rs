@@ -398,6 +398,30 @@ impl Platform {
     pub fn set_performance(&mut self, id: NodeId, performance: Performance) {
         self.nodes[id.index()].performance = performance;
     }
+
+    /// A 64-bit FNV-1a digest of every field of every node, in platform
+    /// order, a word per field as
+    /// [`SlotList::digest`](crate::slotlist::SlotList::digest) hashes
+    /// slots. Equal platforms digest alike.
+    #[must_use]
+    pub fn digest(&self) -> u64 {
+        const PRIME: u64 = 0x0100_0000_01b3;
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut feed = |word: u64| hash = (hash ^ word).wrapping_mul(PRIME);
+        feed(self.nodes.len() as u64);
+        for node in &self.nodes {
+            feed(u64::from(node.id.0));
+            feed(u64::from(node.performance.rate()));
+            feed(node.price_per_unit.millis() as u64);
+            feed(u64::from(node.clock_mhz));
+            feed(u64::from(node.ram_mb));
+            feed(u64::from(node.disk_gb));
+            feed(node.os as u64);
+            feed(u64::from(node.domain.is_some()));
+            feed(u64::from(node.domain.unwrap_or(0)));
+        }
+        hash
+    }
 }
 
 impl<'a> IntoIterator for &'a Platform {
@@ -509,6 +533,31 @@ mod tests {
         platform.set_performance(NodeId(1), Performance::new(3));
         assert_eq!(platform.node(NodeId(1)).performance().rate(), 3);
         assert_eq!(platform.node(NodeId(0)).performance().rate(), 2);
+    }
+
+    #[test]
+    fn platform_digest_covers_every_field_of_every_node() {
+        let base = || NodeSpec::builder(1).performance(Performance::new(5));
+        let digest = |last: NodeSpec| Platform::new(vec![node(0, 2), last]).digest();
+        let reference = digest(base().build());
+        assert_eq!(reference, digest(base().build()));
+        let edits = [
+            base().performance(Performance::new(6)).build(),
+            base().price_per_unit(Money::from_millis(1_001)).build(),
+            base().clock_mhz(2_001).build(),
+            base().ram_mb(4_097).build(),
+            base().disk_gb(101).build(),
+            base().os(OsFamily::Bsd).build(),
+            base().domain(0).build(),
+        ];
+        for edited in edits {
+            assert_ne!(digest(edited.clone()), reference, "{edited:?}");
+        }
+        assert_ne!(Platform::new(vec![node(0, 2)]).digest(), reference);
+        assert_ne!(
+            Platform::default().digest(),
+            Platform::new(vec![node(0, 2)]).digest()
+        );
     }
 
     #[test]

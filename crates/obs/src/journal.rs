@@ -576,15 +576,18 @@ impl SnapshotStore {
     }
 
     /// The newest snapshot whose CRC verifies, as `(generation,
-    /// payload)`. Damaged generations are skipped — an older intact
-    /// snapshot beats a newer broken one. `None` when no snapshot
-    /// verifies.
+    /// payload)`. Damaged generations — a failed CRC, or bytes that are
+    /// not UTF-8 — are skipped: an older intact snapshot beats a newer
+    /// broken one. `None` when no snapshot verifies.
     pub fn latest(&self) -> std::io::Result<Option<(u64, String)>> {
         for generation in self.generations()?.into_iter().rev() {
-            let mut raw = match fs::read_to_string(self.path_for(generation)) {
-                Ok(raw) => raw,
+            let bytes = match fs::read(self.path_for(generation)) {
+                Ok(bytes) => bytes,
                 Err(error) if error.kind() == std::io::ErrorKind::NotFound => continue,
                 Err(error) => return Err(error),
+            };
+            let Ok(mut raw) = String::from_utf8(bytes) else {
+                continue;
             };
             if let Ok(payload) = unframe(raw.trim_end_matches('\n')) {
                 // Cut the frame off in place rather than copying the payload.
@@ -887,6 +890,23 @@ mod tests {
         assert_eq!(store.generations().unwrap(), vec![1, 2, 3]);
         store.prune_below(3).unwrap();
         assert_eq!(store.generations().unwrap(), vec![3]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn snapshot_store_latest_skips_a_generation_that_is_not_utf8() {
+        let dir = temp_dir("snapshots-not-utf8");
+        let store = SnapshotStore::open(&dir).unwrap();
+        store.save(1, "gen-one").unwrap();
+        store.save(2, "gen-two").unwrap();
+        // Damage that is not UTF-8 is skipped like a failed CRC, not
+        // reported as an I/O error that blocks recovery.
+        fs::write(
+            dir.join("snapshot-000000000002.snap"),
+            b"00000000 gen-\xff\xfe-two\n",
+        )
+        .unwrap();
+        assert_eq!(store.latest().unwrap(), Some((1, "gen-one".to_string())));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -242,6 +242,26 @@ pub enum RecoverError {
         /// The parse failure.
         message: String,
     },
+    /// A live snapshot shard was written against another platform than
+    /// the one the header's config regenerates.
+    PlatformMismatch {
+        /// The shard's index.
+        shard: u32,
+        /// The platform digest the shard was written with.
+        snapshot: u64,
+        /// The digest of the regenerated platform.
+        regenerated: u64,
+    },
+    /// A live snapshot shard holds a free slot on a node its platform does
+    /// not have.
+    UnknownNode {
+        /// The shard's index.
+        shard: u32,
+        /// The slot's id.
+        slot: u64,
+        /// The node it names.
+        node: u32,
+    },
 }
 
 impl std::fmt::Display for RecoverError {
@@ -271,6 +291,21 @@ impl std::fmt::Display for RecoverError {
             RecoverError::SnapshotDecode { message } => {
                 write!(f, "snapshot payload does not parse: {message}")
             }
+            RecoverError::PlatformMismatch {
+                shard,
+                snapshot,
+                regenerated,
+            } => write!(
+                f,
+                "snapshot shard {shard} was written against platform digest \
+                 {snapshot:#018x}, the journal header's config generates \
+                 {regenerated:#018x}"
+            ),
+            RecoverError::UnknownNode { shard, slot, node } => write!(
+                f,
+                "snapshot shard {shard} holds slot {slot} on node {node}, which \
+                 its platform does not have"
+            ),
         }
     }
 }

@@ -1,4 +1,5 @@
-//! Pins the allocations and transient heap of encoding a live snapshot.
+//! Pins the allocations and transient heap of encoding a live snapshot,
+//! and its size: a free-slot row per slot, no platform.
 //!
 //! A counting global allocator tracks this thread's allocation calls,
 //! live heap bytes and their high-water mark. The counts depend only on
@@ -139,6 +140,23 @@ fn assert_snapshot_cost(shards: u32, nodes: usize) {
 #[test]
 fn a_wide_snapshot_encodes_with_buffer_growth_only() {
     assert_snapshot_cost(2, 1000);
+}
+
+#[test]
+fn a_wide_snapshot_holds_slot_rows_and_no_platform() {
+    let service = service(2, 1000);
+    let payload = LiveRecord::encode_checkpoint(service.state());
+    for key in ["\"platform\"", "\"performance\"", "\"price_per_unit\""] {
+        assert!(!payload.contains(key), "the snapshot writes {key}");
+    }
+    // Each free slot is an `[id,node,start,end]` row; the rest is the
+    // counters, the few live jobs and the usage table.
+    let slots: usize = service.state().shards.iter().map(|s| s.slots.len()).sum();
+    assert!(
+        payload.len() <= 40 * slots + 1024,
+        "a {} B snapshot for {slots} free slots",
+        payload.len()
+    );
 }
 
 #[test]

@@ -891,6 +891,17 @@ fn live_serve_recovers_a_wide_platform_from_small_barriers() {
     // The full state lives in the snapshots, one per fifth barrier.
     let snapshots = std::fs::read_dir(dir.join("snapshots")).unwrap().count();
     assert!(snapshots >= 2, "{snapshots} snapshots");
+    // The header regenerates the platform, so no snapshot carries it or
+    // the per-slot prices.
+    for entry in std::fs::read_dir(dir.join("snapshots")).unwrap() {
+        let path = entry.unwrap().path();
+        let text = String::from_utf8_lossy(&std::fs::read(&path).unwrap()).into_owned();
+        assert!(
+            !text.contains("\"platform\"") && !text.contains("\"price_per_unit\""),
+            "{} carries the platform",
+            path.display()
+        );
+    }
     let bytes = dir_bytes(&dir);
     assert!(bytes < 4 << 20, "the journal directory holds {bytes} bytes");
 
