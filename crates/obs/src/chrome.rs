@@ -8,355 +8,88 @@
 //! marks. Span attributes travel in `args`, alongside the span's own
 //! `id`/`parent` links so the tree survives the flat encoding.
 //!
-//! The crate's [`crate::json`] writer is flat-objects-only by design, so
-//! this module hand-builds the nested document — and brings its own
-//! recursive [`parse`] plus a [`validate`] pass (every parent exists,
+//! Both directions go through the crate's [`crate::json`] module: each
+//! event is an [`ObjectWriter`] with its `args` nested by
+//! [`ObjectWriter::object_field`], and [`validate`] reads the document
+//! back with the crate's one reader ([`parse`], re-exported here with its
+//! [`Value`]) before checking the span tree: every parent exists,
 //! children nest inside their parents, same-track spans form a proper
-//! stack) that the test suites and the CI `chrome-check` step share.
+//! stack. The test suites and the CI `chrome-check` step share it.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::collections::{BTreeMap, BTreeSet};
 
-use crate::span::{AttrValue, SpanRecord};
+use crate::json::ObjectWriter;
+pub use crate::json::{parse, Value};
+use crate::span::SpanRecord;
 
 /// Renders `(group id, spans)` pairs as a Chrome trace-event JSON
 /// document. Group ids become pids (the live daemon passes cycle
 /// numbers), tracks become tids.
 #[must_use]
 pub fn render(groups: &[(u64, &[SpanRecord])]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let emit = |event: String, out: &mut String, first: &mut bool| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push_str(&event);
-    };
+    let mut events = Vec::new();
 
     // Metadata: name each process and thread so the viewer's sidebar
     // reads "cycle 12 / shard 1" instead of bare numbers.
-    let mut tracks: BTreeMap<(u64, u32), ()> = BTreeMap::new();
-    for (pid, records) in groups {
-        for record in *records {
-            tracks.entry((*pid, record.track)).or_insert(());
-        }
-    }
+    let tracks: BTreeSet<(u64, u32)> = groups
+        .iter()
+        .flat_map(|(pid, records)| records.iter().map(move |r| (*pid, r.track)))
+        .collect();
     let mut seen_pid = None;
-    for &(pid, tid) in tracks.keys() {
+    for &(pid, tid) in &tracks {
         if seen_pid != Some(pid) {
             seen_pid = Some(pid);
-            emit(
-                format!(
-                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                     \"args\":{{\"name\":\"cycle {pid}\"}}}}"
-                ),
-                &mut out,
-                &mut first,
-            );
+            events.push(metadata("process_name", pid, 0, &format!("cycle {pid}")));
         }
         let label = if tid == 0 {
             "main".to_owned()
         } else {
             format!("track {tid}")
         };
-        emit(
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{label}\"}}}}"
-            ),
-            &mut out,
-            &mut first,
-        );
+        events.push(metadata("thread_name", pid, tid, &label));
     }
 
     for (pid, records) in groups {
         for record in *records {
-            let mut args = String::new();
-            let _ = write!(
-                args,
-                "\"id\":{},\"parent\":{}",
-                record.id.0, record.parent.0
-            );
+            let mut args = ObjectWriter::new();
+            args.u64_field("id", record.id.0);
+            args.u64_field("parent", record.parent.0);
             for (name, value) in &record.attrs {
-                args.push(',');
-                args.push_str(&escape(name));
-                args.push(':');
-                match value {
-                    AttrValue::U64(v) => {
-                        let _ = write!(args, "{v}");
-                    }
-                    AttrValue::Str(v) => args.push_str(&escape(v)),
-                }
+                value.write_field(name, &mut args);
             }
-            let event = if record.instant {
-                format!(
-                    "{{\"name\":{},\"ph\":\"i\",\"ts\":{},\"pid\":{pid},\"tid\":{},\
-                     \"s\":\"t\",\"args\":{{{args}}}}}",
-                    escape(&record.name),
-                    record.start_us,
-                    record.track,
-                )
-            } else {
-                format!(
-                    "{{\"name\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\
-                     \"tid\":{},\"args\":{{{args}}}}}",
-                    escape(&record.name),
-                    record.start_us,
-                    record.duration_us(),
-                    record.track,
-                )
-            };
-            emit(event, &mut out, &mut first);
+            let mut event = ObjectWriter::new();
+            event.str_field("name", &record.name);
+            event.str_field("ph", if record.instant { "i" } else { "X" });
+            event.u64_field("ts", record.start_us);
+            if !record.instant {
+                event.u64_field("dur", record.duration_us());
+            }
+            event.u64_field("pid", *pid);
+            event.u64_field("tid", u64::from(record.track));
+            if record.instant {
+                event.str_field("s", "t");
+            }
+            event.object_field("args", args);
+            events.push(event.finish());
         }
     }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+    format!(
+        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}",
+        events.join(",")
+    )
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A parsed JSON value — the minimal recursive model [`parse`] produces.
-/// (The crate's [`crate::json`] parser is deliberately flat-only; Chrome
-/// traces are nested, so the validator brings its own.)
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object, fields in document order.
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// Looks a field up in an object value.
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    #[must_use]
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document (full nesting, unlike [`crate::json`]).
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first syntax error.
-pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&byte) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", char::from(byte), *pos))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_owned()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Value::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Value::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-                }
-            }
-        }
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    literal: &str,
-    value: Value,
-) -> Result<Value, String> {
-    if bytes[*pos..].starts_with(literal.as_bytes()) {
-        *pos += literal.len();
-        Ok(value)
-    } else {
-        Err(format!("malformed literal at byte {}", *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Value::Num)
-        .ok_or_else(|| format!("malformed number at byte {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {}", *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_owned()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("malformed \\u escape at byte {}", *pos))?;
-                        out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("unknown escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input came in as &str, so
-                // boundaries are sound).
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8".to_owned())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
+/// One `"M"` event naming a process or thread.
+fn metadata(kind: &str, pid: u64, tid: u32, label: &str) -> String {
+    let mut args = ObjectWriter::new();
+    args.str_field("name", label);
+    let mut event = ObjectWriter::new();
+    event.str_field("name", kind);
+    event.str_field("ph", "M");
+    event.u64_field("pid", pid);
+    event.u64_field("tid", u64::from(tid));
+    event.object_field("args", args);
+    event.finish()
 }
 
 /// What [`validate`] verified about a trace document.
@@ -630,22 +363,5 @@ mod tests {
         assert!(validate("not json").is_err());
         assert!(validate("{\"noTraceEvents\":[]}").is_err());
         assert!(validate("{\"traceEvents\":[{\"ph\":\"X\"}]}").is_err());
-    }
-
-    #[test]
-    fn parser_handles_nesting_numbers_and_literals() {
-        let value =
-            parse("{\"a\":[1, -2.5, 1e3, true, false, null, \"s\"], \"b\":{\"c\":{}}}").unwrap();
-        let items = value.get("a").unwrap().as_array().unwrap();
-        assert_eq!(items.len(), 7);
-        assert_eq!(items[0].as_f64(), Some(1.0));
-        assert_eq!(items[1].as_f64(), Some(-2.5));
-        assert_eq!(items[2].as_f64(), Some(1000.0));
-        assert_eq!(items[3], Value::Bool(true));
-        assert_eq!(items[5], Value::Null);
-        assert_eq!(items[6].as_str(), Some("s"));
-        assert!(value.get("b").unwrap().get("c").is_some());
-        assert!(parse("[1,2,]").is_err());
-        assert!(parse("{\"a\":1} trailing").is_err());
     }
 }

@@ -15,7 +15,7 @@
 //! same seed and configuration is byte-identical across runs (timings,
 //! the only non-deterministic channel, can be excluded at the sink).
 
-use crate::json::{JsonError, JsonObject, JsonScalar, ObjectWriter};
+use crate::json::{JsonError, ObjectWriter, Value};
 
 /// One trace event, as emitted by the instrumented hot paths.
 ///
@@ -252,20 +252,20 @@ impl From<JsonError> for EventDecodeError {
     }
 }
 
-fn need<'a>(object: &'a JsonObject, field: &str) -> Result<&'a JsonScalar, EventDecodeError> {
+fn need<'a>(object: &'a Value, field: &str) -> Result<&'a Value, EventDecodeError> {
     object
         .get(field)
         .ok_or_else(|| EventDecodeError::Schema(format!("missing field '{field}'")))
 }
 
-fn str_of(object: &JsonObject, field: &str) -> Result<String, EventDecodeError> {
+fn str_of(object: &Value, field: &str) -> Result<String, EventDecodeError> {
     need(object, field)?
         .as_str()
         .map(str::to_string)
         .ok_or_else(|| EventDecodeError::Schema(format!("field '{field}' is not a string")))
 }
 
-fn f64_of(object: &JsonObject, field: &str) -> Result<f64, EventDecodeError> {
+fn f64_of(object: &Value, field: &str) -> Result<f64, EventDecodeError> {
     need(object, field)?
         .as_f64()
         .ok_or_else(|| EventDecodeError::Schema(format!("field '{field}' is not a number")))
@@ -273,7 +273,7 @@ fn f64_of(object: &JsonObject, field: &str) -> Result<f64, EventDecodeError> {
 
 /// Like [`u64_of`] but defaults to 0 when the field is absent — for
 /// fields added to a variant after traces of it were already on disk.
-fn u64_or_zero(object: &JsonObject, field: &str) -> Result<u64, EventDecodeError> {
+fn u64_or_zero(object: &Value, field: &str) -> Result<u64, EventDecodeError> {
     if object.get(field).is_none() {
         return Ok(0);
     }
@@ -281,7 +281,7 @@ fn u64_or_zero(object: &JsonObject, field: &str) -> Result<u64, EventDecodeError
 }
 
 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-fn u64_of(object: &JsonObject, field: &str) -> Result<u64, EventDecodeError> {
+fn u64_of(object: &Value, field: &str) -> Result<u64, EventDecodeError> {
     let value = f64_of(object, field)?;
     if value < 0.0 || value.fract() != 0.0 {
         return Err(EventDecodeError::Schema(format!(
@@ -292,7 +292,7 @@ fn u64_of(object: &JsonObject, field: &str) -> Result<u64, EventDecodeError> {
 }
 
 #[allow(clippy::cast_possible_truncation)]
-fn i64_of(object: &JsonObject, field: &str) -> Result<i64, EventDecodeError> {
+fn i64_of(object: &Value, field: &str) -> Result<i64, EventDecodeError> {
     let value = f64_of(object, field)?;
     if value.fract() != 0.0 {
         return Err(EventDecodeError::Schema(format!(
@@ -302,7 +302,7 @@ fn i64_of(object: &JsonObject, field: &str) -> Result<i64, EventDecodeError> {
     Ok(value as i64)
 }
 
-fn bool_of(object: &JsonObject, field: &str) -> Result<bool, EventDecodeError> {
+fn bool_of(object: &Value, field: &str) -> Result<bool, EventDecodeError> {
     need(object, field)?
         .as_bool()
         .ok_or_else(|| EventDecodeError::Schema(format!("field '{field}' is not a boolean")))

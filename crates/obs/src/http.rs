@@ -486,6 +486,7 @@ fn handle_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{parse_object, Value};
     use crate::metrics::Metrics;
 
     fn get(addr: SocketAddr, path: &str) -> String {
@@ -542,9 +543,10 @@ mod tests {
         );
         assert!(missing.contains("Connection: close"), "{missing}");
         let body = missing.split("\r\n\r\n").nth(1).unwrap().trim_end();
-        let parsed = crate::json::parse_object(body).unwrap();
-        assert_eq!(parsed["error"].as_str(), Some("not_found"));
-        assert!(parsed["detail"].as_str().unwrap().contains("/nope"));
+        let parsed = parse_object(body).unwrap();
+        let field = |name| parsed.get(name).and_then(Value::as_str).unwrap();
+        assert_eq!(field("error"), "not_found");
+        assert!(field("detail").contains("/nope"));
         // The advertised Content-Length matches the actual body.
         let advertised: usize = missing
             .lines()

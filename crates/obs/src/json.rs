@@ -1,11 +1,17 @@
-//! A minimal, deterministic JSON writer and parser.
+//! The crate's one JSON writer and reader.
 //!
 //! The observability layer must stay dependency-free (it sits *below*
 //! `slotsel-core` in the workspace graph), so it carries its own JSON
-//! support — just enough for the flat event objects of [`crate::event`]:
-//! objects, strings, integers, floats and booleans. No arrays, no nesting,
-//! no `null`: the event schema never produces them, and rejecting them
-//! keeps the parser honest about what a trace line may contain.
+//! support. One writer, [`ObjectWriter`], builds every document the crate
+//! emits: trace event lines, span lines, HTTP bodies and, with
+//! [`ObjectWriter::object_field`] for the nested `args`, Chrome trace
+//! events. One reader, [`parse`], reads any JSON document into a
+//! [`Value`] in a single pass: string runs without escapes are copied
+//! whole, so the cost is linear in the input. [`parse_object`] is the
+//! same reader held to what a trace line or request body may contain: one
+//! object of string, number and boolean fields, each name once. Nested
+//! objects, arrays and `null` are refused there, which keeps the reader
+//! honest about the flat event schema.
 //!
 //! Determinism is the point. [`ObjectWriter`] emits fields in exactly the
 //! call order, floats are formatted with Rust's shortest-round-trip
@@ -14,57 +20,74 @@
 //! traces be compared byte-for-byte across runs (see the determinism
 //! property test in `slotsel-sim`).
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A parsed JSON scalar: the only value kinds event fields may hold.
+/// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JsonScalar {
-    /// A string value, unescaped.
-    Str(String),
-    /// A number; kept as `f64`, which is lossless for every integer the
-    /// event schema emits (all are well below 2^53).
-    Num(f64),
-    /// A boolean value.
+pub enum Value {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
     Bool(bool),
+    /// Any JSON number; `f64` is lossless for every integer the crate
+    /// writes (all are well below 2^53).
+    Num(f64),
+    /// A string, unescaped.
+    Str(String),
+    /// An array.
+    Arr(Vec<Value>),
+    /// An object, fields in document order.
+    Obj(Vec<(String, Value)>),
 }
 
-impl JsonScalar {
-    /// The string payload, if this scalar is a string.
+impl Value {
+    /// Looks a field up in an object value (the first of that name).
     #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
+    pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
-            JsonScalar::Str(s) => Some(s),
+            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
 
-    /// The numeric payload, if this scalar is a number.
+    /// The numeric value, if this is a number.
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            JsonScalar::Num(n) => Some(*n),
+            Value::Num(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// The boolean payload, if this scalar is a boolean.
+    /// The string value, if this is a string.
+    #[must_use]
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The boolean value, if this is a boolean.
     #[must_use]
     pub fn as_bool(&self) -> Option<bool> {
         match self {
-            JsonScalar::Bool(b) => Some(*b),
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The elements, if this is an array.
+    #[must_use]
+    pub fn as_array(&self) -> Option<&[Value]> {
+        match self {
+            Value::Arr(items) => Some(items),
             _ => None,
         }
     }
 }
 
-/// A parsed flat JSON object: field name to scalar value.
-///
-/// Backed by a `BTreeMap` so lookups are simple; the *writer* side never
-/// touches a map, so serialization order stays the caller's call order.
-pub type JsonObject = BTreeMap<String, JsonScalar>;
-
-/// Builds one flat JSON object as a single line, fields in call order.
+/// Builds one JSON object as a single line, fields in call order.
 ///
 /// ```
 /// use slotsel_obs::json::ObjectWriter;
@@ -154,6 +177,13 @@ impl ObjectWriter {
         self.buf.push_str(if value { "true" } else { "false" });
     }
 
+    /// Appends a finished object as a nested field (a Chrome event's
+    /// `args`).
+    pub fn object_field(&mut self, name: &str, object: ObjectWriter) {
+        self.key(name);
+        self.buf.push_str(&object.finish());
+    }
+
     /// Closes the object and returns the single-line JSON string.
     #[must_use]
     pub fn finish(mut self) -> String {
@@ -178,12 +208,12 @@ fn escape_into(s: &str, out: &mut String) {
     }
 }
 
-/// Error from [`parse_object`]: what went wrong and roughly where.
+/// Error from the reader: what went wrong and where.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Human-readable description of the failure.
     pub message: String,
-    /// Byte offset into the line at which parsing failed.
+    /// Byte offset into the input at which reading failed.
     pub offset: usize,
 }
 
@@ -195,61 +225,58 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses one flat JSON object line into a [`JsonObject`].
+/// Parses one JSON document of any shape.
 ///
-/// Accepts exactly the subset [`ObjectWriter`] produces (plus arbitrary
-/// inter-token whitespace): a single object of string/number/boolean
-/// fields. Nested objects, arrays and `null` are rejected.
-pub fn parse_object(line: &str) -> Result<JsonObject, JsonError> {
-    let mut parser = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    parser.skip_ws();
-    parser.expect(b'{')?;
-    let mut object = JsonObject::new();
-    parser.skip_ws();
-    if parser.peek() == Some(b'}') {
-        parser.pos += 1;
-    } else {
-        loop {
-            parser.skip_ws();
-            let key = parser.string()?;
-            parser.skip_ws();
-            parser.expect(b':')?;
-            parser.skip_ws();
-            let value = parser.scalar()?;
-            object.insert(key, value);
-            parser.skip_ws();
-            match parser.next() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                _ => return parser.fail("expected ',' or '}'"),
-            }
-        }
-    }
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return parser.fail("trailing content after object");
-    }
-    Ok(object)
+/// # Errors
+///
+/// Returns a description of the first syntax error and its byte offset;
+/// nesting deeper than 128 arrays and objects counts as one.
+pub fn parse(text: &str) -> Result<Value, String> {
+    Reader::new(text, false)
+        .document()
+        .map_err(|e| e.to_string())
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// Parses one flat JSON object — a trace line or a request body.
+///
+/// Accepts exactly the subset [`ObjectWriter`] produces without
+/// [`ObjectWriter::object_field`] (plus arbitrary inter-token
+/// whitespace): a single object of string/number/boolean fields with
+/// distinct names. Returns it as a [`Value::Obj`].
+///
+/// # Errors
+///
+/// Everything [`parse`] refuses, plus a top level that is not an object,
+/// a nested object, an array, `null` and a repeated field name.
+pub fn parse_object(line: &str) -> Result<Value, JsonError> {
+    Reader::new(line, true).document()
+}
+
+/// Nesting deeper than this is refused rather than recursed into.
+const MAX_DEPTH: usize = 128;
+
+struct Reader<'a> {
+    text: &'a str,
     pos: usize,
+    /// Set by [`parse_object`]: the document must be one object of scalar
+    /// fields with distinct names.
+    flat: bool,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    fn new(text: &'a str, flat: bool) -> Self {
+        Reader { text, pos: 0, flat }
+    }
+
     fn fail<T>(&self, message: &str) -> Result<T, JsonError> {
         Err(JsonError {
-            message: message.to_string(),
+            message: message.to_owned(),
             offset: self.pos,
         })
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn next(&mut self) -> Option<u8> {
@@ -258,99 +285,170 @@ impl Parser<'_> {
         Some(b)
     }
 
-    fn expect(&mut self, expected: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(expected) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.fail(&format!("expected '{}'", expected as char))
-        }
-    }
-
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    fn expect(&mut self, expected: u8) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.peek() == Some(expected) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            self.fail(&format!("expected '{}'", char::from(expected)))
+        }
+    }
+
+    fn document(mut self) -> Result<Value, JsonError> {
+        self.skip_ws();
+        if self.flat && self.peek() != Some(b'{') {
+            return self.fail("expected '{'");
+        }
+        let value = self.value(0)?;
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return self.fail("trailing content after the document");
+        }
+        Ok(value)
+    }
+
+    fn value(&mut self, depth: usize) -> Result<Value, JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{' | b'[' | b'n') if self.flat && depth > 0 => {
+                self.fail("expected a string, number or boolean")
+            }
+            Some(b'{' | b'[') if depth == MAX_DEPTH => self.fail("nesting too deep"),
+            Some(b'{') => {
+                let fields = self.items(b'}', |reader, fields: &[(String, Value)]| {
+                    reader.skip_ws();
+                    let at = reader.pos;
+                    let key = reader.string()?;
+                    if reader.flat && fields.iter().any(|(k, _)| *k == key) {
+                        reader.pos = at;
+                        return reader.fail(&format!("duplicate field {key:?}"));
+                    }
+                    reader.expect(b':')?;
+                    Ok((key, reader.value(depth + 1)?))
+                })?;
+                Ok(Value::Obj(fields))
+            }
+            Some(b'[') => Ok(Value::Arr(
+                self.items(b']', |reader, _| reader.value(depth + 1))?,
+            )),
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(_) => self.fail("expected a JSON value"),
+            None => self.fail("unexpected end of input"),
+        }
+    }
+
+    /// Reads the comma-separated items of an object or array, from its
+    /// opening bracket through `close`. `item` sees the items read so far.
+    fn items<T>(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self, &[T]) -> Result<T, JsonError>,
+    ) -> Result<Vec<T>, JsonError> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(items);
+        }
+        loop {
+            let next = item(self, &items)?;
+            items.push(next);
+            self.skip_ws();
+            match self.next() {
+                Some(b',') => {}
+                Some(b) if b == close => return Ok(items),
+                _ => return self.fail(&format!("expected ',' or '{}'", char::from(close))),
+            }
+        }
+    }
+
     fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
+        if self.peek() != Some(b'"') {
+            return self.fail("expected a string");
+        }
+        self.pos += 1;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, escape or control byte in
+            // one step: all three are ASCII, so the run is whole UTF-8.
+            let rest = &self.text.as_bytes()[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.next() {
-                None => return self.fail("unterminated string"),
                 Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let digit = match self.next() {
-                                Some(d @ b'0'..=b'9') => u32::from(d - b'0'),
-                                Some(d @ b'a'..=b'f') => u32::from(d - b'a') + 10,
-                                Some(d @ b'A'..=b'F') => u32::from(d - b'A') + 10,
-                                _ => return self.fail("bad \\u escape"),
-                            };
-                            code = code * 16 + digit;
-                        }
-                        match char::from_u32(code) {
-                            Some(c) => out.push(c),
-                            // Surrogates never appear: the writer escapes
-                            // only control characters this way.
-                            None => return self.fail("\\u escape is not a scalar value"),
-                        }
-                    }
-                    _ => return self.fail("unknown escape"),
-                },
-                Some(b) if b < 0x20 => return self.fail("raw control character in string"),
-                Some(b) => {
-                    // Re-assemble UTF-8 runs starting at this byte.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    for _ in 1..len {
-                        self.next();
-                    }
-                    match std::str::from_utf8(&self.bytes[start..self.pos]) {
-                        Ok(s) => out.push_str(s),
-                        Err(_) => return self.fail("invalid UTF-8"),
-                    }
+                Some(b'\\') => out.push(self.escape()?),
+                Some(_) => {
+                    self.pos -= 1;
+                    return self.fail("raw control character in string");
                 }
+                None => return self.fail("unterminated string"),
             }
         }
     }
 
-    fn scalar(&mut self) -> Result<JsonScalar, JsonError> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonScalar::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonScalar::Bool(true)),
-            Some(b'f') => self.literal("false", JsonScalar::Bool(false)),
-            Some(b'-' | b'0'..=b'9') => {
-                let start = self.pos;
-                while matches!(
-                    self.peek(),
-                    Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-                ) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .expect("number bytes are ASCII");
-                text.parse::<f64>()
-                    .map(JsonScalar::Num)
-                    .or_else(|_| self.fail("malformed number"))
+    fn escape(&mut self) -> Result<char, JsonError> {
+        Ok(match self.next() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let code = self
+                    .text
+                    .get(self.pos..self.pos + 4)
+                    .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                    .and_then(|hex| u32::from_str_radix(hex, 16).ok());
+                let Some(code) = code else {
+                    return self.fail("malformed \\u escape");
+                };
+                // Surrogates never appear: the writer escapes only control
+                // characters this way.
+                let Some(c) = char::from_u32(code) else {
+                    return self.fail("\\u escape is not a scalar value");
+                };
+                self.pos += 4;
+                c
             }
-            _ => self.fail("expected a string, number or boolean"),
+            _ => return self.fail("unknown escape"),
+        })
+    }
+
+    fn number(&mut self) -> Result<Value, JsonError> {
+        let start = self.pos;
+        while matches!(
+            self.peek(),
+            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+        ) {
+            self.pos += 1;
+        }
+        match self.text[start..self.pos].parse::<f64>() {
+            Ok(n) => Ok(Value::Num(n)),
+            Err(_) => self.fail("malformed number"),
         }
     }
 
-    fn literal(&mut self, word: &str, value: JsonScalar) -> Result<JsonScalar, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    fn literal(&mut self, word: &str, value: Value) -> Result<Value, JsonError> {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -359,18 +457,13 @@ impl Parser<'_> {
     }
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0xF0..=0xF7 => 4,
-        0xE0..=0xEF => 3,
-        0xC0..=0xDF => 2,
-        _ => 1,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn field<'v>(object: &'v Value, name: &str) -> &'v Value {
+        object.get(name).expect("field present")
+    }
 
     #[test]
     fn writes_fields_in_call_order() {
@@ -384,7 +477,7 @@ mod tests {
     #[test]
     fn empty_object() {
         assert_eq!(ObjectWriter::new().finish(), "{}");
-        assert_eq!(parse_object("{}").unwrap(), JsonObject::new());
+        assert_eq!(parse_object("{}").unwrap(), Value::Obj(Vec::new()));
     }
 
     #[test]
@@ -394,7 +487,7 @@ mod tests {
         w.str_field("s", nasty);
         let line = w.finish();
         let parsed = parse_object(&line).unwrap();
-        assert_eq!(parsed["s"].as_str(), Some(nasty));
+        assert_eq!(field(&parsed, "s").as_str(), Some(nasty));
     }
 
     #[test]
@@ -405,10 +498,10 @@ mod tests {
         w.f64_field("f", 0.1 + 0.2);
         w.f64_field("whole", 3.0);
         let parsed = parse_object(&w.finish()).unwrap();
-        assert_eq!(parsed["i"].as_f64(), Some(-42.0));
-        assert_eq!(parsed["u"].as_f64(), Some(f64::from(u32::MAX)));
-        assert_eq!(parsed["f"].as_f64(), Some(0.1 + 0.2));
-        assert_eq!(parsed["whole"].as_f64(), Some(3.0));
+        assert_eq!(field(&parsed, "i").as_f64(), Some(-42.0));
+        assert_eq!(field(&parsed, "u").as_f64(), Some(f64::from(u32::MAX)));
+        assert_eq!(field(&parsed, "f").as_f64(), Some(0.1 + 0.2));
+        assert_eq!(field(&parsed, "whole").as_f64(), Some(3.0));
     }
 
     #[test]
@@ -416,16 +509,28 @@ mod tests {
         let mut w = ObjectWriter::new();
         w.f64_field("x", f64::NAN);
         let parsed = parse_object(&w.finish()).unwrap();
-        assert_eq!(parsed["x"].as_f64(), Some(0.0));
-        assert_eq!(parsed["x_invalid"].as_str(), Some("non_finite"));
+        assert_eq!(field(&parsed, "x").as_f64(), Some(0.0));
+        assert_eq!(field(&parsed, "x_invalid").as_str(), Some("non_finite"));
     }
 
     #[test]
-    fn rejects_nesting_arrays_and_null() {
-        assert!(parse_object(r#"{"a":[1]}"#).is_err());
-        assert!(parse_object(r#"{"a":{"b":1}}"#).is_err());
-        assert!(parse_object(r#"{"a":null}"#).is_err());
-        assert!(parse_object(r#"{"a":1} extra"#).is_err());
-        assert!(parse_object(r#"{"a":1"#).is_err());
+    fn nested_objects_are_written_whole() {
+        let mut args = ObjectWriter::new();
+        args.u64_field("id", 1);
+        let mut w = ObjectWriter::new();
+        w.str_field("ph", "X");
+        w.object_field("args", args);
+        let line = w.finish();
+        assert_eq!(line, r#"{"ph":"X","args":{"id":1}}"#);
+        let parsed = parse(&line).unwrap();
+        assert_eq!(field(field(&parsed, "args"), "id").as_f64(), Some(1.0));
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_not_recursed_into() {
+        let deep = "[".repeat(100_000);
+        assert!(parse(&deep).unwrap_err().contains("nesting too deep"));
+        let fits = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&fits).is_ok());
     }
 }

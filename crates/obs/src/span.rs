@@ -74,6 +74,16 @@ pub enum AttrValue {
     Str(String),
 }
 
+impl AttrValue {
+    /// Appends this value to `object` as the field `name`.
+    pub(crate) fn write_field(&self, name: &str, object: &mut ObjectWriter) {
+        match self {
+            AttrValue::U64(v) => object.u64_field(name, *v),
+            AttrValue::Str(v) => object.str_field(name, v),
+        }
+    }
+}
+
 /// One completed span (or instant event) as a sink records it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
@@ -423,11 +433,7 @@ impl<W: Write> WriterSpanSink<W> {
         line.u64_field("start_us", record.start_us);
         line.u64_field("end_us", record.end_us);
         for (name, value) in &record.attrs {
-            let key = format!("attr.{name}");
-            match value {
-                AttrValue::U64(v) => line.u64_field(&key, *v),
-                AttrValue::Str(v) => line.str_field(&key, v),
-            }
+            value.write_field(&format!("attr.{name}"), &mut line);
         }
         let line = line.finish();
         if let Err(error) = self
@@ -606,6 +612,7 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{parse_object, Value};
 
     #[test]
     fn noop_is_disabled_and_hands_out_the_null_id() {
@@ -715,13 +722,14 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         for line in &lines {
-            let parsed = crate::json::parse_object(line).unwrap();
-            assert_eq!(parsed["record"].as_str(), Some("span"));
+            let parsed = parse_object(line).unwrap();
+            assert_eq!(parsed.get("record").and_then(Value::as_str), Some("span"));
         }
-        let root_line = crate::json::parse_object(lines[0]).unwrap();
-        assert_eq!(root_line["name"].as_str(), Some("cycle"));
-        assert_eq!(root_line["attr.policy"].as_str(), Some("AMP"));
-        assert_eq!(root_line["attr.jobs"].as_f64(), Some(2.0));
+        let root_line = parse_object(lines[0]).unwrap();
+        let field = |name| root_line.get(name).unwrap();
+        assert_eq!(field("name").as_str(), Some("cycle"));
+        assert_eq!(field("attr.policy").as_str(), Some("AMP"));
+        assert_eq!(field("attr.jobs").as_f64(), Some(2.0));
     }
 
     #[test]

@@ -1,10 +1,15 @@
 //! Property tests for the event schema: serialization is total and
 //! `from_json_line` is the exact inverse of `to_json_line`, for arbitrary
-//! field contents — including hostile strings and extreme numerics.
+//! field contents — including hostile strings and extreme numerics. The
+//! same holds one level down, for any object `ObjectWriter` builds, and
+//! for span names and attributes through a Chrome document.
 
 use proptest::prelude::*;
 
-use slotsel_obs::TraceEvent;
+use slotsel_obs::chrome;
+use slotsel_obs::json::{parse_object, ObjectWriter, Value};
+use slotsel_obs::span::AttrValue;
+use slotsel_obs::{SpanId, SpanRecord, TraceEvent};
 
 /// Arbitrary Unicode strings, biased toward JSON-hostile content
 /// (quotes, backslashes, control characters, astral-plane chars).
@@ -24,6 +29,43 @@ fn arb_string() -> impl Strategy<Value = String> {
 
 fn arb_f64() -> impl Strategy<Value = f64> {
     (-1.0e12f64..1.0e12).prop_map(|v| v)
+}
+
+/// Integers `f64` holds exactly, as every reader value does.
+const EXACT: i64 = 1 << 53;
+
+/// Writes one field of the kind `kind` selects; returns what a reader
+/// must give back for it.
+fn write_field(
+    w: &mut ObjectWriter,
+    name: &str,
+    kind: u8,
+    text: &str,
+    int: i64,
+    real: f64,
+) -> Value {
+    match kind % 5 {
+        0 => {
+            w.str_field(name, text);
+            Value::Str(text.to_owned())
+        }
+        1 => {
+            w.u64_field(name, int.unsigned_abs());
+            Value::Num(int.unsigned_abs() as f64)
+        }
+        2 => {
+            w.i64_field(name, int);
+            Value::Num(int as f64)
+        }
+        3 => {
+            w.f64_field(name, real);
+            Value::Num(real)
+        }
+        _ => {
+            w.bool_field(name, int % 2 == 0);
+            Value::Bool(int % 2 == 0)
+        }
+    }
 }
 
 proptest! {
@@ -93,5 +135,65 @@ proptest! {
         let line = TraceEvent::Sample { name, value }.to_json_line();
         prop_assert!(!line.contains('\n'), "JSONL lines must be single lines: {}", line);
         prop_assert!(!line.contains('\r'));
+    }
+
+    #[test]
+    fn written_objects_read_back_equal(
+        fields in prop::collection::vec(
+            (arb_string(), any::<u8>(), arb_string(), -EXACT..EXACT, arb_f64()),
+            0..12,
+        ),
+    ) {
+        let mut w = ObjectWriter::new();
+        let mut expected = Vec::new();
+        for (index, (name, kind, text, int, real)) in fields.iter().enumerate() {
+            // The `#index` suffix keeps names distinct, as a flat object's
+            // must be.
+            let name = format!("{name}#{index}");
+            let value = write_field(&mut w, &name, *kind, text, *int, *real);
+            expected.push((name, value));
+        }
+        let line = w.finish();
+        prop_assert_eq!(parse_object(&line).unwrap(), Value::Obj(expected));
+    }
+
+    #[test]
+    fn span_names_and_attrs_survive_a_chrome_document(
+        name in arb_string(),
+        attrs in prop::collection::vec((arb_string(), any::<bool>(), arb_string(), any::<u64>()), 0..6),
+    ) {
+        let attrs: Vec<(String, AttrValue)> = attrs
+            .into_iter()
+            .enumerate()
+            .map(|(index, (key, is_text, text, int))| {
+                let value = if is_text { AttrValue::Str(text) } else { AttrValue::U64(int) };
+                (format!("{key}#{index}"), value)
+            })
+            .collect();
+        let record = SpanRecord {
+            id: SpanId(1),
+            parent: SpanId::NONE,
+            name: name.clone(),
+            track: 0,
+            start_us: 10,
+            end_us: 25,
+            attrs: attrs.clone(),
+            instant: false,
+        };
+        let document = chrome::parse(&chrome::render(&[(4, &[record][..])])).unwrap();
+        let events = document.get("traceEvents").and_then(Value::as_array).unwrap();
+        let span = events
+            .iter()
+            .find(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
+            .unwrap();
+        prop_assert_eq!(span.get("name").and_then(Value::as_str), Some(name.as_str()));
+        let args = span.get("args").unwrap();
+        for (key, value) in &attrs {
+            let expected = match value {
+                AttrValue::U64(v) => Value::Num(*v as f64),
+                AttrValue::Str(v) => Value::Str(v.clone()),
+            };
+            prop_assert_eq!(args.get(key), Some(&expected));
+        }
     }
 }

@@ -34,7 +34,7 @@ use slotsel::core::{
 };
 use slotsel::env::{EnvironmentConfig, NodeGenConfig};
 use slotsel::obs::journal::{Journal, NoopJournal};
-use slotsel::obs::json::{parse_object, JsonObject, ObjectWriter};
+use slotsel::obs::json::{parse_object, ObjectWriter, Value};
 use slotsel::obs::{
     chrome, FlightRecorder, Handler, HttpRequest, HttpResponse, MemorySpanSink, Metrics,
     MetricsRegistry, MetricsServer, Obs, SpanRecord,
@@ -535,10 +535,10 @@ fn admit_status(code: &str) -> u16 {
 /// Decodes a `POST /submit` body (one flat JSON object) into a
 /// [`Submission`].
 fn parse_submission(body: &str) -> Result<Submission, String> {
-    let object: JsonObject =
+    let object =
         parse_object(body.trim()).map_err(|e| format!("body is not a flat JSON object: {e}"))?;
-    let str_of = |key: &str| object.get(key).and_then(|v| v.as_str().map(str::to_owned));
-    let num_of = |key: &str| object.get(key).and_then(|v| v.as_f64());
+    let str_of = |key: &str| object.get(key).and_then(Value::as_str).map(str::to_owned);
+    let num_of = |key: &str| object.get(key).and_then(Value::as_f64);
     let uint_of = |key: &str| -> Result<Option<u64>, String> {
         match num_of(key) {
             None => Ok(None),

@@ -711,6 +711,29 @@ fn live_serve_rejects_over_quota_submits_with_a_typed_error() {
 }
 
 #[test]
+fn live_serve_refuses_a_submit_that_repeats_a_field() {
+    // A repeated field is ambiguous: which budget did the client mean?
+    // The body is refused whole, and no job is admitted.
+    let (mut child, addr) = spawn_live(&["--cycle-ms", "60000"]);
+    let repeated = live_request(
+        &addr,
+        "POST",
+        "/submit",
+        r#"{"tenant":"alice","nodes":2,"volume":80,"budget":1,"budget":1e9}"#,
+    );
+    assert!(repeated.starts_with("HTTP/1.1 400"), "{repeated}");
+    let body = response_body(&repeated);
+    assert!(body.contains("\"error\":\"bad_request\""), "{repeated}");
+    assert!(body.contains("duplicate field"), "{repeated}");
+
+    let state = live_request(&addr, "GET", "/state", "");
+    assert!(response_body(&state).contains("\"jobs\":0"), "{state}");
+
+    live_request(&addr, "POST", "/shutdown", "");
+    let _ = child.wait();
+}
+
+#[test]
 fn live_serve_recovers_accepted_submits_after_a_kill() {
     let dir = temp_path("live-recover");
     let _ = std::fs::remove_dir_all(&dir);
