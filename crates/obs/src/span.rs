@@ -114,6 +114,15 @@ impl SpanRecord {
     pub fn duration_us(&self) -> u64 {
         self.end_us.saturating_sub(self.start_us)
     }
+
+    /// Sets the attribute `name`, replacing any earlier value, so each
+    /// name appears once in a span line and in a Chrome event's `args`.
+    fn set_attr(&mut self, name: &str, value: AttrValue) {
+        match self.attrs.iter_mut().find(|(existing, _)| existing == name) {
+            Some((_, slot)) => *slot = value,
+            None => self.attrs.push((name.to_owned(), value)),
+        }
+    }
 }
 
 /// A sink for hierarchical spans.
@@ -319,14 +328,14 @@ impl SpanSink for MemorySpanSink {
 
     fn attr_u64(&mut self, name: &'static str, value: u64) {
         if let Some(span) = self.innermost() {
-            span.attrs.push((name.to_owned(), AttrValue::U64(value)));
+            span.set_attr(name, AttrValue::U64(value));
         }
     }
 
     fn attr_str(&mut self, name: &'static str, value: &str) {
         let value = value.to_owned();
         if let Some(span) = self.innermost() {
-            span.attrs.push((name.to_owned(), AttrValue::Str(value)));
+            span.set_attr(name, AttrValue::Str(value));
         }
     }
 
@@ -730,6 +739,48 @@ mod tests {
         assert_eq!(field("name").as_str(), Some("cycle"));
         assert_eq!(field("attr.policy").as_str(), Some("AMP"));
         assert_eq!(field("attr.jobs").as_f64(), Some(2.0));
+    }
+
+    #[test]
+    fn an_attribute_set_twice_keeps_its_last_value() {
+        let mut sink = WriterSpanSink::new(Vec::new());
+        let root = sink.open("cycle");
+        sink.attr_u64("jobs", 1);
+        sink.attr_str("policy", "AMP");
+        sink.attr_u64("jobs", 2);
+        sink.close(root);
+        let text = String::from_utf8(sink.finish().unwrap()).unwrap();
+        let line = parse_object(text.trim_end()).expect("no repeated field");
+        assert_eq!(line.get("attr.jobs").and_then(Value::as_f64), Some(2.0));
+
+        let mut memory = MemorySpanSink::new();
+        let root = memory.open("cycle");
+        memory.attr_u64("jobs", 1);
+        memory.attr_u64("jobs", 2);
+        memory.close(root);
+        let records = memory.take_records();
+        assert_eq!(
+            records[0].attrs,
+            vec![("jobs".to_owned(), AttrValue::U64(2))]
+        );
+        let document = crate::chrome::render(&[(0, &records)]);
+        assert_eq!(document.matches("\"jobs\":").count(), 1, "{document}");
+        let events = crate::chrome::parse(&document).unwrap();
+        let span = events
+            .get("traceEvents")
+            .and_then(Value::as_array)
+            .and_then(|events| {
+                events
+                    .iter()
+                    .find(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
+            })
+            .expect("the span event");
+        assert_eq!(
+            span.get("args")
+                .and_then(|args| args.get("jobs"))
+                .and_then(Value::as_f64),
+            Some(2.0)
+        );
     }
 
     #[test]
