@@ -146,11 +146,15 @@ impl NodeRequirements {
 /// A parallel job's resource request.
 ///
 /// Immutable once built; construct with [`ResourceRequest::builder`].
+/// It decodes a missing `requirements` field as the default and a missing
+/// `deadline` or `reference_span` as `None`, the fields a live journal's
+/// `Submitted` record leaves out.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResourceRequest {
     node_count: usize,
     volume: Volume,
     budget: Money,
+    #[serde(default)]
     requirements: NodeRequirements,
     deadline: Option<TimePoint>,
     reference_span: Option<TimeDelta>,

@@ -45,7 +45,9 @@
 //! through both stores and the property suite asserts operation-for-
 //! operation equivalence (see `docs/PERFORMANCE.md`).
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasherDefault;
 
 use crate::money::Money;
 use crate::node::NodeId;
@@ -63,6 +65,9 @@ fn priority(id: SlotId) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
+
+/// The id index's hasher: SipHash with fixed keys.
+type IdHasher = BuildHasherDefault<DefaultHasher>;
 
 /// The ordering key of a slot inside the tree: `(start, id)`, exactly the
 /// scan order of the sorted-`Vec` store.
@@ -174,8 +179,11 @@ pub struct TreeSlots {
     /// Recycled arena positions of removed slots.
     free: Vec<u32>,
     root: u32,
-    /// `SlotId -> arena index`.
-    by_id: HashMap<u64, u32>,
+    /// `SlotId -> arena index`, hashed with fixed keys: slot ids are
+    /// internal, and a per-process random seed would make the map's
+    /// growth, and with it the store's allocation count, vary between
+    /// runs of the same input.
+    by_id: HashMap<u64, u32, IdHasher>,
     /// `(node, start, id) -> arena index`, the per-node adjacency index.
     by_node: BTreeMap<(u32, i64, u64), u32>,
 }
@@ -188,7 +196,7 @@ impl TreeSlots {
             arena: Vec::new(),
             free: Vec::new(),
             root: NIL,
-            by_id: HashMap::new(),
+            by_id: HashMap::default(),
             by_node: BTreeMap::new(),
         }
     }

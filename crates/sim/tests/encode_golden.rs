@@ -164,7 +164,9 @@ fn live_records_match_their_golden_encodings() {
         "live records",
         &digest_by_variant(&records),
         &[
-            ("Committed", (218, 44_160, 0x3b64_5ed9_e26f_f653)),
+            // Re-recorded when a committed window's slots became
+            // `[slot, node, length, cost]` rows (44,160 B before).
+            ("Committed", (218, 27_630, 0xf830_e24f_e8c8_e49a)),
             // Re-recorded when barriers dropped the jobs table for a job
             // digest; every other group still has its tree-encoder bytes.
             ("CycleCommitted", (150, 22_053, 0x5495_bf80_7daf_f876)),
@@ -174,16 +176,19 @@ fn live_records_match_their_golden_encodings() {
             // before).
             ("Finished", (216, 7_519, 0x4c9b_2814_c95c_0290)),
             ("ServiceStarted", (1, 263, 0x47e1_0e11_ee90_ef22)),
-            ("Submitted", (236, 88_083, 0x2e3c_3fab_a442_9500)),
+            // Re-recorded when `Submitted` records left out the request
+            // fields that hold their defaults (88,083 B before).
+            ("Submitted", (236, 40_895, 0x04b5_ca22_d0ae_a7cf)),
         ],
     );
     // Re-recorded when shards left their platform and slot prices out:
     // the pretty state goes through the same `LiveState` encoder as a
-    // snapshot (22,913 B before).
+    // snapshot (22,913 B before), and again when the state gained the
+    // `archive_digest` field (14,800 B before; the same bytes without it).
     let pretty = serde_json::to_string_pretty(service.state()).expect("states serialize");
     assert_eq!(
         digest_one(&pretty),
-        (14_800, 0x3d70_62ea_0007_c4ef),
+        (14_841, 0xc1cd_7f08_fc8f_4f18),
         "{:#x?}",
         digest_one(&pretty)
     );
@@ -193,11 +198,13 @@ fn live_records_match_their_golden_encodings() {
 fn a_wide_live_snapshot_matches_its_golden_encoding() {
     let (service, _) = live_run(live_config(5, 200), 40);
     // Re-recorded when snapshots left the platform and the per-slot
-    // performance and price out (89,122 B before).
+    // performance and price out (89,122 B before), and again when they
+    // gained the `archive_digest` field (11,390 B before; the same bytes
+    // without it).
     let snapshot = LiveRecord::encode_checkpoint(service.state());
     assert_eq!(
         digest_one(&snapshot),
-        (11_390, 0xe357_98c1_61c2_5456),
+        (11_427, 0x59ab_f5bd_6d37_c43c),
         "{:#x?}",
         digest_one(&snapshot)
     );

@@ -44,13 +44,13 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Value};
 use slotsel_batch::BatchSchedulerConfig;
 use slotsel_core::tenant::TenantQuota;
-use slotsel_obs::journal::{Journal, MemoryJournal, SnapshotStore, WalJournal};
+use slotsel_obs::journal::{frame, unframe, Journal, MemoryJournal, SnapshotStore, WalJournal};
 use slotsel_obs::NoopMetrics;
 use slotsel_sim::journal::{journal_path, snapshot_dir, DurableJournal, RecoverError};
 use slotsel_sim::parallel::Parallelism;
 use slotsel_sim::serve::{
     recover_live, JobEntry, JobPhase, LiveConfig, LiveRecord, LiveService, LiveState, QuotaTable,
-    Submission,
+    RecoveredService, Submission,
 };
 
 const CYCLE_ADVANCE: i64 = 60;
@@ -371,6 +371,132 @@ fn every_crash_point_of_a_pre_retirement_or_full_barrier_journal_recovers() {
     sweep(&run, &pre_retirement_shape(&run), "pre-retirement-sweep");
     sweep(&run, &full_barrier_shape(&run), "full-barrier-sweep");
     let _ = std::fs::remove_dir_all(&source);
+}
+
+#[test]
+fn every_crash_point_of_a_full_record_journal_recovers() {
+    // The same run, its `Submitted` and `Committed` records written in
+    // full, next to its snapshots and next to the same snapshots without
+    // their archive digest: the shapes written before either was slim.
+    let source = temp_dir("full-record-sweep-source");
+    let mut run = drive_with_snapshots(&source);
+    let records = full_record_shape(&run);
+    assert_ne!(records, run.records);
+    sweep(&run, &records, "full-record-sweep");
+    for (_, files) in &mut run.snapshots {
+        for (_, bytes) in files.iter_mut() {
+            *bytes = without_archive_digest(bytes);
+        }
+    }
+    sweep(&run, &records, "full-record-sweep-old-snapshots");
+    let _ = std::fs::remove_dir_all(&source);
+}
+
+#[test]
+fn a_dropped_covered_deferral_is_refused_by_the_archive_digest() {
+    // A job the snapshot's cycles deferred, then committed and retired:
+    // without one of its `Deferred` records the covered walk rebuilds its
+    // archive entry one priority step too low, which no barrier digest
+    // sees, as barriers digest only the live jobs.
+    let source = temp_dir("deferral-source");
+    let run = drive_into(
+        full_submits_config(),
+        FULL_SUBMITS_CYCLES,
+        true,
+        DurableJournal::create(&source, 5).unwrap(),
+        Some(snapshot_dir(&source)),
+    );
+    let (covered_len, files) = run.snapshots.last().expect("snapshots");
+    let dir = temp_dir("deferral");
+    write_snapshots(&dir, files);
+    write_wal(&dir, &run.records);
+    assert_eq!(recover_live(&dir).unwrap().service, run.service);
+
+    let covered = &run.records[..*covered_len];
+    let retired: BTreeSet<u32> = covered
+        .iter()
+        .filter_map(|line| match LiveRecord::decode(line).unwrap() {
+            LiveRecord::Finished { job, .. } => Some(job),
+            _ => None,
+        })
+        .collect();
+    let deferral = covered
+        .iter()
+        .rposition(|line| {
+            matches!(LiveRecord::decode(line).unwrap(),
+                LiveRecord::Deferred { job, .. } if retired.contains(&job))
+        })
+        .expect("a covered deferral of a job the snapshot's cycles retired");
+    let mut records = run.records.clone();
+    records.remove(deferral);
+    assert_refused(&dir, &records, "the rebuilt archive digests to");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&source);
+}
+
+/// Recovers `run`'s journal with its first `Committed` record's window
+/// replaced by `window`, and expects a decode error for that record whose
+/// message mentions `what`.
+fn assert_window_refused(window: &str, what: &str) {
+    let run = drive(5, 30);
+    let index = run
+        .records
+        .iter()
+        .position(|line| line.starts_with("{\"Committed\""))
+        .expect("a Committed record");
+    let LiveRecord::Committed {
+        cycle, job, shard, ..
+    } = LiveRecord::decode(&run.records[index]).unwrap()
+    else {
+        unreachable!()
+    };
+    let mut records = run.records.clone();
+    records[index] = format!(
+        "{{\"Committed\":{{\"cycle\":{cycle},\"job\":{job},\"shard\":{shard},\
+         \"window\":{window}}}}}"
+    );
+    let dir = temp_dir("refused-window");
+    write_wal(&dir, &records);
+    match recover_live(&dir) {
+        Err(RecoverError::Decode { record, message }) => {
+            assert_eq!(record, index as u64 + 1, "{message}");
+            assert!(
+                message.contains(what),
+                "{message:?} does not mention {what:?}"
+            );
+        }
+        Err(other) => panic!("expected a decode error for {window}, got {other}"),
+        Ok(_) => panic!("a window of {window} recovered"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_committed_window_without_slots_is_a_decode_error() {
+    assert_window_refused(r#"{"start":60,"slots":[]}"#, "at least one slot");
+}
+
+#[test]
+fn a_committed_window_with_two_slots_on_one_node_is_a_decode_error() {
+    for window in [
+        r#"{"start":60,"slots":[[1,2,30,900],[3,2,30,900]]}"#,
+        concat!(
+            r#"{"start":60,"slots":[{"slot":1,"node":2,"length":30,"cost":900},"#,
+            r#"{"slot":3,"node":2,"length":30,"cost":900}]}"#
+        ),
+    ] {
+        assert_window_refused(window, "distinct nodes");
+    }
+}
+
+#[test]
+fn a_committed_window_slot_of_no_length_is_a_decode_error() {
+    for window in [
+        r#"{"start":60,"slots":[[1,2,0,900]]}"#,
+        r#"{"start":60,"slots":[{"slot":1,"node":2,"length":-30,"cost":900}]}"#,
+    ] {
+        assert_window_refused(window, "must be positive");
+    }
 }
 
 #[test]
@@ -861,6 +987,38 @@ fn full_barrier_shape(run: &Run) -> Vec<String> {
     with_barriers(run, &entry_shape(run), full_barrier)
 }
 
+/// Rewrites a journal into the shape written before `Submitted` and
+/// `Committed` records were slim: every request field written, each window
+/// slot an object, as the derived encoder writes them.
+fn full_record_shape(run: &Run) -> Vec<String> {
+    run.records
+        .iter()
+        .map(|line| match LiveRecord::decode(line).unwrap() {
+            record @ (LiveRecord::Submitted { .. } | LiveRecord::Committed { .. }) => {
+                let full = serde_json::to_string(&record).unwrap();
+                assert!(full.contains("\"reference_span\":null") || full.contains("{\"slot\":"));
+                full
+            }
+            _ => line.clone(),
+        })
+        .collect()
+}
+
+/// A snapshot file as written before snapshots held the archive digest.
+fn without_archive_digest(file: &[u8]) -> Vec<u8> {
+    let line = std::str::from_utf8(file).unwrap().trim_end();
+    let payload = unframe(line).unwrap();
+    let at = payload
+        .find(",\"archive_digest\":")
+        .expect("an archive digest");
+    let end = at + 1 + payload[at + 1..].find(',').unwrap();
+    format!(
+        "{}\n",
+        frame(&format!("{}{}", &payload[..at], &payload[end..]))
+    )
+    .into_bytes()
+}
+
 /// Recovers `old`, the journal of a `cycles`-cycle `run` rewritten into an
 /// earlier format, then continues it with eight cycles of fresh arrivals
 /// in the current format; both recoveries must match a service that never
@@ -970,10 +1128,29 @@ fn legacy_config() -> LiveConfig {
     }
 }
 
-/// Copies the legacy fixture into a fresh directory.
-fn legacy_fixture(tag: &str) -> PathBuf {
+/// A live journal directory written by `DurableJournal` and `LiveService`
+/// as they stood at commit `d3d9744`, when `Submitted` records wrote every
+/// request field and `Committed` records each window slot as an object
+/// (its `Finished` records and snapshot rows are today's shapes): the run
+/// of [`full_submits_config`] for [`FULL_SUBMITS_CYCLES`] cycles with hard
+/// arrivals, a snapshot every fifth barrier.
+const FULL_SUBMITS_FIXTURE: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/full-submits");
+const FULL_SUBMITS_CYCLES: u64 = 16;
+
+/// Two shards of five nodes, so jobs contend and some age before they
+/// commit.
+fn full_submits_config() -> LiveConfig {
+    LiveConfig {
+        nodes_per_shard: 5,
+        ..config(44)
+    }
+}
+
+/// Copies the committed journal directory `fixture` into a fresh one.
+fn copy_fixture(fixture: &str, tag: &str) -> PathBuf {
     let dir = temp_dir(tag);
-    let source = Path::new(LEGACY_FIXTURE);
+    let source = Path::new(fixture);
     std::fs::copy(journal_path(source), journal_path(&dir)).unwrap();
     std::fs::create_dir_all(snapshot_dir(&dir)).unwrap();
     for (name, bytes) in read_snapshots(&snapshot_dir(source)) {
@@ -982,38 +1159,31 @@ fn legacy_fixture(tag: &str) -> PathBuf {
     dir
 }
 
-#[test]
-fn a_journal_with_platform_snapshots_recovers_and_continues() {
-    let dir = legacy_fixture("platform-snapshots");
-    let snapshots = read_snapshots(&snapshot_dir(&dir));
-    assert_eq!(snapshots.len(), 2);
-    for (name, bytes) in &snapshots {
-        let text = String::from_utf8_lossy(bytes);
-        assert!(
-            text.contains("\"platform\"") && text.contains("\"price_per_unit\""),
-            "{name:?} is not a platform-carrying snapshot"
-        );
-    }
-    let run = drive_into(
-        legacy_config(),
-        LEGACY_CYCLES,
-        false,
-        MemoryJournal::new(),
-        None,
-    );
-    let recovered = recover_live(&dir).unwrap();
-    assert_eq!(recovered.snapshot_cycle, Some(10));
-    assert_eq!(recovered.barriers, LEGACY_CYCLES);
+/// Recovers `dir`, a fixture copy holding the run of `config` for `cycles`
+/// cycles (`hard` as for [`arrivals`]) with its newest snapshot at
+/// `snapshot_cycle`, and expects that run's service; then journals eight
+/// more cycles on the recovered service in the current format, a snapshot
+/// every fifth barrier, and expects the same again from a recovery of the
+/// continued directory, which returns.
+fn assert_fixture_recovers_and_continues(
+    dir: &Path,
+    config: LiveConfig,
+    cycles: u64,
+    hard: bool,
+    snapshot_cycle: u64,
+) -> RecoveredService {
+    let run = drive_into(config, cycles, hard, MemoryJournal::new(), None);
+    let recovered = recover_live(dir).unwrap();
+    assert_eq!(recovered.snapshot_cycle, Some(snapshot_cycle));
+    assert_eq!(recovered.barriers, cycles);
     assert_eq!(recovered.service, run.service);
 
-    // Eight more cycles on the recovered service, journaled on and
-    // snapshotted in the current format, recover again.
     let mut journal =
-        DurableJournal::resume_at(&dir, recovered.resume_len, recovered.barriers, 5).unwrap();
+        DurableJournal::resume_at(dir, recovered.resume_len, recovered.barriers, 5).unwrap();
     let mut reference = run.service;
     let mut resumed = recovered.service;
     let mut rng = StdRng::seed_from_u64(41);
-    for cycle in LEGACY_CYCLES..LEGACY_CYCLES + 8 {
+    for cycle in cycles..cycles + 8 {
         for submission in arrivals(&mut rng, cycle, false) {
             let entry = resumed.submit(&submission);
             assert_eq!(reference.submit(&submission), entry);
@@ -1026,6 +1196,27 @@ fn a_journal_with_platform_snapshots_recovers_and_continues() {
         resumed.run_cycle_observed(Parallelism::Serial, &NoopMetrics, &mut journal);
     }
     journal.finish().unwrap();
+    let again = recover_live(dir).unwrap();
+    assert_eq!(again.service, reference);
+    assert_eq!(again.service, resumed);
+    again
+}
+
+#[test]
+fn a_journal_with_platform_snapshots_recovers_and_continues() {
+    let dir = copy_fixture(LEGACY_FIXTURE, "platform-snapshots");
+    let snapshots = read_snapshots(&snapshot_dir(&dir));
+    assert_eq!(snapshots.len(), 2);
+    for (name, bytes) in &snapshots {
+        let text = String::from_utf8_lossy(bytes);
+        assert!(
+            text.contains("\"platform\"") && text.contains("\"price_per_unit\""),
+            "{name:?} is not a platform-carrying snapshot"
+        );
+    }
+    let again =
+        assert_fixture_recovers_and_continues(&dir, legacy_config(), LEGACY_CYCLES, false, 10);
+    assert_eq!(again.snapshot_cycle, Some(20));
     for (name, bytes) in read_snapshots(&snapshot_dir(&dir)) {
         let text = String::from_utf8(bytes).unwrap();
         assert!(
@@ -1033,10 +1224,44 @@ fn a_journal_with_platform_snapshots_recovers_and_continues() {
             "{name:?} still carries the platform"
         );
     }
-    let again = recover_live(&dir).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_journal_with_full_submits_and_object_windows_recovers_and_continues() {
+    let dir = copy_fixture(FULL_SUBMITS_FIXTURE, "full-submits");
+    let wal = std::fs::read_to_string(journal_path(&dir)).unwrap();
+    let count = |needle: &str| wal.matches(needle).count();
+    let submitted = count("{\"Submitted\"");
+    assert!(submitted > 0 && count("\"reference_span\":null") == submitted);
+    assert!(count("\"deadline\":") > count("\"deadline\":null"));
+    assert!(
+        count("{\"Committed\"") > 0 && count("\"slots\":[{\"slot\":") == count("{\"Committed\"")
+    );
+    assert!(count("{\"Finished\"") > 0 && count("\"entry\":") == submitted);
+    let snapshots = read_snapshots(&snapshot_dir(&dir));
+    assert_eq!(snapshots.len(), 2);
+    for (name, bytes) in &snapshots {
+        let text = String::from_utf8_lossy(bytes);
+        assert!(
+            text.contains("\"platform_digest\"") && !text.contains("\"archive_digest\""),
+            "{name:?} is not a row snapshot without an archive digest"
+        );
+    }
+    let again = assert_fixture_recovers_and_continues(
+        &dir,
+        full_submits_config(),
+        FULL_SUBMITS_CYCLES,
+        true,
+        15,
+    );
     assert_eq!(again.snapshot_cycle, Some(20));
-    assert_eq!(again.service, reference);
-    assert_eq!(again.service, resumed);
+    assert!(again.service.retired().len() >= 20);
+    let snapshot = read_snapshots(&snapshot_dir(&dir))
+        .into_iter()
+        .find(|(name, _)| name.to_string_lossy().contains("20"))
+        .expect("the continued run's snapshot");
+    assert!(String::from_utf8_lossy(&snapshot.1).contains("\"archive_digest\""));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -1184,6 +1409,10 @@ fn a_snapshot_for_another_platform_or_with_a_foreign_node_is_refused() {
 struct BarrierProbe {
     barriers: Vec<(usize, LiveState)>,
     finished: Vec<usize>,
+    /// `(bytes, window slots)` of each `Committed` record.
+    committed: Vec<(usize, usize)>,
+    /// Bytes of each `Submitted` record.
+    submitted: Vec<usize>,
 }
 
 impl Journal for BarrierProbe {
@@ -1200,6 +1429,10 @@ impl Journal for BarrierProbe {
             self.barriers.push((payload.len(), state));
         } else if payload.starts_with("{\"Finished\"") {
             self.finished.push(payload.len());
+        } else if payload.starts_with("{\"Submitted\"") {
+            self.submitted.push(payload.len());
+        } else if let Ok(LiveRecord::Committed { window, .. }) = LiveRecord::decode(payload) {
+            self.committed.push((payload.len(), window.size()));
         }
     }
     fn commit(&mut self) {}
@@ -1222,6 +1455,25 @@ impl BarrierProbe {
             *largest <= FINISHED_BOUND,
             "a Finished record of {largest} bytes, over the {FINISHED_BOUND}-byte bound"
         );
+    }
+
+    /// Asserts that some job was submitted and some window committed, and
+    /// that no `Submitted` record is over [`SUBMITTED_BOUND`] and no
+    /// `Committed` record over [`COMMITTED_BOUND`].
+    fn assert_slim_submits_and_commits(&self) {
+        let largest = self.submitted.iter().max().expect("some job submitted");
+        assert!(
+            *largest <= SUBMITTED_BOUND,
+            "a Submitted record of {largest} bytes, over the {SUBMITTED_BOUND}-byte bound"
+        );
+        assert!(!self.committed.is_empty(), "no window committed");
+        for &(bytes, slots) in &self.committed {
+            let bound = COMMITTED_BOUND.0 * slots + COMMITTED_BOUND.1;
+            assert!(
+                bytes <= bound,
+                "a Committed record of {bytes} bytes for {slots} slots, over {bound}"
+            );
+        }
     }
 
     /// Each barrier's size less the printed widths of its numbers.
@@ -1258,12 +1510,10 @@ fn barrier_size_does_not_grow_with_the_platform() {
         let mut probe = BarrierProbe::default();
         let mut live = Vec::new();
         for cycle in 0..40 {
-            for submission in arrivals(&mut rng, cycle, false) {
-                let _ = service.submit(&submission);
-            }
+            let mut submissions = arrivals(&mut rng, cycle, false);
             if cycle % 10 == 0 {
                 // A wide window, whose `Finished` record stays as small.
-                let _ = service.submit(&Submission {
+                submissions.push(Submission {
                     tenant: "carol".to_owned(),
                     nodes: 16,
                     volume: 100,
@@ -1273,7 +1523,12 @@ fn barrier_size_does_not_grow_with_the_platform() {
                     shard: None,
                 });
             }
-            service
+            for submission in &submissions {
+                if let Ok(entry) = service.submit(submission) {
+                    probe.append(&LiveRecord::Submitted { entry }.encode());
+                }
+            }
+            let entry = service
                 .submit(&Submission {
                     tenant: "bob".to_owned(),
                     nodes: 2,
@@ -1284,6 +1539,7 @@ fn barrier_size_does_not_grow_with_the_platform() {
                     shard: None,
                 })
                 .unwrap();
+            probe.append(&LiveRecord::Submitted { entry }.encode());
             service.run_cycle_observed(Parallelism::Serial, &NoopMetrics, &mut probe);
             live.push(service.state().jobs.len());
         }
@@ -1302,6 +1558,7 @@ fn barrier_size_does_not_grow_with_the_platform() {
         "the wide windows must finish on 2 x 1000 nodes"
     );
     large.assert_slim_finished();
+    large.assert_slim_submits_and_commits();
     for live in [&small_live, &large_live] {
         let (fewest, most) = (live.iter().min().unwrap(), live.iter().max().unwrap());
         assert!(
@@ -1363,13 +1620,26 @@ const BARRIER_BOUND: usize = 512;
 /// the retired job's window, request or tenant.
 const FINISHED_BOUND: usize = 64;
 
-/// FNV-1a over the `Committed` and `Deferred` records, one line each.
+/// Largest `Submitted` record of a request with the default requirements:
+/// its tenant, counters and request numbers, and no `null` field.
+const SUBMITTED_BOUND: usize = 200;
+
+/// Largest `Committed` record, per window slot and in all: one
+/// `[slot,node,length,cost]` row per slot after the cycle, job, shard and
+/// window start.
+const COMMITTED_BOUND: (usize, usize) = (40, 100);
+
+/// FNV-1a over the `Committed` and `Deferred` records, one line each, in
+/// their full shapes.
 struct DecisionDigest(u64);
 
 impl Journal for DecisionDigest {
     fn append(&mut self, payload: &str) {
         if payload.starts_with("{\"Committed\"") || payload.starts_with("{\"Deferred\"") {
-            for byte in payload.bytes().chain(std::iter::once(b'\n')) {
+            // In the full shape the digest was recorded in, which the
+            // derived encoder still writes: it pins decisions, not bytes.
+            let full = serde_json::to_string(&LiveRecord::decode(payload).unwrap()).unwrap();
+            for byte in full.bytes().chain(std::iter::once(b'\n')) {
                 self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
             }
         }
