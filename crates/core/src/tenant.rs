@@ -196,6 +196,14 @@ pub enum AdmitError {
         /// How many shards exist.
         shards: u32,
     },
+    /// The request asks for more nodes than its shard has, so no cycle
+    /// could ever place it.
+    Unplaceable {
+        /// Nodes the request asks for.
+        requested: usize,
+        /// Nodes the shard has.
+        available: usize,
+    },
 }
 
 impl AdmitError {
@@ -210,6 +218,7 @@ impl AdmitError {
             | AdmitError::BudgetQuotaExceeded { .. } => "quota_exceeded",
             AdmitError::UnknownTenant { .. } => "unknown_tenant",
             AdmitError::UnknownShard { .. } => "unknown_shard",
+            AdmitError::Unplaceable { .. } => "unplaceable",
         }
     }
 }
@@ -249,6 +258,13 @@ impl fmt::Display for AdmitError {
             AdmitError::UnknownShard { shard, shards } => {
                 write!(f, "unknown shard {shard} (service has {shards})")
             }
+            AdmitError::Unplaceable {
+                requested,
+                available,
+            } => write!(
+                f,
+                "request needs {requested} nodes but its shard has {available}"
+            ),
         }
     }
 }
@@ -346,6 +362,14 @@ mod tests {
             }
             .code(),
             "unknown_shard"
+        );
+        assert_eq!(
+            AdmitError::Unplaceable {
+                requested: 100,
+                available: 64
+            }
+            .code(),
+            "unplaceable"
         );
     }
 

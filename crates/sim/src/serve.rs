@@ -965,8 +965,9 @@ impl LiveService {
     /// # Errors
     ///
     /// Returns the typed [`AdmitError`] (malformed request, closed-table
-    /// unknown tenant, unknown shard, or the first breached quota
-    /// dimension). State is untouched on error.
+    /// unknown tenant, unknown shard, a request for more nodes than its
+    /// shard has, or the first breached quota dimension). State is
+    /// untouched on error.
     pub fn submit(&mut self, submission: &Submission) -> Result<JobEntry, AdmitError> {
         if submission.tenant.trim().is_empty() {
             return Err(AdmitError::InvalidRequest {
@@ -996,6 +997,13 @@ impl LiveService {
         let request = builder.build()?;
 
         let quota = self.config.quotas.quota_for(&submission.tenant)?;
+        let available = self.state.shards[shard as usize].platform.len();
+        if request.node_count() > available {
+            return Err(AdmitError::Unplaceable {
+                requested: request.node_count(),
+                available,
+            });
+        }
         let usage = self
             .state
             .usage
@@ -1058,7 +1066,8 @@ impl LiveService {
     }
 
     /// Runs one scheduling cycle: forms per-shard batches from the queue
-    /// (re-enforcing quotas), schedules the shards concurrently, commits
+    /// (re-enforcing quotas), schedules the shards (concurrently if
+    /// `parallelism` fans out; the daemon runs them serially), commits
     /// the won windows into the persistent slot lists, advances the
     /// virtual clock, and retires finished jobs.
     ///
@@ -1079,10 +1088,11 @@ impl LiveService {
     /// recording a span tree on `spans`: a `"serve.cycle"` root with
     /// `"serve.batch_formation"` / `"serve.commit"` / `"serve.advance"` /
     /// `"serve.retire"` phase children, plus one `"serve.shard"` subtree
-    /// per shard. Shard subtrees are recorded inside the worker threads on
-    /// private sinks (track `shard + 1`) and adopted under the cycle root
-    /// afterwards, so the caller's sink never crosses threads. With a
-    /// disabled sink this is `run_cycle_observed`, bit for bit.
+    /// per shard. Shard subtrees are recorded on private sinks (track
+    /// `shard + 1`), inside the worker threads when the cycle fans out,
+    /// and adopted under the cycle root afterwards, so the caller's sink
+    /// never crosses threads. With a disabled sink this is
+    /// `run_cycle_observed`, bit for bit.
     #[allow(clippy::too_many_lines)]
     pub fn run_cycle_spanned<J: Journal, S: SpanSink>(
         &mut self,
@@ -1167,9 +1177,9 @@ impl LiveService {
             spans.close(id);
         }
 
-        // --- Concurrent per-shard scheduling ---------------------------
+        // --- Per-shard scheduling -------------------------------------
         // Each shard's two-phase schedule is a pure function of its own
-        // (platform, slots, batch), so disjoint shards really do run in
+        // (platform, slots, batch), so disjoint shards may run in
         // parallel; results come back in shard order regardless. Span
         // trees are captured per worker on private sinks and adopted
         // under the cycle root once the barrier completes.
@@ -2102,6 +2112,31 @@ mod tests {
         let invalid = service.submit(&submission("alice", 0, 1.0)).unwrap_err();
         assert_eq!(invalid.code(), "bad_request");
         assert_eq!(service.state().usage["alice"].pending, 1);
+    }
+
+    #[test]
+    fn a_request_for_more_nodes_than_its_shard_has_is_refused_at_admission() {
+        let mut service = LiveService::new(tiny_config(2));
+        for shard in [None, Some(1)] {
+            let refused = service
+                .submit(&Submission {
+                    shard,
+                    ..submission("alice", 9, 1.0)
+                })
+                .unwrap_err();
+            assert_eq!(
+                refused,
+                AdmitError::Unplaceable {
+                    requested: 9,
+                    available: 8
+                }
+            );
+            assert_eq!(refused.code(), "unplaceable");
+        }
+        assert!(service.state().jobs.is_empty());
+        assert!(!service.state().usage.contains_key("alice"));
+        // A request for the whole shard still fits.
+        assert!(service.submit(&submission("alice", 8, 1.0)).is_ok());
     }
 
     #[test]

@@ -1,86 +1,20 @@
 //! Pins the allocations and transient heap of encoding a live snapshot,
 //! and its size: a free-slot row per slot, no platform.
 //!
-//! A counting global allocator tracks this thread's allocation calls,
-//! live heap bytes and their high-water mark. The counts depend only on
-//! the state encoded, not on the host, so the bounds hold on any machine.
-//! Encoding streams straight into the output buffer, so the only
-//! allocations left are that buffer's growth.
+//! The counting allocator of `counting_alloc` tracks this thread's
+//! allocation calls, live heap bytes and their high-water mark. The
+//! counts depend only on the state encoded, not on the host, so the
+//! bounds hold on any machine. Encoding streams straight into the output
+//! buffer, so the only allocations left are that buffer's growth.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod counting_alloc;
+
 use std::time::Instant;
 
+use counting_alloc::cost_of;
 use slotsel_obs::NoopMetrics;
 use slotsel_sim::parallel::Parallelism;
 use slotsel_sim::serve::{LiveConfig, LiveRecord, LiveService, Submission};
-
-/// Counts this thread's allocations and tracks its live heap bytes and
-/// their peak, so tests running on other threads do not disturb them.
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
-    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
-}
-
-fn track(delta: i64, allocation: bool) {
-    // `try_with` fails only while the thread's locals are torn down.
-    if allocation {
-        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
-    }
-    let _ = LIVE_BYTES.try_with(|live| {
-        let now = live.get() + delta;
-        live.set(now);
-        let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(now)));
-    });
-}
-
-// SAFETY: every method delegates to the system allocator unchanged; the
-// only addition is thread-local counter updates, which never allocate
-// (a `const` Cell needs no lazy initialisation or destructor).
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        track(layout.size() as i64, true);
-        // SAFETY: forwarded under the caller's layout contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        track(-(layout.size() as i64), false);
-        // SAFETY: `ptr` came from this allocator with the same layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        track(new_size as i64 - layout.size() as i64, true);
-        // SAFETY: forwarded under the caller's layout contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL_ALLOC: CountingAlloc = CountingAlloc;
-
-/// What one call cost: allocation calls, and how far this thread's live
-/// heap rose above its level at the call at the highest point.
-struct Cost {
-    allocations: u64,
-    peak_bytes: i64,
-}
-
-fn cost_of<R>(f: impl FnOnce() -> R) -> (Cost, R) {
-    let allocations = ALLOCATIONS.with(Cell::get);
-    let start = LIVE_BYTES.with(Cell::get);
-    PEAK_BYTES.with(|peak| peak.set(start));
-    let result = f();
-    let cost = Cost {
-        allocations: ALLOCATIONS.with(Cell::get) - allocations,
-        peak_bytes: PEAK_BYTES.with(Cell::get) - start,
-    };
-    (cost, result)
-}
 
 /// A live service on `shards` x `nodes`, run for a few cycles with some
 /// jobs scheduled, as the daemon would hold it when a snapshot is due.

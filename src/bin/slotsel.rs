@@ -552,7 +552,7 @@ fn parse_submission(body: &str) -> Result<Submission, String> {
         volume: uint_of("volume")?.ok_or("missing integer field \"volume\"")?,
         budget: num_of("budget").ok_or("missing number field \"budget\"")?,
         priority: uint_of("priority")?.unwrap_or(1).min(u64::from(u32::MAX)) as u32,
-        deadline: num_of("deadline").map(|v| v as i64),
+        deadline: uint_of("deadline")?.map(|v| i64::try_from(v).unwrap_or(i64::MAX)),
         shard: uint_of("shard")?.map(|v| v.min(u64::from(u32::MAX)) as u32),
     })
 }
@@ -892,13 +892,6 @@ fn cmd_serve_live(args: &Args) -> Result<(), String> {
     );
     std::io::stdout().flush().ok();
 
-    // Disjoint shards schedule concurrently; results are deterministic
-    // regardless of the worker count (see sim/parallel.rs).
-    let parallelism = if shards > 1 {
-        Parallelism::Auto
-    } else {
-        Parallelism::Serial
-    };
     let mut executed = 0u64;
     while !server.shutdown_requested() && (cycles == 0 || executed < cycles) {
         // Sleep the cycle pace in short slices so a shutdown request
@@ -920,12 +913,18 @@ fn cmd_serve_live(args: &Args) -> Result<(), String> {
             timelines,
         } = &mut *live;
         let mut sink = MemorySpanSink::new();
+        // Shards are scheduled one after another on this thread: their
+        // batches hold about a job each, and a fan-out's worker threads
+        // cost more memory than they save time (docs/PERFORMANCE.md §16).
         let outcome = match journal.as_mut() {
-            Some(journal) => {
-                service.run_cycle_spanned(parallelism, registry.as_ref(), journal, &mut sink)
-            }
+            Some(journal) => service.run_cycle_spanned(
+                Parallelism::Serial,
+                registry.as_ref(),
+                journal,
+                &mut sink,
+            ),
             None => service.run_cycle_spanned(
-                parallelism,
+                Parallelism::Serial,
                 registry.as_ref(),
                 &mut NoopJournal,
                 &mut sink,

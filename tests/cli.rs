@@ -734,6 +734,108 @@ fn live_serve_refuses_a_submit_that_repeats_a_field() {
 }
 
 #[test]
+fn live_serve_refuses_a_request_no_shard_could_place() {
+    // --nodes 16 per shard: a 17-node request could never be placed, so
+    // it is refused at admission instead of being deferred for ever.
+    let (mut child, addr) = spawn_live(&["--cycle-ms", "60000", "--nodes", "16"]);
+    let submit = |nodes: u32| {
+        live_request(
+            &addr,
+            "POST",
+            "/submit",
+            &format!("{{\"tenant\":\"alice\",\"nodes\":{nodes},\"volume\":80,\"budget\":500.0}}"),
+        )
+    };
+    let refused = submit(17);
+    assert!(refused.starts_with("HTTP/1.1 400"), "{refused}");
+    let body = response_body(&refused);
+    assert!(body.contains("\"error\":\"unplaceable\""), "{refused}");
+    assert!(body.contains("17") && body.contains("16"), "{refused}");
+    // The whole shard is still a valid request.
+    assert!(submit(16).starts_with("HTTP/1.1 200"));
+
+    let state = live_request(&addr, "GET", "/state", "");
+    assert!(response_body(&state).contains("\"jobs\":1"), "{state}");
+    let metrics = live_request(&addr, "GET", "/metrics", "");
+    assert!(
+        metrics.contains("slotsel_serve_rejects_total{code=\"unplaceable\"} 1"),
+        "{metrics}"
+    );
+    live_request(&addr, "POST", "/shutdown", "");
+    let _ = child.wait();
+}
+
+#[test]
+fn live_serve_refuses_a_deadline_that_is_not_a_non_negative_integer() {
+    let (mut child, addr) = spawn_live(&["--cycle-ms", "60000"]);
+    let submit = |deadline: &str| {
+        live_request(
+            &addr,
+            "POST",
+            "/submit",
+            &format!(
+                "{{\"tenant\":\"alice\",\"nodes\":2,\"volume\":80,\"budget\":500.0,\
+                 \"deadline\":{deadline}}}"
+            ),
+        )
+    };
+    for deadline in ["12.7", "-5"] {
+        let refused = submit(deadline);
+        assert!(refused.starts_with("HTTP/1.1 400"), "{refused}");
+        let body = response_body(&refused);
+        assert!(body.contains("\"error\":\"bad_request\""), "{refused}");
+        assert!(body.contains("deadline"), "{refused}");
+    }
+    assert!(submit("12").starts_with("HTTP/1.1 200"));
+
+    let state = live_request(&addr, "GET", "/state", "");
+    assert!(response_body(&state).contains("\"jobs\":1"), "{state}");
+    live_request(&addr, "POST", "/shutdown", "");
+    let _ = child.wait();
+}
+
+/// Reads the `Threads:` count from `/proc/<pid>/status`.
+#[cfg(target_os = "linux")]
+fn thread_count(pid: u32) -> usize {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("proc status");
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("Threads:"))
+        .and_then(|count| count.trim().parse().ok())
+        .expect("a Threads: line")
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn live_serve_runs_every_cycle_on_its_own_thread() {
+    // Two shards and a 1 ms cycle: any per-cycle fan-out would show up
+    // as extra threads between samples. The daemon keeps two, main (the
+    // cycle loop) and the accept loop.
+    let (mut child, addr) = spawn_live(&["--shards", "2", "--nodes", "200", "--cycle-ms", "1"]);
+    for shard in 0..2 {
+        let response = live_request(
+            &addr,
+            "POST",
+            "/submit",
+            &format!(
+                "{{\"tenant\":\"t{shard}\",\"nodes\":4,\"volume\":80,\
+                 \"budget\":500.0,\"shard\":{shard}}}"
+            ),
+        );
+        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    }
+    let mut most = 0;
+    for _ in 0..300 {
+        most = most.max(thread_count(child.id()));
+        std::thread::sleep(std::time::Duration::from_micros(3_300));
+    }
+    live_request(&addr, "POST", "/shutdown", "");
+    let status = child.wait().expect("daemon exits");
+    assert!(status.success(), "clean shutdown");
+    assert!(most <= 2, "the daemon ran {most} threads at once");
+}
+
+#[test]
 fn live_serve_recovers_accepted_submits_after_a_kill() {
     let dir = temp_path("live-recover");
     let _ = std::fs::remove_dir_all(&dir);
