@@ -221,8 +221,20 @@ pub enum RecoverError {
     },
     /// The journal holds no records at all — nothing to recover.
     EmptyJournal,
-    /// The journal does not begin with [`JournalRecord::RunStarted`].
+    /// The journal does not begin with its schema's header:
+    /// [`JournalRecord::RunStarted`] for a rolling run,
+    /// [`LiveRecord::ServiceStarted`](crate::serve::LiveRecord::ServiceStarted)
+    /// for a live service.
     MissingHeader,
+    /// A live journal record is in a format this build does not read: a
+    /// header whose format number is above the newest, or a barrier
+    /// without a job digest, as written before barriers carried one.
+    UnsupportedFormat {
+        /// 1-based number of the record.
+        record: u64,
+        /// What about it this build does not read.
+        detail: String,
+    },
     /// The record stream violates the journaling protocol (barrier
     /// cycles out of order, events outside their cycle, …).
     ChainBroken {
@@ -274,7 +286,13 @@ impl std::fmt::Display for RecoverError {
             }
             RecoverError::EmptyJournal => write!(f, "journal holds no records"),
             RecoverError::MissingHeader => {
-                write!(f, "journal does not begin with a RunStarted record")
+                write!(f, "journal does not begin with its header record")
+            }
+            RecoverError::UnsupportedFormat { record, detail } => {
+                write!(
+                    f,
+                    "journal record {record} is in a format this build does not read: {detail}"
+                )
             }
             RecoverError::ChainBroken { detail } => {
                 write!(f, "journal record chain is inconsistent: {detail}")

@@ -43,7 +43,8 @@
 //!
 //! The serving loop journals through the
 //! [`DurableJournal`](crate::journal::DurableJournal) with its
-//! own record schema, [`LiveRecord`]: a `ServiceStarted` header, one
+//! own record schema, [`LiveRecord`]: a `ServiceStarted` header naming the
+//! journal format, one
 //! durable (fsync'd) `Submitted` record per admitted request (without the
 //! request fields that hold their defaults), per-cycle
 //! `Committed`/`Deferred` audit events (a committed window's slots as
@@ -73,7 +74,9 @@
 //! checks every barrier's digests, and rebuilds the archive of jobs
 //! retired before the snapshot by walking the cycles it covers: their
 //! `Submitted` records, their decisions and their `Finished` records,
-//! checked against the snapshot's archive digest. Requests
+//! checked against the snapshot's archive digest. A journal whose header
+//! names no format (format 1, written before the number) is replayed from
+//! record 1 without its snapshots. Requests
 //! accepted after the last committed cycle come back queued, which is
 //! what makes an accepted-but-uncommitted request survive a crash (see
 //! `docs/SERVING.md`).
@@ -83,7 +86,7 @@ use std::path::Path;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{DeError, Deserialize, Serialize, Value, Writer};
+use serde::{Deserialize, Serialize, Writer};
 
 use slotsel_batch::{BatchScheduler, BatchSchedulerConfig};
 use slotsel_core::money::Money;
@@ -199,6 +202,32 @@ impl Default for LiveConfig {
     }
 }
 
+impl LiveConfig {
+    /// Checks that a service can run on this config: at least one shard
+    /// of at least one node, a non-empty interval, and a cycle advance of
+    /// at least 1, since every cycle must move the clock forward.
+    ///
+    /// # Errors
+    ///
+    /// Returns `"<field> must be at least 1, got <value>"` for the first
+    /// field that is not.
+    pub fn check(&self) -> Result<(), String> {
+        let fields = [
+            ("shards", i64::from(self.shards)),
+            (
+                "nodes_per_shard",
+                i64::try_from(self.nodes_per_shard).unwrap_or(i64::MAX),
+            ),
+            ("interval_length", self.interval_length),
+            ("cycle_advance", self.cycle_advance),
+        ];
+        match fields.into_iter().find(|&(_, value)| value < 1) {
+            Some((field, value)) => Err(format!("{field} must be at least 1, got {value}")),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Where a job is in its lifecycle.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum JobPhase {
@@ -270,10 +299,7 @@ pub struct JobEntry {
 /// `{"slots":[[id,node,start,end],…],"next_id":N,"now":T,"horizon":H,
 /// "platform_digest":D}`, `D` the [`Platform::digest`] the rows belong to.
 /// Only [`recover_live`] reads that shape back, binding the rows to the
-/// platform it regenerates. The type itself decodes only from the shape
-/// that carries the platform and every free slot's performance and
-/// price, as snapshots (and barriers written before barriers became
-/// deltas) held it before the platform left them.
+/// platform it regenerates.
 #[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct ShardState {
     /// The shard's nodes.
@@ -308,18 +334,9 @@ impl Serialize for ShardState {
     }
 }
 
-/// A snapshot shard in either shape, before recovery binds it to the
-/// platform.
-enum ShardImage {
-    /// The shape [`ShardState`] serializes to.
-    Rows(ShardRows),
-    /// A platform-carrying shard, adopted as written.
-    Full(ShardState),
-}
-
-/// A shard's free slots as `(id, node, start, end)` rows, with the
-/// counters they need and the [`Platform::digest`] of the platform they
-/// were written against.
+/// A snapshot shard's free slots as `(id, node, start, end)` rows, with
+/// the counters they need and the [`Platform::digest`] of the platform
+/// they were written against.
 #[derive(Deserialize)]
 struct ShardRows {
     slots: Vec<(SlotId, NodeId, TimePoint, TimePoint)>,
@@ -329,39 +346,22 @@ struct ShardRows {
     platform_digest: u64,
 }
 
-impl Deserialize for ShardImage {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        if value.get("platform").is_none() {
-            ShardRows::from_value(value).map(ShardImage::Rows)
-        } else {
-            ShardState::from_value(value).map(ShardImage::Full)
-        }
-    }
-}
-
-impl ShardImage {
+impl ShardRows {
     /// The shard `index` of a recovered service whose regenerated platform
-    /// is `platform`, on the tree store the live cycle runs on. Rows must
-    /// have been written against this platform (equal digests); each takes
-    /// its performance and price from its node. A full shard keeps its own.
+    /// is `platform`, on the tree store the live cycle runs on. The rows
+    /// must have been written against this platform (equal digests); each
+    /// takes its performance and price from its node.
     fn bind(self, index: u32, platform: Platform) -> Result<ShardState, RecoverError> {
-        let rows = match self {
-            ShardImage::Full(mut shard) => {
-                shard.slots.convert(SlotStoreKind::Tree);
-                return Ok(shard);
-            }
-            ShardImage::Rows(rows) => rows,
-        };
         let regenerated = platform.digest();
-        if rows.platform_digest != regenerated {
+        if self.platform_digest != regenerated {
             return Err(RecoverError::PlatformMismatch {
                 shard: index,
-                snapshot: rows.platform_digest,
+                snapshot: self.platform_digest,
                 regenerated,
             });
         }
-        let mut slots = Vec::with_capacity(rows.slots.len());
-        for (id, node, start, end) in rows.slots {
+        let mut slots = Vec::with_capacity(self.slots.len());
+        for (id, node, start, end) in self.slots {
             let Some(spec) = platform.get(node) else {
                 return Err(RecoverError::UnknownNode {
                     shard: index,
@@ -372,12 +372,12 @@ impl ShardImage {
             let sorted = slots
                 .last()
                 .is_none_or(|last: &Slot| (last.start(), last.id()) < (start, id));
-            if end < start || id >= rows.next_id || !sorted {
+            if end < start || id >= self.next_id || !sorted {
                 return Err(RecoverError::SnapshotDecode {
                     message: format!(
                         "shard {index}: slot {id} is out of order, ends before it \
                          starts or is not below next id {}",
-                        rows.next_id
+                        self.next_id
                     ),
                 });
             }
@@ -391,9 +391,9 @@ impl ShardImage {
         }
         Ok(ShardState {
             platform,
-            slots: SlotList::from_parts(SlotStoreKind::Tree, slots, rows.next_id),
-            now: rows.now,
-            horizon: rows.horizon,
+            slots: SlotList::from_parts(SlotStoreKind::Tree, slots, self.next_id),
+            now: self.now,
+            horizon: self.horizon,
         })
     }
 }
@@ -402,10 +402,8 @@ impl ShardImage {
 ///
 /// A [`LiveRecord::CycleCommitted`] barrier decodes into this type too,
 /// with only the counters and digests set: `shards`, `jobs` and `usage`
-/// are empty there, because recovery replays them (barriers written
-/// before that listed the jobs and usage, and earlier ones the shards,
-/// platforms included). A snapshot's shards are rows that only
-/// [`recover_live`] decodes (see [`ShardState`]).
+/// are empty there, because recovery replays them. A snapshot's shards
+/// are rows that only [`recover_live`] decodes (see [`ShardState`]).
 #[derive(Debug, Clone, PartialEq, Default, Deserialize)]
 pub struct LiveState {
     /// Cycles executed so far.
@@ -416,8 +414,7 @@ pub struct LiveState {
     #[serde(default)]
     pub shards: Vec<ShardState>,
     /// Queued and scheduled jobs, in id order. Finished jobs are retired
-    /// out of the table into the service's archive (barriers written
-    /// before retirement existed may still list some).
+    /// out of the table into the service's archive.
     #[serde(default)]
     pub jobs: Vec<JobEntry>,
     /// Per-tenant in-flight footprints, derived from `jobs`.
@@ -429,8 +426,8 @@ pub struct LiveState {
     #[serde(default)]
     pub slot_digests: Vec<u64>,
     /// [`job_digest`] of the live jobs, set only in a barrier: recovery
-    /// checks its replayed job table against it. `None` in memory, in
-    /// snapshots, and in barriers that list the jobs instead.
+    /// checks its replayed job table against it, and refuses a barrier
+    /// without one. `None` in memory and in snapshots.
     #[serde(default)]
     pub job_digest: Option<u64>,
     /// Digest of the service's retired jobs: the wrapping sum of each
@@ -449,16 +446,25 @@ enum SnapshotRecord {
     CycleCommitted { state: StateImage },
 }
 
+/// A journal header as [`recover_live`] decodes it: the `ServiceStarted`
+/// record with its format number, `None` in format 1.
+#[derive(Deserialize)]
+enum Header {
+    ServiceStarted {
+        config: LiveConfig,
+        format: Option<u64>,
+    },
+}
+
 /// A snapshot's state, its shards not yet bound to the platform.
 #[derive(Deserialize)]
 struct StateImage {
     cycle: u64,
     next_job: u32,
-    shards: Vec<ShardImage>,
+    shards: Vec<ShardRows>,
     jobs: Vec<JobEntry>,
     usage: BTreeMap<String, TenantUsage>,
-    /// `None` in snapshots written before the archive digest.
-    archive_digest: Option<u64>,
+    archive_digest: u64,
 }
 
 impl Serialize for LiveState {
@@ -590,6 +596,11 @@ pub struct CycleOutcome {
     pub finished: Vec<JobId>,
 }
 
+/// The live journal format [`LiveRecord::encode`] writes into the header,
+/// and the newest [`recover_live`] reads. Format 1 is every journal
+/// written before the number.
+const FORMAT: u64 = 2;
+
 /// One write-ahead record of a live service journal.
 ///
 /// Same framing and [`crate::journal::DurableJournal`] mechanics as the
@@ -597,7 +608,12 @@ pub struct CycleOutcome {
 /// (`ServiceStarted` here vs `RunStarted` there).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum LiveRecord {
-    /// The service's configuration; always the first record.
+    /// The service's configuration; always the first record. [`encode`]
+    /// writes the journal format ahead of it, `{"ServiceStarted":
+    /// {"format":2,"config":…}}`, which [`recover_live`] reads and the
+    /// decoder ignores; a header without the number is format 1.
+    ///
+    /// [`encode`]: LiveRecord::encode
     ServiceStarted {
         /// The full serving configuration.
         config: LiveConfig,
@@ -640,18 +656,13 @@ pub enum LiveRecord {
     /// the live table: `{"Finished":{"cycle":C,"job":J}}`. Replay retires
     /// the job by itself; for a job retired before the snapshot, recovery
     /// derives the retired entry from the job's `Submitted`, `Committed`
-    /// and `Deferred` records.
+    /// and `Deferred` records. The decoder ignores the `entry` that
+    /// format-1 records may carry.
     Finished {
         /// The cycle.
         cycle: u64,
         /// The finished job.
         job: u32,
-        /// The retired entry, phase `Finished`, which recovery adopts as
-        /// written. `None` in every record written now; `Some` only in
-        /// journals written while the record carried the whole entry,
-        /// after finished jobs left the barrier and before their entries
-        /// were derived on recovery.
-        entry: Option<JobEntry>,
     },
     /// The cycle barrier. In the journal it holds only what replay cannot
     /// derive or must check — the cycle, `next_job`, the per-shard
@@ -666,13 +677,17 @@ pub enum LiveRecord {
 }
 
 impl LiveRecord {
-    /// Serializes the record as one JSON line. `Submitted`, `Committed`
-    /// and entry-less `Finished` records are written in the slim shapes
-    /// their variants describe; the derived decoder reads those and the
-    /// full shapes alike.
+    /// Serializes the record as one JSON line. The header carries the
+    /// journal format, and `Submitted` and `Committed` records are written
+    /// in the slim shapes their variants describe; the derived decoder
+    /// reads those and the full shapes alike.
     #[must_use]
     pub fn encode(&self) -> String {
         match self {
+            LiveRecord::ServiceStarted { config } => encode_variant("ServiceStarted", |out| {
+                out.field("format", &FORMAT);
+                out.field("config", config);
+            }),
             LiveRecord::Submitted { entry } => encode_variant("Submitted", |out| {
                 out.key("entry");
                 write_slim_entry(out, entry);
@@ -689,16 +704,7 @@ impl LiveRecord {
                 out.key("window");
                 window.serialize_rows(out);
             }),
-            // The derive would write `"entry":null`.
-            LiveRecord::Finished {
-                cycle,
-                job,
-                entry: None,
-            } => encode_variant("Finished", |out| {
-                out.field("cycle", cycle);
-                out.field("job", job);
-            }),
-            _ => serde_json::to_string(self).expect("live records always serialize"),
+            _ => encode_with(|out| self.serialize(out)),
         }
     }
 
@@ -747,16 +753,22 @@ fn encode_cycle_committed(state: impl FnOnce(&mut Writer<'_>)) -> String {
 
 /// `{"<variant>":{…}}`, with the members written by `members`.
 fn encode_variant(variant: &str, members: impl FnOnce(&mut Writer<'_>)) -> String {
+    encode_with(|out| {
+        out.begin_object();
+        out.key(variant);
+        out.begin_object();
+        members(out);
+        out.end_object();
+        out.end_object();
+    })
+}
+
+/// The compact JSON `write` writes.
+fn encode_with(write: impl FnOnce(&mut Writer<'_>)) -> String {
     // One allocation holds a record of the 64-node workloads; a longer
     // one, or a snapshot, grows from there.
     let mut out = String::with_capacity(256);
-    let mut writer = Writer::compact(&mut out);
-    writer.begin_object();
-    writer.key(variant);
-    writer.begin_object();
-    members(&mut writer);
-    writer.end_object();
-    writer.end_object();
+    write(&mut Writer::compact(&mut out));
     out
 }
 
@@ -833,17 +845,12 @@ impl LiveService {
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero, if `cycle_advance` is below 1 (a cycle
-    /// must move the clock forward), or if the environment parameters are
-    /// invalid (non-positive interval, zero nodes).
+    /// Panics with the reason if [`LiveConfig::check`] refuses `config`.
     #[must_use]
     pub fn new(config: LiveConfig) -> Self {
-        assert!(config.shards > 0, "a service needs at least one shard");
-        assert!(
-            config.cycle_advance >= 1,
-            "cycle_advance must be at least 1, got {}",
-            config.cycle_advance
-        );
+        if let Err(reason) = config.check() {
+            panic!("invalid live config: {reason}");
+        }
         let env_config = EnvironmentConfig {
             interval_length: config.interval_length,
             ..EnvironmentConfig::with_node_count(config.nodes_per_shard)
@@ -1280,14 +1287,7 @@ impl LiveService {
         self.retire_finished(cycle, |job| {
             outcome.finished.push(job);
             if journaling {
-                journal.append(
-                    &LiveRecord::Finished {
-                        cycle,
-                        job: job.0,
-                        entry: None,
-                    }
-                    .encode(),
-                );
+                journal.append(&LiveRecord::Finished { cycle, job: job.0 }.encode());
             }
         });
 
@@ -1380,9 +1380,7 @@ impl LiveService {
     /// Marks every scheduled job whose window has finished by its shard's
     /// clock as finished in `cycle`, then moves every `Finished` job out of
     /// the live table into the archive, in id order, calling `each` with
-    /// its id. The cycle's retire step, replay, and the adoption of states
-    /// that still list finished jobs share it (a state written after a
-    /// cycle holds no finished window still marked scheduled).
+    /// its id. The cycle's retire step and replay share it.
     fn retire_finished(&mut self, cycle: u64, mut each: impl FnMut(JobId)) {
         for entry in &mut self.state.jobs {
             if let JobPhase::Scheduled {
@@ -1431,7 +1429,7 @@ impl LiveService {
 
     /// Replaces the state with a decoded snapshot, binding each of its
     /// shards to the platform this service generated for the same shard
-    /// (see [`ShardImage::bind`]). The caller has checked that the shard
+    /// (see [`ShardRows::bind`]). The caller has checked that the shard
     /// count matches. The archive stays empty, and its digest 0, until
     /// recovery rebuilds it.
     fn adopt(&mut self, image: StateImage) -> Result<(), RecoverError> {
@@ -1455,16 +1453,6 @@ impl LiveService {
         Ok(())
     }
 
-    /// Moves every shard onto the tree store the live cycle runs on.
-    /// Old full barriers deserialize onto the Vec store (the wire format
-    /// is store-agnostic); equality is unaffected, as `SlotList`
-    /// comparison is logical, not structural.
-    fn adopt_shards(&mut self) {
-        for shard in &mut self.state.shards {
-            shard.slots.convert(SlotStoreKind::Tree);
-        }
-    }
-
     /// Refuses a `Committed`/`Deferred` record of a cycle the journal has
     /// not reached.
     fn check_cycle(&self, cycle: u64, record_no: u64) -> Result<(), RecoverError> {
@@ -1479,17 +1467,19 @@ impl LiveService {
         })
     }
 
-    /// Moves the replayed service on to `barrier`, which closes the cycle
-    /// whose records `closed` holds. A barrier the replay base already
-    /// covers leaves the replayed state as it is: its cycle's decisions
-    /// settle the `covered` jobs instead. A later barrier replays its cycle
-    /// (see [`replay_cycle`](Self::replay_cycle)). Then the cycle's
-    /// `Finished` records retire their jobs (see
+    /// Moves the replayed service on to `barrier`, whose job digest is
+    /// `job_digest` and which closes the cycle whose records `closed`
+    /// holds. A barrier the replay base already covers leaves the replayed
+    /// state as it is: its cycle's decisions settle the `covered` jobs
+    /// instead. A later barrier replays its cycle (see
+    /// [`replay_cycle`](Self::replay_cycle)). Then the cycle's `Finished`
+    /// records retire their jobs (see
     /// [`retire_record`](Self::retire_record)), and at the snapshot's own
     /// barrier the rebuilt archive must match the snapshot's digest.
     fn close_barrier(
         &mut self,
-        barrier: LiveState,
+        barrier: &LiveState,
+        job_digest: u64,
         closed: PendingCycle,
         covered: &mut Covered,
     ) -> Result<(), String> {
@@ -1497,62 +1487,49 @@ impl LiveService {
         let at_snapshot = barrier.cycle == self.state.cycle;
         if covering {
             if at_snapshot {
-                if !barrier.slot_digests.is_empty() {
-                    check_digests(&self.state.shards, &barrier.slot_digests)?;
-                }
-                if let Some(want) = barrier.job_digest {
-                    check_job_digest(&self.state.jobs, want)?;
-                }
+                check_digests(&self.state.shards, &barrier.slot_digests)?;
+                check_job_digest(&self.state.jobs, job_digest)?;
             }
             let cycle = barrier.cycle.saturating_sub(1);
             apply_decisions(&mut covered.jobs, cycle, closed.decisions);
         } else {
-            self.replay_cycle(barrier, closed.decisions)?;
+            self.replay_cycle(barrier, job_digest, closed.decisions)?;
         }
         for finish in closed.finished {
             self.retire_record(finish, covering, covered)?;
         }
         // A covered job left unretired is refused by name once the walk
         // ends; the archive then lacks it, so its digest cannot match.
-        match covered.archive_digest {
-            Some(want)
-                if at_snapshot && covered.jobs.is_empty() && self.state.archive_digest != want =>
-            {
-                Err(format!(
-                    "the rebuilt archive digests to {:#018x}, the snapshot says {want:#018x}",
-                    self.state.archive_digest
-                ))
-            }
-            _ => Ok(()),
+        if at_snapshot
+            && covered.jobs.is_empty()
+            && self.state.archive_digest != covered.archive_digest
+        {
+            return Err(format!(
+                "the rebuilt archive digests to {:#018x}, the snapshot says {:#018x}",
+                self.state.archive_digest, covered.archive_digest
+            ));
         }
+        Ok(())
     }
 
     /// Applies a `Finished` record at the barrier that closes its cycle.
     /// A job live after the barrier is not retired: the record came from
-    /// a cycle lost to a crash and re-run differently. A record carrying
-    /// the entry is adopted as written. Otherwise a barrier the snapshot
-    /// covers moves the job from the covered table into the archive,
-    /// finished in the record's cycle; on a replayed barrier the replay
-    /// has retired it already.
+    /// a cycle lost to a crash and re-run differently. A barrier the
+    /// snapshot covers moves the job from the covered table into the
+    /// archive, finished in the record's cycle; on a replayed barrier the
+    /// replay has retired it already.
     fn retire_record(
         &mut self,
         finish: Finish,
         covering: bool,
         covered: &mut Covered,
     ) -> Result<(), String> {
-        let Finish {
-            record,
-            cycle,
-            job,
-            entry,
-        } = finish;
-        if self.job_index(JobId(job)).is_ok() || !covering && entry.is_none() {
+        let Finish { record, cycle, job } = finish;
+        if !covering || self.job_index(JobId(job)).is_ok() {
             return Ok(());
         }
-        let rebuilt = if covering { covered.take(job) } else { None };
-        let entry = match (entry, rebuilt) {
-            (Some(entry), _) => entry,
-            (None, Some(mut rebuilt)) => match rebuilt.phase {
+        let entry = match covered.take(job) {
+            Some(mut rebuilt) => match rebuilt.phase {
                 JobPhase::Scheduled {
                     window,
                     committed_cycle,
@@ -1571,8 +1548,8 @@ impl LiveService {
                     ))
                 }
             },
-            (None, None) if self.retired.contains_key(&job) => return Ok(()),
-            (None, None) => {
+            None if self.retired.contains_key(&job) => return Ok(()),
+            None => {
                 return Err(format!(
                     "Finished record {record} names job {job}, which no covered \
                      Submitted record holds"
@@ -1586,28 +1563,15 @@ impl LiveService {
     /// Replays the cycle a barrier of the next cycle closes: its
     /// `decisions`, in record order, cut their windows out of the slots
     /// and settle the jobs, the clock advances and retires finished
-    /// windows, and the result must match the barrier's digests. A barrier
-    /// that lists the jobs (written before the job digest) has them
-    /// adopted as written, and one that carries its shards (written before
-    /// barriers became deltas) replaces the whole state.
-    fn replay_cycle(&mut self, barrier: LiveState, decisions: Vec<Decision>) -> Result<(), String> {
+    /// windows, and the result must match the barrier's slot digests and
+    /// `job_digest`.
+    fn replay_cycle(
+        &mut self,
+        barrier: &LiveState,
+        job_digest: u64,
+        decisions: Vec<Decision>,
+    ) -> Result<(), String> {
         let cycle = self.state.cycle;
-        if !barrier.shards.is_empty() {
-            if barrier.shards.len() != self.config.shards as usize {
-                return Err(format!(
-                    "{} shards, the service has {}",
-                    barrier.shards.len(),
-                    self.config.shards
-                ));
-            }
-            self.state = LiveState {
-                archive_digest: self.state.archive_digest,
-                ..barrier
-            };
-            self.adopt_shards();
-            self.retire_finished(cycle, |_| {});
-            return Ok(());
-        }
         if barrier.cycle != cycle + 1 {
             return Err(format!(
                 "cycle {} follows a replay at cycle {cycle}",
@@ -1633,15 +1597,7 @@ impl LiveService {
         self.close_cycle();
         check_digests(&self.state.shards, &barrier.slot_digests)?;
         self.state.next_job = barrier.next_job;
-        match barrier.job_digest {
-            Some(want) => check_job_digest(&self.state.jobs, want),
-            None => {
-                self.state.jobs = barrier.jobs;
-                self.state.usage = barrier.usage;
-                self.retire_finished(cycle, |_| {});
-                Ok(())
-            }
-        }
+        check_job_digest(&self.state.jobs, job_digest)
     }
 }
 
@@ -1713,8 +1669,6 @@ struct Finish {
     record: u64,
     cycle: u64,
     job: u32,
-    /// The retired entry, in journals written while the record carried it.
-    entry: Option<JobEntry>,
 }
 
 /// The cycle in progress during replay: its decisions and `Finished`
@@ -1757,9 +1711,8 @@ struct Covered {
     /// The record number of each job's `Submitted` record.
     records: Vec<u64>,
     /// The snapshot's [`LiveState::archive_digest`], which the archive
-    /// must match once the walk has closed the snapshot's barrier; `None`
-    /// for a snapshot written before the digest.
-    archive_digest: Option<u64>,
+    /// must match once the walk has closed the snapshot's barrier.
+    archive_digest: u64,
 }
 
 impl Covered {
@@ -1821,54 +1774,53 @@ fn reserve_window(slots: &mut SlotList, window: &Window) -> bool {
 /// The newest intact snapshot, if any, replaces its state, each shard's
 /// rows bound to the regenerated platform: the snapshot's platform digest
 /// must equal the platform's, every row must name one of its nodes, and
-/// each slot takes its node's performance and price. (A snapshot written
-/// before the platform left snapshots carries its shards in full; they
-/// are adopted as written.) Then replay walks the journal. Each
-/// `Submitted` record the base does
-/// not hold yet queues its job (they were fsync'd at admission — losing
-/// them would drop accepted work). Each cycle's `Committed` and `Deferred`
-/// decisions are buffered; at that cycle's barrier the windows are cut out
-/// of the slot lists, the decisions settle the jobs, the clock advance
-/// runs and retires finished windows, and the result is checked against
-/// the barrier's slot and job digests. Barriers the snapshot already
-/// covers rebuild the archive of jobs it retired: each `Submitted` job
-/// below its next id that it holds neither live nor retired is settled by
-/// its covered cycles' decisions, and retired, finished in that cycle, by
-/// its `Finished` record (one that carries the entry, as journals written
-/// while the record did, is adopted as written); at the snapshot's own
-/// barrier the rebuilt archive must match the snapshot's
-/// [`LiveState::archive_digest`] (a snapshot written before the digest has
-/// none to match).
+/// each slot takes its node's performance and price. Then replay walks the
+/// journal. Each `Submitted` record the base does not hold yet queues its
+/// job (they were fsync'd at admission — losing them would drop accepted
+/// work). Each cycle's `Committed` and `Deferred` decisions are buffered;
+/// at that cycle's barrier the windows are cut out of the slot lists, the
+/// decisions settle the jobs, the clock advance runs and retires finished
+/// windows, and the result is checked against the barrier's slot and job
+/// digests. Barriers the snapshot already covers rebuild the archive of
+/// jobs it retired: each `Submitted` job below its next id that it holds
+/// neither live nor retired is settled by its covered cycles' decisions,
+/// and retired, finished in that cycle, by its `Finished` record; at the
+/// snapshot's own barrier the rebuilt archive must match the snapshot's
+/// [`LiveState::archive_digest`].
+///
+/// The header's format number says how much of that applies. Format 2,
+/// what [`LiveRecord::encode`] writes, is read in full. A header without
+/// the number is format 1: its journal is replayed from record 1 and its
+/// snapshots are not read, as they may be in shapes this reader does not
+/// know; no writer ever rotated a WAL, so every record they cover is
+/// still there.
 ///
 /// Records after the last barrier belong to the interrupted cycle, which
 /// re-runs, so its decisions and `Finished` records are dropped; so are a
 /// torn cycle's that a later record shows were superseded (a `Submitted`
 /// record, or a second decision for the same job — the re-run of that
-/// cycle). A
-/// barrier that lists the jobs (written before the job digest) has them
-/// adopted as written, one that still carries its shards (written before
-/// barriers became deltas) replaces the replayed state, and finished jobs
-/// either still lists are split into the archive exactly as a cycle's
-/// retire step does. A torn final line is truncated, exactly as the
-/// rolling recovery does. A snapshot claiming more cycles than the journal
-/// means the files are not from the same run, and recovery refuses rather
-/// than guesses.
+/// cycle). A torn final line is truncated, exactly as the rolling recovery
+/// does. A snapshot claiming more cycles than the journal means the files
+/// are not from the same run, and recovery refuses rather than guesses.
 ///
 /// # Errors
 ///
 /// Returns a [`RecoverError`] for an unreadable/corrupt journal, a
-/// missing or foreign (`RunStarted`) header, an unparsable record or
-/// snapshot, a snapshot shard written against another platform
-/// ([`RecoverError::PlatformMismatch`]) or holding a slot on a node its
-/// platform does not have ([`RecoverError::UnknownNode`]), or an
-/// inconsistent record chain — including a commit whose
-/// window is no longer free, a replay that disagrees with a barrier's
-/// slot or job digest, a covered `Finished` record whose job no covered
-/// `Submitted` record holds or no covered `Committed` record scheduled,
-/// a covered job that no `Finished` record retires, and a rebuilt archive
-/// that disagrees with the snapshot's digest. A `Committed` window with
-/// no slots, two slots on one node or a slot of no positive length does
-/// not decode ([`RecoverError::Decode`]).
+/// missing or foreign (`RunStarted`) header, a header whose config
+/// [`LiveConfig::check`] refuses ([`RecoverError::Decode`] of record 1), a
+/// format above 2 or a barrier without a job digest, as written before
+/// barriers carried one ([`RecoverError::UnsupportedFormat`]), an
+/// unparsable record or snapshot, a snapshot shard written against
+/// another platform ([`RecoverError::PlatformMismatch`]) or holding a slot
+/// on a node its platform does not have ([`RecoverError::UnknownNode`]), or
+/// an inconsistent record chain — including a commit whose window is no
+/// longer free, a replay that disagrees with a barrier's slot or job
+/// digest, a covered `Finished` record whose job no covered `Submitted`
+/// record holds or no covered `Committed` record scheduled, a covered job
+/// that no `Finished` record retires, and a rebuilt archive that disagrees
+/// with the snapshot's digest. A `Committed` window with no slots, two
+/// slots on one node or a slot of no positive length does not decode
+/// ([`RecoverError::Decode`]).
 pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
     let tail = read_journal(&journal_path(dir))?;
     if tail.records.is_empty() {
@@ -1877,21 +1829,27 @@ pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
     let mut records = tail.records.iter();
     let first = records.next().expect("checked non-empty");
     // A first record that is not a ServiceStarted — including one from
-    // the rolling schema, which does not parse as a LiveRecord at all —
-    // means this is not a live journal.
-    let Ok(LiveRecord::ServiceStarted { config }) = LiveRecord::decode(first) else {
+    // the rolling schema, which does not parse as a header at all — means
+    // this is not a live journal.
+    let Ok(Header::ServiceStarted { config, format }) = serde_json::from_str(first) else {
         return Err(RecoverError::MissingHeader);
     };
-    // Daemons once accepted a non-positive advance; such a run cannot be
-    // replayed, since every cycle must move the clock forward.
-    if config.cycle_advance < 1 {
-        return Err(RecoverError::Decode {
+    let format = format.unwrap_or(1);
+    if !(1..=FORMAT).contains(&format) {
+        return Err(RecoverError::UnsupportedFormat {
             record: 1,
-            message: format!("cycle_advance {} is below 1", config.cycle_advance),
+            detail: format!("format {format}; this build reads formats 1 and {FORMAT}"),
         });
     }
+    config
+        .check()
+        .map_err(|message| RecoverError::Decode { record: 1, message })?;
 
-    let snapshot = latest_snapshot(dir)?;
+    let snapshot = if format == 1 {
+        None
+    } else {
+        latest_snapshot(dir)?
+    };
     let snapshot_cycle = snapshot.as_ref().map(|state| state.cycle);
     // The platform always comes from the header; a snapshot's shards are
     // bound to it.
@@ -1909,7 +1867,6 @@ pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
         }
         covered.archive_digest = state.archive_digest;
         service.adopt(state)?;
-        service.retire_finished(service.state.cycle, |_| {});
     }
 
     let mut barriers = 0u64;
@@ -1929,6 +1886,14 @@ pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
                 });
             }
             LiveRecord::CycleCommitted { state } => {
+                let Some(job_digest) = state.job_digest else {
+                    return Err(RecoverError::UnsupportedFormat {
+                        record: record_no,
+                        detail: "a barrier without a job digest, as written before \
+                                 barriers carried one"
+                            .to_owned(),
+                    });
+                };
                 if let Some(last) = last_barrier.filter(|&last| state.cycle <= last) {
                     return Err(RecoverError::ChainBroken {
                         detail: format!(
@@ -1940,7 +1905,12 @@ pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
                 }
                 last_barrier = Some(state.cycle);
                 service
-                    .close_barrier(state, std::mem::take(&mut pending), &mut covered)
+                    .close_barrier(
+                        &state,
+                        job_digest,
+                        std::mem::take(&mut pending),
+                        &mut covered,
+                    )
                     .map_err(|detail| RecoverError::ChainBroken {
                         detail: format!("barrier at record {record_no}: {detail}"),
                     })?;
@@ -1974,11 +1944,10 @@ pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
                 service.check_cycle(cycle, record_no)?;
                 pending.decide(shard, job, None);
             }
-            LiveRecord::Finished { cycle, job, entry } => pending.finished.push(Finish {
+            LiveRecord::Finished { cycle, job } => pending.finished.push(Finish {
                 record: record_no,
                 cycle,
                 job,
-                entry,
             }),
         }
     }
@@ -2332,25 +2301,6 @@ mod tests {
     }
 
     #[test]
-    fn recovery_refuses_a_journal_whose_cycle_advance_is_below_one() {
-        let dir = temp_dir("no-advance");
-        let mut journal = DurableJournal::create(&dir, 2).unwrap();
-        let config = LiveConfig {
-            cycle_advance: 0,
-            ..tiny_config(1)
-        };
-        journal.append(&LiveRecord::ServiceStarted { config }.encode());
-        journal.finish().unwrap();
-        match recover_live(&dir) {
-            Err(RecoverError::Decode { record: 1, message }) => {
-                assert!(message.contains("cycle_advance 0"), "{message}");
-            }
-            other => panic!("expected a refused header, got {other:?}"),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn live_records_round_trip_and_checkpoints_bind_back_to_the_state() {
         let config = tiny_config(2);
         let mut service = LiveService::new(config.clone());
@@ -2383,16 +2333,7 @@ mod tests {
                 window: window.clone(),
             },
             LiveRecord::decode(&LiveRecord::encode_barrier(service.state())).unwrap(),
-            LiveRecord::Finished {
-                cycle: 3,
-                job: entry.id.0,
-                entry: Some(entry),
-            },
-            LiveRecord::Finished {
-                cycle: 3,
-                job: 7,
-                entry: None,
-            },
+            LiveRecord::Finished { cycle: 3, job: 7 },
         ];
         for record in &records {
             let line = record.encode();
@@ -2401,6 +2342,14 @@ mod tests {
             let full = serde_json::to_string(record).unwrap();
             assert_eq!(&LiveRecord::decode(&full).unwrap(), record);
         }
+        assert!(records[0]
+            .encode()
+            .starts_with("{\"ServiceStarted\":{\"format\":2,\"config\":{\"shards\":2,"));
+        // A format-1 `Finished` record's entry is ignored.
+        assert_eq!(
+            LiveRecord::decode("{\"Finished\":{\"cycle\":3,\"job\":7,\"entry\":{\"id\":7}}}"),
+            Ok(records[5].clone())
+        );
         assert_eq!(
             records[1].encode(),
             "{\"Submitted\":{\"entry\":{\"id\":0,\"tenant\":\"alice\",\"shard\":0,\
@@ -2429,7 +2378,7 @@ mod tests {
             )
         );
         assert_eq!(
-            records[6].encode(),
+            records[5].encode(),
             "{\"Finished\":{\"cycle\":3,\"job\":7}}"
         );
         // A snapshot payload is the barrier record with the state in full,
@@ -2449,10 +2398,6 @@ mod tests {
         assert!(LiveRecord::decode(&checkpoint).is_err());
         let SnapshotRecord::CycleCommitted { state: image } =
             serde_json::from_str(&checkpoint).unwrap();
-        assert!(matches!(
-            image.shards[..],
-            [ShardImage::Rows(_), ShardImage::Rows(_)]
-        ));
         let mut bound = LiveService::new(service.config.clone());
         bound.adopt(image).unwrap();
         // The archive digest comes back as recovery rebuilds the archive.

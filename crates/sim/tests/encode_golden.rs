@@ -175,7 +175,9 @@ fn live_records_match_their_golden_encodings() {
             // and recovery began deriving the retired entry (129,103 B
             // before).
             ("Finished", (216, 7_519, 0x4c9b_2814_c95c_0290)),
-            ("ServiceStarted", (1, 263, 0x47e1_0e11_ee90_ef22)),
+            // Re-recorded when the header began with the journal format,
+            // `"format":2,` (263 B before).
+            ("ServiceStarted", (1, 274, 0x3f33_6309_d028_c9e5)),
             // Re-recorded when `Submitted` records left out the request
             // fields that hold their defaults (88,083 B before).
             ("Submitted", (236, 40_895, 0x04b5_ca22_d0ae_a7cf)),

@@ -9,21 +9,23 @@
 //! from any prefix of the record stream plus the snapshots written by then.
 //!
 //! 1. a record-prefix sweep over every crash point of a seeded run
-//!    journaled with a snapshot every third barrier, in the current format
-//!    and rewritten into each earlier one (`Finished` records carrying the
-//!    entry, barriers listing the jobs, listing finished jobs too, or
-//!    carrying the shards); recovery after a lost cycle whose records
-//!    reached disk; the refusal of a tampered commit, deferral, submission
-//!    or digest, and of a job retired before the snapshot whose records
-//!    cannot rebuild it; and the refusal of a snapshot written against
-//!    another platform than the header's, or holding a slot on a node the
-//!    platform lacks or rows out of order;
-//! 2. recovery of journals whose barriers list the jobs, whose `Finished`
-//!    records carry the entry, of ones written before finished jobs were
-//!    retired out of the barrier or before barriers left the shards out,
-//!    and of ones continued past them; a committed journal directory whose
-//!    snapshots carry the platform (`tests/fixtures/platform-snapshots`);
-//!    a header-only journal starts fresh;
+//!    journaled with a snapshot every third barrier, in format 2 and
+//!    rewritten into format 1 (a header without the number, `Finished`
+//!    records carrying the entry, full `Submitted` records and object
+//!    windows), whose snapshots are not read; recovery after a lost cycle
+//!    whose records reached disk; the refusal of a tampered commit,
+//!    deferral, submission or digest, and of a job retired before the
+//!    snapshot whose records cannot rebuild it; and the refusal of a
+//!    snapshot written against another platform than the header's, or
+//!    holding a slot on a node the platform lacks or rows out of order;
+//! 2. the refusal of what this build does not read, naming the record or
+//!    the format: barriers without a job digest (listing the jobs, also
+//!    listing finished ones, or carrying the shards), a format above 2, a
+//!    format-2 snapshot without its archive digest, and a header whose
+//!    config cannot run; the committed format-1 journal directories
+//!    (`tests/fixtures/platform-snapshots`, `tests/fixtures/full-submits`)
+//!    recovered from record 1 and continued; a header-only journal
+//!    starts fresh;
 //! 3. the barrier prefix serve-bench's WAL tailer relies on;
 //! 4. a 2000-cycle soak asserting barriers and `Finished` records stay
 //!    small and bounded, and barrier size that grows with neither the
@@ -49,7 +51,7 @@ use slotsel_obs::NoopMetrics;
 use slotsel_sim::journal::{journal_path, snapshot_dir, DurableJournal, RecoverError};
 use slotsel_sim::parallel::Parallelism;
 use slotsel_sim::serve::{
-    recover_live, JobEntry, JobPhase, LiveConfig, LiveRecord, LiveService, LiveState, QuotaTable,
+    recover_live, JobPhase, LiveConfig, LiveRecord, LiveService, LiveState, QuotaTable,
     RecoveredService, Submission,
 };
 
@@ -278,10 +280,12 @@ fn write_snapshots(dir: &Path, files: &[(std::ffi::OsString, Vec<u8>)]) {
 }
 
 /// Recovers every prefix of `records` — `run`'s records, or the same
-/// stream with its barriers rewritten — next to the snapshot files as they
+/// stream rewritten into format 1 — next to the snapshot files as they
 /// stood when its last record was written, and expects the service as of
-/// that record.
+/// that record. A format-1 journal, its header without the number, is
+/// replayed from record 1 whatever snapshots lie beside it.
 fn sweep(run: &Run, records: &[String], tag: &str) {
+    let reads_snapshots = records[0].contains("\"format\":");
     let dir = temp_dir(tag);
     let (mut fresh, mut from_snapshot) = (0, 0);
     for k in 1..=records.len() {
@@ -307,14 +311,18 @@ fn sweep(run: &Run, records: &[String], tag: &str) {
              or Submitted record"
         );
     }
-    assert!(
-        fresh > 0 && from_snapshot > fresh,
-        "{fresh} crash points replayed from the generated platform, \
-         {from_snapshot} from a snapshot"
-    );
+    if reads_snapshots {
+        assert!(
+            fresh > 0 && from_snapshot > fresh,
+            "{fresh} crash points replayed from the generated platform, \
+             {from_snapshot} from a snapshot"
+        );
+    } else {
+        assert_eq!(from_snapshot, 0, "a format-1 journal's snapshot was read");
+    }
 
     // The last snapshot next to a journal cut well before it: the files
-    // cannot be from the same run.
+    // cannot be from the same run, unless the snapshot is not read.
     let tenth_barrier = run
         .checkpoints
         .iter()
@@ -323,13 +331,20 @@ fn sweep(run: &Run, records: &[String], tag: &str) {
         .min()
         .expect("a tenth barrier");
     write_wal(&dir, &records[..tenth_barrier]);
-    assert!(matches!(
-        recover_live(&dir),
-        Err(RecoverError::SnapshotNewerThanJournal {
-            snapshot_cycle: 39..,
-            journal_cycle: 10,
-        })
-    ));
+    if reads_snapshots {
+        assert!(matches!(
+            recover_live(&dir),
+            Err(RecoverError::SnapshotNewerThanJournal {
+                snapshot_cycle: 39..,
+                journal_cycle: 10,
+            })
+        ));
+    } else {
+        assert_eq!(
+            &recover_live(&dir).unwrap().service,
+            expected_after(run, tenth_barrier)
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -342,53 +357,19 @@ fn every_crash_point_recovers_the_service_as_of_its_last_durable_record() {
 }
 
 #[test]
-fn every_crash_point_of_an_entry_carrying_journal_recovers() {
-    // The same run, its `Finished` records carrying the retired entry as
-    // they did before recovery derived it: covered ones are adopted as
-    // written.
-    let source = temp_dir("entry-sweep-source");
+fn every_crash_point_of_a_format_1_journal_recovers_from_record_1() {
+    // The same run as format-1 writers left it, next to its snapshots,
+    // which are not read.
+    let source = temp_dir("format-1-sweep-source");
     let run = drive_with_snapshots(&source);
-    sweep(&run, &entry_shape(&run), "entry-sweep");
-    let _ = std::fs::remove_dir_all(&source);
-}
-
-#[test]
-fn every_crash_point_of_a_job_list_journal_recovers() {
-    // The same run, its barriers written as they were before the job
-    // digest: the replayed job table yields to each listed one.
-    let source = temp_dir("job-list-sweep-source");
-    let run = drive_with_snapshots(&source);
-    sweep(&run, &job_list_shape(&run), "job-list-sweep");
-    let _ = std::fs::remove_dir_all(&source);
-}
-
-#[test]
-fn every_crash_point_of_a_pre_retirement_or_full_barrier_journal_recovers() {
-    // Barriers that list finished jobs, and barriers that carry the
-    // shards and replace the replayed state.
-    let source = temp_dir("old-barrier-sweep-source");
-    let run = drive_with_snapshots(&source);
-    sweep(&run, &pre_retirement_shape(&run), "pre-retirement-sweep");
-    sweep(&run, &full_barrier_shape(&run), "full-barrier-sweep");
-    let _ = std::fs::remove_dir_all(&source);
-}
-
-#[test]
-fn every_crash_point_of_a_full_record_journal_recovers() {
-    // The same run, its `Submitted` and `Committed` records written in
-    // full, next to its snapshots and next to the same snapshots without
-    // their archive digest: the shapes written before either was slim.
-    let source = temp_dir("full-record-sweep-source");
-    let mut run = drive_with_snapshots(&source);
-    let records = full_record_shape(&run);
-    assert_ne!(records, run.records);
-    sweep(&run, &records, "full-record-sweep");
-    for (_, files) in &mut run.snapshots {
-        for (_, bytes) in files.iter_mut() {
-            *bytes = without_archive_digest(bytes);
-        }
-    }
-    sweep(&run, &records, "full-record-sweep-old-snapshots");
+    let records = format_1_shape(&run);
+    let count = |needle: &str| records.iter().filter(|line| line.contains(needle)).count();
+    assert!(!records[0].contains("\"format\""), "{}", records[0]);
+    assert!(count("\"reference_span\":null") > 0 && count("\"slots\":[{\"slot\":") > 0);
+    assert!(records
+        .iter()
+        .any(|line| line.starts_with("{\"Finished\"") && line.contains("\"entry\":{\"id\"")));
+    sweep(&run, &records, "format-1-sweep");
     let _ = std::fs::remove_dir_all(&source);
 }
 
@@ -810,41 +791,19 @@ fn a_finished_record_from_a_lost_cycle_yields_to_the_rerun_barrier() {
         restarted.state().jobs.iter().any(|entry| entry.id == job),
         "the re-run must leave {job:?} live"
     );
-    let rerun = records.len();
     records.extend(journal.records().iter().cloned());
-
-    // The same journal, and one whose `Finished` records carry the entry,
-    // each as the run that wrote it retired the job.
-    let with_entries: Vec<String> = records
-        .iter()
-        .enumerate()
-        .map(|(index, line)| match LiveRecord::decode(line).unwrap() {
-            LiveRecord::Finished { cycle, job, .. } => {
-                let writer = if index < rerun { &service } else { &restarted };
-                LiveRecord::Finished {
-                    cycle,
-                    job,
-                    entry: Some(writer.retired()[&job].clone()),
-                }
-                .encode()
-            }
-            _ => line.clone(),
-        })
-        .collect();
-    for journal in [&records, &with_entries] {
-        write_wal(&dir, journal);
-        let recovered = recover_live(&dir).unwrap().service;
-        assert!(
-            recovered
-                .state()
-                .jobs
-                .iter()
-                .all(|entry| !recovered.retired().contains_key(&entry.id.0)),
-            "a job is both retired and live"
-        );
-        assert_eq!(recovered.job_count(), restarted.job_count());
-        assert_eq!(recovered, restarted);
-    }
+    write_wal(&dir, &records);
+    let recovered = recover_live(&dir).unwrap().service;
+    assert!(
+        recovered
+            .state()
+            .jobs
+            .iter()
+            .all(|entry| !recovered.retired().contains_key(&entry.id.0)),
+        "a job is both retired and live"
+    );
+    assert_eq!(recovered.job_count(), restarted.job_count());
+    assert_eq!(recovered, restarted);
 
     // Once the deferred job commits and retires, a snapshot covers the
     // lost cycle: its `Finished` record still yields, and the job's
@@ -870,141 +829,29 @@ fn a_finished_record_from_a_lost_cycle_yields_to_the_rerun_barrier() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `records`, `run`'s own or rewritten record for record, with every
-/// barrier replaced by `barrier` of the full service state after it.
-fn with_barriers(
-    run: &Run,
-    records: &[String],
-    barrier: impl Fn(LiveState) -> String,
-) -> Vec<String> {
-    records
-        .iter()
-        .enumerate()
-        .map(|(index, line)| {
-            if line.starts_with(BARRIER_PREFIX) {
-                barrier(expected_after(run, index + 1).state().clone())
-            } else {
-                line.clone()
-            }
-        })
-        .collect()
-}
-
-/// A barrier as written before the job digest: the live jobs and usage
-/// listed, slot digests in place of the shards.
-fn job_list_barrier(mut state: LiveState) -> String {
-    state.slot_digests = state
-        .shards
-        .iter()
-        .map(|shard| shard.slots.digest())
-        .collect();
-    state.shards.clear();
-    LiveRecord::CycleCommitted { state }.encode()
-}
-
-/// A barrier as written before barriers left the shards out: the full
-/// state, each shard with its platform and full slot objects, and no slot
-/// digests.
-fn full_barrier(mut state: LiveState) -> String {
-    let shards: Vec<String> = std::mem::take(&mut state.shards)
-        .iter()
-        .map(|shard| {
-            format!(
-                "{{\"platform\":{},\"slots\":{},\"now\":{},\"horizon\":{}}}",
-                serde_json::to_string(&shard.platform).unwrap(),
-                serde_json::to_string(&shard.slots).unwrap(),
-                shard.now.ticks(),
-                shard.horizon.ticks()
-            )
-        })
-        .collect();
-    LiveRecord::CycleCommitted { state }
-        .encode()
-        .replacen(
-            "\"shards\":[]",
-            &format!("\"shards\":[{}]", shards.join(",")),
-            1,
-        )
-        .replace(",\"slot_digests\":[]", "")
-}
-
-/// Rewrites a journal into the shape written before recovery derived the
-/// retired entries: each `Finished` record carries its job's entry, taken
-/// from the archive of the run, which never stopped.
-fn entry_shape(run: &Run) -> Vec<String> {
+/// Rewrites a journal into format 1 as its writers left it: the header
+/// without the format number, `Submitted` and `Committed` records in full
+/// (every request field, each window slot an object) as the derived
+/// encoder writes them, and each `Finished` record carrying its job's
+/// entry, taken from the archive of the run, which never stopped.
+fn format_1_shape(run: &Run) -> Vec<String> {
     run.records
         .iter()
         .map(|line| match LiveRecord::decode(line).unwrap() {
-            LiveRecord::Finished {
-                cycle,
-                job,
-                entry: None,
-            } => LiveRecord::Finished {
-                cycle,
-                job,
-                entry: Some(run.service.retired()[&job].clone()),
-            }
-            .encode(),
+            LiveRecord::Finished { cycle, job } => format!(
+                "{{\"Finished\":{{\"cycle\":{cycle},\"job\":{job},\"entry\":{}}}}}",
+                serde_json::to_string(&run.service.retired()[&job]).unwrap()
+            ),
+            record @ (LiveRecord::ServiceStarted { .. }
+            | LiveRecord::Submitted { .. }
+            | LiveRecord::Committed { .. }) => serde_json::to_string(&record).unwrap(),
             _ => line.clone(),
         })
         .collect()
 }
 
-/// Rewrites a journal into the shape written before the job digest, when
-/// `Finished` records carried the entry.
-fn job_list_shape(run: &Run) -> Vec<String> {
-    with_barriers(run, &entry_shape(run), job_list_barrier)
-}
-
-/// Rewrites a journal into the shape written before finished jobs were
-/// retired: `Finished` records carry only the job id, and every barrier
-/// lists the jobs finished so far among the live ones, in id order, each
-/// as the archive of the run holds it.
-fn pre_retirement_shape(run: &Run) -> Vec<String> {
-    let mut finished: Vec<JobEntry> = Vec::new();
-    with_barriers(run, &run.records, job_list_barrier)
-        .iter()
-        .map(|line| match LiveRecord::decode(line).unwrap() {
-            LiveRecord::Finished { job, .. } => {
-                finished.push(run.service.retired()[&job].clone());
-                line.clone()
-            }
-            LiveRecord::CycleCommitted { mut state } => {
-                state.jobs.extend(finished.iter().cloned());
-                state.jobs.sort_by_key(|entry| entry.id);
-                LiveRecord::CycleCommitted { state }.encode()
-            }
-            _ => line.clone(),
-        })
-        .collect()
-}
-
-/// Rewrites a journal into the shape written before barriers left the
-/// shards out, after finished jobs were retired: a barrier's replacement
-/// state lists no finished job, so the `Finished` records carry the
-/// entries.
-fn full_barrier_shape(run: &Run) -> Vec<String> {
-    with_barriers(run, &entry_shape(run), full_barrier)
-}
-
-/// Rewrites a journal into the shape written before `Submitted` and
-/// `Committed` records were slim: every request field written, each window
-/// slot an object, as the derived encoder writes them.
-fn full_record_shape(run: &Run) -> Vec<String> {
-    run.records
-        .iter()
-        .map(|line| match LiveRecord::decode(line).unwrap() {
-            record @ (LiveRecord::Submitted { .. } | LiveRecord::Committed { .. }) => {
-                let full = serde_json::to_string(&record).unwrap();
-                assert!(full.contains("\"reference_span\":null") || full.contains("{\"slot\":"));
-                full
-            }
-            _ => line.clone(),
-        })
-        .collect()
-}
-
-/// A snapshot file as written before snapshots held the archive digest.
+/// A snapshot file without its archive digest, as format 1 wrote it
+/// before snapshots held one.
 fn without_archive_digest(file: &[u8]) -> Vec<u8> {
     let line = std::str::from_utf8(file).unwrap().trim_end();
     let payload = unframe(line).unwrap();
@@ -1019,100 +866,201 @@ fn without_archive_digest(file: &[u8]) -> Vec<u8> {
     .into_bytes()
 }
 
-/// Recovers `old`, the journal of a `cycles`-cycle `run` rewritten into an
-/// earlier format, then continues it with eight cycles of fresh arrivals
-/// in the current format; both recoveries must match a service that never
-/// stopped.
-fn assert_recovers_and_continues(run: Run, cycles: u64, old: Vec<String>, tag: &str) {
-    let dir = temp_dir(tag);
-    write_wal(&dir, &old);
-    let recovered = recover_live(&dir).unwrap();
-    assert_eq!(recovered.service, run.service);
-    assert_eq!(recovered.barriers, cycles);
-    assert!(recovered
-        .service
-        .state()
-        .jobs
-        .iter()
-        .all(|entry| !matches!(entry.phase, JobPhase::Finished { .. })));
-
-    // Replay of the current barriers starts from the old ones' state, and
-    // the jobs the old barriers retired survive a second recovery.
-    let mut reference = run.service;
-    let mut resumed = recovered.service;
-    let mut journal = MemoryJournal::new();
-    let mut rng = StdRng::seed_from_u64(41);
-    for cycle in cycles..cycles + 8 {
-        for submission in arrivals(&mut rng, cycle, false) {
-            let entry = resumed.submit(&submission);
-            assert_eq!(reference.submit(&submission), entry);
-            if let Ok(entry) = entry {
-                journal.append(&LiveRecord::Submitted { entry }.encode());
-            }
+/// Recovers `records` and expects an `UnsupportedFormat` refusal of
+/// record `record` whose detail mentions `what`.
+fn assert_unsupported(dir: &Path, records: &[String], record: u64, what: &str) {
+    write_wal(dir, records);
+    match recover_live(dir) {
+        Err(RecoverError::UnsupportedFormat {
+            record: named,
+            detail,
+        }) => {
+            assert_eq!(named, record, "{detail}");
+            assert!(
+                detail.contains(what),
+                "{detail:?} does not mention {what:?}"
+            );
         }
-        reference.run_cycle(Parallelism::Serial);
-        resumed.run_cycle_observed(Parallelism::Serial, &NoopMetrics, &mut journal);
+        other => panic!("expected record {record} to be refused, got {other:?}"),
     }
-    let mut continued = old;
-    continued.extend(journal.records().iter().cloned());
-    write_wal(&dir, &continued);
-    let again = recover_live(&dir).unwrap();
-    assert_eq!(again.service, reference);
-    assert_eq!(again.service, resumed);
+}
+
+#[test]
+fn a_barrier_without_a_job_digest_is_refused_by_record() {
+    // The three barrier shapes written before barriers carried a job
+    // digest, each in place of the first barrier after a job finished
+    // that leaves jobs live: one listing the live jobs and usage, one also
+    // listing the finished jobs (written before retirement), and one
+    // carrying the shards, their platforms included.
+    let run = drive(5, 30);
+    let finished = run
+        .records
+        .iter()
+        .position(|line| line.starts_with("{\"Finished\""))
+        .expect("a job finishes");
+    let barrier = (finished..run.records.len())
+        .find(|&index| {
+            run.records[index].starts_with(BARRIER_PREFIX)
+                && !expected_after(&run, index + 1).state().jobs.is_empty()
+        })
+        .expect("a barrier after a retirement with live jobs");
+    let mut state = expected_after(&run, barrier + 1).state().clone();
+    let slot_digests = state
+        .shards
+        .iter()
+        .map(|shard| shard.slots.digest())
+        .collect();
+    let shards = std::mem::take(&mut state.shards);
+    let job_list = LiveState {
+        slot_digests,
+        ..state.clone()
+    };
+    let mut pre_retirement = job_list.clone();
+    pre_retirement.jobs.extend(
+        run.service
+            .retired()
+            .values()
+            .filter(|entry| {
+                matches!(entry.phase, JobPhase::Finished { finished_cycle, .. }
+                    if finished_cycle < state.cycle)
+            })
+            .cloned(),
+    );
+    pre_retirement.jobs.sort_by_key(|entry| entry.id);
+    let shard_carrying = LiveRecord::CycleCommitted { state }
+        .encode()
+        .replacen(
+            "\"shards\":[]",
+            &format!(
+                "\"shards\":[{}]",
+                shards
+                    .iter()
+                    .map(|shard| format!(
+                        "{{\"platform\":{},\"slots\":{},\"now\":{},\"horizon\":{}}}",
+                        serde_json::to_string(&shard.platform).unwrap(),
+                        serde_json::to_string(&shard.slots).unwrap(),
+                        shard.now.ticks(),
+                        shard.horizon.ticks()
+                    ))
+                    .collect::<Vec<_>>()
+                    .join(",")
+            ),
+            1,
+        )
+        .replace(",\"slot_digests\":[]", "");
+    let dir = temp_dir("no-job-digest");
+    for (old, shape) in [
+        (
+            LiveRecord::CycleCommitted { state: job_list }.encode(),
+            "\"tenant\"",
+        ),
+        (
+            LiveRecord::CycleCommitted {
+                state: pre_retirement,
+            }
+            .encode(),
+            "\"Finished\"",
+        ),
+        (shard_carrying, "\"platform\""),
+    ] {
+        assert!(old.contains(shape) && !old.contains("job_digest"), "{old}");
+        let mut records = run.records.clone();
+        records[barrier] = old;
+        assert_unsupported(&dir, &records, barrier as u64 + 1, "without a job digest");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn a_job_list_journal_recovers_and_continues_with_digest_barriers() {
-    let cycles = 30;
-    let run = drive(5, cycles);
-    let old = job_list_shape(&run);
-    assert!(old.iter().any(|line| line.starts_with(BARRIER_PREFIX)
-        && line.contains("\"tenant\"")
-        && !line.contains("job_digest")));
-    assert_recovers_and_continues(run, cycles, old, "job-list");
+fn a_journal_of_a_later_format_is_refused() {
+    let run = drive(5, 3);
+    let mut records = run.records.clone();
+    records[0] = records[0].replacen("{\"format\":2,", "{\"format\":3,", 1);
+    assert_ne!(records[0], run.records[0]);
+    let dir = temp_dir("format-3");
+    assert_unsupported(&dir, &records, 1, "format 3");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn an_entry_carrying_journal_recovers_and_continues_with_slim_records() {
-    let cycles = 30;
-    let run = drive(5, cycles);
-    let old = entry_shape(&run);
-    assert!(old
+fn a_format_2_snapshot_without_an_archive_digest_is_refused() {
+    let dir = temp_dir("no-archive-digest");
+    let journal = DurableJournal::create(&dir, 5).unwrap();
+    let run = drive_into(config(21), 12, false, journal, Some(snapshot_dir(&dir)));
+    assert_eq!(recover_live(&dir).unwrap().snapshot_cycle, Some(10));
+    let (_, files) = run.snapshots.last().expect("snapshots");
+    let stripped: SnapshotFiles = files
         .iter()
-        .any(|line| line.starts_with("{\"Finished\"") && line.contains("\"entry\":{\"id\"")));
-    assert_recovers_and_continues(run, cycles, old, "entry-carrying");
+        .map(|(name, bytes)| (name.clone(), without_archive_digest(bytes)))
+        .collect();
+    write_snapshots(&dir, &stripped);
+    match recover_live(&dir) {
+        Err(RecoverError::SnapshotDecode { message }) => {
+            assert!(message.contains("archive_digest"), "{message}");
+        }
+        other => panic!("expected a snapshot without its archive digest refused, got {other:?}"),
+    }
+    // Next to a format-1 header the same snapshot is not read.
+    let mut records = run.records.clone();
+    records[0] = serde_json::to_string(&LiveRecord::decode(&records[0]).unwrap()).unwrap();
+    write_wal(&dir, &records);
+    let recovered = recover_live(&dir).unwrap();
+    assert_eq!(recovered.snapshot_cycle, None);
+    assert_eq!(recovered.service, run.service);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn a_pre_retirement_journal_recovers_into_the_archive_and_continues() {
-    let cycles = 30;
-    let run = drive(5, cycles);
-    let old = pre_retirement_shape(&run);
-    assert!(
-        old.iter()
-            .any(|line| line.starts_with(BARRIER_PREFIX) && line.contains("\"Finished\"")),
-        "the rewritten journal must hold a barrier listing a finished job"
-    );
-    assert_recovers_and_continues(run, cycles, old, "pre-retirement");
+fn a_header_whose_config_cannot_run_is_a_decode_error() {
+    // Each of these once panicked in `LiveService::new` or in generating
+    // the platform; daemons once accepted a cycle advance below 1.
+    let dir = temp_dir("config-check");
+    let cases = [
+        (
+            LiveConfig {
+                shards: 0,
+                ..config(4)
+            },
+            "shards must be at least 1, got 0",
+        ),
+        (
+            LiveConfig {
+                nodes_per_shard: 0,
+                ..config(4)
+            },
+            "nodes_per_shard must be at least 1, got 0",
+        ),
+        (
+            LiveConfig {
+                interval_length: 0,
+                ..config(4)
+            },
+            "interval_length must be at least 1, got 0",
+        ),
+        (
+            LiveConfig {
+                cycle_advance: -5,
+                ..config(4)
+            },
+            "cycle_advance must be at least 1, got -5",
+        ),
+    ];
+    for (config, reason) in cases {
+        write_wal(&dir, &[LiveRecord::ServiceStarted { config }.encode()]);
+        match recover_live(&dir) {
+            Err(RecoverError::Decode { record: 1, message }) => assert_eq!(message, reason),
+            other => panic!("expected a refused header ({reason}), got {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn a_full_barrier_journal_recovers_and_continues_with_delta_barriers() {
-    let cycles = 30;
-    let run = drive(5, cycles);
-    let old = full_barrier_shape(&run);
-    assert!(old
-        .iter()
-        .any(|line| line.contains("\"platform\"") && !line.contains("slot_digests")));
-    assert_recovers_and_continues(run, cycles, old, "full-barriers");
-}
-
-/// A live journal directory written by `DurableJournal` and `LiveService`
-/// as they stood at commit `adc1aaf`, when snapshots still carried each
-/// shard's platform and every free slot's performance and price: the run
-/// of [`legacy_config`] for [`LEGACY_CYCLES`] cycles, a snapshot every
-/// fifth barrier.
+/// A format-1 live journal directory written by `DurableJournal` and
+/// `LiveService` as they stood at commit `adc1aaf`, when snapshots still
+/// carried each shard's platform and every free slot's performance and
+/// price, and `Finished` records the retired entry: the run of
+/// [`legacy_config`] for [`LEGACY_CYCLES`] cycles, a snapshot every fifth
+/// barrier.
 const LEGACY_FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/platform-snapshots"
@@ -1128,8 +1076,8 @@ fn legacy_config() -> LiveConfig {
     }
 }
 
-/// A live journal directory written by `DurableJournal` and `LiveService`
-/// as they stood at commit `d3d9744`, when `Submitted` records wrote every
+/// A format-1 live journal directory written by `DurableJournal` and
+/// `LiveService` as they stood at commit `d3d9744`, when `Submitted` records wrote every
 /// request field and `Committed` records each window slot as an object
 /// (its `Finished` records and snapshot rows are today's shapes): the run
 /// of [`full_submits_config`] for [`FULL_SUBMITS_CYCLES`] cycles with hard
@@ -1159,22 +1107,25 @@ fn copy_fixture(fixture: &str, tag: &str) -> PathBuf {
     dir
 }
 
-/// Recovers `dir`, a fixture copy holding the run of `config` for `cycles`
-/// cycles (`hard` as for [`arrivals`]) with its newest snapshot at
-/// `snapshot_cycle`, and expects that run's service; then journals eight
-/// more cycles on the recovered service in the current format, a snapshot
-/// every fifth barrier, and expects the same again from a recovery of the
-/// continued directory, which returns.
+/// Recovers `dir`, a format-1 fixture copy holding the run of `config` for
+/// `cycles` cycles (`hard` as for [`arrivals`]), from record 1 without its
+/// snapshots, and expects that run's service; then journals eight more
+/// cycles on the recovered service with this build, a snapshot every fifth
+/// barrier, and expects the same again from a recovery of the continued
+/// directory, which returns. The header still names no format, so that
+/// recovery too replays from record 1.
 fn assert_fixture_recovers_and_continues(
     dir: &Path,
     config: LiveConfig,
     cycles: u64,
     hard: bool,
-    snapshot_cycle: u64,
 ) -> RecoveredService {
+    let header = std::fs::read_to_string(journal_path(dir)).unwrap();
+    let header = header.lines().next().expect("a header");
+    assert!(!header.contains("\"format\""), "{header}");
     let run = drive_into(config, cycles, hard, MemoryJournal::new(), None);
     let recovered = recover_live(dir).unwrap();
-    assert_eq!(recovered.snapshot_cycle, Some(snapshot_cycle));
+    assert_eq!(recovered.snapshot_cycle, None);
     assert_eq!(recovered.barriers, cycles);
     assert_eq!(recovered.service, run.service);
 
@@ -1197,6 +1148,7 @@ fn assert_fixture_recovers_and_continues(
     }
     journal.finish().unwrap();
     let again = recover_live(dir).unwrap();
+    assert_eq!(again.snapshot_cycle, None);
     assert_eq!(again.service, reference);
     assert_eq!(again.service, resumed);
     again
@@ -1214,9 +1166,7 @@ fn a_journal_with_platform_snapshots_recovers_and_continues() {
             "{name:?} is not a platform-carrying snapshot"
         );
     }
-    let again =
-        assert_fixture_recovers_and_continues(&dir, legacy_config(), LEGACY_CYCLES, false, 10);
-    assert_eq!(again.snapshot_cycle, Some(20));
+    assert_fixture_recovers_and_continues(&dir, legacy_config(), LEGACY_CYCLES, false);
     for (name, bytes) in read_snapshots(&snapshot_dir(&dir)) {
         let text = String::from_utf8(bytes).unwrap();
         assert!(
@@ -1253,9 +1203,7 @@ fn a_journal_with_full_submits_and_object_windows_recovers_and_continues() {
         full_submits_config(),
         FULL_SUBMITS_CYCLES,
         true,
-        15,
     );
-    assert_eq!(again.snapshot_cycle, Some(20));
     assert!(again.service.retired().len() >= 20);
     let snapshot = read_snapshots(&snapshot_dir(&dir))
         .into_iter()

@@ -755,12 +755,6 @@ fn cmd_serve_live(args: &Args) -> Result<(), String> {
     if recover_requested && journal_base.is_none() {
         return Err("--recover requires --journal-dir".to_owned());
     }
-    if shards == 0 {
-        return Err("--shards must be at least 1".to_owned());
-    }
-    if cycle_advance < 1 {
-        return Err("--cycle-advance must be at least 1".to_owned());
-    }
     if snapshot_every == 0 {
         return Err("--snapshot-every must be at least 1".to_owned());
     }
@@ -781,6 +775,18 @@ fn cmd_serve_live(args: &Args) -> Result<(), String> {
         quotas,
         scheduler: BatchSchedulerConfig::default(),
     };
+    config.check().map_err(|reason| {
+        // Name the flag that set the refused field.
+        [
+            ("shards", "--shards"),
+            ("nodes_per_shard", "--nodes"),
+            ("interval_length", "--interval"),
+            ("cycle_advance", "--cycle-advance"),
+        ]
+        .into_iter()
+        .find_map(|(field, flag)| Some(format!("{flag}{}", reason.strip_prefix(field)?)))
+        .unwrap_or(reason)
+    })?;
 
     // Recover the live journal, or start a fresh run with its header.
     let (service, journal) = match &journal_base {

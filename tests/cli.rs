@@ -1,6 +1,6 @@
 //! End-to-end tests of the `slotsel` CLI binary.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn slotsel(args: &[&str]) -> Output {
@@ -492,9 +492,47 @@ fn live_serve_refuses_a_cycle_advance_below_one() {
     }
 }
 
+#[test]
+fn live_serve_refuses_a_config_it_cannot_run() {
+    // Each of these once panicked, or started a daemon that refused every
+    // submit; the flag that set the field is named.
+    for (flag, value) in [
+        ("--shards", "0"),
+        ("--nodes", "0"),
+        ("--interval", "0"),
+        ("--cycle-advance", "0"),
+    ] {
+        let out = slotsel(&[
+            "serve",
+            "--live",
+            "--addr",
+            "127.0.0.1:0",
+            "--cycles",
+            "1",
+            "--cycle-ms",
+            "1",
+            flag,
+            value,
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {out:?}");
+        assert!(
+            stderr(&out).contains(&format!("{flag} must be at least 1, got {value}")),
+            "{flag} {value}: {}",
+            stderr(&out)
+        );
+    }
+}
+
 /// Spawns `slotsel serve --live` with `extra` flags appended, waits for
 /// the banner and returns the child plus its bound `host:port`.
 fn spawn_live(extra: &[&str]) -> (std::process::Child, String) {
+    let (child, addr, _) = spawn_live_logged(extra);
+    (child, addr)
+}
+
+/// [`spawn_live`], also returning the lines the daemon printed before its
+/// banner.
+fn spawn_live_logged(extra: &[&str]) -> (std::process::Child, String, Vec<String>) {
     use std::io::{BufRead, BufReader};
     use std::process::Stdio;
 
@@ -510,6 +548,7 @@ fn spawn_live(extra: &[&str]) -> (std::process::Child, String) {
         .spawn()
         .expect("live daemon spawns");
     let mut lines = BufReader::new(child.stdout.take().expect("piped stdout")).lines();
+    let mut preamble = Vec::new();
     let banner = loop {
         let line = lines
             .next()
@@ -518,6 +557,7 @@ fn spawn_live(extra: &[&str]) -> (std::process::Child, String) {
         if line.starts_with("serving metrics on ") {
             break line;
         }
+        preamble.push(line);
     };
     let addr = banner
         .trim_start_matches("serving metrics on http://")
@@ -530,7 +570,7 @@ fn spawn_live(extra: &[&str]) -> (std::process::Child, String) {
     // Keep draining stdout so the daemon never blocks (or EPIPEs) on a
     // full pipe; the thread exits at EOF when the daemon does.
     std::thread::spawn(move || for _ in lines {});
-    (child, addr)
+    (child, addr, preamble)
 }
 
 /// One HTTP exchange against a live daemon; returns the raw response.
@@ -1048,6 +1088,65 @@ fn live_serve_recovers_a_wide_platform_from_small_barriers() {
         "{recovered} vs {state}"
     );
     assert!(json_u64(&recovered, "cycle") >= 12, "{recovered}");
+    live_request(&addr, "POST", "/shutdown", "");
+    let status = child.wait().expect("daemon exits");
+    assert!(status.success(), "clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn live_serve_writes_format_2_and_recovers_a_format_1_journal() {
+    // A fresh daemon names the journal format in its header.
+    let fresh = temp_path("live-format-2");
+    let _ = std::fs::remove_dir_all(&fresh);
+    let out = slotsel(&[
+        "serve",
+        "--live",
+        "--addr",
+        "127.0.0.1:0",
+        "--cycles",
+        "1",
+        "--cycle-ms",
+        "1",
+        "--journal-dir",
+        fresh.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let journal = std::fs::read_to_string(fresh.join("journal.wal")).unwrap();
+    let header = journal.lines().next().expect("a header");
+    assert!(
+        header.contains("{\"ServiceStarted\":{\"format\":2,"),
+        "{header}"
+    );
+    let _ = std::fs::remove_dir_all(&fresh);
+
+    // A format-1 journal, whose header names no format and whose
+    // snapshots carry the platform, is replayed from record 1.
+    let fixture =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/sim/tests/fixtures/platform-snapshots");
+    let dir = temp_path("live-format-1");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("snapshots")).unwrap();
+    std::fs::copy(fixture.join("journal.wal"), dir.join("journal.wal")).unwrap();
+    for entry in std::fs::read_dir(fixture.join("snapshots")).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dir.join("snapshots").join(entry.file_name())).unwrap();
+    }
+    let (mut child, addr, preamble) =
+        spawn_live_logged(&["--journal-dir", dir.to_str().unwrap(), "--recover"]);
+    assert!(
+        preamble.iter().any(
+            |line| line.starts_with("recover: resuming live service at cycle 12")
+                && line.contains("replayed from the generated platform")
+        ),
+        "{preamble:?}"
+    );
+    let job = live_request(&addr, "GET", "/job/0", "");
+    assert!(job.starts_with("HTTP/1.1 200"), "{job}");
+    assert!(
+        response_body(&job).contains("\"state\":\"finished\""),
+        "{job}"
+    );
     live_request(&addr, "POST", "/shutdown", "");
     let status = child.wait().expect("daemon exits");
     assert!(status.success(), "clean shutdown");
