@@ -74,12 +74,15 @@ impl Money {
     #[must_use]
     pub fn from_f64(units: f64) -> Self {
         assert!(units.is_finite(), "money from non-finite value {units}");
+        Self::checked_from_f64(units).unwrap_or_else(|| panic!("money value {units} overflows"))
+    }
+
+    /// [`from_f64`](Self::from_f64) for values from outside the program:
+    /// `None` when `units` is not finite or its milli-credits overflow.
+    #[must_use]
+    pub fn checked_from_f64(units: f64) -> Option<Self> {
         let millis = (units * MILLIS_PER_UNIT as f64).round();
-        assert!(
-            millis >= i64::MIN as f64 && millis <= i64::MAX as f64,
-            "money value {units} overflows"
-        );
-        Money(millis as i64)
+        (millis >= i64::MIN as f64 && millis <= i64::MAX as f64).then_some(Money(millis as i64))
     }
 
     /// Returns the amount as floating-point credits (for reporting only).
@@ -239,6 +242,17 @@ mod tests {
     #[should_panic(expected = "non-finite")]
     fn from_f64_rejects_nan() {
         let _ = Money::from_f64(f64::NAN);
+    }
+
+    #[test]
+    fn checked_from_f64_refuses_what_does_not_fit() {
+        assert_eq!(
+            Money::checked_from_f64(2.5),
+            Some(Money::from_millis(2_500))
+        );
+        for units in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e300] {
+            assert_eq!(Money::checked_from_f64(units), None, "{units}");
+        }
     }
 
     #[test]

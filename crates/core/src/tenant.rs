@@ -24,6 +24,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::RequestError;
 use crate::money::Money;
+use crate::request::ResourceRequest;
 
 /// A tenant (user or project) name attributing submitted requests.
 ///
@@ -143,6 +144,16 @@ pub struct TenantUsage {
     pub nodes_in_flight: usize,
     /// Summed budgets over in-flight requests.
     pub budget_in_flight: Money,
+}
+
+impl TenantUsage {
+    /// Adds `request` to the in-flight footprint; a `queued` request also
+    /// counts as pending.
+    pub fn charge(&mut self, request: &ResourceRequest, queued: bool) {
+        self.pending += usize::from(queued);
+        self.nodes_in_flight += request.node_count();
+        self.budget_in_flight = self.budget_in_flight.saturating_add(request.budget());
+    }
 }
 
 /// Why a submitted request was not admitted.

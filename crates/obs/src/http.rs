@@ -12,14 +12,13 @@
 //!   itself keeps serving until the daemon stops it, so metrics stay
 //!   scrapeable while it drains).
 //!
-//! [`MetricsServer::start_with_handler`] additionally routes every request
-//! the built-ins do not claim through a caller-supplied [`Handler`] — how
-//! the serve daemon mounts its `/submit`, `/job/{id}` and `/tenants` API
-//! without this crate knowing anything about scheduling. The handler
-//! receives the parsed [`HttpRequest`] (method, path, body — bodies are
-//! read when a `Content-Length` header is present, capped at
-//! [`MAX_BODY_BYTES`]) and returns an [`HttpResponse`], or `None` to fall
-//! through to the normalized 404.
+//! Given a [`Handler`], the server routes every request the built-ins do
+//! not claim through it — how the serve daemon mounts its `/submit`,
+//! `/job/{id}` and `/tenants` API without this crate knowing anything
+//! about scheduling. The handler receives the parsed [`HttpRequest`]
+//! (method, path, body — bodies are read when a `Content-Length` header
+//! is present, capped at [`MAX_BODY_BYTES`]) and returns an
+//! [`HttpResponse`], or `None` to fall through to the normalized 404.
 //!
 //! Every error the server produces itself — unknown path, wrong method on
 //! a built-in, unreadable request, oversized body — is a **normalized
@@ -32,9 +31,9 @@
 //! scraper: it reads one request, answers with `Connection: close` and
 //! drops the socket. Dropping (or calling [`MetricsServer::stop`]) shuts
 //! the accept loop down promptly by flagging it and poking a final
-//! connection through it. [`MetricsServer::start_with_retry`] retries a
-//! failed bind with doubling backoff — for daemons restarting into a port
-//! still in `TIME_WAIT`.
+//! connection through it. [`MetricsServer::start`] retries a failed bind
+//! with doubling backoff — for daemons restarting into a port still in
+//! `TIME_WAIT`.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -50,6 +49,10 @@ use crate::metrics::{Metrics, MetricsRegistry};
 /// Per-connection socket timeout: a stalled client cannot wedge the
 /// single-threaded accept loop for longer than this.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// The sleep before [`MetricsServer::start`]'s second bind attempt; it
+/// doubles before each later one.
+pub const BIND_BACKOFF: Duration = Duration::from_millis(200);
 
 /// Largest request body the server reads; anything bigger is refused
 /// with a `413` error response before the body is consumed.
@@ -81,19 +84,25 @@ impl HttpResponse {
     /// A `200` response with a JSON body.
     #[must_use]
     pub fn json(body: String) -> Self {
-        HttpResponse {
-            status: 200,
-            content_type: "application/json".to_owned(),
-            body,
-        }
+        Self::ok("application/json", body)
+    }
+
+    /// A `200` response with a newline-delimited JSON body.
+    #[must_use]
+    pub fn ndjson(body: String) -> Self {
+        Self::ok("application/x-ndjson", body)
     }
 
     /// A `200` response with a plain-text body.
     #[must_use]
     pub fn text(body: String) -> Self {
+        Self::ok("text/plain; charset=utf-8", body)
+    }
+
+    fn ok(content_type: &str, body: String) -> Self {
         HttpResponse {
             status: 200,
-            content_type: "text/plain; charset=utf-8".to_owned(),
+            content_type: content_type.to_owned(),
             body,
         }
     }
@@ -149,7 +158,7 @@ pub type Handler = dyn Fn(&HttpRequest) -> Option<HttpResponse> + Send + Sync;
 ///
 /// let registry = Arc::new(MetricsRegistry::new());
 /// registry.counter_add("up_total", &[], 1);
-/// let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&registry)).unwrap();
+/// let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&registry), None, 1).unwrap();
 /// assert_ne!(server.addr().port(), 0);
 /// server.stop();
 /// ```
@@ -163,30 +172,34 @@ pub struct MetricsServer {
 
 impl MetricsServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts serving the registry from a background thread.
+    /// starts serving the registry from a background thread. `handler`
+    /// gets every request the built-in routes do not claim. A failed bind
+    /// is retried, `attempts` binds in all (at least one), sleeping
+    /// [`BIND_BACKOFF`] before the second and doubling it each time after:
+    /// a restarting daemon may race its predecessor's socket in
+    /// `TIME_WAIT`.
     ///
     /// # Errors
     ///
-    /// Returns the underlying error when the address cannot be bound.
-    pub fn start(addr: impl ToSocketAddrs, registry: Arc<MetricsRegistry>) -> io::Result<Self> {
-        Self::start_inner(addr, registry, None)
-    }
-
-    /// Like [`start`](Self::start), with a [`Handler`] that gets every
-    /// request the built-in routes do not claim.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying error when the address cannot be bound.
-    pub fn start_with_handler(
-        addr: impl ToSocketAddrs,
+    /// Returns the *last* bind error once the attempts are exhausted.
+    pub fn start(
+        addr: impl ToSocketAddrs + Clone,
         registry: Arc<MetricsRegistry>,
-        handler: Arc<Handler>,
+        handler: Option<Arc<Handler>>,
+        attempts: u32,
     ) -> io::Result<Self> {
-        Self::start_inner(addr, registry, Some(handler))
+        let mut backoff = BIND_BACKOFF;
+        for _ in 1..attempts {
+            match Self::bind(addr.clone(), Arc::clone(&registry), handler.clone()) {
+                Ok(server) => return Ok(server),
+                Err(_) => std::thread::sleep(backoff),
+            }
+            backoff = backoff.saturating_mul(2);
+        }
+        Self::bind(addr, registry, handler)
     }
 
-    fn start_inner(
+    fn bind(
         addr: impl ToSocketAddrs,
         registry: Arc<MetricsRegistry>,
         handler: Option<Arc<Handler>>,
@@ -206,60 +219,6 @@ impl MetricsServer {
             requested,
             handle: Some(handle),
         })
-    }
-
-    /// Like [`start`](Self::start), but retries a failed bind up to
-    /// `attempts` times with a doubling backoff starting at `backoff` —
-    /// a restarting daemon may race its predecessor's socket in
-    /// `TIME_WAIT`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the *last* bind error once the attempts are exhausted.
-    pub fn start_with_retry(
-        addr: impl ToSocketAddrs + Clone,
-        registry: Arc<MetricsRegistry>,
-        attempts: u32,
-        backoff: Duration,
-    ) -> io::Result<Self> {
-        Self::start_with_retry_inner(addr, registry, attempts, backoff, None)
-    }
-
-    /// [`start_with_retry`](Self::start_with_retry) plus a [`Handler`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the *last* bind error once the attempts are exhausted.
-    pub fn start_with_retry_and_handler(
-        addr: impl ToSocketAddrs + Clone,
-        registry: Arc<MetricsRegistry>,
-        attempts: u32,
-        backoff: Duration,
-        handler: Arc<Handler>,
-    ) -> io::Result<Self> {
-        Self::start_with_retry_inner(addr, registry, attempts, backoff, Some(handler))
-    }
-
-    fn start_with_retry_inner(
-        addr: impl ToSocketAddrs + Clone,
-        registry: Arc<MetricsRegistry>,
-        attempts: u32,
-        mut backoff: Duration,
-        handler: Option<Arc<Handler>>,
-    ) -> io::Result<Self> {
-        let attempts = attempts.max(1);
-        let mut last_error = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(backoff);
-                backoff = backoff.saturating_mul(2);
-            }
-            match Self::start_inner(addr.clone(), Arc::clone(&registry), handler.clone()) {
-                Ok(server) => return Ok(server),
-                Err(error) => last_error = Some(error),
-            }
-        }
-        Err(last_error.expect("at least one bind attempt was made"))
     }
 
     /// The bound address — the actual port when started on port 0.
@@ -410,11 +369,10 @@ fn route(
     handler: Option<&Handler>,
 ) -> HttpResponse {
     match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/metrics") => HttpResponse {
-            status: 200,
-            content_type: "text/plain; version=0.0.4; charset=utf-8".to_owned(),
-            body: render_prometheus(registry),
-        },
+        ("GET", "/metrics") => HttpResponse::ok(
+            "text/plain; version=0.0.4; charset=utf-8",
+            render_prometheus(registry),
+        ),
         ("GET", "/healthz") => HttpResponse::text("ok\n".to_owned()),
         ("POST", "/shutdown") => {
             requested.store(true, Ordering::SeqCst);
@@ -514,7 +472,7 @@ mod tests {
     fn serves_metrics_and_health() {
         let registry = Arc::new(MetricsRegistry::new());
         registry.counter_add("hits_total", &[], 7);
-        let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&registry)).unwrap();
+        let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&registry), None, 1).unwrap();
         let addr = server.addr();
 
         let metrics = get(addr, "/metrics");
@@ -534,7 +492,7 @@ mod tests {
     #[test]
     fn unknown_paths_get_a_normalized_json_error() {
         let registry = Arc::new(MetricsRegistry::new());
-        let server = MetricsServer::start("127.0.0.1:0", registry).unwrap();
+        let server = MetricsServer::start("127.0.0.1:0", registry, None, 1).unwrap();
         let missing = get(server.addr(), "/nope");
         assert!(missing.starts_with("HTTP/1.1 404 Not Found"), "{missing}");
         assert!(
@@ -562,7 +520,7 @@ mod tests {
     #[test]
     fn builtin_routes_enforce_their_methods() {
         let registry = Arc::new(MetricsRegistry::new());
-        let server = MetricsServer::start("127.0.0.1:0", registry).unwrap();
+        let server = MetricsServer::start("127.0.0.1:0", registry, None, 1).unwrap();
         let wrong = get(server.addr(), "/shutdown");
         assert!(wrong.starts_with("HTTP/1.1 405"), "{wrong}");
         assert!(wrong.contains("method_not_allowed"), "{wrong}");
@@ -588,7 +546,7 @@ mod tests {
                 _ => None,
             }
         });
-        let server = MetricsServer::start_with_handler("127.0.0.1:0", registry, handler).unwrap();
+        let server = MetricsServer::start("127.0.0.1:0", registry, Some(handler), 1).unwrap();
         let addr = server.addr();
 
         let echoed = post(addr, "/echo", "hello body");
@@ -608,7 +566,7 @@ mod tests {
     #[test]
     fn oversized_bodies_are_refused_with_413() {
         let registry = Arc::new(MetricsRegistry::new());
-        let server = MetricsServer::start("127.0.0.1:0", registry).unwrap();
+        let server = MetricsServer::start("127.0.0.1:0", registry, None, 1).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         write!(
             stream,
@@ -626,7 +584,7 @@ mod tests {
     #[test]
     fn shutdown_endpoint_flags_the_request_and_keeps_serving() {
         let registry = Arc::new(MetricsRegistry::new());
-        let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&registry)).unwrap();
+        let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&registry), None, 1).unwrap();
         let addr = server.addr();
         assert!(!server.shutdown_requested());
 
@@ -645,22 +603,19 @@ mod tests {
     }
 
     #[test]
-    fn start_with_retry_reports_the_bind_error_and_recovers() {
+    fn start_retries_a_busy_port_and_reports_the_bind_error() {
         let registry = Arc::new(MetricsRegistry::new());
         // Occupy a port so every bind attempt fails.
         let occupied = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = occupied.local_addr().unwrap();
-        let failed = MetricsServer::start_with_retry(
-            addr,
-            Arc::clone(&registry),
-            3,
-            Duration::from_millis(1),
-        );
+        let started = Instant::now();
+        let failed = MetricsServer::start(addr, Arc::clone(&registry), None, 3);
         assert!(failed.is_err(), "a held port must exhaust the retries");
+        // Two sleeps: the backoff, then twice the backoff.
+        assert!(started.elapsed() >= BIND_BACKOFF * 3);
         // Once the port frees up, the same call succeeds.
         drop(occupied);
-        let server =
-            MetricsServer::start_with_retry(addr, registry, 3, Duration::from_millis(10)).unwrap();
+        let server = MetricsServer::start(addr, registry, None, 3).unwrap();
         assert_eq!(server.addr(), addr);
         server.stop();
     }
@@ -668,7 +623,7 @@ mod tests {
     #[test]
     fn stop_terminates_promptly_and_drop_is_idempotent() {
         let registry = Arc::new(MetricsRegistry::new());
-        let server = MetricsServer::start("127.0.0.1:0", registry).unwrap();
+        let server = MetricsServer::start("127.0.0.1:0", registry, None, 1).unwrap();
         let addr = server.addr();
         server.stop();
         // The port is released: rebinding it eventually succeeds.

@@ -22,7 +22,10 @@
 //! - [`serve`] — the live multi-tenant metascheduler behind
 //!   `slotsel serve --live`: sharded persistent platform state, per-tenant
 //!   admission quotas, and the continuous accumulate → schedule → commit
-//!   cycle (see `docs/SERVING.md`).
+//!   cycle (see `docs/SERVING.md`);
+//! - [`daemon`] — the daemon around it: the journal it opens or
+//!   recovers, its HTTP routes, one journaled cycle per step, and the
+//!   final snapshot at shutdown.
 //!
 //! ```no_run
 //! use slotsel_sim::config::QualityConfig;
@@ -39,6 +42,7 @@
 
 pub mod batch_experiment;
 pub mod config;
+pub mod daemon;
 pub mod disruption;
 pub mod execution;
 pub mod gantt;
@@ -55,6 +59,7 @@ pub mod serve;
 
 pub use batch_experiment::{BatchExperimentConfig, ObjectiveOutcome};
 pub use config::{QualityConfig, RequestConfig};
+pub use daemon::LiveDaemon;
 pub use disruption::{DisruptionConfig, DisruptionEvent, DisruptionModel, DisruptionModelState};
 pub use journal::{
     recover, replay, CrashJournal, DurableJournal, JournalRecord, RecordingJournal, RecoverError,

@@ -140,9 +140,18 @@ impl QuotaTable {
     ///
     /// # Errors
     ///
-    /// Returns the parse failure as a string.
+    /// Returns the parse failure as a string, or names a `max_budget`
+    /// that [`Money`] cannot hold (admission would panic on it).
     pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|error| error.to_string())
+        let table: QuotaTable = serde_json::from_str(text).map_err(|error| error.to_string())?;
+        let quotas = table.tenants.values().chain(&table.default);
+        match quotas
+            .filter_map(|quota| quota.max_budget)
+            .find(|&max| Money::checked_from_f64(max).is_none())
+        {
+            Some(max) => Err(format!("max_budget {max:e} is out of range")),
+            None => Ok(table),
+        }
     }
 
     /// The quota governing `tenant`.
@@ -994,10 +1003,19 @@ impl LiveService {
                 .min_by_key(|&shard| (self.queued_on(shard), shard))
                 .expect("at least one shard"),
         };
+        let budget = Money::checked_from_f64(submission.budget).ok_or_else(|| {
+            AdmitError::InvalidRequest {
+                reason: format!(
+                    "budget {:e} is not a finite amount below {:e} credits",
+                    submission.budget,
+                    Money::MAX.as_f64()
+                ),
+            }
+        })?;
         let mut builder = ResourceRequest::builder()
             .node_count(submission.nodes)
             .volume(Volume::new(submission.volume))
-            .budget(Money::from_f64(submission.budget));
+            .budget(budget);
         if let Some(deadline) = submission.deadline {
             builder = builder.deadline(TimePoint::new(deadline));
         }
@@ -1047,21 +1065,8 @@ impl LiveService {
                 Some(usage) => usage,
                 None => self.state.usage.entry(tenant.to_owned()).or_default(),
             };
-            match entry.phase {
-                JobPhase::Queued => {
-                    usage.pending += 1;
-                    usage.nodes_in_flight += entry.request.node_count();
-                    usage.budget_in_flight = usage
-                        .budget_in_flight
-                        .saturating_add(entry.request.budget());
-                }
-                JobPhase::Scheduled { .. } => {
-                    usage.nodes_in_flight += entry.request.node_count();
-                    usage.budget_in_flight = usage
-                        .budget_in_flight
-                        .saturating_add(entry.request.budget());
-                }
-                JobPhase::Finished { .. } => {}
+            if !matches!(entry.phase, JobPhase::Finished { .. }) {
+                usage.charge(&entry.request, matches!(entry.phase, JobPhase::Queued));
             }
         }
     }
@@ -1124,11 +1129,7 @@ impl LiveService {
         };
 
         // --- Batch formation, quotas re-enforced -----------------------
-        let formation_span = if spanning {
-            Some(spans.open("serve.batch_formation"))
-        } else {
-            None
-        };
+        let formation_span = spanning.then(|| spans.open("serve.batch_formation"));
         // Walk the queue in scheduling order (priority desc, id asc) and
         // re-run admission against a tally that starts from committed
         // work only: if the quota table tightened since these jobs were
@@ -1141,11 +1142,10 @@ impl LiveService {
         let mut tally: BTreeMap<&str, TenantUsage> = BTreeMap::new();
         for entry in &self.state.jobs {
             if matches!(entry.phase, JobPhase::Scheduled { .. }) {
-                let usage = tally.entry(entry.tenant.as_str()).or_default();
-                usage.nodes_in_flight += entry.request.node_count();
-                usage.budget_in_flight = usage
-                    .budget_in_flight
-                    .saturating_add(entry.request.budget());
+                tally
+                    .entry(entry.tenant.as_str())
+                    .or_default()
+                    .charge(&entry.request, false);
             }
         }
         let mut batches: Vec<Vec<Job>> = vec![Vec::new(); self.config.shards as usize];
@@ -1162,12 +1162,10 @@ impl LiveService {
                 });
             match admitted {
                 Ok(()) => {
-                    let usage = tally.entry(entry.tenant.as_str()).or_default();
-                    usage.pending += 1;
-                    usage.nodes_in_flight += entry.request.node_count();
-                    usage.budget_in_flight = usage
-                        .budget_in_flight
-                        .saturating_add(entry.request.budget());
+                    tally
+                        .entry(entry.tenant.as_str())
+                        .or_default()
+                        .charge(&entry.request, true);
                     batches[entry.shard as usize].push(Job::new(
                         entry.id,
                         entry.priority,
@@ -1222,11 +1220,7 @@ impl LiveService {
         }
 
         // --- Serial commit, shard order --------------------------------
-        let commit_span = if spanning {
-            Some(spans.open("serve.commit"))
-        } else {
-            None
-        };
+        let commit_span = spanning.then(|| spans.open("serve.commit"));
         let mut decisions = Vec::with_capacity(batched);
         for (shard, schedule) in schedules.iter().enumerate() {
             let slots = &mut self.state.shards[shard].slots;
@@ -1267,11 +1261,7 @@ impl LiveService {
         }
 
         // --- Advance the virtual clock ---------------------------------
-        let advance_span = if spanning {
-            Some(spans.open("serve.advance"))
-        } else {
-            None
-        };
+        let advance_span = spanning.then(|| spans.open("serve.advance"));
         self.advance_clock();
         if let Some(id) = advance_span {
             spans.attr_u64("shards", self.state.shards.len() as u64);
@@ -1279,11 +1269,7 @@ impl LiveService {
         }
 
         // --- Retire finished windows, releasing quota ------------------
-        let retire_span = if spanning {
-            Some(spans.open("serve.retire"))
-        } else {
-            None
-        };
+        let retire_span = spanning.then(|| spans.open("serve.retire"));
         self.retire_finished(cycle, |job| {
             outcome.finished.push(job);
             if journaling {
@@ -1319,44 +1305,33 @@ impl LiveService {
         if !metrics.enabled() {
             return;
         }
-        metrics.counter_add("slotsel_serve_cycles_total", &[], 1);
-        metrics.counter_add(
-            "slotsel_serve_commits_total",
-            &[],
-            outcome.committed.len() as u64,
-        );
-        metrics.counter_add(
-            "slotsel_serve_deferrals_total",
-            &[],
-            outcome.deferred.len() as u64,
-        );
-        metrics.counter_add(
-            "slotsel_serve_quota_deferrals_total",
-            &[],
-            outcome.over_quota.len() as u64,
-        );
-        metrics.counter_add(
-            "slotsel_serve_finished_total",
-            &[],
-            outcome.finished.len() as u64,
-        );
+        for (name, count) in [
+            ("slotsel_serve_cycles_total", 1),
+            ("slotsel_serve_commits_total", outcome.committed.len()),
+            ("slotsel_serve_deferrals_total", outcome.deferred.len()),
+            (
+                "slotsel_serve_quota_deferrals_total",
+                outcome.over_quota.len(),
+            ),
+            ("slotsel_serve_finished_total", outcome.finished.len()),
+        ] {
+            metrics.counter_add(name, &[], count as u64);
+        }
         for (tenant, usage) in &self.state.usage {
             let labels = [("tenant", tenant.as_str())];
-            metrics.gauge_set(
-                "slotsel_serve_tenant_pending",
-                &labels,
-                usage.pending as f64,
-            );
-            metrics.gauge_set(
-                "slotsel_serve_tenant_nodes_in_flight",
-                &labels,
-                usage.nodes_in_flight as f64,
-            );
-            metrics.gauge_set(
-                "slotsel_serve_tenant_budget_in_flight",
-                &labels,
-                usage.budget_in_flight.as_f64(),
-            );
+            for (name, value) in [
+                ("slotsel_serve_tenant_pending", usage.pending as f64),
+                (
+                    "slotsel_serve_tenant_nodes_in_flight",
+                    usage.nodes_in_flight as f64,
+                ),
+                (
+                    "slotsel_serve_tenant_budget_in_flight",
+                    usage.budget_in_flight.as_f64(),
+                ),
+            ] {
+                metrics.gauge_set(name, &labels, value);
+            }
         }
         for (shard, state) in self.state.shards.iter().enumerate() {
             let shard = shard.to_string();
@@ -2109,6 +2084,23 @@ mod tests {
     }
 
     #[test]
+    fn a_budget_money_cannot_hold_is_refused_at_admission() {
+        let mut service = LiveService::new(tiny_config(1));
+        for budget in [1e300, f64::INFINITY, -1e300, 1e16] {
+            let refused = service.submit(&submission("alice", 1, budget)).unwrap_err();
+            assert!(
+                matches!(refused, AdmitError::InvalidRequest { .. }),
+                "{budget}: {refused}"
+            );
+            assert_eq!(refused.code(), "bad_request");
+        }
+        assert!(service.state().jobs.is_empty());
+        assert!(!service.state().usage.contains_key("alice"));
+        // A budget just inside Money's range is still admitted.
+        assert!(service.submit(&submission("alice", 1, 9e15)).is_ok());
+    }
+
+    #[test]
     fn cycles_schedule_commit_and_finish_releasing_quota() {
         // Advance the clock slowly so the committed window (a few ticks
         // long on this tiny platform) outlives at least one cycle.
@@ -2422,6 +2414,14 @@ mod tests {
         assert!(closed.quota_for("bob").is_err());
         assert!(QuotaTable::open().quota_for("anyone").is_ok());
         assert!(QuotaTable::from_json("not json").is_err());
+        for text in [
+            r#"{"tenants":{"alice":{"max_budget":1e300}}}"#,
+            r#"{"default":{"max_budget":-1e300}}"#,
+        ] {
+            assert!(QuotaTable::from_json(text)
+                .unwrap_err()
+                .contains("max_budget"));
+        }
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //! `{ "id": 0, "priority": 5, "node_count": 5, "volume": 300, "budget": 1500.0 }`
 //! objects.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write as _;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -33,20 +33,14 @@ use slotsel::core::{
     ResourceRequest, SlotList, SlotSelector, TimeDelta, TimePoint, Volume, Window,
 };
 use slotsel::env::{EnvironmentConfig, NodeGenConfig};
-use slotsel::obs::journal::{Journal, NoopJournal};
-use slotsel::obs::json::{parse_object, ObjectWriter, Value};
-use slotsel::obs::{
-    chrome, FlightRecorder, Handler, HttpRequest, HttpResponse, MemorySpanSink, Metrics,
-    MetricsRegistry, MetricsServer, Obs, SpanRecord,
-};
+use slotsel::obs::journal::NoopJournal;
+use slotsel::obs::{Handler, Metrics, MetricsRegistry, MetricsServer, Obs};
 use slotsel::sim::gantt::render_gantt;
 use slotsel::sim::journal::{recover, DurableJournal, RecoverError};
 use slotsel::sim::rolling::resume_with_recovery_observed;
-use slotsel::sim::serve::{
-    recover_live, JobEntry, LiveConfig, LiveRecord, LiveService, QuotaTable, Submission,
-};
+use slotsel::sim::serve::{LiveConfig, QuotaTable};
 use slotsel::sim::{
-    simulate_with_recovery_observed, DisruptionConfig, Parallelism, RecoveryPolicy, RollingConfig,
+    simulate_with_recovery_observed, DisruptionConfig, LiveDaemon, RecoveryPolicy, RollingConfig,
     RollingReport,
 };
 
@@ -444,12 +438,12 @@ fn serve_jobs(count: usize) -> Result<Vec<Job>, String> {
 
 /// The journal directory of one serve round under `--journal-dir` — the
 /// round number is recoverable from the name alone.
-fn round_dir(base: &std::path::Path, round: u64) -> std::path::PathBuf {
+fn round_dir(base: &Path, round: u64) -> PathBuf {
     base.join(format!("round-{round:06}"))
 }
 
 /// The highest journaled round number under `base`, if any.
-fn latest_round(base: &std::path::Path) -> Result<Option<u64>, String> {
+fn latest_round(base: &Path) -> Result<Option<u64>, String> {
     let entries = match fs::read_dir(base) {
         Ok(entries) => entries,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -480,259 +474,40 @@ fn print_round(round: u64, report: &RollingReport) {
     std::io::stdout().flush().ok();
 }
 
-/// Shared between the HTTP handler thread and the cycle loop of a live
-/// serve daemon. One lock guards both the service state and the journal
-/// so a submit's `Submitted` record can never interleave into another
-/// cycle's record batch.
-struct LiveShared {
-    service: LiveService,
-    journal: Option<DurableJournal>,
-    /// Ring buffer of the last `--flight-cycles` cycles' span trees,
-    /// served raw as Chrome trace JSON by `GET /debug/trace`.
-    flight: FlightRecorder,
-    /// Per-job lifecycle log (`(cycle, event)` pairs, append-only) behind
-    /// `GET /debug/job/{id}/timeline`.
-    timelines: BTreeMap<u32, Vec<(u64, &'static str)>>,
-}
-
-fn lock_live(shared: &Mutex<LiveShared>) -> std::sync::MutexGuard<'_, LiveShared> {
-    // A panic while holding the lock poisons it; the state itself is
-    // journal-backed, so keep serving rather than wedging the daemon.
-    shared
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// The flat-JSON rendering of one job for `POST /submit` / `GET /job/{id}`.
-fn job_json(entry: &JobEntry) -> String {
-    let mut body = ObjectWriter::new();
-    body.u64_field("job", u64::from(entry.id.0));
-    body.str_field("tenant", entry.tenant.as_str());
-    body.u64_field("shard", u64::from(entry.shard));
-    body.str_field("state", entry.phase.name());
-    body.u64_field("priority", u64::from(entry.priority));
-    body.u64_field("nodes", entry.request.node_count() as u64);
-    body.f64_field("budget", entry.request.budget().as_f64());
-    body.u64_field("submitted_cycle", entry.submitted_cycle);
-    if let Some(window) = entry.phase.window() {
-        body.i64_field("start", window.start().ticks());
-        body.i64_field("finish", window.finish().ticks());
-        body.f64_field("cost", window.total_cost().as_f64());
+/// The journal flags of both serve modes: `--journal-dir`, whether
+/// `--recover` was given, and `--snapshot-every`.
+fn journal_flags(args: &Args) -> Result<(Option<PathBuf>, bool, u32), String> {
+    let snapshot_every: u32 = args.parsed("--snapshot-every", 5)?;
+    let journal_base = args.flag("--journal-dir").map(PathBuf::from);
+    let recover_requested = args.raw.iter().any(|a| a == "--recover");
+    if recover_requested && journal_base.is_none() {
+        return Err("--recover requires --journal-dir".to_owned());
     }
-    body.finish() + "\n"
-}
-
-/// HTTP status for an admission error code (the code itself travels in
-/// the normalized error body).
-fn admit_status(code: &str) -> u16 {
-    match code {
-        "quota_exceeded" => 429,
-        "unknown_tenant" => 403,
-        _ => 400,
+    if snapshot_every == 0 {
+        return Err("--snapshot-every must be at least 1".to_owned());
     }
+    Ok((journal_base, recover_requested, snapshot_every))
 }
 
-/// Decodes a `POST /submit` body (one flat JSON object) into a
-/// [`Submission`].
-fn parse_submission(body: &str) -> Result<Submission, String> {
-    let object =
-        parse_object(body.trim()).map_err(|e| format!("body is not a flat JSON object: {e}"))?;
-    let str_of = |key: &str| object.get(key).and_then(Value::as_str).map(str::to_owned);
-    let num_of = |key: &str| object.get(key).and_then(Value::as_f64);
-    let uint_of = |key: &str| -> Result<Option<u64>, String> {
-        match num_of(key) {
-            None => Ok(None),
-            Some(v) if v >= 0.0 && v.fract() == 0.0 => Ok(Some(v as u64)),
-            Some(v) => Err(format!("{key}: {v} is not a non-negative integer")),
-        }
-    };
-    Ok(Submission {
-        tenant: str_of("tenant").ok_or("missing string field \"tenant\"")?,
-        nodes: uint_of("nodes")?.ok_or("missing integer field \"nodes\"")? as usize,
-        volume: uint_of("volume")?.ok_or("missing integer field \"volume\"")?,
-        budget: num_of("budget").ok_or("missing number field \"budget\"")?,
-        priority: uint_of("priority")?.unwrap_or(1).min(u64::from(u32::MAX)) as u32,
-        deadline: uint_of("deadline")?.map(|v| i64::try_from(v).unwrap_or(i64::MAX)),
-        shard: uint_of("shard")?.map(|v| v.min(u64::from(u32::MAX)) as u32),
-    })
-}
-
-/// Builds the live API route table over the shared service state.
-fn live_handler(shared: Arc<Mutex<LiveShared>>, registry: Arc<MetricsRegistry>) -> Arc<Handler> {
-    Arc::new(move |request: &HttpRequest| {
-        match (request.method.as_str(), request.path.as_str()) {
-            ("POST", "/submit") => {
-                let submission = match parse_submission(&request.body) {
-                    Ok(submission) => submission,
-                    Err(detail) => {
-                        registry.counter_add(
-                            "slotsel_serve_rejects_total",
-                            &[("code", "bad_request")],
-                            1,
-                        );
-                        return Some(HttpResponse::error(400, "bad_request", &detail));
-                    }
-                };
-                let mut live = lock_live(&shared);
-                match live.service.submit(&submission) {
-                    Ok(entry) => {
-                        live.timelines
-                            .entry(entry.id.0)
-                            .or_default()
-                            .push((entry.submitted_cycle, "submitted"));
-                        // Durable before acknowledged: the fsync in
-                        // commit() is what lets --recover re-apply this
-                        // submit after a crash.
-                        if let Some(journal) = live.journal.as_mut() {
-                            journal.append(
-                                &LiveRecord::Submitted {
-                                    entry: entry.clone(),
-                                }
-                                .encode(),
-                            );
-                            journal.commit();
-                        }
-                        registry.counter_add(
-                            "slotsel_serve_submits_total",
-                            &[("tenant", entry.tenant.as_str())],
-                            1,
-                        );
-                        Some(HttpResponse::json(job_json(&entry)))
-                    }
-                    Err(error) => {
-                        registry.counter_add(
-                            "slotsel_serve_rejects_total",
-                            &[("code", error.code())],
-                            1,
-                        );
-                        Some(HttpResponse::error(
-                            admit_status(error.code()),
-                            error.code(),
-                            &error.to_string(),
-                        ))
-                    }
-                }
-            }
-            ("GET", path) if path.starts_with("/job/") => {
-                let id = path["/job/".len()..].parse::<u32>().ok()?;
-                let live = lock_live(&shared);
-                match live.service.job(JobId(id)) {
-                    Some(entry) => Some(HttpResponse::json(job_json(entry))),
-                    None => Some(HttpResponse::error(
-                        404,
-                        "unknown_job",
-                        &format!("no job {id}"),
-                    )),
-                }
-            }
-            ("GET", "/tenants") => {
-                let live = lock_live(&shared);
-                let mut lines = String::new();
-                for (tenant, usage, quota) in live.service.tenants() {
-                    let mut body = ObjectWriter::new();
-                    body.str_field("tenant", &tenant);
-                    body.u64_field("pending", usage.pending as u64);
-                    body.u64_field("nodes_in_flight", usage.nodes_in_flight as u64);
-                    body.f64_field("budget_in_flight", usage.budget_in_flight.as_f64());
-                    if let Some(max) = quota.max_nodes {
-                        body.u64_field("max_nodes", max as u64);
-                    }
-                    if let Some(max) = quota.max_budget {
-                        body.f64_field("max_budget", max);
-                    }
-                    if let Some(max) = quota.max_pending {
-                        body.u64_field("max_pending", max as u64);
-                    }
-                    lines.push_str(&body.finish());
-                    lines.push('\n');
-                }
-                Some(HttpResponse {
-                    status: 200,
-                    content_type: "application/x-ndjson".to_owned(),
-                    body: lines,
-                })
-            }
-            ("GET", "/state") => {
-                let live = lock_live(&shared);
-                let state = live.service.state();
-                let mut body = ObjectWriter::new();
-                body.u64_field("cycle", state.cycle);
-                body.u64_field("shards", state.shards.len() as u64);
-                body.u64_field("jobs", live.service.job_count() as u64);
-                body.u64_field(
-                    "queued",
-                    state
-                        .jobs
-                        .iter()
-                        .filter(|j| j.phase.name() == "queued")
-                        .count() as u64,
-                );
-                body.u64_field(
-                    "scheduled",
-                    state
-                        .jobs
-                        .iter()
-                        .filter(|j| j.phase.name() == "scheduled")
-                        .count() as u64,
-                );
-                Some(HttpResponse::json(body.finish() + "\n"))
-            }
-            ("GET", "/debug/trace") => {
-                let live = lock_live(&shared);
-                let groups: Vec<(u64, &[SpanRecord])> = live.flight.groups().collect();
-                Some(HttpResponse::json(chrome::render(&groups)))
-            }
-            ("GET", "/debug/spans") => {
-                let live = lock_live(&shared);
-                let mut lines = String::new();
-                for (name, summary) in live.flight.phase_summary() {
-                    let mut body = ObjectWriter::new();
-                    body.str_field("name", &name);
-                    body.u64_field("count", summary.count);
-                    body.u64_field("total_us", summary.total_us);
-                    body.u64_field("mean_us", summary.mean_us());
-                    body.u64_field("min_us", summary.min_us);
-                    body.u64_field("max_us", summary.max_us);
-                    lines.push_str(&body.finish());
-                    lines.push('\n');
-                }
-                Some(HttpResponse {
-                    status: 200,
-                    content_type: "application/x-ndjson".to_owned(),
-                    body: lines,
-                })
-            }
-            ("GET", path) if path.starts_with("/debug/job/") && path.ends_with("/timeline") => {
-                let middle = &path["/debug/job/".len()..path.len() - "/timeline".len()];
-                let id = middle.parse::<u32>().ok()?;
-                let live = lock_live(&shared);
-                match live.timelines.get(&id) {
-                    Some(events) => {
-                        let mut lines = String::new();
-                        for &(cycle, event) in events {
-                            let mut body = ObjectWriter::new();
-                            body.u64_field("job", u64::from(id));
-                            body.u64_field("cycle", cycle);
-                            body.str_field("event", event);
-                            lines.push_str(&body.finish());
-                            lines.push('\n');
-                        }
-                        Some(HttpResponse {
-                            status: 200,
-                            content_type: "application/x-ndjson".to_owned(),
-                            body: lines,
-                        })
-                    }
-                    None => Some(HttpResponse::error(
-                        404,
-                        "unknown_job",
-                        &format!("no timeline for job {id}"),
-                    )),
-                }
-            }
-            _ => None,
-        }
-    })
+/// Binds a serve daemon's endpoint and prints where it listens; a
+/// `handler` (the live API) adds the submit line.
+fn bind_server(
+    addr: &str,
+    attempts: u32,
+    registry: Arc<MetricsRegistry>,
+    handler: Option<Arc<Handler>>,
+) -> Result<MetricsServer, String> {
+    let live = handler.is_some();
+    let server = MetricsServer::start(addr, registry, handler, attempts)
+        .map_err(|e| format!("cannot bind {addr}: {e}"))?;
+    let addr = server.addr();
+    println!("serving metrics on http://{addr}/metrics");
+    if live {
+        println!("live submit API on http://{addr}/submit");
+    }
+    println!("health checks on http://{addr}/healthz");
+    println!("graceful shutdown via POST http://{addr}/shutdown");
+    Ok(server)
 }
 
 /// `slotsel serve --live`: the continuous multi-tenant metascheduler (see
@@ -747,17 +522,9 @@ fn cmd_serve_live(args: &Args) -> Result<(), String> {
     let cycles: u64 = args.parsed("--cycles", 0)?;
     let seed: u64 = args.parsed("--seed", 31_337)?;
     let cycle_ms: u64 = args.parsed("--cycle-ms", 250)?;
-    let snapshot_every: u32 = args.parsed("--snapshot-every", 5)?;
+    let (journal_base, recover_requested, snapshot_every) = journal_flags(args)?;
     let bind_retries: u32 = args.parsed("--bind-retries", 5)?;
     let flight_cycles: usize = args.parsed("--flight-cycles", 64)?;
-    let journal_base = args.flag("--journal-dir").map(std::path::PathBuf::from);
-    let recover_requested = args.raw.iter().any(|a| a == "--recover");
-    if recover_requested && journal_base.is_none() {
-        return Err("--recover requires --journal-dir".to_owned());
-    }
-    if snapshot_every == 0 {
-        return Err("--snapshot-every must be at least 1".to_owned());
-    }
     let quotas = match args.flag("--quota-file") {
         Some(path) => {
             let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -788,111 +555,23 @@ fn cmd_serve_live(args: &Args) -> Result<(), String> {
         .unwrap_or(reason)
     })?;
 
-    // Recover the live journal, or start a fresh run with its header.
-    let (service, journal) = match &journal_base {
-        None => (LiveService::new(config.clone()), None),
-        Some(dir) => {
-            if recover_requested {
-                match recover_live(dir) {
-                    Ok(recovered) => {
-                        println!(
-                            "recover: resuming live service at cycle {} \
-                             ({} jobs, {} re-applied submits, {}{})",
-                            recovered.service.cycle(),
-                            recovered.service.job_count(),
-                            recovered.resubmitted,
-                            match recovered.snapshot_cycle {
-                                Some(cycle) => format!("replayed from the cycle-{cycle} snapshot"),
-                                None => "replayed from the generated platform".to_owned(),
-                            },
-                            if recovered.discarded_tail {
-                                ", torn tail truncated"
-                            } else {
-                                ""
-                            },
-                        );
-                        let journal = DurableJournal::resume_at(
-                            dir,
-                            recovered.resume_len,
-                            recovered.barriers,
-                            snapshot_every,
-                        )
-                        .map_err(|e| format!("{}: {e}", dir.display()))?;
-                        (recovered.service, Some(journal))
-                    }
-                    Err(RecoverError::EmptyJournal) => {
-                        println!(
-                            "recover: no live journal under {}; starting fresh",
-                            dir.display()
-                        );
-                        let mut journal = DurableJournal::create(dir, snapshot_every)
-                            .map_err(|e| format!("{}: {e}", dir.display()))?;
-                        // No fsync of its own: every later commit flushes
-                        // the header first.
-                        journal.append(
-                            &LiveRecord::ServiceStarted {
-                                config: config.clone(),
-                            }
-                            .encode(),
-                        );
-                        (LiveService::new(config.clone()), Some(journal))
-                    }
-                    Err(error) => return Err(format!("recover {}: {error}", dir.display())),
-                }
-            } else {
-                let mut journal = DurableJournal::create(dir, snapshot_every)
-                    .map_err(|e| format!("{}: {e}", dir.display()))?;
-                // No fsync of its own: every later commit — each ack's
-                // included — flushes the header first.
-                journal.append(
-                    &LiveRecord::ServiceStarted {
-                        config: config.clone(),
-                    }
-                    .encode(),
-                );
-                (LiveService::new(config.clone()), Some(journal))
-            }
-        }
-    };
-
-    let registry = Arc::new(MetricsRegistry::new());
-    let store = service
-        .state()
-        .shards
-        .first()
-        .map_or_else(|| "none".to_owned(), |s| s.slots.store_kind().to_string());
-    let shard_count = shards.to_string();
-    registry.gauge_set(
-        "slotsel_build_info",
-        &[
-            ("version", env!("CARGO_PKG_VERSION")),
-            ("store", &store),
-            ("shards", &shard_count),
-        ],
-        1.0,
-    );
-    let shared = Arc::new(Mutex::new(LiveShared {
-        service,
-        journal,
-        flight: FlightRecorder::new(flight_cycles),
-        timelines: BTreeMap::new(),
-    }));
-    let handler = live_handler(Arc::clone(&shared), Arc::clone(&registry));
-    let server = MetricsServer::start_with_retry_and_handler(
+    let (daemon, report) = LiveDaemon::open(
+        config,
+        journal_base.as_deref(),
+        recover_requested,
+        snapshot_every,
+        flight_cycles,
+    )?;
+    if let Some(line) = report {
+        println!("{line}");
+    }
+    let daemon = Arc::new(daemon);
+    let server = bind_server(
         addr,
-        Arc::clone(&registry),
         bind_retries,
-        Duration::from_millis(200),
-        handler,
-    )
-    .map_err(|e| format!("cannot bind {addr}: {e}"))?;
-    println!("serving metrics on http://{}/metrics", server.addr());
-    println!("live submit API on http://{}/submit", server.addr());
-    println!("health checks on http://{}/healthz", server.addr());
-    println!(
-        "graceful shutdown via POST http://{}/shutdown",
-        server.addr()
-    );
+        Arc::clone(daemon.registry()),
+        Some(daemon.handler()),
+    )?;
     println!(
         "live mode: {shards} shard(s) x {nodes} nodes, +{cycle_advance} virtual time per cycle"
     );
@@ -911,56 +590,7 @@ fn cmd_serve_live(args: &Args) -> Result<(), String> {
         if server.shutdown_requested() {
             break;
         }
-        let mut live = lock_live(&shared);
-        let LiveShared {
-            service,
-            journal,
-            flight,
-            timelines,
-        } = &mut *live;
-        let mut sink = MemorySpanSink::new();
-        // Shards are scheduled one after another on this thread: their
-        // batches hold about a job each, and a fan-out's worker threads
-        // cost more memory than they save time (docs/PERFORMANCE.md §16).
-        let outcome = match journal.as_mut() {
-            Some(journal) => service.run_cycle_spanned(
-                Parallelism::Serial,
-                registry.as_ref(),
-                journal,
-                &mut sink,
-            ),
-            None => service.run_cycle_spanned(
-                Parallelism::Serial,
-                registry.as_ref(),
-                &mut NoopJournal,
-                &mut sink,
-            ),
-        };
-        flight.push(outcome.cycle, sink.take_records());
-        for &(job, _) in &outcome.committed {
-            timelines
-                .entry(job.0)
-                .or_default()
-                .push((outcome.cycle, "committed"));
-        }
-        for job in &outcome.deferred {
-            timelines
-                .entry(job.0)
-                .or_default()
-                .push((outcome.cycle, "deferred"));
-        }
-        for job in &outcome.over_quota {
-            timelines
-                .entry(job.0)
-                .or_default()
-                .push((outcome.cycle, "over_quota"));
-        }
-        for job in &outcome.finished {
-            timelines
-                .entry(job.0)
-                .or_default()
-                .push((outcome.cycle, "finished"));
-        }
+        let outcome = daemon.run_cycle();
         executed += 1;
         if !outcome.committed.is_empty()
             || !outcome.deferred.is_empty()
@@ -979,14 +609,7 @@ fn cmd_serve_live(args: &Args) -> Result<(), String> {
         }
     }
 
-    let mut live = lock_live(&shared);
-    if let Some(journal) = live.journal.take() {
-        let state = live.service.state();
-        journal
-            .finish_with_snapshot(&|| LiveRecord::encode_checkpoint(state))
-            .map_err(|e| format!("journal finish: {e}"))?;
-    }
-    drop(live);
+    daemon.finish()?;
     if server.shutdown_requested() {
         println!("shutdown requested; journal flushed and final snapshot written");
         std::io::stdout().flush().ok();
@@ -1006,16 +629,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let seed: u64 = args.parsed("--seed", 31_337)?;
     let rounds: u64 = args.parsed("--rounds", 0)?;
     let pace_ms: u64 = args.parsed("--pace-ms", 250)?;
-    let snapshot_every: u32 = args.parsed("--snapshot-every", 5)?;
+    let (journal_base, recover_requested, snapshot_every) = journal_flags(args)?;
     let bind_retries: u32 = args.parsed("--bind-retries", 5)?;
-    let journal_base = args.flag("--journal-dir").map(std::path::PathBuf::from);
-    let recover_requested = args.raw.iter().any(|a| a == "--recover");
-    if recover_requested && journal_base.is_none() {
-        return Err("--recover requires --journal-dir".to_owned());
-    }
-    if snapshot_every == 0 {
-        return Err("--snapshot-every must be at least 1".to_owned());
-    }
     let disruption = args
         .flag("--faults")
         .map(|v| {
@@ -1030,19 +645,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     };
 
     let registry = Arc::new(MetricsRegistry::new());
-    let server = MetricsServer::start_with_retry(
-        addr,
-        Arc::clone(&registry),
-        bind_retries,
-        Duration::from_millis(200),
-    )
-    .map_err(|e| format!("cannot bind {addr}: {e}"))?;
-    println!("serving metrics on http://{}/metrics", server.addr());
-    println!("health checks on http://{}/healthz", server.addr());
-    println!(
-        "graceful shutdown via POST http://{}/shutdown",
-        server.addr()
-    );
+    let server = bind_server(addr, bind_retries, Arc::clone(&registry), None)?;
     std::io::stdout().flush().ok();
 
     let batch = serve_jobs(jobs)?;

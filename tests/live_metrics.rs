@@ -81,8 +81,8 @@ fn exporter_serves_a_scrapeable_prometheus_endpoint() {
     );
     assert!(!report.outcome.cycles.is_empty());
 
-    let server =
-        MetricsServer::start("127.0.0.1:0", Arc::clone(&registry)).expect("bind ephemeral port");
+    let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&registry), None, 1)
+        .expect("bind ephemeral port");
     let addr = server.addr();
 
     // /healthz responds 200 with a body.
