@@ -21,9 +21,10 @@ use slotsel_core::money::Money;
 use slotsel_core::node::Volume;
 use slotsel_core::request::{Job, JobId, ResourceRequest};
 use slotsel_env::{EnvironmentConfig, NodeGenConfig};
+use slotsel_obs::journal::MemoryJournal;
 use slotsel_obs::Obs;
 use slotsel_sim::disruption::DisruptionConfig;
-use slotsel_sim::journal::{replay, RecordingJournal};
+use slotsel_sim::journal::replay;
 use slotsel_sim::recovery::RecoveryPolicy;
 use slotsel_sim::rolling::{
     resume_with_recovery_observed, simulate_with_recovery_observed, RollingConfig,
@@ -146,14 +147,14 @@ fn records_within(records: &[String], resume_len: u64) -> usize {
 /// reference report. An empty result means the crash property held.
 #[must_use]
 pub fn check_crash_case(case: &CrashCase, stride: usize) -> Vec<CrashFailure> {
-    let mut journal = RecordingJournal::new();
+    let mut journal = MemoryJournal::new();
     let report = simulate_with_recovery_observed(
         &case.config,
         case.jobs.clone(),
         &mut Obs::dark(),
         &mut journal,
     );
-    let records = journal.into_records();
+    let records = journal.records().to_vec();
 
     let mut failures = Vec::new();
     let mut fail = |k: usize, detail: String| {
@@ -187,7 +188,7 @@ pub fn check_crash_case(case: &CrashCase, stride: usize) -> Vec<CrashFailure> {
             }
         };
         let trusted = records_within(&records[..k], run.resume_len);
-        let mut resumed_journal = RecordingJournal::new();
+        let mut resumed_journal = MemoryJournal::new();
         let resumed = resume_with_recovery_observed(run, &mut Obs::dark(), &mut resumed_journal);
         if resumed != report {
             fail(
@@ -206,7 +207,7 @@ pub fn check_crash_case(case: &CrashCase, stride: usize) -> Vec<CrashFailure> {
         // The continued stream (trusted prefix + post-resume records) must
         // itself replay to the same finished run.
         let mut continued: Vec<String> = records[..trusted].to_vec();
-        continued.extend(resumed_journal.into_records());
+        continued.extend(resumed_journal.records().iter().cloned());
         match replay(&continued) {
             Ok(healed) if healed.finished.as_ref() == Some(&report) => {}
             Ok(_) => fail(k, "continued stream replays to a different run".to_owned()),

@@ -21,9 +21,11 @@
 //! [`HttpResponse`], or `None` to fall through to the normalized 404.
 //!
 //! Every error the server produces itself — unknown path, wrong method on
-//! a built-in, unreadable request, oversized body — is a **normalized
-//! error response**: a flat JSON body `{"error":CODE,"detail":TEXT}`
-//! (built with [`crate::json::ObjectWriter`]) served with the same
+//! a built-in, unreadable request, oversized body, a handler that panics
+//! (`500 internal_error`, after which the accept thread keeps serving) —
+//! is a **normalized error response**: a flat JSON body
+//! `{"error":CODE,"detail":TEXT}` (built with
+//! [`crate::json::ObjectWriter`]) served with the same
 //! `Content-Type`/`Content-Length`/`Connection: close` header set as
 //! every success response, so clients can parse failures uniformly.
 //!
@@ -37,6 +39,7 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -410,7 +413,19 @@ fn handle_connection(
             // (digit segments collapsed to `{id}`) so the cardinality
             // stays bounded by the route table, not the id space.
             let started = Instant::now();
-            let response = route(&request, registry, requested, handler);
+            // A panicking route answers 500 and leaves the accept thread,
+            // and with it `/shutdown`, serving. Whatever state the handler
+            // shares is its own to keep consistent across a panic.
+            let response = panic::catch_unwind(AssertUnwindSafe(|| {
+                route(&request, registry, requested, handler)
+            }))
+            .unwrap_or_else(|_| {
+                HttpResponse::error(
+                    500,
+                    "internal_error",
+                    &format!("{} {} failed in its handler", request.method, request.path),
+                )
+            });
             let path = normalize_path(&request.path);
             let status = response.status.to_string();
             registry.counter_add(
@@ -560,6 +575,44 @@ mod tests {
         // Built-ins still win over the handler, and unclaimed paths 404.
         assert!(get(addr, "/healthz").ends_with("ok\n"));
         assert!(get(addr, "/else").starts_with("HTTP/1.1 404"));
+        server.stop();
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_500_and_the_server_keeps_serving() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let handler: Arc<Handler> = Arc::new(|request: &HttpRequest| {
+            if request.path == "/boom" {
+                panic!("the route fails");
+            }
+            None
+        });
+        let server =
+            MetricsServer::start("127.0.0.1:0", Arc::clone(&registry), Some(handler), 1).unwrap();
+        let addr = server.addr();
+
+        let failed = get(addr, "/boom");
+        assert!(
+            failed.starts_with("HTTP/1.1 500 Internal Server Error"),
+            "{failed}"
+        );
+        let body = failed.split("\r\n\r\n").nth(1).unwrap().trim_end();
+        let parsed = parse_object(body).unwrap();
+        assert_eq!(
+            parsed.get("error").and_then(Value::as_str),
+            Some("internal_error")
+        );
+
+        // The accept thread survived: health answers, the 500 is counted
+        // and `/shutdown` still reaches the daemon.
+        assert!(get(addr, "/healthz").starts_with("HTTP/1.1 200 OK"));
+        assert!(
+            get(addr, "/metrics")
+                .contains("slotsel_http_requests_total{path=\"/boom\",status=\"500\"} 1"),
+            "the 500 is counted"
+        );
+        assert!(post(addr, "/shutdown", "").starts_with("HTTP/1.1 200 OK"));
+        assert!(server.shutdown_requested());
         server.stop();
     }
 

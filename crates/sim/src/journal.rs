@@ -40,10 +40,11 @@ use serde::{Deserialize, Serialize};
 use slotsel_core::request::{Job, JobId};
 use slotsel_core::window::Window;
 use slotsel_obs::journal::{read_journal, Journal, JournalReadError, SnapshotStore, WalJournal};
+use slotsel_obs::TraceEvent;
 
 use crate::disruption::{DisruptionEvent, DisruptionModelState};
 use crate::metrics::SurvivalMetrics;
-use crate::rolling::{CycleRecord, RollingConfig, RollingOutcome, RollingReport};
+use crate::rolling::{CycleRecord, RollingConfig, RollingReport};
 
 /// A parked disruption victim waiting out its retry backoff.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -57,8 +58,9 @@ pub struct ParkedEntry {
 /// The complete cross-cycle mutable state of a rolling simulation, as of
 /// a cycle-commit barrier.
 ///
-/// Everything the loop in `sim/rolling.rs` carries between cycles is
-/// here — restoring this struct and re-entering the loop at
+/// The loop in `sim/rolling.rs` keeps everything it carries between
+/// cycles in one value of this type and clones it for each barrier —
+/// restoring it and re-entering the loop at
 /// [`next_cycle`](RollingState::next_cycle) continues the run exactly.
 /// The per-cycle environment is *not* part of the state: it is
 /// regenerated from `config.seed + cycle` each iteration, crashed run
@@ -202,6 +204,70 @@ impl JournalRecord {
     /// Parses a record from its JSON line.
     pub fn decode(line: &str) -> Result<Self, String> {
         serde_json::from_str(line).map_err(|error| error.to_string())
+    }
+
+    /// The trace event the rolling loop emits for this record: one per
+    /// re-admission, disruption, rescue, parking and loss. Commits,
+    /// deferrals, barriers and the run's header and footer have none.
+    pub(crate) fn into_trace_event(self) -> Option<TraceEvent> {
+        Some(match self {
+            JournalRecord::Readmitted { cycle, job } => TraceEvent::JobReadmitted {
+                cycle: u64::from(cycle),
+                job: u64::from(job),
+            },
+            JournalRecord::Disrupted { cycle, event } => {
+                let cycle = u64::from(cycle);
+                match event {
+                    DisruptionEvent::SlotRevoked { node, span } => TraceEvent::SlotRevoked {
+                        cycle,
+                        node: u64::from(node.0),
+                        span_start: span.start().ticks(),
+                        span_end: span.end().ticks(),
+                    },
+                    DisruptionEvent::NodeFailed {
+                        node,
+                        repair_cycles,
+                    } => TraceEvent::NodeFailed {
+                        cycle,
+                        node: u64::from(node.0),
+                        repair_cycles: u64::from(repair_cycles),
+                    },
+                    DisruptionEvent::NodeRestored { node } => TraceEvent::NodeRestored {
+                        cycle,
+                        node: u64::from(node.0),
+                    },
+                    DisruptionEvent::NodeDegraded { node, from, to } => TraceEvent::NodeDegraded {
+                        cycle,
+                        node: u64::from(node.0),
+                        from_rate: u64::from(from.rate()),
+                        to_rate: u64::from(to.rate()),
+                    },
+                }
+            }
+            JournalRecord::Rescued { cycle, job, via } => TraceEvent::JobRescued {
+                cycle: u64::from(cycle),
+                job: u64::from(job),
+                via,
+            },
+            JournalRecord::Parked {
+                cycle,
+                job,
+                eligible_at,
+            } => TraceEvent::JobParked {
+                cycle: u64::from(cycle),
+                job: u64::from(job),
+                eligible_at: u64::from(eligible_at),
+            },
+            JournalRecord::Lost { cycle, job } => TraceEvent::JobLost {
+                cycle: u64::from(cycle),
+                job: u64::from(job),
+            },
+            JournalRecord::RunStarted { .. }
+            | JournalRecord::Committed { .. }
+            | JournalRecord::Deferred { .. }
+            | JournalRecord::CycleCommitted { .. }
+            | JournalRecord::RunFinished { .. } => return None,
+        })
     }
 }
 
@@ -527,12 +593,6 @@ pub fn recover(dir: &Path) -> Result<RecoveredRun, RecoverError> {
     Ok(run)
 }
 
-/// Opens a recovered run's journal for appending, truncated to the
-/// verified prefix, so the resumed run continues the same record stream.
-pub fn reopen_for_resume(dir: &Path, run: &RecoveredRun) -> std::io::Result<WalJournal> {
-    WalJournal::resume(&journal_path(dir), run.resume_len)
-}
-
 /// A [`Journal`] that persists to a run directory: a CRC-framed WAL plus
 /// a periodic snapshot of every Nth cycle barrier.
 ///
@@ -739,57 +799,6 @@ impl Journal for CrashJournal {
     fn commit(&mut self) {}
 }
 
-/// Collects the full record stream of an uninterrupted run — the
-/// reference the crash sweep compares against.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecordingJournal {
-    records: Vec<String>,
-}
-
-impl RecordingJournal {
-    /// An empty recording journal.
-    #[must_use]
-    pub fn new() -> Self {
-        RecordingJournal::default()
-    }
-
-    /// Every record appended, in order.
-    #[must_use]
-    pub fn records(&self) -> &[String] {
-        &self.records
-    }
-
-    /// Consumes the journal, returning its records.
-    #[must_use]
-    pub fn into_records(self) -> Vec<String> {
-        self.records
-    }
-}
-
-impl Journal for RecordingJournal {
-    fn append(&mut self, payload: &str) {
-        self.records.push(payload.to_string());
-    }
-
-    fn commit(&mut self) {}
-}
-
-/// Rebuilds the [`RollingOutcome`]-level view of a recovered state —
-/// what a monitoring surface can show before the run resumes.
-#[must_use]
-pub fn outcome_so_far(state: &RollingState) -> RollingOutcome {
-    RollingOutcome {
-        completions: state.completions.clone(),
-        starved: state
-            .pending
-            .iter()
-            .map(Job::id)
-            .chain(state.parked.iter().map(|p| p.job.id()))
-            .collect(),
-        cycles: state.cycles.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -981,40 +990,12 @@ mod tests {
         assert_eq!(run.state.next_cycle, 1);
         assert!(run.discarded_tail);
 
-        let mut resumed = reopen_for_resume(&dir, &run).unwrap();
+        let mut resumed = DurableJournal::resume(&dir, &run, 4).unwrap();
         resumed.append(&event(1));
         resumed.append(&barrier(2));
         resumed.finish().unwrap();
         let again = recover(&dir).unwrap();
         assert_eq!(again.state.next_cycle, 2);
         assert!(!again.discarded_tail);
-    }
-
-    #[test]
-    fn outcome_so_far_accounts_for_pending_and_parked() {
-        use slotsel_core::money::Money;
-        use slotsel_core::node::Volume;
-        use slotsel_core::request::ResourceRequest;
-        let job = |id: u32| {
-            Job::new(
-                JobId(id),
-                1,
-                ResourceRequest::builder()
-                    .node_count(1)
-                    .volume(Volume::new(100))
-                    .budget(Money::from_units(1_000))
-                    .build()
-                    .unwrap(),
-            )
-        };
-        let mut state = RollingState::initial(vec![job(1)]);
-        state.parked.push(ParkedEntry {
-            job: job(2),
-            eligible_at: 3,
-        });
-        state.completions.push((JobId(0), 0));
-        let outcome = outcome_so_far(&state);
-        assert_eq!(outcome.starved, vec![JobId(1), JobId(2)]);
-        assert_eq!(outcome.completions, vec![(JobId(0), 0)]);
     }
 }

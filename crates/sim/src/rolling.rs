@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use slotsel_obs::journal::{Journal, NoopJournal};
-use slotsel_obs::{Obs, SpanId, Stopwatch, TraceEvent};
+use slotsel_obs::{Obs, Stopwatch, TraceEvent};
 
 use slotsel_batch::{BatchScheduler, BatchSchedulerConfig};
 use slotsel_core::money::Money;
@@ -154,51 +154,27 @@ pub fn simulate_with_recovery(config: &RollingConfig, jobs: Vec<Job>) -> Rolling
 /// Runs the fault-injected rolling simulation, reporting to `obs` and
 /// journaling to `journal`.
 ///
-/// The **recorder** receives [`TraceEvent::CycleStarted`] /
-/// [`TraceEvent::CycleFinished`] around every executed cycle plus a
-/// `"rolling.cycle"` wall-clock timing; the per-cycle batch scheduling
-/// events (see [`BatchScheduler::schedule_observed`]); every injected
-/// disruption ([`TraceEvent::SlotRevoked`], [`TraceEvent::NodeFailed`],
-/// [`TraceEvent::NodeRestored`], [`TraceEvent::NodeDegraded`]); and every
-/// replay-audit verdict ([`TraceEvent::WindowAudited`]) and recovery
-/// decision ([`TraceEvent::JobRescued`], [`TraceEvent::JobLost`],
-/// [`TraceEvent::JobParked`], [`TraceEvent::JobReadmitted`]). With a
-/// deterministic recorder (one that drops wall-clock timings, such as
-/// [`slotsel_obs::TraceRecorder::deterministic`]) the trace is a pure
-/// function of `(config, jobs)` — byte-identical across runs.
+/// Every job-level decision of a cycle — re-admission, commit, deferral,
+/// injected disruption, rescue, parking, loss — is one [`JournalRecord`]:
+/// the **journal** appends it, the **recorder** receives the
+/// [`TraceEvent`] derived from it (`docs/OBSERVABILITY.md` lists which
+/// record each event comes from), and the **metrics** sink counts each
+/// disruption in `slotsel_disruption_events_total{kind}`. Around them the
+/// recorder gets [`TraceEvent::CycleStarted`] / [`TraceEvent::CycleFinished`],
+/// a `"rolling.cycle"` timing and the batch scheduler's events; the
+/// metrics sink gets the per-cycle `slotsel_rolling_*` series and, at run
+/// end, the survival tallies; the **span** sink gets one
+/// `"rolling.cycle"` root per executed cycle. With a deterministic
+/// recorder ([`slotsel_obs::TraceRecorder::deterministic`]) the trace is a
+/// pure function of `(config, jobs)`.
 ///
-/// The **metrics** sink receives (all names prefixed `slotsel_`)
-/// `rolling_cycles_total`, `rolling_jobs_completed_total` and the
-/// `rolling_cycle_seconds` histogram per executed cycle; the
-/// `rolling_pending_jobs`, `rolling_parked_jobs` and
-/// `rolling_cycle_spent_credits` gauges; `disruption_events_total{kind=…}`
-/// per injected fault; at run end the survival tallies
-/// `windows_disrupted_total`, `jobs_lost_total`,
-/// `jobs_rescued_total{via="retry"|"migrate"}`, `audit_failures_total`
-/// and the `survival_rate` and `rolling_starved_jobs` gauges; and the
-/// per-cycle batch and scan metrics.
-///
-/// The **span** sink receives one `"rolling.cycle"` root per executed
-/// cycle, whose children are the scheduler's `"batch.schedule"` tree
-/// plus, under fault injection, `"rolling.disruption"` (injected events),
-/// `"recovery.detect"` (the victim replay audit), `"rolling.recovery"`
-/// (the policy's decisions) and `"rolling.audit"` (the repaired-schedule
-/// re-validation).
-///
-/// The **journal** receives a [`JournalRecord`] stream (see
-/// `docs/DURABILITY.md`): [`JournalRecord::RunStarted`] with the full
-/// `(config, jobs)` inputs, committed before the first cycle; per cycle
-/// the audit trail — every re-admission, window commit, deferral,
-/// injected disruption and recovery decision — then a
-/// [`JournalRecord::CycleCommitted`] barrier carrying the complete
-/// post-cycle [`RollingState`] (including the disruption model's RNG
-/// checkpoint), followed by a [`Journal::commit`], the fsync point; and
-/// [`JournalRecord::RunFinished`] with the final report, committed. A run
-/// killed at *any* point mid-stream recovers through
-/// [`crate::journal::recover`] + [`resume_with_recovery_observed`] to the
-/// bit-identical report of the uninterrupted run: the interrupted cycle's
-/// events are discarded and the cycle re-executes deterministically from
-/// the last barrier.
+/// The journal stream (see `docs/DURABILITY.md`) opens with
+/// [`JournalRecord::RunStarted`], ends each cycle with a
+/// [`JournalRecord::CycleCommitted`] barrier carrying the loop's
+/// [`RollingState`] and a [`Journal::commit`], and closes with
+/// [`JournalRecord::RunFinished`]. A run killed at *any* point recovers
+/// through [`crate::journal::recover`] + [`resume_with_recovery_observed`]
+/// to the bit-identical report of the uninterrupted run.
 ///
 /// No sink changes the report: a dark context and a [`NoopJournal`] give
 /// the same report as any lit ones.
@@ -259,303 +235,233 @@ fn finish<J: Journal>(report: RollingReport, journal: &mut J) -> RollingReport {
     report
 }
 
-/// The rolling loop proper, parameterised over its starting
-/// [`RollingState`] — cycle `state.next_cycle` up to `config.max_cycles`.
-/// Every journal emission is gated on [`Journal::enabled`], so with
-/// [`NoopJournal`] the gates are constant-false and monomorphise away.
+/// The one recording path of a job-level decision: builds the record only
+/// when a sink is lit, appends it to a lit journal, emits the trace event
+/// derived from it to a lit recorder and counts a disruption in lit
+/// metrics. With every sink dark nothing is built.
+fn record<J: Journal>(obs: &mut Obs<'_>, journal: &mut J, make: impl FnOnce() -> JournalRecord) {
+    let (tracing, metered) = (obs.recorder.enabled(), obs.metrics.enabled());
+    if !(tracing || metered || journal.enabled()) {
+        return;
+    }
+    let record = make();
+    if let (true, JournalRecord::Disrupted { event, .. }) = (metered, &record) {
+        obs.metrics.counter_add(
+            "slotsel_disruption_events_total",
+            &[("kind", disruption_kind(event))],
+            1,
+        );
+    }
+    if journal.enabled() {
+        journal.append(&record.encode());
+    }
+    if tracing {
+        if let Some(event) = record.into_trace_event() {
+            obs.recorder.emit(event);
+        }
+    }
+}
+
+/// Loses a disruption victim for good: abandoned, out of retries, or with
+/// no window to migrate to.
+fn lose<J: Journal>(
+    state: &mut RollingState,
+    obs: &mut Obs<'_>,
+    journal: &mut J,
+    cycle: u32,
+    job: JobId,
+) {
+    state.survival.jobs_lost += 1;
+    state.victim_since.retain(|(id, _)| *id != job);
+    record(obs, journal, || JournalRecord::Lost { cycle, job: job.0 });
+}
+
+/// Counts a disruption victim completing in `cycle`, `cycle - since`
+/// cycles after its first hit, rescued `via` `"retry"` or `"migrate"`,
+/// and records it.
+fn rescue<J: Journal>(
+    state: &mut RollingState,
+    obs: &mut Obs<'_>,
+    journal: &mut J,
+    cycle: u32,
+    job: JobId,
+    via: &'static str,
+    since: u32,
+) {
+    let survival = &mut state.survival;
+    match via {
+        "retry" => survival.rescued_by_retry += 1,
+        _ => survival.rescued_by_migration += 1,
+    }
+    survival
+        .recovery_latency_cycles
+        .push(f64::from(cycle - since));
+    record(obs, journal, || JournalRecord::Rescued {
+        cycle,
+        job: job.0,
+        via: via.to_owned(),
+    });
+}
+
+/// `job` with its priority raised by `aging`.
+fn aged(job: &Job, aging: u32) -> Job {
+    Job::new(job.id(), job.priority() + aging, job.request().clone())
+}
+
+/// The rolling loop proper, from cycle `state.next_cycle` up to
+/// `config.max_cycles`. The loop keeps its cross-cycle state in `state`
+/// and clones it for each barrier; every decision goes through
+/// [`record`], so with dark sinks and [`NoopJournal`] nothing is recorded.
 #[allow(clippy::too_many_lines)]
 fn run<J: Journal>(
     config: &RollingConfig,
-    state: RollingState,
+    mut state: RollingState,
     obs: &mut Obs<'_>,
     journal: &mut J,
 ) -> RollingReport {
     let metered = obs.metrics.enabled();
     let spanning = obs.spans.enabled();
     let scheduler = BatchScheduler::new(config.scheduler.clone());
-    let RollingState {
-        next_cycle,
-        mut pending,
-        mut parked,
-        mut victim_since,
-        mut attempts_of,
-        mut completions,
-        mut cycles,
-        mut survival,
-        model: model_state,
-    } = state;
     // A mid-run state restores the model at its checkpointed RNG
-    // position; a fresh run starts it from the configured seed.
-    let mut model = match (config.disruption.clone(), model_state) {
-        (Some(disruption), Some(checkpoint)) => {
-            Some(DisruptionModel::restore(disruption, &checkpoint))
-        }
-        (Some(disruption), None) => Some(DisruptionModel::new(disruption)),
-        (None, _) => None,
-    };
+    // position; a fresh run starts it from the configured seed. The
+    // state's own `model` stays empty until a barrier checkpoints it.
+    let checkpoint = state.model.take();
+    let mut model = config
+        .disruption
+        .clone()
+        .map(|disruption| match checkpoint {
+            Some(checkpoint) => DisruptionModel::restore(disruption, &checkpoint),
+            None => DisruptionModel::new(disruption),
+        });
 
-    for cycle in next_cycle..config.max_cycles {
+    for cycle in state.next_cycle..config.max_cycles {
         // Re-admit parked victims whose backoff elapsed (stable order).
-        let (ready, waiting): (Vec<ParkedEntry>, Vec<ParkedEntry>) =
-            parked.drain(..).partition(|p| p.eligible_at <= cycle);
-        parked = waiting;
-        for p in ready {
-            if obs.recorder.enabled() {
-                obs.recorder.emit(TraceEvent::JobReadmitted {
-                    cycle: u64::from(cycle),
-                    job: u64::from(p.job.id().0),
-                });
-            }
-            if journal.enabled() {
-                journal.append(
-                    &JournalRecord::Readmitted {
-                        cycle,
-                        job: p.job.id().0,
-                    }
-                    .encode(),
-                );
-            }
-            scheduler.readmit(&mut pending, [p.job], 0);
+        for parked in state.parked.extract_if(.., |p| p.eligible_at <= cycle) {
+            let job = parked.job.id().0;
+            record(obs, journal, || JournalRecord::Readmitted { cycle, job });
+            scheduler.readmit(&mut state.pending, [parked.job], 0);
         }
-
-        if pending.is_empty() && parked.is_empty() {
+        if state.pending.is_empty() && state.parked.is_empty() {
             break;
         }
-        let cycle_span = if spanning {
+        let cycle_span = spanning.then(|| {
             let span = obs.spans.open("rolling.cycle");
             obs.spans.attr_u64("cycle", u64::from(cycle));
-            obs.spans.attr_u64("pending", pending.len() as u64);
+            obs.spans.attr_u64("pending", state.pending.len() as u64);
             span
-        } else {
-            SpanId::NONE
-        };
+        });
         let watch = Stopwatch::start_if(obs.recorder.enabled() || metered);
         if obs.recorder.enabled() {
             obs.recorder.emit(TraceEvent::CycleStarted {
                 cycle: u64::from(cycle),
-                pending: pending.len() as u64,
+                pending: state.pending.len() as u64,
             });
         }
         let mut env = config
             .env
             .generate(&mut StdRng::seed_from_u64(config.seed + u64::from(cycle)));
-        let schedule = scheduler.schedule_observed(env.platform(), env.slots(), &pending, obs);
+        let schedule =
+            scheduler.schedule_observed(env.platform(), env.slots(), &state.pending, obs);
 
         let mut committed: Vec<(Job, Window)> = Vec::new();
         let mut still_pending = Vec::new();
         for assignment in schedule.assignments {
-            match assignment.window {
-                Some(window) => {
-                    if journal.enabled() {
-                        journal.append(
-                            &JournalRecord::Committed {
-                                cycle,
-                                job: assignment.job.id().0,
-                                window: window.clone(),
-                            }
-                            .encode(),
-                        );
-                    }
-                    committed.push((assignment.job, window));
-                }
-                None => {
-                    // Age the deferred job so it cannot starve.
-                    let aged = Job::new(
-                        assignment.job.id(),
-                        assignment.job.priority() + config.aging,
-                        assignment.job.request().clone(),
-                    );
-                    if journal.enabled() {
-                        journal.append(
-                            &JournalRecord::Deferred {
-                                cycle,
-                                job: aged.id().0,
-                                priority: aged.priority(),
-                            }
-                            .encode(),
-                        );
-                    }
-                    still_pending.push(aged);
-                }
+            let job = assignment.job;
+            if let Some(window) = assignment.window {
+                record(obs, journal, || JournalRecord::Committed {
+                    cycle,
+                    job: job.id().0,
+                    window: window.clone(),
+                });
+                committed.push((job, window));
+            } else {
+                // Age the deferred job so it cannot starve.
+                let job = aged(&job, config.aging);
+                record(obs, journal, || JournalRecord::Deferred {
+                    cycle,
+                    job: job.id().0,
+                    priority: job.priority(),
+                });
+                still_pending.push(job);
             }
         }
 
+        let completed_before = state.completions.len();
         let mut spent = Money::ZERO;
-        let mut completed_now = 0usize;
         match &mut model {
             None => {
                 // Disruption-free: every committed window executes.
                 for (job, window) in &committed {
                     spent += window.total_cost();
-                    completions.push((job.id(), cycle));
+                    state.completions.push((job.id(), cycle));
                 }
-                completed_now = committed.len();
             }
             Some(model) => {
-                let disruption_span = if spanning {
-                    Some(obs.spans.open("rolling.disruption"))
-                } else {
-                    None
-                };
+                let disruption_span = spanning.then(|| obs.spans.open("rolling.disruption"));
                 let window_refs: Vec<&Window> = committed.iter().map(|(_, w)| w).collect();
                 let events = model.inject(&mut env, cycle, &window_refs);
                 if let Some(span) = disruption_span {
                     obs.spans.attr_u64("events", events.len() as u64);
                     obs.spans.close(span);
                 }
-                for event in &events {
-                    survival.record_event(event);
-                    if obs.recorder.enabled() {
-                        obs.recorder.emit(disruption_trace_event(cycle, event));
-                    }
-                    if journal.enabled() {
-                        journal.append(
-                            &JournalRecord::Disrupted {
-                                cycle,
-                                event: event.clone(),
-                            }
-                            .encode(),
-                        );
-                    }
-                    if metered {
-                        obs.metrics.counter_add(
-                            "slotsel_disruption_events_total",
-                            &[("kind", disruption_kind(event))],
-                            1,
-                        );
-                    }
+                for event in events {
+                    state.survival.record_event(&event);
+                    record(obs, journal, || JournalRecord::Disrupted { cycle, event });
                 }
 
                 let pairs: Vec<(&Job, &Window)> = committed.iter().map(|(j, w)| (j, w)).collect();
                 let mut detection = recovery::detect_victims_observed(&env, &pairs, obs);
-                survival.windows_disrupted += detection.victim_indices.len() as u64;
-                let recovery_span = if spanning {
-                    Some(obs.spans.open("rolling.recovery"))
-                } else {
-                    None
-                };
+                state.survival.windows_disrupted += detection.victim_indices.len() as u64;
+                let recovery_span = spanning.then(|| obs.spans.open("rolling.recovery"));
 
                 // Survivors execute; a survivor that was some earlier
                 // cycle's victim is a retry rescue completing now.
                 for &index in &detection.survivor_indices {
                     let (job, window) = &committed[index];
+                    let id = job.id();
                     spent += window.total_cost();
-                    completions.push((job.id(), cycle));
-                    completed_now += 1;
-                    if let Some(pos) = victim_since.iter().position(|(id, _)| *id == job.id()) {
-                        let (_, since) = victim_since.swap_remove(pos);
-                        survival.rescued_by_retry += 1;
-                        survival
-                            .recovery_latency_cycles
-                            .push(f64::from(cycle - since));
-                        if obs.recorder.enabled() {
-                            obs.recorder.emit(TraceEvent::JobRescued {
-                                cycle: u64::from(cycle),
-                                job: u64::from(job.id().0),
-                                via: "retry".to_owned(),
-                            });
-                        }
-                        if journal.enabled() {
-                            journal.append(
-                                &JournalRecord::Rescued {
-                                    cycle,
-                                    job: job.id().0,
-                                    via: "retry".to_owned(),
-                                }
-                                .encode(),
-                            );
-                        }
+                    state.completions.push((id, cycle));
+                    if let Some(pos) = state.victim_since.iter().position(|(v, _)| *v == id) {
+                        let (_, since) = state.victim_since.swap_remove(pos);
+                        rescue(&mut state, obs, journal, cycle, id, "retry", since);
                     }
                 }
 
                 // Victims go through the recovery policy.
                 for &index in &detection.victim_indices {
                     let (job, window) = &committed[index];
-                    let first_hit = victim_since
-                        .iter()
-                        .position(|(id, _)| *id == job.id())
-                        .is_none();
-                    if first_hit {
-                        victim_since.push((job.id(), cycle));
-                    }
+                    let id = job.id();
                     match config.recovery {
-                        RecoveryPolicy::Abandon => {
-                            survival.jobs_lost += 1;
-                            victim_since.retain(|(id, _)| *id != job.id());
-                            if obs.recorder.enabled() {
-                                obs.recorder.emit(TraceEvent::JobLost {
-                                    cycle: u64::from(cycle),
-                                    job: u64::from(job.id().0),
-                                });
-                            }
-                            if journal.enabled() {
-                                journal.append(
-                                    &JournalRecord::Lost {
-                                        cycle,
-                                        job: job.id().0,
-                                    }
-                                    .encode(),
-                                );
-                            }
-                        }
+                        RecoveryPolicy::Abandon => lose(&mut state, obs, journal, cycle, id),
                         RecoveryPolicy::RetryNextCycle {
                             backoff,
                             max_attempts,
                         } => {
+                            if !state.victim_since.iter().any(|(v, _)| *v == id) {
+                                state.victim_since.push((id, cycle));
+                            }
                             let attempts =
-                                match attempts_of.iter_mut().find(|(id, _)| *id == job.id()) {
+                                match state.attempts_of.iter_mut().find(|(a, _)| *a == id) {
                                     Some((_, n)) => {
                                         *n += 1;
                                         *n
                                     }
                                     None => {
-                                        attempts_of.push((job.id(), 1));
+                                        state.attempts_of.push((id, 1));
                                         1
                                     }
                                 };
                             if attempts > max_attempts {
-                                survival.jobs_lost += 1;
-                                victim_since.retain(|(id, _)| *id != job.id());
-                                if obs.recorder.enabled() {
-                                    obs.recorder.emit(TraceEvent::JobLost {
-                                        cycle: u64::from(cycle),
-                                        job: u64::from(job.id().0),
-                                    });
-                                }
-                                if journal.enabled() {
-                                    journal.append(
-                                        &JournalRecord::Lost {
-                                            cycle,
-                                            job: job.id().0,
-                                        }
-                                        .encode(),
-                                    );
-                                }
+                                lose(&mut state, obs, journal, cycle, id);
                             } else {
                                 let eligible_at = cycle + 1 + backoff;
-                                if obs.recorder.enabled() {
-                                    obs.recorder.emit(TraceEvent::JobParked {
-                                        cycle: u64::from(cycle),
-                                        job: u64::from(job.id().0),
-                                        eligible_at: u64::from(eligible_at),
-                                    });
-                                }
-                                if journal.enabled() {
-                                    journal.append(
-                                        &JournalRecord::Parked {
-                                            cycle,
-                                            job: job.id().0,
-                                            eligible_at,
-                                        }
-                                        .encode(),
-                                    );
-                                }
-                                parked.push(ParkedEntry {
-                                    job: Job::new(
-                                        job.id(),
-                                        job.priority() + config.aging,
-                                        job.request().clone(),
-                                    ),
+                                record(obs, journal, || JournalRecord::Parked {
+                                    cycle,
+                                    job: id.0,
+                                    eligible_at,
+                                });
+                                state.parked.push(ParkedEntry {
+                                    job: aged(job, config.aging),
                                     eligible_at,
                                 });
                             }
@@ -565,61 +471,20 @@ fn run<J: Journal>(
                                 .scheduler
                                 .vo_budget
                                 .map(|budget| Money::from_f64(budget) - spent);
-                            match recovery::migrate_window(
-                                &env,
-                                &detection.survivor_windows,
-                                job,
-                                remaining,
-                            ) {
+                            let survivors = &detection.survivor_windows;
+                            match recovery::migrate_window(&env, survivors, job, remaining) {
                                 Some(migrated) => {
-                                    survival.rescued_by_migration += 1;
-                                    survival.recovery_latency_cycles.push(0.0);
-                                    survival.migration_overrun.push(
+                                    state.survival.migration_overrun.push(
                                         migrated.total_cost().as_f64()
                                             - window.total_cost().as_f64(),
                                     );
                                     spent += migrated.total_cost();
-                                    completions.push((job.id(), cycle));
-                                    completed_now += 1;
+                                    state.completions.push((id, cycle));
                                     detection.survivor_windows.push(migrated);
-                                    if obs.recorder.enabled() {
-                                        obs.recorder.emit(TraceEvent::JobRescued {
-                                            cycle: u64::from(cycle),
-                                            job: u64::from(job.id().0),
-                                            via: "migrate".to_owned(),
-                                        });
-                                    }
-                                    if journal.enabled() {
-                                        journal.append(
-                                            &JournalRecord::Rescued {
-                                                cycle,
-                                                job: job.id().0,
-                                                via: "migrate".to_owned(),
-                                            }
-                                            .encode(),
-                                        );
-                                    }
+                                    rescue(&mut state, obs, journal, cycle, id, "migrate", cycle);
                                 }
-                                None => {
-                                    survival.jobs_lost += 1;
-                                    if obs.recorder.enabled() {
-                                        obs.recorder.emit(TraceEvent::JobLost {
-                                            cycle: u64::from(cycle),
-                                            job: u64::from(job.id().0),
-                                        });
-                                    }
-                                    if journal.enabled() {
-                                        journal.append(
-                                            &JournalRecord::Lost {
-                                                cycle,
-                                                job: job.id().0,
-                                            }
-                                            .encode(),
-                                        );
-                                    }
-                                }
+                                None => lose(&mut state, obs, journal, cycle, id),
                             }
-                            victim_since.retain(|(id, _)| *id != job.id());
                         }
                     }
                 }
@@ -633,14 +498,10 @@ fn run<J: Journal>(
                 // The repaired schedule (survivors + migrations) must
                 // replay cleanly against the perturbed environment; the
                 // recovery paths maintain this, the audit enforces it.
-                let audit_span = if spanning {
-                    Some(obs.spans.open("rolling.audit"))
-                } else {
-                    None
-                };
+                let audit_span = spanning.then(|| obs.spans.open("rolling.audit"));
                 let repaired: Vec<&Window> = detection.survivor_windows.iter().collect();
                 if crate::execution::verify(&env, &repaired).is_err() {
-                    survival.audit_failures += 1;
+                    state.survival.audit_failures += 1;
                 }
                 if let Some(span) = audit_span {
                     obs.spans.attr_u64("windows", repaired.len() as u64);
@@ -648,6 +509,7 @@ fn run<J: Journal>(
                 }
             }
         }
+        let completed_now = state.completions.len() - completed_before;
 
         if obs.recorder.enabled() {
             obs.recorder.emit(TraceEvent::CycleFinished {
@@ -669,13 +531,14 @@ fn run<J: Journal>(
                 );
             }
         }
-        cycles.push(CycleRecord {
+        state.cycles.push(CycleRecord {
             cycle,
-            pending: pending.len(),
+            pending: state.pending.len(),
             scheduled: completed_now,
             spent: spent.as_f64(),
         });
-        pending = still_pending;
+        state.pending = still_pending;
+        state.next_cycle = cycle + 1;
         if metered {
             obs.metrics
                 .counter_add("slotsel_rolling_cycles_total", &[], 1);
@@ -684,63 +547,58 @@ fn run<J: Journal>(
                 &[],
                 completed_now as u64,
             );
-            obs.metrics
-                .gauge_set("slotsel_rolling_pending_jobs", &[], pending.len() as f64);
-            obs.metrics
-                .gauge_set("slotsel_rolling_parked_jobs", &[], parked.len() as f64);
+            obs.metrics.gauge_set(
+                "slotsel_rolling_pending_jobs",
+                &[],
+                state.pending.len() as f64,
+            );
+            obs.metrics.gauge_set(
+                "slotsel_rolling_parked_jobs",
+                &[],
+                state.parked.len() as f64,
+            );
             obs.metrics
                 .gauge_set("slotsel_rolling_cycle_spent_credits", &[], spent.as_f64());
         }
         if journal.enabled() {
-            // The cycle barrier: the full post-cycle state, made durable
-            // by the commit. Everything before it this cycle is audit
-            // trail; recovery replays only the barrier.
+            // The cycle barrier: the loop's state, made durable by the
+            // commit. Everything before it this cycle is audit trail;
+            // recovery replays only the barrier.
             let barrier = RollingState {
-                next_cycle: cycle + 1,
-                pending: pending.clone(),
-                parked: parked.clone(),
-                victim_since: victim_since.clone(),
-                attempts_of: attempts_of.clone(),
-                completions: completions.clone(),
-                cycles: cycles.clone(),
-                survival: survival.clone(),
                 model: model.as_ref().map(DisruptionModel::checkpoint),
+                ..state.clone()
             };
             let payload = JournalRecord::CycleCommitted { state: barrier }.encode();
             journal.append(&payload);
             journal.commit();
             journal.checkpoint(&|| payload.clone());
         }
-        if spanning {
+        if let Some(span) = cycle_span {
             obs.spans.attr_u64("scheduled", completed_now as u64);
-            obs.spans.close(cycle_span);
+            obs.spans.close(span);
         }
     }
 
     // Victims still waiting (parked or re-pending) when the run ended
-    // never recovered.
-    survival.jobs_lost += victim_since.len() as u64;
-    if obs.recorder.enabled() {
-        let last_cycle = cycles.last().map_or(0, |c| c.cycle);
-        for (id, _) in &victim_since {
-            obs.recorder.emit(TraceEvent::JobLost {
-                cycle: u64::from(last_cycle),
-                job: u64::from(id.0),
-            });
-        }
+    // never recovered. The final report carries them, so they are traced
+    // but not journaled.
+    let last_cycle = state.cycles.last().map_or(0, |c| c.cycle);
+    for (job, _) in std::mem::take(&mut state.victim_since) {
+        lose(&mut state, obs, &mut NoopJournal, last_cycle, job);
     }
 
     let report = RollingReport {
         outcome: RollingOutcome {
-            completions,
-            starved: pending
+            starved: state
+                .pending
                 .iter()
                 .map(Job::id)
-                .chain(parked.iter().map(|p| p.job.id()))
+                .chain(state.parked.iter().map(|p| p.job.id()))
                 .collect(),
-            cycles,
+            completions: state.completions,
+            cycles: state.cycles,
         },
-        survival,
+        survival: state.survival,
     };
     if metered {
         let survival = &report.survival;
@@ -782,37 +640,6 @@ fn disruption_kind(event: &DisruptionEvent) -> &'static str {
         DisruptionEvent::NodeFailed { .. } => "node_failed",
         DisruptionEvent::NodeRestored { .. } => "node_restored",
         DisruptionEvent::NodeDegraded { .. } => "node_degraded",
-    }
-}
-
-/// Maps an injected [`DisruptionEvent`] to its trace representation.
-fn disruption_trace_event(cycle: u32, event: &DisruptionEvent) -> TraceEvent {
-    let cycle = u64::from(cycle);
-    match event {
-        DisruptionEvent::SlotRevoked { node, span } => TraceEvent::SlotRevoked {
-            cycle,
-            node: u64::from(node.0),
-            span_start: span.start().ticks(),
-            span_end: span.end().ticks(),
-        },
-        DisruptionEvent::NodeFailed {
-            node,
-            repair_cycles,
-        } => TraceEvent::NodeFailed {
-            cycle,
-            node: u64::from(node.0),
-            repair_cycles: u64::from(*repair_cycles),
-        },
-        DisruptionEvent::NodeRestored { node } => TraceEvent::NodeRestored {
-            cycle,
-            node: u64::from(node.0),
-        },
-        DisruptionEvent::NodeDegraded { node, from, to } => TraceEvent::NodeDegraded {
-            cycle,
-            node: u64::from(node.0),
-            from_rate: u64::from(from.rate()),
-            to_rate: u64::from(to.rate()),
-        },
     }
 }
 

@@ -1977,7 +1977,7 @@ fn latest_snapshot(dir: &Path) -> Result<Option<StateImage>, RecoverError> {
 mod tests {
     use super::*;
     use crate::journal::DurableJournal;
-    use crate::journal::RecordingJournal;
+    use slotsel_obs::journal::MemoryJournal;
     use std::path::PathBuf;
 
     fn tiny_config(shards: u32) -> LiveConfig {
@@ -2435,7 +2435,7 @@ mod tests {
                 })
                 .unwrap();
         }
-        let mut journal = RecordingJournal::new();
+        let mut journal = MemoryJournal::new();
         service.run_cycle_observed(Parallelism::Serial, &NoopMetrics, &mut journal);
         let shards: Vec<u32> = journal
             .records()

@@ -19,10 +19,11 @@ use slotsel_core::money::Money;
 use slotsel_core::node::Volume;
 use slotsel_core::request::{Job, JobId, ResourceRequest};
 use slotsel_env::{EnvironmentConfig, NodeGenConfig};
+use slotsel_obs::journal::MemoryJournal;
 use slotsel_obs::Obs;
 use slotsel_sim::disruption::DisruptionConfig;
 use slotsel_sim::journal::{
-    journal_path, recover, replay, CrashJournal, DurableJournal, RecordingJournal, RecoverError,
+    journal_path, recover, replay, CrashJournal, DurableJournal, RecoverError,
 };
 use slotsel_sim::recovery::RecoveryPolicy;
 use slotsel_sim::rolling::{
@@ -63,9 +64,9 @@ fn disrupted_config(recovery: RecoveryPolicy, seed: u64) -> RollingConfig {
 /// Runs the uninterrupted reference, returning its report and full
 /// record stream.
 fn reference(config: &RollingConfig, jobs: Vec<Job>) -> (RollingReport, Vec<String>) {
-    let mut journal = RecordingJournal::new();
+    let mut journal = MemoryJournal::new();
     let report = simulate_with_recovery_observed(config, jobs, &mut Obs::dark(), &mut journal);
-    (report, journal.into_records())
+    (report, journal.records().to_vec())
 }
 
 /// How many leading records fit inside `resume_len` bytes of framed
@@ -92,7 +93,7 @@ fn assert_crash_point_recovers(
     let run = replay(&records[..k])
         .unwrap_or_else(|error| panic!("{context}: prefix of {k} records must replay: {error}"));
     let trusted = records_within(&records[..k], run.resume_len);
-    let mut resumed_journal = RecordingJournal::new();
+    let mut resumed_journal = MemoryJournal::new();
     let resumed = resume_with_recovery_observed(run, &mut Obs::dark(), &mut resumed_journal);
     assert_eq!(
         &resumed, report,
@@ -101,7 +102,7 @@ fn assert_crash_point_recovers(
     // The continued stream (trusted prefix + post-resume records) must
     // itself replay to the same finished run.
     let mut continued: Vec<String> = records[..trusted].to_vec();
-    continued.extend(resumed_journal.into_records());
+    continued.extend(resumed_journal.records().iter().cloned());
     let final_run = replay(&continued)
         .unwrap_or_else(|error| panic!("{context}: continued stream must replay: {error}"));
     assert_eq!(
@@ -111,20 +112,47 @@ fn assert_crash_point_recovers(
     );
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64 over `bytes`, continuing from `hash`.
+fn fnv(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `(records, FNV-1a 64 over each record plus a newline)`.
+fn stream_digest(records: &[String]) -> (usize, u64) {
+    let hash = records.iter().fold(FNV_OFFSET, |hash, record| {
+        fnv(fnv(hash, record.as_bytes()), b"\n")
+    });
+    (records.len(), hash)
+}
+
 #[test]
 fn journaled_run_is_bit_identical_to_the_plain_path() {
-    for policy in [
-        RecoveryPolicy::Abandon,
-        RecoveryPolicy::RetryNextCycle {
-            backoff: 0,
-            max_attempts: 5,
-        },
-        RecoveryPolicy::Migrate,
+    // Each policy's record stream, pinned so a refactor of the rolling
+    // loop that reorders or reshapes a record fails here.
+    for (policy, golden) in [
+        (RecoveryPolicy::Abandon, (19, 0xed4e_e1d5_d34d_9d91)),
+        (
+            RecoveryPolicy::RetryNextCycle {
+                backoff: 0,
+                max_attempts: 5,
+            },
+            (106, 0x4129_d669_8ba5_c4e3),
+        ),
+        (RecoveryPolicy::Migrate, (19, 0xd3e7_533d_f27d_7b3f)),
     ] {
         let config = disrupted_config(policy, 99);
         let plain = simulate_with_recovery(&config, batch(6));
         let (journaled, records) = reference(&config, batch(6));
         assert_eq!(plain, journaled, "journaling must not alter the run");
+        assert_eq!(
+            stream_digest(&records),
+            golden,
+            "{policy:?}: the record stream drifted from the golden"
+        );
         let full = replay(&records).unwrap();
         assert_eq!(full.finished, Some(journaled));
         assert!(!full.discarded_tail);

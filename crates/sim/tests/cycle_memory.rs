@@ -1,5 +1,8 @@
 //! Pins the allocations of one live cycle, journaled into memory: an idle
-//! cycle and a fixed batch, on a small and a wide platform.
+//! cycle and a fixed batch, on a small and a wide platform. Beside them,
+//! one dark rolling run under disruption is pinned exactly: with every
+//! sink dark its recovery decisions build no journal records and no trace
+//! events.
 //!
 //! The counting allocator of `counting_alloc` sees only this thread, so
 //! the pins cover the whole cycle because the cycle runs serially, as the
@@ -11,9 +14,16 @@
 mod counting_alloc;
 
 use counting_alloc::cost_of;
+use slotsel_core::money::Money;
+use slotsel_core::node::Volume;
+use slotsel_core::request::{Job, JobId, ResourceRequest};
+use slotsel_env::{EnvironmentConfig, NodeGenConfig};
 use slotsel_obs::journal::MemoryJournal;
 use slotsel_obs::NoopMetrics;
+use slotsel_sim::disruption::DisruptionConfig;
 use slotsel_sim::parallel::Parallelism;
+use slotsel_sim::recovery::RecoveryPolicy;
+use slotsel_sim::rolling::{simulate_with_recovery, RollingConfig};
 use slotsel_sim::serve::{LiveConfig, LiveService, Submission};
 
 /// Idle cycles a service runs before the measured one, so one-time
@@ -88,4 +98,42 @@ fn an_idle_wide_cycle_allocates_within_its_pin() {
 #[test]
 fn a_wide_batch_cycle_allocates_within_its_pin() {
     assert_cycle_allocations(2, 1000, 4, 1_508);
+}
+
+#[test]
+fn a_dark_disrupted_rolling_run_allocates_exactly_its_pin() {
+    let config = RollingConfig {
+        env: EnvironmentConfig {
+            nodes: NodeGenConfig::with_count(8),
+            ..EnvironmentConfig::paper_default()
+        },
+        max_cycles: 12,
+        disruption: Some(DisruptionConfig::adversarial(99)),
+        recovery: RecoveryPolicy::RetryNextCycle {
+            backoff: 1,
+            max_attempts: 3,
+        },
+        ..RollingConfig::default()
+    };
+    let jobs: Vec<Job> = (0..6)
+        .map(|id| {
+            let request = ResourceRequest::builder()
+                .node_count(3)
+                .volume(Volume::new(200))
+                .budget(Money::from_units(5_000))
+                .build()
+                .expect("a valid request");
+            Job::new(JobId(id), 1, request)
+        })
+        .collect();
+    let (cost, report) = cost_of(|| simulate_with_recovery(&config, jobs));
+    eprintln!(
+        "dark rolling run: {} allocations, {} B peak heap",
+        cost.allocations, cost.peak_bytes
+    );
+    assert!(
+        report.survival.windows_disrupted > 0,
+        "the run is disrupted"
+    );
+    assert_eq!(cost.allocations, 3_052, "dark rolling run allocations");
 }

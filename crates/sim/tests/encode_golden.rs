@@ -23,7 +23,6 @@ use slotsel_env::{EnvironmentConfig, NodeGenConfig};
 use slotsel_obs::journal::MemoryJournal;
 use slotsel_obs::{NoopMetrics, Obs};
 use slotsel_sim::disruption::DisruptionConfig;
-use slotsel_sim::journal::RecordingJournal;
 use slotsel_sim::parallel::Parallelism;
 use slotsel_sim::recovery::RecoveryPolicy;
 use slotsel_sim::rolling::{simulate_with_recovery_observed, RollingConfig};
@@ -143,10 +142,10 @@ fn rolling_run() -> (String, Vec<String>) {
             )
         })
         .collect();
-    let mut journal = RecordingJournal::new();
+    let mut journal = MemoryJournal::new();
     let report = simulate_with_recovery_observed(&config, jobs, &mut Obs::dark(), &mut journal);
     let pretty = serde_json::to_string_pretty(&report).expect("reports serialize");
-    (pretty, journal.into_records())
+    (pretty, journal.records().to_vec())
 }
 
 fn assert_groups(what: &str, got: &BTreeMap<String, Digest>, want: &[(&str, Digest)]) {

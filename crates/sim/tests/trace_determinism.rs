@@ -1,7 +1,9 @@
 //! End-to-end properties of the JSONL trace a fault-injected rolling
 //! simulation emits: determinism (same seed + same config ⇒ byte-identical
 //! trace) and schema round-tripping (every emitted line decodes back to
-//! the event that produced it).
+//! the event that produced it). Each policy's trace bytes are pinned by
+//! their length and FNV-1a 64 hash, so a refactor of the rolling loop that
+//! reorders or reshapes an event fails here.
 
 use slotsel_core::money::Money;
 use slotsel_core::node::Volume;
@@ -57,21 +59,39 @@ fn trace_bytes(config: &RollingConfig) -> Vec<u8> {
     recorder.finish().expect("writing to a Vec cannot fail")
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64 over `bytes`.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(FNV_OFFSET, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 #[test]
 fn same_seed_and_config_yield_byte_identical_traces() {
-    for policy in [
-        RecoveryPolicy::Abandon,
-        RecoveryPolicy::RetryNextCycle {
-            backoff: 0,
-            max_attempts: 5,
-        },
-        RecoveryPolicy::Migrate,
+    // `(length, FNV-1a 64)` of each policy's deterministic trace.
+    for (policy, golden) in [
+        (RecoveryPolicy::Abandon, (1_838, 0x0d2d_19a9_d493_4189)),
+        (
+            RecoveryPolicy::RetryNextCycle {
+                backoff: 0,
+                max_attempts: 5,
+            },
+            (9_696, 0x72ad_02ee_5ffa_99f6),
+        ),
+        (RecoveryPolicy::Migrate, (1_914, 0xd114_bb9d_19e9_f528)),
     ] {
         let config = disrupted_config(policy);
         let a = trace_bytes(&config);
         let b = trace_bytes(&config);
         assert!(!a.is_empty(), "a disrupted run must emit events");
         assert_eq!(a, b, "trace must be a pure function of (config, jobs)");
+        assert_eq!(
+            (a.len(), fnv(&a)),
+            golden,
+            "{policy:?}: trace bytes drifted from the golden"
+        );
     }
 }
 
