@@ -85,18 +85,16 @@ pub enum CutPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Csa {
     max_alternatives: Option<usize>,
-    prune_useless: bool,
     cut_policy: CutPolicy,
 }
 
 impl Csa {
-    /// Creates the scheme with no alternative-count limit, remnant pruning
-    /// enabled and the rectangular [`CutPolicy::WindowRuntime`].
+    /// Creates the scheme with no alternative-count limit and the
+    /// rectangular [`CutPolicy::WindowRuntime`].
     #[must_use]
     pub fn new() -> Self {
         Csa {
             max_alternatives: None,
-            prune_useless: true,
             cut_policy: CutPolicy::default(),
         }
     }
@@ -112,21 +110,6 @@ impl Csa {
     #[must_use]
     pub fn max_alternatives(mut self, max: usize) -> Self {
         self.max_alternatives = Some(max);
-        self
-    }
-
-    /// Controls whether, after each cut, slot remnants too short to host
-    /// this request's task are dropped from the working list.
-    ///
-    /// Pruning never changes the result — a remnant shorter than the task
-    /// length on its node can never join a window for this request — but
-    /// shortens later scans. It only applies to `Vec`-backed lists: on
-    /// the tree store the scan's aggregate-pruned cursor skips useless
-    /// remnants wholesale, so the O(m) retain pass is elided there.
-    /// Disable only for ablation measurements.
-    #[must_use]
-    pub fn prune_useless(mut self, prune: bool) -> Self {
-        self.prune_useless = prune;
         self
     }
 
@@ -247,11 +230,13 @@ impl Csa {
             },
         };
         working.cut(&reservations, TimeDelta::ZERO)?;
-        // On the tree store the O(m) retain pass would dwarf the O(log m)
-        // cut it follows; there the AEP scan itself skips too-short
-        // remnants wholesale through the subtree aggregates, so the
-        // explicit prune buys nothing and is elided.
-        if self.prune_useless && working.store_kind() != SlotStoreKind::Tree {
+        // Remnants too short to host this request's task on their node can
+        // never join a later window, so dropping them only shortens the
+        // scans that follow. On the tree store the O(m) retain pass would
+        // dwarf the O(log m) cut it follows; there the AEP scan itself
+        // skips too-short remnants wholesale through the subtree
+        // aggregates, so the retain is elided.
+        if working.store_kind() != SlotStoreKind::Tree {
             let volume = request.volume();
             working.retain(|slot| slot.length() >= slot.time_for(volume));
         }
@@ -419,36 +404,17 @@ mod tests {
     }
 
     #[test]
-    fn pruning_does_not_change_the_alternatives() {
-        let p = platform(&[(2, 1.3), (3, 2.9), (5, 5.1), (7, 6.8), (9, 9.2), (4, 4.0)]);
-        let slots = idle(&p, 600);
-        let req = request(3, 180, 100_000.0);
-        let pruned = Csa::new().find_alternatives(&p, &slots, &req);
-        let unpruned = Csa::new()
-            .prune_useless(false)
-            .find_alternatives(&p, &slots, &req);
-        let key = |w: &Window| (w.start(), w.runtime(), w.total_cost());
-        assert_eq!(
-            pruned.iter().map(key).collect::<Vec<_>>(),
-            unpruned.iter().map(key).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn tree_backed_search_matches_vec_backed_search() {
-        // The tree store elides the prune_useless retain and scans with
-        // the aggregate-pruned cursor; the alternatives must not move.
+        // The tree store elides the Vec store's retain of too-short
+        // remnants and scans with the aggregate-pruned cursor; the
+        // alternatives must not move.
         use crate::slotlist::SlotStoreKind;
         let p = platform(&[(2, 1.3), (3, 2.9), (5, 5.1), (7, 6.8), (9, 9.2), (4, 4.0)]);
         let vec_slots = idle(&p, 600);
         let mut tree_slots = vec_slots.clone();
         tree_slots.convert(SlotStoreKind::Tree);
         let req = request(3, 180, 100_000.0);
-        for csa in [
-            Csa::new(),
-            Csa::new().prune_useless(false),
-            Csa::new().cut_policy(CutPolicy::TaskLength),
-        ] {
+        for csa in [Csa::new(), Csa::new().cut_policy(CutPolicy::TaskLength)] {
             let on_vec = csa.find_alternatives(&p, &vec_slots, &req);
             let on_tree = csa.find_alternatives(&p, &tree_slots, &req);
             assert_eq!(on_vec, on_tree, "{csa:?}");

@@ -93,8 +93,8 @@ struct Entry {
 #[derive(Debug, Clone, Default)]
 pub struct CandidatePool {
     arena: Vec<Entry>,
-    /// Alive ids in ascending (= admission) order.
-    by_seq: BTreeSet<usize>,
+    /// Number of alive arena entries (the extended window size `m'`).
+    alive: usize,
     by_cost: BTreeSet<(Money, usize)>,
     by_length: BTreeSet<(TimeDelta, usize)>,
     /// Min-heap of `(expiry, id)`; entries for superseded candidates are
@@ -119,13 +119,13 @@ impl CandidatePool {
     /// Number of alive candidates (the extended window size `m'`).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.by_seq.len()
+        self.alive
     }
 
     /// Returns `true` when no candidate is alive.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.by_seq.is_empty()
+        self.alive == 0
     }
 
     /// The candidate behind an arena id returned by a query.
@@ -142,7 +142,9 @@ impl CandidatePool {
     /// `Vec<Candidate>` representation kept its elements in.
     #[must_use]
     pub fn alive_ids(&self) -> Vec<usize> {
-        self.by_seq.iter().copied().collect()
+        (0..self.arena.len())
+            .filter(|&id| self.arena[id].alive)
+            .collect()
     }
 
     /// Admits a candidate, superseding any alive candidate on the same node
@@ -169,7 +171,7 @@ impl CandidatePool {
             candidate,
             alive: true,
         });
-        self.by_seq.insert(id);
+        self.alive += 1;
         self.by_cost.insert((candidate.cost, id));
         self.by_length.insert((candidate.length, id));
         self.expiry_heap.push(Reverse((expiry, id)));
@@ -209,7 +211,7 @@ impl CandidatePool {
         debug_assert!(entry.alive, "double eviction of candidate {id}");
         entry.alive = false;
         let candidate = entry.candidate;
-        self.by_seq.remove(&id);
+        self.alive -= 1;
         self.by_cost.remove(&(candidate.cost, id));
         self.by_length.remove(&(candidate.length, id));
         if self.by_node.get(&candidate.slot.node()) == Some(&id) {

@@ -227,31 +227,6 @@ impl SlotList {
         }
     }
 
-    /// The start of the first slot (in scan order) long enough to host a
-    /// task of `volume` on its own node and, under a `deadline`, starting
-    /// strictly before it — the earliest window start at which an AEP
-    /// scan could admit anything. A linear scan on the `Vec` store; an
-    /// aggregate descent over `max_capacity` on the tree (O(1) proof of
-    /// emptiness when nothing is long enough).
-    #[must_use]
-    pub fn first_feasible_start(
-        &self,
-        volume: crate::node::Volume,
-        deadline: Option<TimePoint>,
-    ) -> Option<TimePoint> {
-        match &self.backend {
-            Backend::Vec(slots) => slots
-                .iter()
-                .find(|s| {
-                    s.length() >= s.time_for(volume) && deadline.is_none_or(|d| s.start() < d)
-                })
-                .map(Slot::start),
-            Backend::Tree(tree) => {
-                tree.first_feasible_start(volume.work(), deadline.map(TimePoint::ticks))
-            }
-        }
-    }
-
     /// Rebuilds the list onto the given backing store, preserving the slot
     /// set and the id counter. A no-op when the store already matches.
     /// O(m) either way.

@@ -4,12 +4,11 @@
 //! arena-allocated treap ordered by the scan key `(start, id)` — the same
 //! total order the sorted-`Vec` store and every AEP scan rely on — with
 //! **subtree aggregates** maintained on every path touched by a mutation:
-//! slot count, summed free time, min/max span end, minimum price per unit,
-//! min/max slot length, latest slot start and maximum work capacity
-//! (`length × rate`). Two secondary indexes complete the picture: a
-//! hash map from [`SlotId`] to arena position (O(1) [`TreeSlots::get`])
-//! and an ordered per-node index (O(log m) adjacency for
-//! release/coalesce and covering-slot queries).
+//! slot count, summed free time, min/max span end, latest slot start and
+//! maximum work capacity (`length × rate`). Two secondary indexes complete
+//! the picture: a hash map from [`SlotId`] to arena position (O(1)
+//! [`TreeSlots::get`]) and an ordered per-node index (O(log m) adjacency
+//! for release/coalesce and covering-slot queries).
 //!
 //! The resulting complexities, versus the sorted-`Vec` oracle store:
 //!
@@ -49,7 +48,6 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasherDefault;
 
-use crate::money::Money;
 use crate::node::NodeId;
 use crate::slot::{Slot, SlotId};
 use crate::time::{Interval, TimeDelta, TimePoint};
@@ -98,12 +96,6 @@ struct Agg {
     min_end: i64,
     /// Latest span end in the subtree, in ticks.
     max_end: i64,
-    /// Cheapest price per unit in the subtree.
-    min_price: Money,
-    /// Shortest slot length in the subtree, in ticks.
-    min_len: i64,
-    /// Longest slot length in the subtree, in ticks.
-    max_len: i64,
     /// Latest slot start in the subtree, in ticks. Gates subtree skipping
     /// under a deadline: the scan *breaks* (rather than rejects) at the
     /// first start on or past the deadline, so a subtree may only be
@@ -117,15 +109,11 @@ struct Agg {
 
 impl Agg {
     fn of(slot: &Slot) -> Agg {
-        let len = slot.length().ticks();
         Agg {
             count: 1,
-            total_len: len,
+            total_len: slot.length().ticks(),
             min_end: slot.end().ticks(),
             max_end: slot.end().ticks(),
-            min_price: slot.price_per_unit(),
-            min_len: len,
-            max_len: len,
             max_start: slot.start().ticks(),
             max_capacity: capacity_of(slot),
         }
@@ -136,9 +124,6 @@ impl Agg {
         self.total_len += child.total_len;
         self.min_end = self.min_end.min(child.min_end);
         self.max_end = self.max_end.max(child.max_end);
-        self.min_price = self.min_price.min_of(child.min_price);
-        self.min_len = self.min_len.min(child.min_len);
-        self.max_len = self.max_len.max(child.max_len);
         self.max_start = self.max_start.max(child.max_start);
         self.max_capacity = self.max_capacity.max(child.max_capacity);
     }
@@ -302,36 +287,6 @@ impl TreeSlots {
         } else {
             TimeDelta::new(self.arena[self.root as usize].agg.total_len)
         }
-    }
-
-    /// Latest span end across all slots, if any — O(1).
-    #[must_use]
-    pub fn max_end(&self) -> Option<TimePoint> {
-        (self.root != NIL).then(|| TimePoint::new(self.arena[self.root as usize].agg.max_end))
-    }
-
-    /// Earliest span end across all slots, if any — O(1).
-    #[must_use]
-    pub fn min_end(&self) -> Option<TimePoint> {
-        (self.root != NIL).then(|| TimePoint::new(self.arena[self.root as usize].agg.min_end))
-    }
-
-    /// Cheapest price per unit across all slots, if any — O(1).
-    #[must_use]
-    pub fn min_price_per_unit(&self) -> Option<Money> {
-        (self.root != NIL).then(|| self.arena[self.root as usize].agg.min_price)
-    }
-
-    /// Shortest slot length, if any — O(1).
-    #[must_use]
-    pub fn min_length(&self) -> Option<TimeDelta> {
-        (self.root != NIL).then(|| TimeDelta::new(self.arena[self.root as usize].agg.min_len))
-    }
-
-    /// Longest slot length, if any — O(1).
-    #[must_use]
-    pub fn max_length(&self) -> Option<TimeDelta> {
-        (self.root != NIL).then(|| TimeDelta::new(self.arena[self.root as usize].agg.max_len))
     }
 
     /// Looks a slot up by id — O(1) via the id index.
@@ -502,41 +457,6 @@ impl TreeSlots {
         if node.slot.start() < span.end() {
             self.collect_overlapping(node.right, span, out);
         }
-    }
-
-    /// The start of the first slot (in `(start, id)` order) whose work
-    /// capacity covers `volume` and, under a `deadline`, that starts
-    /// strictly before it — the earliest window start at which an AEP
-    /// scan over this store could admit anything. An aggregate descent
-    /// over `max_capacity`: O(log m) when feasible slots are plentiful,
-    /// O(m) worst case, O(1) proof of emptiness when no slot anywhere is
-    /// long enough.
-    #[must_use]
-    pub fn first_feasible_start(&self, volume: u64, deadline: Option<i64>) -> Option<TimePoint> {
-        self.first_feasible(self.root, volume, deadline)
-            .map(Slot::start)
-    }
-
-    fn first_feasible(&self, at: u32, volume: u64, deadline: Option<i64>) -> Option<&Slot> {
-        if at == NIL {
-            return None;
-        }
-        let node = &self.arena[at as usize];
-        if node.agg.max_capacity < u128::from(volume) {
-            return None;
-        }
-        if let Some(found) = self.first_feasible(node.left, volume, deadline) {
-            return Some(found);
-        }
-        // Starts ascend in-order: once one reaches the deadline, so does
-        // everything after it.
-        if deadline.is_some_and(|d| node.slot.start().ticks() >= d) {
-            return None;
-        }
-        if capacity_of(&node.slot) >= u128::from(volume) {
-            return Some(&node.slot);
-        }
-        self.first_feasible(node.right, volume, deadline)
     }
 
     /// Iterates slots in `(start, id)` order, skipping — whole subtrees
@@ -896,6 +816,7 @@ impl<'a> Iterator for PrunedCursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::money::Money;
     use crate::node::Performance;
 
     fn slot(id: u64, node: u32, a: i64, b: i64) -> Slot {
@@ -986,19 +907,6 @@ mod tests {
             assert_eq!(t.nth(i), Some(s));
         }
         assert_eq!(t.nth(50), None);
-    }
-
-    #[test]
-    fn aggregates_expose_extremes() {
-        let mut t = TreeSlots::new();
-        t.insert(slot(0, 0, 0, 10));
-        t.insert(slot(1, 1, 5, 40));
-        t.insert(slot(2, 2, 20, 25));
-        assert_eq!(t.max_end(), Some(TimePoint::new(40)));
-        assert_eq!(t.min_end(), Some(TimePoint::new(10)));
-        assert_eq!(t.min_length(), Some(TimeDelta::new(5)));
-        assert_eq!(t.max_length(), Some(TimeDelta::new(35)));
-        assert_eq!(t.total_free_time(), TimeDelta::new(50));
     }
 
     #[test]
@@ -1217,38 +1125,6 @@ mod tests {
         assert_eq!(cursor.windows_jumped(), 1);
         // Breaking here must not have tallied the shorts after id 2.
         drop(cursor);
-    }
-
-    #[test]
-    fn first_feasible_start_matches_linear_scan() {
-        let mut t = TreeSlots::new();
-        for id in 0..80u64 {
-            let start = (id as i64 * 29) % 157;
-            t.insert(slot(
-                id,
-                (id % 6) as u32,
-                start,
-                start + 1 + (id as i64 * 7) % 23,
-            ));
-        }
-        let sorted = t.to_sorted_vec();
-        for volume in [0u64, 1, 7, 20, 40, 46, 47, 100, 1_000] {
-            for deadline in [None, Some(0i64), Some(1), Some(80), Some(156), Some(157)] {
-                let linear = sorted
-                    .iter()
-                    .find(|s| {
-                        capacity_of(s) >= u128::from(volume)
-                            && deadline.is_none_or(|d| s.start().ticks() < d)
-                    })
-                    .map(Slot::start);
-                assert_eq!(
-                    t.first_feasible_start(volume, deadline),
-                    linear,
-                    "volume {volume}, deadline {deadline:?}"
-                );
-            }
-        }
-        assert_eq!(TreeSlots::new().first_feasible_start(0, None), None);
     }
 
     #[test]

@@ -327,6 +327,7 @@ proptest! {
         let mut vec_list = SlotList::from_slots_in(SlotStoreKind::Vec, slots.clone());
         let mut tree_list = SlotList::from_slots_in(SlotStoreKind::Tree, slots);
         prop_assert_eq!(&vec_list, &tree_list);
+        prop_assert!(tree_list.as_tree().expect("tree-backed").check_invariants());
         for (op, pick, lo, hi) in ops {
             if vec_list.is_empty() {
                 break;
@@ -382,6 +383,9 @@ proptest! {
             prop_assert_eq!(&vec_list, &tree_list);
             prop_assert_eq!(vec_list.stats(), tree_list.stats());
             prop_assert!(tree_list.is_sorted());
+            // Every subtree aggregate (count, free time, span ends, latest
+            // start, work capacity) still matches its slots.
+            prop_assert!(tree_list.as_tree().expect("tree-backed").check_invariants());
         }
         // Conversion round-trips the mutated state both ways.
         let mut down = tree_list.clone();
@@ -390,98 +394,6 @@ proptest! {
         let mut up = vec_list.clone();
         up.convert(SlotStoreKind::Tree);
         prop_assert_eq!(&up, &tree_list);
-    }
-
-    #[test]
-    fn first_feasible_start_agrees_across_backends_under_mutation(
-        slots in arb_slots(20),
-        volume in 1u64..4_000,
-        deadline_probe in (any::<bool>(), 0i64..1_600),
-        ops in prop::collection::vec((0u8..5, 0usize..64, 0.0f64..1.0, 0.0f64..1.0), 0..12),
-    ) {
-        let deadline = deadline_probe.0.then_some(deadline_probe.1);
-        // The aggregate-derived answer (tree descent on `max_capacity`) and
-        // the Vec linear scan must agree with an inline oracle on every
-        // probe, after every mutation, including volumes sitting exactly on
-        // a slot's capacity boundary.
-        let probe = |vec_list: &SlotList, tree_list: &SlotList| -> Result<(), TestCaseError> {
-            let mut volumes = vec![1u64, volume];
-            for s in vec_list.iter().take(3) {
-                let capacity = s.length().ticks() as u64 * u64::from(s.performance().rate());
-                volumes.push(capacity.max(1));
-                volumes.push(capacity + 1);
-            }
-            let deadlines = [None, deadline.map(TimePoint::new)];
-            for &work in &volumes {
-                for &cutoff in &deadlines {
-                    let v = Volume::new(work);
-                    let oracle = vec_list
-                        .iter()
-                        .find(|s| {
-                            s.length() >= s.time_for(v)
-                                && cutoff.is_none_or(|d| s.start() < d)
-                        })
-                        .map(|s| s.start());
-                    prop_assert_eq!(vec_list.first_feasible_start(v, cutoff), oracle);
-                    prop_assert_eq!(tree_list.first_feasible_start(v, cutoff), oracle);
-                }
-            }
-            Ok(())
-        };
-
-        let mut vec_list = SlotList::from_slots_in(SlotStoreKind::Vec, slots.clone());
-        let mut tree_list = SlotList::from_slots_in(SlotStoreKind::Tree, slots);
-        probe(&vec_list, &tree_list)?;
-        for (op, pick, lo, hi) in ops {
-            if vec_list.is_empty() {
-                break;
-            }
-            let index = pick % vec_list.len();
-            let slot = *vec_list.nth(index).expect("index in range");
-            match op {
-                0 | 1 => {
-                    let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-                    let len = slot.length().ticks();
-                    let a = (len as f64 * lo).floor() as i64;
-                    let b = (len as f64 * hi).floor() as i64;
-                    if b <= a {
-                        continue;
-                    }
-                    let reserved = Interval::new(
-                        slot.start() + TimeDelta::new(a),
-                        slot.start() + TimeDelta::new(b),
-                    );
-                    vec_list.cut(&[(slot.id(), reserved)], TimeDelta::ZERO).expect("inside span");
-                    tree_list.cut(&[(slot.id(), reserved)], TimeDelta::ZERO).expect("inside span");
-                    let clear = !vec_list
-                        .iter()
-                        .any(|s| s.node() == slot.node() && s.span().overlaps(&reserved));
-                    if op == 0 && clear {
-                        vec_list.release(
-                            slot.node(), reserved, slot.performance(), slot.price_per_unit(),
-                        );
-                        tree_list.release(
-                            slot.node(), reserved, slot.performance(), slot.price_per_unit(),
-                        );
-                    }
-                }
-                2 => {
-                    vec_list.prune_ended_by(slot.start());
-                    tree_list.prune_ended_by(slot.start());
-                }
-                3 => {
-                    let residue = pick as u64 % 5;
-                    vec_list.retain(|s| s.id().0 % 5 != residue);
-                    tree_list.retain(|s| s.id().0 % 5 != residue);
-                }
-                _ => {
-                    vec_list.remove_node_slots(slot.node());
-                    tree_list.remove_node_slots(slot.node());
-                }
-            }
-            prop_assert_eq!(&vec_list, &tree_list);
-            probe(&vec_list, &tree_list)?;
-        }
     }
 
     #[test]

@@ -145,6 +145,13 @@ fn records_within(records: &[String], resume_len: u64) -> usize {
 /// then for every `stride`-th prefix length `k` (the full stream is always
 /// included) recovers and resumes, collecting every divergence from the
 /// reference report. An empty result means the crash property held.
+///
+/// A `k`-record prefix of the reference stream is the journal a crash
+/// after `k` appends leaves behind. Treating all `k` records as durable is
+/// stricter than real fsync batching, where a crash also loses the
+/// uncommitted tail: losing more records is the same as crashing at a
+/// smaller `k`, so sweeping `k` over every append index covers every real
+/// crash point.
 #[must_use]
 pub fn check_crash_case(case: &CrashCase, stride: usize) -> Vec<CrashFailure> {
     let mut journal = MemoryJournal::new();

@@ -60,8 +60,10 @@ impl LiveDaemon {
     /// `flight_cycles` cycles. Without `journal_dir` it runs unjournaled.
     /// With one it starts a fresh journal there, or with `recover` resumes
     /// the live journal it finds (a directory without one starts fresh),
-    /// snapshotting every `snapshot_every` barriers. Returns the daemon
-    /// and, after `recover`, the line that says what recovery found.
+    /// snapshotting every `snapshot_every` barriers (a resumed format-1
+    /// journal writes none, as its recovery reads none). Returns the
+    /// daemon and, after `recover`, the line that says what recovery
+    /// found.
     ///
     /// # Errors
     ///
@@ -100,13 +102,16 @@ impl LiveDaemon {
                             ""
                         },
                     ));
-                    let journal = DurableJournal::resume_at(
+                    let mut journal = DurableJournal::resume_at(
                         dir,
                         recovered.resume_len,
                         recovered.barriers,
                         snapshot_every,
                     )
                     .map_err(io_error(dir))?;
+                    if recovered.format == 1 {
+                        journal = journal.without_snapshots();
+                    }
                     (recovered.service, Some(journal))
                 }
                 Some(Err(error)) if !matches!(error, RecoverError::EmptyJournal) => {

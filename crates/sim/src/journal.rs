@@ -608,7 +608,9 @@ pub fn recover(dir: &Path) -> Result<RecoveredRun, RecoverError> {
 pub struct DurableJournal {
     wal: WalJournal,
     snapshots: SnapshotStore,
-    snapshot_every: u32,
+    /// The snapshot cadence; `None` after
+    /// [`without_snapshots`](Self::without_snapshots).
+    snapshot_every: Option<u32>,
     barriers: u64,
     saved_generation: u64,
     snapshot_error: Option<std::io::Error>,
@@ -632,7 +634,7 @@ impl DurableJournal {
         Ok(DurableJournal {
             wal,
             snapshots,
-            snapshot_every,
+            snapshot_every: Some(snapshot_every),
             barriers: 0,
             saved_generation: 0,
             snapshot_error: None,
@@ -672,11 +674,20 @@ impl DurableJournal {
         Ok(DurableJournal {
             wal,
             snapshots,
-            snapshot_every,
+            snapshot_every: Some(snapshot_every),
             barriers,
             saved_generation: barriers,
             snapshot_error: None,
         })
+    }
+
+    /// Stops every snapshot, the cadence's and the final one of
+    /// [`finish_with_snapshot`](Self::finish_with_snapshot), for a journal
+    /// whose recovery reads none. The snapshots already on disk stay.
+    #[must_use]
+    pub fn without_snapshots(mut self) -> Self {
+        self.snapshot_every = None;
+        self
     }
 
     /// Flushes and fsyncs the tail and surfaces the first error (WAL or
@@ -692,10 +703,11 @@ impl DurableJournal {
 
     /// [`finish`](Self::finish), first saving `full` — the state as of
     /// the last barrier — as a final snapshot when the cadence has not
-    /// already saved that barrier: the graceful-shutdown contract.
+    /// already saved that barrier and snapshots are on: the
+    /// graceful-shutdown contract.
     pub fn finish_with_snapshot(mut self, full: &dyn Fn() -> String) -> std::io::Result<()> {
         self.commit();
-        if self.barriers > self.saved_generation {
+        if self.snapshot_every.is_some() && self.barriers > self.saved_generation {
             self.save_snapshot(full);
         }
         self.finish()
@@ -741,62 +753,13 @@ impl Journal for DurableJournal {
 
     fn checkpoint(&mut self, full: &dyn Fn() -> String) {
         self.barriers += 1;
-        if self.barriers.is_multiple_of(u64::from(self.snapshot_every)) {
+        if self
+            .snapshot_every
+            .is_some_and(|every| self.barriers.is_multiple_of(u64::from(every)))
+        {
             self.save_snapshot(full);
         }
     }
-}
-
-/// A journal that simulates a crash: it records the first `k` appends
-/// and drops everything after — the crash-at-any-event harness.
-///
-/// Treating all `k` surviving appends as durable is *stricter* than real
-/// fsync batching, where a crash also loses the uncommitted tail: losing
-/// more records is equivalent to a crash at a smaller `k`, so sweeping
-/// `k` over every append index covers every real crash point.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CrashJournal {
-    kept: Vec<String>,
-    remaining: u64,
-    dropped: u64,
-}
-
-impl CrashJournal {
-    /// A journal that "crashes" after `k` appended records.
-    #[must_use]
-    pub fn new(k: u64) -> Self {
-        CrashJournal {
-            kept: Vec::new(),
-            remaining: k,
-            dropped: 0,
-        }
-    }
-
-    /// The records that survived the crash.
-    #[must_use]
-    pub fn records(&self) -> &[String] {
-        &self.kept
-    }
-
-    /// How many appends were lost to the crash; 0 means the run fit
-    /// entirely before the crash point.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl Journal for CrashJournal {
-    fn append(&mut self, payload: &str) {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            self.kept.push(payload.to_string());
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    fn commit(&mut self) {}
 }
 
 #[cfg(test)]
@@ -919,18 +882,6 @@ mod tests {
             recover(&dir),
             Err(RecoverError::SnapshotDecode { .. })
         ));
-    }
-
-    #[test]
-    fn crash_journal_keeps_exactly_the_first_k_appends() {
-        let mut crash = CrashJournal::new(2);
-        crash.append("a");
-        crash.commit();
-        crash.append("b");
-        crash.append("c");
-        crash.commit();
-        assert_eq!(crash.records(), ["a", "b"]);
-        assert_eq!(crash.dropped(), 1);
     }
 
     #[test]

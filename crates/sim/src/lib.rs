@@ -62,8 +62,7 @@ pub use config::{QualityConfig, RequestConfig};
 pub use daemon::LiveDaemon;
 pub use disruption::{DisruptionConfig, DisruptionEvent, DisruptionModel, DisruptionModelState};
 pub use journal::{
-    recover, replay, CrashJournal, DurableJournal, JournalRecord, RecoverError, RecoveredRun,
-    RollingState,
+    recover, replay, DurableJournal, JournalRecord, RecoverError, RecoveredRun, RollingState,
 };
 pub use metrics::{MetricsAccumulator, RunningStats, SurvivalMetrics, WindowMetrics};
 pub use parallel::Parallelism;

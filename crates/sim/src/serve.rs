@@ -830,6 +830,9 @@ pub struct RecoveredService {
     /// The cycle of the snapshot replay started from; `None` when it
     /// started from the state generated from the header's config.
     pub snapshot_cycle: Option<u64>,
+    /// The journal format the header names: 1 (no number) or 2.
+    /// Recovery of a format-1 journal reads none of its snapshots.
+    pub format: u64,
 }
 
 /// The live metascheduler: persistent sharded platform state, tenant
@@ -1953,6 +1956,7 @@ pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
         discarded_tail: tail.torn,
         resubmitted,
         snapshot_cycle,
+        format,
     })
 }
 

@@ -22,9 +22,7 @@ use slotsel_env::{EnvironmentConfig, NodeGenConfig};
 use slotsel_obs::journal::MemoryJournal;
 use slotsel_obs::Obs;
 use slotsel_sim::disruption::DisruptionConfig;
-use slotsel_sim::journal::{
-    journal_path, recover, replay, CrashJournal, DurableJournal, RecoverError,
-};
+use slotsel_sim::journal::{journal_path, recover, replay, DurableJournal, RecoverError};
 use slotsel_sim::recovery::RecoveryPolicy;
 use slotsel_sim::rolling::{
     resume_with_recovery_observed, simulate_with_recovery, simulate_with_recovery_observed,
@@ -189,19 +187,6 @@ fn crash_sweep_covers_abandon_and_migrate_policies() {
             assert_crash_point_recovers(&records, k, &report, context);
         }
         assert_crash_point_recovers(&records, records.len(), &report, context);
-    }
-}
-
-#[test]
-fn crash_journal_observes_the_reference_prefix() {
-    let config = disrupted_config(RecoveryPolicy::Migrate, 99);
-    let (_, records) = reference(&config, batch(5));
-    for k in [0usize, 1, records.len() / 2, records.len() + 10] {
-        let mut crash = CrashJournal::new(k as u64);
-        let _ = simulate_with_recovery_observed(&config, batch(5), &mut Obs::dark(), &mut crash);
-        let kept = k.min(records.len());
-        assert_eq!(crash.records(), &records[..kept]);
-        assert_eq!(crash.dropped(), (records.len() - kept) as u64);
     }
 }
 

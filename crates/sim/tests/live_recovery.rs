@@ -35,11 +35,14 @@
 //!    300-cycle run;
 //! 6. allocations per submit that do not grow with the jobs table.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+// Only the allocation count of `cost_of` is read here, not the peak.
+#[allow(dead_code)]
+mod counting_alloc;
+
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
+use counting_alloc::cost_of;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -300,6 +303,7 @@ fn sweep(run: &Run, records: &[String], tag: &str) {
         write_snapshots(&dir, files);
         let recovered = recover_live(&dir)
             .unwrap_or_else(|error| panic!("prefix of {k} records must recover: {error}"));
+        assert_eq!(recovered.format, if reads_snapshots { 2 } else { 1 });
         match recovered.snapshot_cycle {
             Some(_) => from_snapshot += 1,
             None => fresh += 1,
@@ -1125,6 +1129,7 @@ fn assert_fixture_recovers_and_continues(
     assert!(!header.contains("\"format\""), "{header}");
     let run = drive_into(config, cycles, hard, MemoryJournal::new(), None);
     let recovered = recover_live(dir).unwrap();
+    assert_eq!(recovered.format, 1);
     assert_eq!(recovered.snapshot_cycle, None);
     assert_eq!(recovered.barriers, cycles);
     assert_eq!(recovered.service, run.service);
@@ -1652,50 +1657,6 @@ fn free_slot_lists_match_the_golden_digests() {
     assert_eq!(pinned, GOLDEN, "{pinned:#x?}");
 }
 
-/// Counts this thread's heap allocations, so tests running on other
-/// threads do not disturb the count.
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_allocation() {
-    // `try_with` fails only while the thread's locals are torn down.
-    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
-}
-
-// SAFETY: every method delegates to the system allocator unchanged; the
-// only addition is a thread-local counter increment, which never
-// allocates (a `const` Cell needs no lazy initialisation or destructor).
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
-        // SAFETY: forwarded under the caller's layout contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator with the same layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
-        // SAFETY: forwarded under the caller's layout contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL_ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let result = f();
-    (ALLOCATIONS.with(Cell::get) - before, result)
-}
-
 #[test]
 fn submit_allocations_do_not_grow_with_the_jobs_table() {
     let mut service = LiveService::new(config(3));
@@ -1711,11 +1672,15 @@ fn submit_allocations_do_not_grow_with_the_jobs_table() {
     for tenant in ["bob", "carol"] {
         service.submit(&submission(tenant)).unwrap();
     }
-    let (few, _) = allocations_of(|| service.submit(&submission("bob")).unwrap());
+    let few = cost_of(|| service.submit(&submission("bob")).unwrap())
+        .0
+        .allocations;
     for index in 0..300 {
         service.submit(&submission(TENANTS[1 + index % 2])).unwrap();
     }
-    let (many, _) = allocations_of(|| service.submit(&submission("bob")).unwrap());
+    let many = cost_of(|| service.submit(&submission("bob")).unwrap())
+        .0
+        .allocations;
     // Rebuilding usage once allocated a tenant key per queued job. Either
     // push may grow the jobs Vec, which is one reallocation.
     assert!(

@@ -1125,13 +1125,16 @@ fn live_serve_writes_format_2_and_recovers_a_format_1_journal() {
     let fixture =
         Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/sim/tests/fixtures/platform-snapshots");
     let dir = temp_path("live-format-1");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(dir.join("snapshots")).unwrap();
-    std::fs::copy(fixture.join("journal.wal"), dir.join("journal.wal")).unwrap();
-    for entry in std::fs::read_dir(fixture.join("snapshots")).unwrap() {
-        let entry = entry.unwrap();
-        std::fs::copy(entry.path(), dir.join("snapshots").join(entry.file_name())).unwrap();
-    }
+    let copy_fixture = || {
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("snapshots")).unwrap();
+        std::fs::copy(fixture.join("journal.wal"), dir.join("journal.wal")).unwrap();
+        for entry in std::fs::read_dir(fixture.join("snapshots")).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), dir.join("snapshots").join(entry.file_name())).unwrap();
+        }
+    };
+    copy_fixture();
     let (mut child, addr, preamble) =
         spawn_live_logged(&["--journal-dir", dir.to_str().unwrap(), "--recover"]);
     assert!(
@@ -1150,6 +1153,64 @@ fn live_serve_writes_format_2_and_recovers_a_format_1_journal() {
     live_request(&addr, "POST", "/shutdown", "");
     let status = child.wait().expect("daemon exits");
     assert!(status.success(), "clean shutdown");
+
+    // Recovery of a format-1 journal reads none of its snapshots, so the
+    // resumed daemon writes none: not at its cadence, not at shutdown.
+    // The fixture's two snapshots stay as they are, unpruned.
+    let snapshots = |dir: &Path| {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir.join("snapshots"))
+            .unwrap()
+            .map(|entry| {
+                let entry = entry.unwrap();
+                let name = entry.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(entry.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let assert_fixture_snapshots = || {
+        let (kept, committed) = (snapshots(&dir), snapshots(&fixture));
+        let names = |files: &[(String, Vec<u8>)]| {
+            files
+                .iter()
+                .map(|(name, _)| name.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(names(&kept), names(&committed));
+        assert!(kept == committed, "a fixture snapshot was rewritten");
+    };
+    copy_fixture();
+    let run = |cycles: &str| {
+        slotsel(&[
+            "serve",
+            "--live",
+            "--addr",
+            "127.0.0.1:0",
+            "--cycles",
+            cycles,
+            "--cycle-ms",
+            "1",
+            "--snapshot-every",
+            "2",
+            "--journal-dir",
+            dir.to_str().unwrap(),
+            "--recover",
+        ])
+    };
+    let out = run("5");
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert_fixture_snapshots();
+    // The continued journal still recovers from record 1, past the five
+    // cycles this build appended.
+    let out = run("1");
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(
+        stdout(&out).contains("recover: resuming live service at cycle 17"),
+        "{}",
+        stdout(&out)
+    );
+    assert_fixture_snapshots();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
