@@ -4,7 +4,7 @@
 //! arena-allocated treap ordered by the scan key `(start, id)` — the same
 //! total order the sorted-`Vec` store and every AEP scan rely on — with
 //! **subtree aggregates** maintained on every path touched by a mutation:
-//! slot count, summed free time, min/max span end, latest slot start and
+//! slot count, summed free time, earliest span end, latest slot start and
 //! maximum work capacity (`length × rate`). Two secondary indexes complete
 //! the picture: a hash map from [`SlotId`] to arena position (O(1)
 //! [`TreeSlots::get`]) and an ordered per-node index (O(log m) adjacency
@@ -94,8 +94,6 @@ struct Agg {
     total_len: i64,
     /// Earliest span end in the subtree, in ticks.
     min_end: i64,
-    /// Latest span end in the subtree, in ticks.
-    max_end: i64,
     /// Latest slot start in the subtree, in ticks. Gates subtree skipping
     /// under a deadline: the scan *breaks* (rather than rejects) at the
     /// first start on or past the deadline, so a subtree may only be
@@ -113,7 +111,6 @@ impl Agg {
             count: 1,
             total_len: slot.length().ticks(),
             min_end: slot.end().ticks(),
-            max_end: slot.end().ticks(),
             max_start: slot.start().ticks(),
             max_capacity: capacity_of(slot),
         }
@@ -123,7 +120,6 @@ impl Agg {
         self.count += child.count;
         self.total_len += child.total_len;
         self.min_end = self.min_end.min(child.min_end);
-        self.max_end = self.max_end.max(child.max_end);
         self.max_start = self.max_start.max(child.max_start);
         self.max_capacity = self.max_capacity.max(child.max_capacity);
     }
@@ -430,33 +426,6 @@ impl TreeSlots {
             out.push(node.slot.id());
         }
         self.collect_ended_by(node.right, cutoff, out);
-    }
-
-    /// Slots whose span overlaps `span` (classic interval stabbing),
-    /// pruned by the `max_end` aggregate and the start-ordered key:
-    /// O(log m + k) for `k` reported slots.
-    pub fn overlapping<'a>(&'a self, span: &Interval, out: &mut Vec<&'a Slot>) {
-        self.collect_overlapping(self.root, span, out);
-    }
-
-    fn collect_overlapping<'a>(&'a self, at: u32, span: &Interval, out: &mut Vec<&'a Slot>) {
-        if at == NIL {
-            return;
-        }
-        let node = &self.arena[at as usize];
-        // No slot in this subtree ends after span.start: nothing overlaps.
-        if node.agg.max_end <= span.start().ticks() {
-            return;
-        }
-        self.collect_overlapping(node.left, span, out);
-        if node.slot.span().overlaps(span) {
-            out.push(&node.slot);
-        }
-        // Keys to the right start at or after this start; once starts
-        // pass span.end nothing further can overlap.
-        if node.slot.start() < span.end() {
-            self.collect_overlapping(node.right, span, out);
-        }
     }
 
     /// Iterates slots in `(start, id)` order, skipping — whole subtrees
@@ -946,29 +915,6 @@ mod tests {
         assert_eq!(dropped, 16, "slots 0..=15 end at <= 25");
         assert!(t.iter().all(|s| s.end() > TimePoint::new(25)));
         assert!(t.check_invariants());
-    }
-
-    #[test]
-    fn overlapping_reports_stabbed_slots() {
-        let mut t = TreeSlots::new();
-        t.insert(slot(0, 0, 0, 10));
-        t.insert(slot(1, 1, 5, 15));
-        t.insert(slot(2, 2, 20, 30));
-        t.insert(slot(3, 3, 12, 22));
-        let mut hits = Vec::new();
-        t.overlapping(
-            &Interval::new(TimePoint::new(8), TimePoint::new(21)),
-            &mut hits,
-        );
-        let mut ids: Vec<u64> = hits.iter().map(|s| s.id().0).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
-        let mut none = Vec::new();
-        t.overlapping(
-            &Interval::new(TimePoint::new(30), TimePoint::new(40)),
-            &mut none,
-        );
-        assert!(none.is_empty());
     }
 
     /// A spec with the given volume, no deadline, admitting platform.

@@ -27,7 +27,14 @@ use crate::span::SpanRecord;
 /// numbers), tracks become tids.
 #[must_use]
 pub fn render(groups: &[(u64, &[SpanRecord])]) -> String {
-    let mut events = Vec::new();
+    let mut document = String::from("{\"traceEvents\":[");
+    let mut push = |event: ObjectWriter| {
+        // Only the first event follows the array's `[`.
+        if !document.ends_with('[') {
+            document.push(',');
+        }
+        document.push_str(&event.finish());
+    };
 
     // Metadata: name each process and thread so the viewer's sidebar
     // reads "cycle 12 / shard 1" instead of bare numbers.
@@ -39,14 +46,14 @@ pub fn render(groups: &[(u64, &[SpanRecord])]) -> String {
     for &(pid, tid) in &tracks {
         if seen_pid != Some(pid) {
             seen_pid = Some(pid);
-            events.push(metadata("process_name", pid, 0, &format!("cycle {pid}")));
+            push(metadata("process_name", pid, 0, &format!("cycle {pid}")));
         }
         let label = if tid == 0 {
             "main".to_owned()
         } else {
             format!("track {tid}")
         };
-        events.push(metadata("thread_name", pid, tid, &label));
+        push(metadata("thread_name", pid, tid, &label));
     }
 
     for (pid, records) in groups {
@@ -70,17 +77,15 @@ pub fn render(groups: &[(u64, &[SpanRecord])]) -> String {
                 event.str_field("s", "t");
             }
             event.object_field("args", args);
-            events.push(event.finish());
+            push(event);
         }
     }
-    format!(
-        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}",
-        events.join(",")
-    )
+    document.push_str("],\"displayTimeUnit\":\"ms\"}");
+    document
 }
 
 /// One `"M"` event naming a process or thread.
-fn metadata(kind: &str, pid: u64, tid: u32, label: &str) -> String {
+fn metadata(kind: &str, pid: u64, tid: u32, label: &str) -> ObjectWriter {
     let mut args = ObjectWriter::new();
     args.str_field("name", label);
     let mut event = ObjectWriter::new();
@@ -89,7 +94,7 @@ fn metadata(kind: &str, pid: u64, tid: u32, label: &str) -> String {
     event.u64_field("pid", pid);
     event.u64_field("tid", u64::from(tid));
     event.object_field("args", args);
-    event.finish()
+    event
 }
 
 /// What [`validate`] verified about a trace document.

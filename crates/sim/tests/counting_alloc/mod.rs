@@ -75,3 +75,9 @@ pub fn cost_of<R>(f: impl FnOnce() -> R) -> (Cost, R) {
     };
     (cost, result)
 }
+
+/// This thread's live heap bytes: what it has allocated and not freed.
+#[allow(dead_code)] // read by the tests that pin retained bytes
+pub fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
+}
