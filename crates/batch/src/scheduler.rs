@@ -17,7 +17,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use slotsel_obs::{Obs, SpanId, Stopwatch, TraceEvent};
+use slotsel_obs::{Obs, TraceEvent};
 
 use slotsel_core::money::Money;
 use slotsel_core::node::Platform;
@@ -268,14 +268,8 @@ impl BatchScheduler {
         obs: &mut Obs<'_>,
     ) -> BatchSchedule {
         let metered = obs.metrics.enabled();
-        let spanning = obs.spans.enabled();
-        let root = if spanning {
-            let root = obs.spans.open("batch.schedule");
-            obs.spans.attr_u64("jobs", jobs.len() as u64);
-            root
-        } else {
-            SpanId::NONE
-        };
+        let root = obs.phase("batch.schedule");
+        obs.spans.attr_u64("jobs", jobs.len() as u64);
         let mut ordered: Vec<&Job> = jobs.iter().collect();
         ordered.sort_by_key(|j| (std::cmp::Reverse(j.priority()), j.id()));
 
@@ -292,12 +286,7 @@ impl BatchScheduler {
         // for itself many times over: every job's CSA search then cuts in
         // O(log m) and scans through the aggregate-pruned cursor, and the
         // promoted copy is shared (read-only) across all jobs.
-        let phase1 = if spanning {
-            Some(obs.spans.open("batch.phase1"))
-        } else {
-            None
-        };
-        let watch = Stopwatch::start_if(obs.recorder.enabled() || metered);
+        let phase1 = obs.timed_phase("batch.phase1");
         let promoted = promote_for_search(slots);
         let slots = promoted.as_ref().unwrap_or(slots);
         let default_search = SearchStrategy::Csa {
@@ -334,35 +323,18 @@ impl BatchScheduler {
                 found
             })
             .collect();
-        if let Some(watch) = watch {
-            let elapsed_ns = watch.elapsed_ns();
-            if obs.recorder.enabled() {
-                obs.recorder.time_ns("batch.phase1", elapsed_ns);
-            }
-            if metered {
-                obs.metrics.observe(
-                    "slotsel_batch_phase_seconds",
-                    &[("phase", "alternatives")],
-                    elapsed_ns as f64 * 1e-9,
-                );
-            }
+        if obs.spans.enabled() {
+            let found = alternatives.iter().map(Vec::len).sum::<usize>();
+            obs.spans.attr_u64("alternatives", found as u64);
         }
-        if let Some(span) = phase1 {
-            obs.spans.attr_u64(
-                "alternatives",
-                alternatives.iter().map(Vec::len).sum::<usize>() as u64,
-            );
-            obs.spans.close(span);
-        }
+        phase1.end(
+            obs,
+            Some(("slotsel_batch_phase_seconds", &[("phase", "alternatives")])),
+        );
 
         // Phase 2: one alternative per schedulable job, extreme by the
         // batch objective under the VO budget.
-        let phase2 = if spanning {
-            Some(obs.spans.open("batch.phase2"))
-        } else {
-            None
-        };
-        let watch = Stopwatch::start_if(obs.recorder.enabled() || metered);
+        let phase2 = obs.timed_phase("batch.phase2");
         let schedulable: Vec<usize> = alternatives
             .iter()
             .enumerate()
@@ -410,45 +382,28 @@ impl BatchScheduler {
         let preferred: Vec<usize> = exact
             .or(greedy)
             .map_or_else(|| vec![0; schedulable.len()], |s| s.chosen);
-        if obs.recorder.enabled() {
+        // The event and the span both carry the item count; a dark sink
+        // ignores its half.
+        if obs.recorder.enabled() || obs.spans.enabled() {
+            let items = classes.iter().map(Vec::len).sum::<usize>() as u64;
             obs.recorder.emit(TraceEvent::MckpSolved {
                 classes: classes.len() as u64,
-                items: classes.iter().map(Vec::len).sum::<usize>() as u64,
+                items,
                 exact: solved_exactly,
             });
-        }
-        if metered {
-            obs.metrics
-                .counter_add("slotsel_mckp_total", &[("mode", mckp_mode)], 1);
-        }
-        if let Some(watch) = watch {
-            let elapsed_ns = watch.elapsed_ns();
-            if obs.recorder.enabled() {
-                obs.recorder.time_ns("batch.phase2", elapsed_ns);
-            }
-            if metered {
-                obs.metrics.observe(
-                    "slotsel_batch_phase_seconds",
-                    &[("phase", "mckp")],
-                    elapsed_ns as f64 * 1e-9,
-                );
-            }
-        }
-        if let Some(span) = phase2 {
             obs.spans.attr_u64("classes", classes.len() as u64);
-            obs.spans
-                .attr_u64("items", classes.iter().map(Vec::len).sum::<usize>() as u64);
+            obs.spans.attr_u64("items", items);
             obs.spans.attr_str("mode", mckp_mode);
-            obs.spans.close(span);
         }
+        obs.metrics
+            .counter_add("slotsel_mckp_total", &[("mode", mckp_mode)], 1);
+        phase2.end(
+            obs,
+            Some(("slotsel_batch_phase_seconds", &[("phase", "mckp")])),
+        );
 
         // Commit in priority order with conflict resolution.
-        let commit = if spanning {
-            Some(obs.spans.open("batch.commit"))
-        } else {
-            None
-        };
-        let watch = Stopwatch::start_if(obs.recorder.enabled() || metered);
+        let commit = obs.timed_phase("batch.commit");
         let mut committed: Vec<Window> = Vec::new();
         let mut spent = Money::ZERO;
         let mut assignments: Vec<Assignment> = Vec::with_capacity(ordered.len());
@@ -499,25 +454,13 @@ impl BatchScheduler {
                 alternatives_found: alts.len(),
             });
         }
-        if let Some(watch) = watch {
-            let elapsed_ns = watch.elapsed_ns();
-            if obs.recorder.enabled() {
-                obs.recorder.time_ns("batch.commit", elapsed_ns);
-            }
-            if metered {
-                obs.metrics.observe(
-                    "slotsel_batch_phase_seconds",
-                    &[("phase", "commit")],
-                    elapsed_ns as f64 * 1e-9,
-                );
-            }
-        }
         let schedule = BatchSchedule { assignments };
-        if let Some(span) = commit {
-            obs.spans.attr_u64("committed", schedule.scheduled() as u64);
-            obs.spans.attr_u64("deferred", schedule.deferred() as u64);
-            obs.spans.close(span);
-        }
+        obs.spans.attr_u64("committed", schedule.scheduled() as u64);
+        obs.spans.attr_u64("deferred", schedule.deferred() as u64);
+        commit.end(
+            obs,
+            Some(("slotsel_batch_phase_seconds", &[("phase", "commit")])),
+        );
         if metered {
             obs.metrics.counter_add("slotsel_batch_total", &[], 1);
             obs.metrics
@@ -535,9 +478,7 @@ impl BatchScheduler {
             obs.metrics
                 .gauge_set("slotsel_batch_spent_credits", &[], spent.as_f64());
         }
-        if spanning {
-            obs.spans.close(root);
-        }
+        root.end(obs, None);
         schedule
     }
 }

@@ -60,7 +60,7 @@
 //! # }
 //! ```
 
-use slotsel_obs::{NoopRecorder, Obs, Recorder, SpanId, Stopwatch, TraceEvent};
+use slotsel_obs::{NoopRecorder, Obs, Phase, Recorder, TraceEvent};
 
 use crate::node::Platform;
 use crate::pool::CandidatePool;
@@ -287,7 +287,8 @@ pub fn scan_with(
 ///
 /// The recorder is checked once: a dark one runs the scan loop
 /// monomorphised over [`NoopRecorder`], so the per-slot probes are dead
-/// code and [`Obs::dark`] costs nothing but three `enabled` checks.
+/// code and [`Obs::dark`] costs a few sink calls that read no clock and
+/// allocate nothing.
 #[must_use]
 pub fn scan_observed(
     platform: &Platform,
@@ -297,7 +298,7 @@ pub fn scan_observed(
     options: ScanOptions,
     obs: &mut Obs<'_>,
 ) -> ScanOutcome {
-    let report = ScanReport::open(obs);
+    let phase = obs.timed_phase("aep.scan");
     let (outcome, evictions) = if obs.recorder.enabled() {
         scan_body(
             platform,
@@ -310,7 +311,7 @@ pub fn scan_observed(
     } else {
         scan_body(platform, slots, request, policy, options, &mut NoopRecorder)
     };
-    report.close(obs, policy.name(), &outcome, evictions);
+    report_scan(obs, phase, policy.name(), &outcome, evictions);
     outcome
 }
 
@@ -338,106 +339,77 @@ fn scan_body<R: Recorder + ?Sized>(
 /// the metrics sink reads them.
 pub(crate) type Evictions = (u64, u64);
 
-/// The metrics and span side of one observed scan: [`open`](Self::open)
-/// before the body runs, [`close`](Self::close) after. The scan and the
+/// Reports one observed scan and ends its `"aep.scan"` phase: the scan's
+/// counters and histograms, and its span's attributes, both read off one
+/// tally list, so the two sinks cannot drift apart. The scan and the
 /// reference scan share it, so both report the same signals.
-pub(crate) struct ScanReport {
-    /// Whether the metrics sink is lit; the reference scan counts
-    /// evictions only then.
-    pub(crate) metered: bool,
-    span: Option<SpanId>,
-    watch: Option<Stopwatch>,
-}
-
-impl ScanReport {
-    pub(crate) fn open(obs: &mut Obs<'_>) -> Self {
-        let metered = obs.metrics.enabled();
-        let span = obs.spans.enabled().then(|| obs.spans.open("aep.scan"));
-        ScanReport {
-            metered,
-            span,
-            watch: Stopwatch::start_if(metered),
+pub(crate) fn report_scan(
+    obs: &mut Obs<'_>,
+    phase: Phase,
+    policy: &str,
+    outcome: &ScanOutcome,
+    (superseded, expired): Evictions,
+) {
+    let stats = &outcome.stats;
+    // (span attribute, metrics counter, value)
+    let tallies = [
+        (
+            "slots_admitted",
+            "slotsel_scan_slots_admitted_total",
+            stats.slots_admitted,
+        ),
+        (
+            "slots_rejected",
+            "slotsel_scan_slots_rejected_total",
+            stats.slots_rejected,
+        ),
+        (
+            "windows_evaluated",
+            "slotsel_scan_windows_evaluated_total",
+            stats.windows_evaluated,
+        ),
+        (
+            "subtrees_skipped",
+            "slotsel_scan_subtrees_skipped_total",
+            stats.subtrees_skipped,
+        ),
+        (
+            "windows_jumped",
+            "slotsel_scan_windows_jumped_total",
+            stats.windows_jumped,
+        ),
+        (
+            "found",
+            "slotsel_scan_windows_found_total",
+            usize::from(outcome.best.is_some()),
+        ),
+    ];
+    let labels = [("policy", policy)];
+    let metrics = obs.metrics;
+    if metrics.enabled() {
+        metrics.counter_add("slotsel_scan_total", &labels, 1);
+        for (attr, counter, value) in tallies {
+            // A scan that found nothing leaves the found series alone.
+            if attr != "found" || value > 0 {
+                metrics.counter_add(counter, &labels, value as u64);
+            }
+        }
+        metrics.counter_add("slotsel_pool_evicted_superseded_total", &labels, superseded);
+        metrics.counter_add("slotsel_pool_evicted_expired_total", &labels, expired);
+        #[allow(clippy::cast_precision_loss)]
+        metrics.observe(
+            "slotsel_scan_alive_peak",
+            &labels,
+            stats.peak_extended_window as f64,
+        );
+    }
+    if obs.spans.enabled() {
+        obs.spans.attr_str("policy", policy);
+        for (attr, _, value) in tallies {
+            obs.spans.attr_u64(attr, value as u64);
         }
     }
-
-    /// Emits the scan's counters and histograms and closes its span. Both
-    /// are read off one tally list, so the two sinks cannot drift apart.
-    pub(crate) fn close(
-        self,
-        obs: &mut Obs<'_>,
-        policy: &str,
-        outcome: &ScanOutcome,
-        (superseded, expired): Evictions,
-    ) {
-        let stats = &outcome.stats;
-        // (span attribute, metrics counter, value)
-        let tallies = [
-            (
-                "slots_admitted",
-                "slotsel_scan_slots_admitted_total",
-                stats.slots_admitted,
-            ),
-            (
-                "slots_rejected",
-                "slotsel_scan_slots_rejected_total",
-                stats.slots_rejected,
-            ),
-            (
-                "windows_evaluated",
-                "slotsel_scan_windows_evaluated_total",
-                stats.windows_evaluated,
-            ),
-            (
-                "subtrees_skipped",
-                "slotsel_scan_subtrees_skipped_total",
-                stats.subtrees_skipped,
-            ),
-            (
-                "windows_jumped",
-                "slotsel_scan_windows_jumped_total",
-                stats.windows_jumped,
-            ),
-            (
-                "found",
-                "slotsel_scan_windows_found_total",
-                usize::from(outcome.best.is_some()),
-            ),
-        ];
-        if self.metered {
-            let labels = [("policy", policy)];
-            let metrics = obs.metrics;
-            metrics.counter_add("slotsel_scan_total", &labels, 1);
-            for (attr, counter, value) in tallies {
-                // A scan that found nothing leaves the found series alone.
-                if attr != "found" || value > 0 {
-                    metrics.counter_add(counter, &labels, value as u64);
-                }
-            }
-            metrics.counter_add("slotsel_pool_evicted_superseded_total", &labels, superseded);
-            metrics.counter_add("slotsel_pool_evicted_expired_total", &labels, expired);
-            #[allow(clippy::cast_precision_loss)]
-            metrics.observe(
-                "slotsel_scan_alive_peak",
-                &labels,
-                stats.peak_extended_window as f64,
-            );
-            if let Some(watch) = self.watch {
-                #[allow(clippy::cast_precision_loss)]
-                metrics.observe(
-                    "slotsel_scan_seconds",
-                    &labels,
-                    watch.elapsed_ns() as f64 * 1e-9,
-                );
-            }
-        }
-        if let Some(span) = self.span {
-            obs.spans.attr_str("policy", policy);
-            for (attr, _, value) in tallies {
-                obs.spans.attr_u64(attr, value as u64);
-            }
-            obs.spans.close(span);
-        }
-    }
+    phase.end(obs, Some(("slotsel_scan_seconds", &labels)));
 }
 
 /// The slot stream the scan loop consumes: the plain in-order iterator,
@@ -653,7 +625,6 @@ fn scan_loop<W: ExtendedWindow, R: Recorder + ?Sized>(
     let mut stats = ScanStats::default();
     let mut best: Option<(f64, Window)> = None;
 
-    let watch = Stopwatch::start_if(recorder.enabled());
     // The policy name is fetched (and allocated) once per scan, not once
     // per emitted event — `pick` can fire thousands of events on long
     // slot lists.
@@ -746,9 +717,6 @@ fn scan_loop<W: ExtendedWindow, R: Recorder + ?Sized>(
             found: best.is_some(),
             best_score: best.as_ref().map_or(0.0, |(score, _)| *score),
         });
-        if let Some(watch) = watch {
-            recorder.time_ns("aep.scan", watch.elapsed_ns());
-        }
     }
 
     (

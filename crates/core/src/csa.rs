@@ -169,7 +169,7 @@ impl Csa {
         base: &mut dyn SlotSelector,
         obs: &mut Obs<'_>,
     ) -> Vec<Window> {
-        let span = obs.spans.enabled().then(|| obs.spans.open("csa.search"));
+        let phase = obs.phase("csa.search");
         let mut working = slots.clone();
         let mut found = Vec::new();
         let limit = self.max_alternatives.unwrap_or(usize::MAX);
@@ -186,11 +186,9 @@ impl Csa {
             obs.metrics
                 .counter_add("slotsel_csa_alternatives_total", &[], found.len() as u64);
         }
-        if let Some(span) = span {
-            obs.spans.attr_str("base", base.name());
-            obs.spans.attr_u64("alternatives", found.len() as u64);
-            obs.spans.close(span);
-        }
+        obs.spans.attr_str("base", base.name());
+        obs.spans.attr_u64("alternatives", found.len() as u64);
+        phase.end(obs, None);
         found
     }
 
@@ -247,56 +245,6 @@ impl Csa {
 impl Default for Csa {
     fn default() -> Self {
         Csa::new()
-    }
-}
-
-/// Lazy alternative discovery: yields windows one at a time, cutting the
-/// internal working list between pulls. Created by [`Csa::iter`].
-///
-/// Useful when a consumer only needs the first few alternatives (e.g. the
-/// batch scheduler's per-job cap) — unpulled alternatives cost nothing.
-#[derive(Debug)]
-pub struct Alternatives<'a> {
-    csa: Csa,
-    platform: &'a Platform,
-    request: &'a ResourceRequest,
-    working: SlotList,
-    yielded: usize,
-}
-
-impl Iterator for Alternatives<'_> {
-    type Item = Window;
-
-    fn next(&mut self) -> Option<Window> {
-        if self.yielded >= self.csa.max_alternatives.unwrap_or(usize::MAX) {
-            return None;
-        }
-        let window = Amp.select(self.platform, &self.working, self.request)?;
-        self.csa
-            .apply_cut(&mut self.working, self.request, &window)
-            .expect("window was built from slots of the working list");
-        self.yielded += 1;
-        Some(window)
-    }
-}
-
-impl Csa {
-    /// Returns a lazy iterator over alternatives, equivalent to
-    /// [`find_alternatives`](Self::find_alternatives) element-for-element.
-    #[must_use]
-    pub fn iter<'a>(
-        &self,
-        platform: &'a Platform,
-        slots: &SlotList,
-        request: &'a ResourceRequest,
-    ) -> Alternatives<'a> {
-        Alternatives {
-            csa: *self,
-            platform,
-            request,
-            working: slots.clone(),
-            yielded: 0,
-        }
     }
 }
 
@@ -490,32 +438,6 @@ mod tests {
             1,
             "the fast slot is fully consumed by the single window"
         );
-    }
-
-    #[test]
-    fn lazy_iterator_matches_eager_search() {
-        let p = platform(&[(2, 1.3), (3, 2.9), (5, 5.1), (7, 6.8), (9, 9.0)]);
-        let slots = idle(&p, 600);
-        let req = request(2, 180, 100_000.0);
-        let csa = Csa::new();
-        let eager = csa.find_alternatives(&p, &slots, &req);
-        let lazy: Vec<Window> = csa.iter(&p, &slots, &req).collect();
-        assert_eq!(eager, lazy);
-    }
-
-    #[test]
-    fn lazy_iterator_respects_cap_and_can_stop_early() {
-        let p = platform(&[(2, 1.0), (2, 1.0)]);
-        let slots = idle(&p, 600);
-        let req = request(2, 100, 10_000.0);
-        let capped: Vec<Window> = Csa::new()
-            .max_alternatives(3)
-            .iter(&p, &slots, &req)
-            .collect();
-        assert_eq!(capped.len(), 3);
-        // Early stop: take(1) does only one AMP run's worth of work.
-        let first: Vec<Window> = Csa::new().iter(&p, &slots, &req).take(1).collect();
-        assert_eq!(first[0].start().ticks(), 0);
     }
 
     #[test]

@@ -124,7 +124,7 @@ pub use aep::{
 };
 pub use algorithms::{Amp, MinCost, MinFinish, MinProcTime, MinRunTime, SlotSelector};
 pub use criteria::{best_by, Criterion, WindowCriterion};
-pub use csa::{Alternatives, Csa, CutPolicy};
+pub use csa::{Csa, CutPolicy};
 pub use energy::{window_energy, EnergyScore, PowerModel};
 pub use error::{CutError, RequestError};
 pub use money::Money;

@@ -23,9 +23,9 @@
 //! exactly when it passes the same liveness and deadline predicates, which
 //! preserves the original alive-set contents and order.
 
-use slotsel_obs::{NoopRecorder, Obs, Recorder, Stopwatch, TraceEvent};
+use slotsel_obs::{NoopRecorder, Obs, Recorder, TraceEvent};
 
-use crate::aep::{Evictions, ScanOptions, ScanOutcome, ScanReport, ScanStats, SelectionPolicy};
+use crate::aep::{report_scan, Evictions, ScanOptions, ScanOutcome, ScanStats, SelectionPolicy};
 use crate::node::Platform;
 use crate::request::ResourceRequest;
 use crate::selectors::{build_window, Candidate};
@@ -74,7 +74,8 @@ pub fn reference_scan_observed(
     options: ScanOptions,
     obs: &mut Obs<'_>,
 ) -> ScanOutcome {
-    let report = ScanReport::open(obs);
+    let phase = obs.timed_phase("aep.scan");
+    let count_evictions = obs.metrics.enabled();
     let (outcome, evictions) = if obs.recorder.enabled() {
         reference_body(
             platform,
@@ -83,7 +84,7 @@ pub fn reference_scan_observed(
             policy,
             options,
             &mut *obs.recorder,
-            report.metered,
+            count_evictions,
         )
     } else {
         reference_body(
@@ -93,10 +94,10 @@ pub fn reference_scan_observed(
             policy,
             options,
             &mut NoopRecorder,
-            report.metered,
+            count_evictions,
         )
     };
-    report.close(obs, policy.name(), &outcome, evictions);
+    report_scan(obs, phase, policy.name(), &outcome, evictions);
     outcome
 }
 
@@ -115,7 +116,6 @@ fn reference_body<R: Recorder + ?Sized>(
     let mut stats = ScanStats::default();
     let mut best: Option<(f64, Window)> = None;
 
-    let watch = Stopwatch::start_if(recorder.enabled());
     let policy_name: Option<String> = recorder.enabled().then(|| policy.name().to_string());
     if let Some(name) = &policy_name {
         recorder.emit(TraceEvent::ScanStarted {
@@ -226,9 +226,6 @@ fn reference_body<R: Recorder + ?Sized>(
             found: best.is_some(),
             best_score: best.as_ref().map_or(0.0, |(score, _)| *score),
         });
-        if let Some(watch) = watch {
-            recorder.time_ns("aep.scan", watch.elapsed_ns());
-        }
     }
 
     (

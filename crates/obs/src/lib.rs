@@ -21,7 +21,7 @@
 //!   format and a round-trip decoder;
 //! - [`stats`] — counter / histogram / timer aggregation primitives plus
 //!   the [`stats::Stopwatch`] used to feed timers;
-//! - [`metrics`] — the *live* counterpart of the trace: sharded atomic
+//! - [`metrics`] — the *live* counterpart of the trace: atomic
 //!   counters, gauges and log-linear histograms behind the
 //!   [`metrics::Metrics`] trait ([`metrics::NoopMetrics`] monomorphises
 //!   away exactly like [`recorder::NoopRecorder`]);
@@ -35,7 +35,7 @@
 //!   (see `docs/DURABILITY.md`);
 //! - [`span`] / [`chrome`] — the *tracing* leg: hierarchical spans with
 //!   parent links and per-shard tracks behind the [`span::SpanSink`]
-//!   trait (same Noop/Memory/Writer ladder), a bounded
+//!   trait (same Noop/Memory ladder), a bounded
 //!   [`span::FlightRecorder`] ring buffer retaining the last N cycles'
 //!   span trees, and a Chrome trace-event JSON exporter + validator
 //!   loadable in Perfetto / `about://tracing`;
@@ -85,7 +85,7 @@ pub mod recorder;
 pub mod span;
 pub mod stats;
 
-pub use context::Obs;
+pub use context::{Obs, Phase};
 pub use event::{EventDecodeError, TraceEvent};
 pub use export::render_prometheus;
 pub use http::{Handler, HttpRequest, HttpResponse, MetricsServer};
@@ -98,6 +98,5 @@ pub use read::{read_trace, TraceReader};
 pub use recorder::{MemoryRecorder, NoopRecorder, Recorder, TraceRecorder};
 pub use span::{
     FlightRecorder, MemorySpanSink, NoopSpanSink, PhaseSummary, SpanId, SpanRecord, SpanSink,
-    WriterSpanSink,
 };
 pub use stats::{Counter, Histogram, Stopwatch, Timer};

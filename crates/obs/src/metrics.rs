@@ -1,4 +1,4 @@
-//! Live runtime metrics: sharded atomic counters, gauges and log-linear
+//! Live runtime metrics: atomic counters, gauges and log-linear
 //! histograms behind an object-safe [`Metrics`] trait.
 //!
 //! Where [`crate::recorder::Recorder`] captures a *trace* — an ordered
@@ -13,26 +13,20 @@
 //!
 //! The live implementation is [`MetricsRegistry`]:
 //!
-//! - **counters** are sharded over cache-line-padded [`AtomicU64`]s
-//!   ([`ShardedCounter`]) so concurrent increments from the worker pool do
-//!   not bounce a single cache line;
+//! - **counters** are one [`AtomicU64`] per series, incremented with a
+//!   relaxed add, so concurrent increments sum exactly;
 //! - **gauges** ([`Gauge`]) store an `f64` in an [`AtomicU64`] bit
 //!   pattern;
 //! - **histograms** ([`AtomicHistogram`]) bucket observations on a
 //!   log-linear grid — 8 linear sub-buckets per power of two — which bounds
 //!   the relative error of any rank-based quantile by the bucket width
-//!   (≤ 12.5%) while using a fixed, merge-friendly layout.
-//!
-//! Registries (and individual histograms) support
-//! [`merge_from`](MetricsRegistry::merge_from), so parallel workers can
-//! record into thread-local registries and fold them into the shared one
-//! deterministically.
+//!   (≤ 12.5%) while using a fixed layout.
 //!
 //! Rendering to the Prometheus text exposition format lives in
 //! [`crate::export`]; the scrape endpoint lives in [`crate::http`].
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Label pairs attached to one metric sample, e.g. `&[("policy", "AMP")]`.
@@ -111,65 +105,6 @@ impl Metrics for NoopMetrics {
 
     #[inline(always)]
     fn observe(&self, _name: &'static str, _labels: &Labels<'_>, _value: f64) {}
-}
-
-/// Number of shards in a [`ShardedCounter`]. Power of two.
-const SHARDS: usize = 8;
-
-/// One cache line worth of counter, so shards never share a line.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct PaddedAtomic(AtomicU64);
-
-/// Hands each thread a stable small index, used to pick a counter shard.
-fn shard_index() -> usize {
-    static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static THREAD_SLOT: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-    }
-    THREAD_SLOT.with(|slot| {
-        let mut id = slot.get();
-        if id == usize::MAX {
-            id = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
-            slot.set(id);
-        }
-        id & (SHARDS - 1)
-    })
-}
-
-/// A monotone counter sharded over cache-line-padded atomics.
-///
-/// Each thread increments a shard chosen by a stable per-thread index, so
-/// concurrent increments mostly touch distinct cache lines;
-/// [`total`](ShardedCounter::total) sums the shards. Totals are exact: every
-/// increment lands in exactly one shard with a relaxed atomic add.
-#[derive(Debug, Default)]
-pub struct ShardedCounter {
-    shards: [PaddedAtomic; SHARDS],
-}
-
-impl ShardedCounter {
-    /// Creates a counter at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `delta` to the calling thread's shard.
-    pub fn add(&self, delta: u64) {
-        self.shards[shard_index()]
-            .0
-            .fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// The sum over all shards.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
-    }
 }
 
 /// An instantaneous `f64` value stored as bits in an [`AtomicU64`].
@@ -277,10 +212,6 @@ fn atomic_f64_update(bits: &AtomicU64, value: f64, f: impl Fn(f64, f64) -> f64) 
 /// bound of the bucket holding the rank, so its relative error is bounded
 /// by the bucket width: for any in-range sample `v` at the requested rank,
 /// `v < quantile ≤ v * 9/8`.
-///
-/// Two histograms with the same (fixed) layout merge exactly:
-/// [`merge_from`](AtomicHistogram::merge_from) adds bucket counts, count
-/// and sum, and folds min/max.
 #[derive(Debug)]
 pub struct AtomicHistogram {
     buckets: Box<[AtomicU64]>,
@@ -366,29 +297,6 @@ impl AtomicHistogram {
             }
         }
         self.max()
-    }
-
-    /// Adds `other`'s buckets, count, sum and min/max into `self`.
-    pub fn merge_from(&self, other: &AtomicHistogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let delta = theirs.load(Ordering::Relaxed);
-            if delta > 0 {
-                mine.fetch_add(delta, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        atomic_f64_update(&self.sum_bits, other.sum(), |sum, v| sum + v);
-        atomic_f64_update(
-            &self.min_bits,
-            f64::from_bits(other.min_bits.load(Ordering::Relaxed)),
-            f64::min,
-        );
-        atomic_f64_update(
-            &self.max_bits,
-            f64::from_bits(other.max_bits.load(Ordering::Relaxed)),
-            f64::max,
-        );
     }
 
     /// The non-empty buckets as `(upper_bound, count)` pairs in ascending
@@ -486,7 +394,7 @@ pub struct RegistrySnapshot {
 }
 
 /// The live [`Metrics`] implementation: a concurrent registry of
-/// [`ShardedCounter`]s, [`Gauge`]s and [`AtomicHistogram`]s keyed by
+/// [`AtomicU64`] counters, [`Gauge`]s and [`AtomicHistogram`]s keyed by
 /// `(name, labels)`.
 ///
 /// Series are created on first use. The hot path is a read-lock lookup
@@ -506,7 +414,7 @@ pub struct RegistrySnapshot {
 /// ```
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: RwLock<BTreeMap<&'static str, Family<ShardedCounter>>>,
+    counters: RwLock<BTreeMap<&'static str, Family<AtomicU64>>>,
     gauges: RwLock<BTreeMap<&'static str, Family<Gauge>>>,
     histograms: RwLock<BTreeMap<&'static str, Family<AtomicHistogram>>>,
 }
@@ -521,7 +429,7 @@ impl MetricsRegistry {
     /// The counter's current total, or 0 when the series does not exist.
     #[must_use]
     pub fn counter_value(&self, name: &str, labels: &Labels<'_>) -> u64 {
-        lookup(&self.counters, name, labels).map_or(0, |c| c.total())
+        lookup(&self.counters, name, labels).map_or(0, |c| c.load(Ordering::Relaxed))
     }
 
     /// The gauge's current value, or `None` when the series does not exist.
@@ -543,88 +451,35 @@ impl MetricsRegistry {
         self.histogram(name, labels)?.quantile(q)
     }
 
-    /// Folds every series of `other` into `self`: counter totals add,
-    /// histograms merge bucket-wise, gauges take `other`'s value (last
-    /// writer wins — merge order decides ties).
-    pub fn merge_from(&self, other: &MetricsRegistry) {
-        for (name, labels, total) in other.snapshot_counters() {
-            if total > 0 {
-                let series = get_or_insert(&self.counters, name, &borrow_labels(&labels));
-                series.add(total);
-            }
-        }
-        for (name, labels, value) in other.snapshot_gauges() {
-            get_or_insert(&self.gauges, name, &borrow_labels(&labels)).set(value);
-        }
-        let theirs = other.histograms.read().expect("metrics lock poisoned");
-        for (name, family) in theirs.iter() {
-            for (labels, histogram) in family {
-                let borrowed: Vec<(&'static str, &str)> =
-                    labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
-                get_or_insert(&self.histograms, name, &borrowed).merge_from(histogram);
-            }
-        }
-    }
-
-    /// Every counter series as `(name, labels, total)`.
-    fn snapshot_counters(&self) -> Vec<(&'static str, LabelSet, u64)> {
-        let map = self.counters.read().expect("metrics lock poisoned");
-        map.iter()
-            .flat_map(|(name, family)| {
-                family
-                    .iter()
-                    .map(|(labels, counter)| (*name, labels.clone(), counter.total()))
-            })
-            .collect()
-    }
-
-    /// Every gauge series as `(name, labels, value)`.
-    fn snapshot_gauges(&self) -> Vec<(&'static str, LabelSet, f64)> {
-        let map = self.gauges.read().expect("metrics lock poisoned");
-        map.iter()
-            .flat_map(|(name, family)| {
-                family
-                    .iter()
-                    .map(|(labels, gauge)| (*name, labels.clone(), gauge.get()))
-            })
-            .collect()
-    }
-
     /// A point-in-time copy of every series, sorted by `(name, labels)`.
     #[must_use]
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let mut snapshot = RegistrySnapshot::default();
-        for (name, labels, total) in self.snapshot_counters() {
-            snapshot
-                .counters
-                .push((name.to_owned(), own_labels(&labels), total));
+        RegistrySnapshot {
+            counters: series(&self.counters, |counter| counter.load(Ordering::Relaxed)),
+            gauges: series(&self.gauges, Gauge::get),
+            histograms: series(&self.histograms, |histogram| HistogramSnapshot {
+                buckets: histogram.nonzero_buckets(),
+                count: histogram.count(),
+                sum: histogram.sum(),
+            }),
         }
-        for (name, labels, value) in self.snapshot_gauges() {
-            snapshot
-                .gauges
-                .push((name.to_owned(), own_labels(&labels), value));
-        }
-        let map = self.histograms.read().expect("metrics lock poisoned");
-        for (name, family) in map.iter() {
-            for (labels, histogram) in family {
-                snapshot.histograms.push((
-                    (*name).to_owned(),
-                    own_labels(labels),
-                    HistogramSnapshot {
-                        buckets: histogram.nonzero_buckets(),
-                        count: histogram.count(),
-                        sum: histogram.sum(),
-                    },
-                ));
-            }
-        }
-        snapshot
     }
 }
 
-/// Re-borrows an owned label set for the `get_or_insert` API.
-fn borrow_labels(labels: &LabelSet) -> Vec<(&'static str, &str)> {
-    labels.iter().map(|(k, v)| (*k, v.as_str())).collect()
+/// Every series of one kind as `(name, labels, value)`, in `(name,
+/// labels)` order.
+fn series<T, V>(
+    map: &RwLock<BTreeMap<&'static str, Family<T>>>,
+    value: impl Fn(&T) -> V,
+) -> SnapshotSeries<V> {
+    let map = map.read().expect("metrics lock poisoned");
+    let mut out = Vec::new();
+    for (name, family) in map.iter() {
+        for (labels, series) in family {
+            out.push(((*name).to_owned(), own_labels(labels), value(series)));
+        }
+    }
+    out
 }
 
 /// Converts an owned label set into the snapshot's `(String, String)` form.
@@ -637,7 +492,7 @@ fn own_labels(labels: &LabelSet) -> Vec<(String, String)> {
 
 impl Metrics for MetricsRegistry {
     fn counter_add(&self, name: &'static str, labels: &Labels<'_>, delta: u64) {
-        get_or_insert(&self.counters, name, labels).add(delta);
+        get_or_insert(&self.counters, name, labels).fetch_add(delta, Ordering::Relaxed);
     }
 
     fn gauge_set(&self, name: &'static str, labels: &Labels<'_>, value: f64) {
@@ -700,20 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_adds_everything() {
-        let a = AtomicHistogram::new();
-        let b = AtomicHistogram::new();
-        a.observe(1.0);
-        a.observe(2.0);
-        b.observe(100.0);
-        a.merge_from(&b);
-        assert_eq!(a.count(), 3);
-        assert!((a.sum() - 103.0).abs() < 1e-9);
-        assert_eq!(a.min(), Some(1.0));
-        assert_eq!(a.max(), Some(100.0));
-    }
-
-    #[test]
     fn registry_round_trips_series() {
         let registry = MetricsRegistry::new();
         registry.counter_add("c", &[("k", "a")], 2);
@@ -729,20 +570,6 @@ mod tests {
         assert_eq!(snapshot.counters.len(), 2);
         assert_eq!(snapshot.gauges.len(), 1);
         assert_eq!(snapshot.histograms.len(), 1);
-    }
-
-    #[test]
-    fn registry_merge_folds_counters_and_histograms() {
-        let main = MetricsRegistry::new();
-        let worker = MetricsRegistry::new();
-        main.counter_add("items", &[], 5);
-        worker.counter_add("items", &[], 7);
-        worker.gauge_set("depth", &[], 2.0);
-        worker.observe("latency", &[("w", "0")], 0.25);
-        main.merge_from(&worker);
-        assert_eq!(main.counter_value("items", &[]), 12);
-        assert_eq!(main.gauge_value("depth", &[]), Some(2.0));
-        assert_eq!(main.histogram("latency", &[("w", "0")]).unwrap().count(), 1);
     }
 
     #[test]

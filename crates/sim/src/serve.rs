@@ -100,7 +100,7 @@ use slotsel_core::window::Window;
 use slotsel_env::EnvironmentConfig;
 use slotsel_obs::journal::{read_journal, Journal, NoopJournal, SnapshotStore};
 use slotsel_obs::metrics::{Metrics, NoopMetrics};
-use slotsel_obs::{MemorySpanSink, NoopSpanSink, Obs, SpanId, SpanSink};
+use slotsel_obs::{MemorySpanSink, NoopSpanSink, Obs, SpanSink};
 
 use crate::journal::{journal_path, snapshot_dir, RecoverError};
 use crate::parallel::{self, Parallelism};
@@ -1119,20 +1119,16 @@ impl LiveService {
         let spanning = spans.enabled();
         let journaling = journal.enabled();
         let cycle = self.state.cycle;
-        let root = if spanning {
-            let root = spans.open("serve.cycle");
-            spans.attr_u64("cycle", cycle);
-            root
-        } else {
-            SpanId::NONE
-        };
+        let mut obs = Obs::dark().with_metrics(metrics).with_spans(spans);
+        let root = obs.phase("serve.cycle");
+        obs.spans.attr_u64("cycle", cycle);
         let mut outcome = CycleOutcome {
             cycle,
             ..CycleOutcome::default()
         };
 
         // --- Batch formation, quotas re-enforced -----------------------
-        let formation_span = spanning.then(|| spans.open("serve.batch_formation"));
+        let formation = obs.phase("serve.batch_formation");
         // Walk the queue in scheduling order (priority desc, id asc) and
         // re-run admission against a tally that starts from committed
         // work only: if the quota table tightened since these jobs were
@@ -1179,11 +1175,10 @@ impl LiveService {
                 Err(_) => outcome.over_quota.push(entry.id),
             }
         }
-        if let Some(id) = formation_span {
-            spans.attr_u64("batched", batched as u64);
-            spans.attr_u64("over_quota", outcome.over_quota.len() as u64);
-            spans.close(id);
-        }
+        obs.spans.attr_u64("batched", batched as u64);
+        obs.spans
+            .attr_u64("over_quota", outcome.over_quota.len() as u64);
+        formation.end(&mut obs, None);
 
         // --- Per-shard scheduling -------------------------------------
         // Each shard's two-phase schedule is a pure function of its own
@@ -1194,36 +1189,37 @@ impl LiveService {
         let scheduler = BatchScheduler::new(self.config.scheduler.clone());
         let shards = &self.state.shards;
         let results = parallel::map(parallelism, &batches, |shard, jobs| {
-            if spanning {
-                let mut sink = MemorySpanSink::new();
-                sink.set_track(shard as u32 + 1);
-                let span = sink.open("serve.shard");
-                sink.attr_u64("shard", shard as u64);
-                sink.attr_u64("jobs", jobs.len() as u64);
-                let schedule = scheduler.schedule_observed(
-                    &shards[shard].platform,
-                    &shards[shard].slots,
-                    jobs,
-                    &mut Obs::dark().with_spans(&mut sink),
-                );
-                sink.close(span);
-                (schedule, sink.take_records())
+            // A sink no span opens on allocates nothing and reads no
+            // clock, so a dark cycle passes it by without cost.
+            let mut sink = MemorySpanSink::new();
+            sink.set_track(shard as u32 + 1);
+            let mut obs = if spanning {
+                Obs::dark().with_spans(&mut sink)
             } else {
-                let schedule =
-                    scheduler.schedule(&shards[shard].platform, &shards[shard].slots, jobs);
-                (schedule, Vec::new())
-            }
+                Obs::dark()
+            };
+            let phase = obs.phase("serve.shard");
+            obs.spans.attr_u64("shard", shard as u64);
+            obs.spans.attr_u64("jobs", jobs.len() as u64);
+            let schedule = scheduler.schedule_observed(
+                &shards[shard].platform,
+                &shards[shard].slots,
+                jobs,
+                &mut obs,
+            );
+            phase.end(&mut obs, None);
+            (schedule, sink.take_records())
         });
         let mut schedules = Vec::with_capacity(results.len());
         for (schedule, records) in results {
             if !records.is_empty() {
-                spans.adopt(root, records);
+                obs.spans.adopt(root.span(), records);
             }
             schedules.push(schedule);
         }
 
         // --- Serial commit, shard order --------------------------------
-        let commit_span = spanning.then(|| spans.open("serve.commit"));
+        let commit = obs.phase("serve.commit");
         let mut decisions = Vec::with_capacity(batched);
         for (shard, schedule) in schedules.iter().enumerate() {
             let slots = &mut self.state.shards[shard].slots;
@@ -1257,22 +1253,20 @@ impl LiveService {
             }
         }
         apply_decisions(&mut self.state.jobs, cycle, decisions);
-        if let Some(id) = commit_span {
-            spans.attr_u64("committed", outcome.committed.len() as u64);
-            spans.attr_u64("deferred", outcome.deferred.len() as u64);
-            spans.close(id);
-        }
+        obs.spans
+            .attr_u64("committed", outcome.committed.len() as u64);
+        obs.spans
+            .attr_u64("deferred", outcome.deferred.len() as u64);
+        commit.end(&mut obs, None);
 
         // --- Advance the virtual clock ---------------------------------
-        let advance_span = spanning.then(|| spans.open("serve.advance"));
+        let advance = obs.phase("serve.advance");
         self.advance_clock();
-        if let Some(id) = advance_span {
-            spans.attr_u64("shards", self.state.shards.len() as u64);
-            spans.close(id);
-        }
+        obs.spans.attr_u64("shards", self.state.shards.len() as u64);
+        advance.end(&mut obs, None);
 
         // --- Retire finished windows, releasing quota ------------------
-        let retire_span = spanning.then(|| spans.open("serve.retire"));
+        let retire = obs.phase("serve.retire");
         self.retire_finished(cycle, |job| {
             outcome.finished.push(job);
             if journaling {
@@ -1280,10 +1274,9 @@ impl LiveService {
             }
         });
 
-        if let Some(id) = retire_span {
-            spans.attr_u64("finished", outcome.finished.len() as u64);
-            spans.close(id);
-        }
+        obs.spans
+            .attr_u64("finished", outcome.finished.len() as u64);
+        retire.end(&mut obs, None);
 
         self.close_cycle();
 
@@ -1296,9 +1289,7 @@ impl LiveService {
             journal.checkpoint(&|| LiveRecord::encode_checkpoint(&self.state));
         }
 
-        if spanning {
-            spans.close(root);
-        }
+        root.end(&mut obs, None);
         self.export_metrics(metrics, &outcome);
         outcome
     }

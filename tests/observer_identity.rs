@@ -61,6 +61,26 @@ fn attr(record: &SpanRecord, name: &str) -> String {
         .unwrap_or_else(|| panic!("{} has no {name} attribute", record.name))
 }
 
+/// Asserts that the timed phase `name` ran `runs` times and reached all
+/// three sinks once per run: a span, a recorder timing under the span's
+/// name and a sample in its `(metric, labels)` seconds histogram.
+fn assert_phase_reports(
+    lit: &Lit,
+    name: &str,
+    runs: u64,
+    metric: &str,
+    labels: &[(&'static str, &str)],
+) {
+    assert_eq!(lit.named(name).count() as u64, runs, "{name} spans");
+    let timings = lit.recorder.timer(name).map_or(0, |timer| timer.count());
+    assert_eq!(timings, runs, "{name} timings");
+    let samples = lit
+        .registry
+        .histogram(metric, labels)
+        .map_or(0, |histogram| histogram.count());
+    assert_eq!(samples, runs, "{name} samples in {metric}{labels:?}");
+}
+
 /// Nodes of equal speed priced by `prices`.
 fn platform(prices: &[i64], performance: u32) -> Platform {
     prices
@@ -524,4 +544,107 @@ fn serve_dark_and_lit_agree() {
     );
     let scans = records.iter().filter(|r| r.name == "aep.scan").count();
     assert!(scans >= committed, "{scans} scans for {committed} commits");
+}
+
+#[test]
+fn a_lit_schedule_reports_each_timed_phase_to_all_three_sinks() {
+    let p = platform(&[1, 2, 3, 4], 2);
+    let slots = idle(&p, 600);
+    let jobs = vec![job(0, 3, 2, 100, 1_000), job(1, 1, 2, 100, 1_000)];
+    let mut lit = Lit::default();
+    let schedule = BatchScheduler::default().schedule_observed(&p, &slots, &jobs, &mut lit.obs());
+    assert_eq!(schedule.scheduled(), 2);
+    for (name, phase) in [
+        ("batch.phase1", "alternatives"),
+        ("batch.phase2", "mckp"),
+        ("batch.commit", "commit"),
+    ] {
+        assert_phase_reports(
+            &lit,
+            name,
+            1,
+            "slotsel_batch_phase_seconds",
+            &[("phase", phase)],
+        );
+    }
+    // The per-job searches run untraced: each scan is a span and a
+    // histogram sample, and no recorder timing.
+    let scans = lit.named("aep.scan").count() as u64;
+    assert!(scans >= 2);
+    let samples = lit
+        .registry
+        .histogram("slotsel_scan_seconds", &[("policy", "AMP")]);
+    assert_eq!(samples.map(|h| h.count()), Some(scans));
+    assert!(lit.recorder.timer("aep.scan").is_none());
+
+    // A traced scan reaches all three.
+    let mut lit = Lit::default();
+    let _ = scan_observed(
+        &p,
+        &slots,
+        &request(2, 100, 100_000),
+        &mut MinCost.policy(),
+        ScanOptions::default(),
+        &mut lit.obs(),
+    );
+    assert_phase_reports(
+        &lit,
+        "aep.scan",
+        1,
+        "slotsel_scan_seconds",
+        &[("policy", "MinCost")],
+    );
+}
+
+#[test]
+fn a_lit_rolling_run_reports_each_timed_phase_to_all_three_sinks() {
+    let config = RollingConfig {
+        env: EnvironmentConfig {
+            nodes: NodeGenConfig::with_count(8),
+            ..EnvironmentConfig::paper_default()
+        },
+        max_cycles: 30,
+        disruption: Some(DisruptionConfig::adversarial(99)),
+        recovery: RecoveryPolicy::RetryNextCycle {
+            backoff: 1,
+            max_attempts: 3,
+        },
+        ..RollingConfig::default()
+    };
+    let jobs: Vec<Job> = (0..6).map(|i| job(i, 1 + i % 3, 3, 200, 5_000)).collect();
+    let mut lit = Lit::default();
+    let report = simulate_with_recovery_observed(&config, jobs, &mut lit.obs(), &mut NoopJournal);
+    let cycles = report.outcome.cycles.len() as u64;
+    assert!(cycles > 1);
+    assert_phase_reports(
+        &lit,
+        "rolling.cycle",
+        cycles,
+        "slotsel_rolling_cycle_seconds",
+        &[],
+    );
+    // One schedule per cycle.
+    for (name, phase) in [
+        ("batch.phase1", "alternatives"),
+        ("batch.phase2", "mckp"),
+        ("batch.commit", "commit"),
+    ] {
+        assert_phase_reports(
+            &lit,
+            name,
+            cycles,
+            "slotsel_batch_phase_seconds",
+            &[("phase", phase)],
+        );
+    }
+    // Span-only phases are never timed.
+    for name in [
+        "batch.schedule",
+        "csa.search",
+        "recovery.detect",
+        "rolling.audit",
+    ] {
+        assert!(lit.named(name).count() > 0, "{name}");
+        assert!(lit.recorder.timer(name).is_none(), "{name}");
+    }
 }
