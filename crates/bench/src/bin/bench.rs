@@ -1,29 +1,24 @@
 //! `bench` — before/after benchmarks for the incremental-pool scan and the
-//! parallel sweeps, written to `BENCH_SCAN.json`.
+//! slot stores, written to `BENCH_SCAN.json`.
 //!
-//! Two experiment families, both on fixed seeds:
-//!
-//! - **scan micro-benchmarks** — every policy's full AEP scan over a fixed
-//!   generated environment, timing the historical sort-per-step scan
-//!   ([`slotsel_core::reference`]) against the incremental
-//!   [`CandidatePool`](slotsel_core::pool::CandidatePool) scan and
-//!   reporting the median of the repeats;
-//! - **sweep macro-benchmarks** — the batch-experiment, sensitivity and
-//!   scaling sweeps run serially and through
-//!   [`slotsel_sim::parallel`], comparing wall-clock.
+//! The first family, **scan micro-benchmarks**, runs every policy's full
+//! AEP scan over a fixed generated environment, timing the historical
+//! sort-per-step scan ([`slotsel_core::reference`]) against the
+//! incremental [`CandidatePool`](slotsel_core::pool::CandidatePool) scan
+//! and reporting the median of the repeats.
 //!
 //! ```text
 //! cargo run --release --bin bench            # full fixtures, repo medians
 //! cargo run --release --bin bench -- --smoke # tiny fixture for CI
 //! ```
 //!
-//! A third family, **cutting scaling**, times the slot-store mutation
+//! A second family, **cutting scaling**, times the slot-store mutation
 //! rounds (cut + release, per-node refresh, the live clock advance) on
 //! the `Vec` store against the interval-tree store at 1k/10k/100k nodes
 //! (the largest ≈ one million slots) — see `docs/PERFORMANCE.md` for the
 //! store design.
 //!
-//! A fourth family, **CSA repeated search**, runs the full multi-
+//! A third family, **CSA repeated search**, runs the full multi-
 //! alternative search (scan, cut, rescan) over the same cutting fixture on
 //! a `Vec`-backed versus a tree-backed working list. The tree side scans
 //! through the aggregate-pruned cursor and cuts in `O(log m)`; both sides
@@ -32,8 +27,7 @@
 //!
 //! Flags: `--smoke` (tiny fixture, few repeats), `--repeats N`,
 //! `--fixture small|large|all` (restrict the full-mode scan fixtures),
-//! `--no-sweeps` (skip the sweep macro-benchmarks), `--no-cutting` (skip
-//! the store-scaling rows), `--cutting-cap N` (drop cutting sizes above N
+//! `--no-cutting` (skip the store-scaling rows), `--cutting-cap N` (drop cutting sizes above N
 //! nodes — CI uses this to stay fast), `--out PATH` (default
 //! `BENCH_SCAN.json` in the working directory). The report is validated by
 //! parsing it back before the process exits. `bench-diff` compares two
@@ -57,11 +51,7 @@ use slotsel_core::reference::reference_scan_with;
 use slotsel_core::request::ResourceRequest;
 use slotsel_core::slotlist::{SlotList, SlotStoreKind};
 use slotsel_env::EnvironmentConfig;
-use slotsel_sim::batch_experiment::{self, BatchExperimentConfig};
 use slotsel_sim::config::RequestConfig;
-use slotsel_sim::parallel::Parallelism;
-use slotsel_sim::scaling::{self, ScalingConfig};
-use slotsel_sim::sensitivity;
 
 /// Counts every heap allocation the process makes. The scan rows report
 /// allocations per scan — a hardware-independent signal `bench-diff` can
@@ -125,8 +115,6 @@ struct BenchReport {
     /// working list. Absent in reports from older `bench` builds.
     #[serde(default)]
     csa: Vec<CsaRow>,
-    /// Serial vs parallel sweep wall-clock.
-    sweeps: Vec<SweepRow>,
 }
 
 /// One scan micro-benchmark: a policy on a fixture, before vs after.
@@ -175,17 +163,6 @@ struct CsaRow {
     vec_median_ms: f64,
     tree_median_ms: f64,
     /// `Vec` median over tree median — the pruned-scan + tree-cut win.
-    speedup: f64,
-}
-
-/// One sweep macro-benchmark: serial vs worker-pool wall-clock.
-#[derive(Debug, Serialize, Deserialize)]
-struct SweepRow {
-    sweep: String,
-    cells: u64,
-    workers: u64,
-    serial_ms: f64,
-    parallel_ms: f64,
     speedup: f64,
 }
 
@@ -465,80 +442,13 @@ fn csa_benchmarks(sizes: &[u64], repeats: u64) -> Vec<CsaRow> {
     rows
 }
 
-fn sweep_benchmarks(smoke: bool) -> Vec<SweepRow> {
-    let workers = Parallelism::Auto.workers(usize::MAX) as u64;
-    let mut rows = Vec::new();
-
-    let batch = BatchExperimentConfig {
-        cycles: if smoke { 2 } else { 8 },
-        ..BatchExperimentConfig::standard()
-    };
-    let (serial_ms, serial) = time_ms(|| batch_experiment::run(&batch));
-    let (parallel_ms, parallel) = time_ms(|| batch_experiment::run_with(&batch, Parallelism::Auto));
-    assert_eq!(serial, parallel, "batch sweep must be deterministic");
-    rows.push(SweepRow {
-        sweep: "batch_experiment".to_owned(),
-        cells: batch.cycles,
-        workers,
-        serial_ms,
-        parallel_ms,
-        speedup: serial_ms / parallel_ms.max(1e-9),
-    });
-
-    let env = EnvironmentConfig::paper_default();
-    let points = sensitivity::default_grid();
-    let cycles = if smoke { 2 } else { 12 };
-    let (serial_ms, serial) = time_ms(|| sensitivity::sweep(&env, &points, cycles, ENV_SEED));
-    let (parallel_ms, parallel) =
-        time_ms(|| sensitivity::sweep_with(&env, &points, cycles, ENV_SEED, Parallelism::Auto));
-    assert_eq!(serial, parallel, "sensitivity sweep must be deterministic");
-    rows.push(SweepRow {
-        sweep: "sensitivity".to_owned(),
-        cells: points.len() as u64 * cycles,
-        workers,
-        serial_ms,
-        parallel_ms,
-        speedup: serial_ms / parallel_ms.max(1e-9),
-    });
-
-    let scaling_config = ScalingConfig::quick(if smoke { 2 } else { 16 });
-    let nodes: &[usize] = if smoke { &[20] } else { &[50, 100] };
-    let (serial_ms, serial) = time_ms(|| scaling::sweep_nodes(&scaling_config, nodes));
-    let (parallel_ms, parallel) =
-        time_ms(|| scaling::sweep_nodes_with(&scaling_config, nodes, Parallelism::Auto));
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.slots, p.slots, "scaling environments must match");
-        assert_eq!(s.csa_alternatives, p.csa_alternatives);
-    }
-    rows.push(SweepRow {
-        sweep: "scaling_nodes".to_owned(),
-        cells: scaling_config.runs * nodes.len() as u64,
-        workers,
-        serial_ms,
-        parallel_ms,
-        speedup: serial_ms / parallel_ms.max(1e-9),
-    });
-
-    for row in &rows {
-        println!(
-            "sweep {:<18} {:>4} cells  serial {:>9.1} ms  parallel {:>9.1} ms  {:>5.2}x ({} workers)",
-            row.sweep, row.cells, row.serial_ms, row.parallel_ms, row.speedup, row.workers
-        );
-    }
-    rows
-}
-
 /// Parses the written report back and checks its shape — the same check the
-/// CI smoke job relies on. Sweep rows are only required when the sweeps
-/// actually ran (`--no-sweeps` legitimately leaves them empty).
-fn validate(path: &str, expect_sweeps: bool) {
+/// CI smoke job relies on.
+fn validate(path: &str) {
     let raw = std::fs::read_to_string(path).expect("report must be readable");
     let report: BenchReport = serde_json::from_str(&raw).expect("report must parse");
     assert_eq!(report.schema, "slotsel-bench-scan/1");
     assert!(!report.scan.is_empty(), "scan rows present");
-    if expect_sweeps {
-        assert!(!report.sweeps.is_empty(), "sweep rows present");
-    }
     for row in &report.scan {
         assert!(
             row.reference_median_ms > 0.0 && row.pool_median_ms > 0.0,
@@ -571,7 +481,6 @@ fn validate(path: &str, expect_sweeps: bool) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let no_sweeps = args.iter().any(|a| a == "--no-sweeps");
     let no_cutting = args.iter().any(|a| a == "--no-cutting");
     let repeats = numeric_flag(&args, "--repeats", if smoke { 3 } else { 15 });
     let cutting_cap = numeric_flag(&args, "--cutting-cap", u64::MAX);
@@ -638,15 +547,10 @@ fn main() {
             cutting_benchmarks(&cutting_sizes, repeats.min(5))
         },
         csa: csa_rows,
-        sweeps: if no_sweeps {
-            Vec::new()
-        } else {
-            sweep_benchmarks(smoke)
-        },
     };
 
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out, json + "\n").expect("report must be writable");
-    validate(&out, !no_sweeps);
+    validate(&out);
     println!("wrote {out}");
 }

@@ -143,13 +143,6 @@ pub struct Phase {
 }
 
 impl Phase {
-    /// The phase's span, [`SpanId::NONE`] when the span sink is dark: the
-    /// parent to [`SpanSink::adopt`] records under.
-    #[must_use]
-    pub fn span(&self) -> SpanId {
-        self.span
-    }
-
     /// Ends the phase. A timed phase records its wall-clock time on the
     /// recorder under the span's name and, given `histogram`, one sample
     /// in seconds in that `(metric, labels)` series; then the span

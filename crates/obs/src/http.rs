@@ -346,32 +346,44 @@ fn read_request<R: BufRead>(reader: &mut R) -> Result<HttpRequest, HttpResponse>
     Ok(HttpRequest { method, path, body })
 }
 
+/// The `path` label of a request no built-in or handler claimed: one
+/// fixed value, so unknown paths cannot grow the series count.
+const UNMATCHED_PATH: &str = "{other}";
+
+/// Whether a path segment is an id: non-empty and all ASCII digits.
+fn is_id(segment: &str) -> bool {
+    !segment.is_empty() && segment.bytes().all(|b| b.is_ascii_digit())
+}
+
+/// Reads an id path segment: all ASCII digits (no sign, no space) and
+/// within `u32`. Only such segments collapse to `{id}` in the `path`
+/// metric label, so a handler that takes its ids through this keeps its
+/// series count bounded by its route table.
+#[must_use]
+pub fn id_segment(segment: &str) -> Option<u32> {
+    is_id(segment).then(|| segment.parse().ok()).flatten()
+}
+
 /// Collapses all-digit path segments into `{id}` so per-entity URLs
 /// share one metric label: `/debug/job/17/timeline` becomes
 /// `/debug/job/{id}/timeline`. Any query string is dropped first.
 fn normalize_path(path: &str) -> String {
     let path = path.split('?').next().unwrap_or(path);
     path.split('/')
-        .map(|segment| {
-            if !segment.is_empty() && segment.bytes().all(|b| b.is_ascii_digit()) {
-                "{id}"
-            } else {
-                segment
-            }
-        })
+        .map(|segment| if is_id(segment) { "{id}" } else { segment })
         .collect::<Vec<_>>()
         .join("/")
 }
 
-/// Routes one parsed request: built-ins first, then the handler, then the
-/// normalized 404.
+/// Routes one parsed request: built-ins first, then the handler. `None`
+/// when neither claims it.
 fn route(
     request: &HttpRequest,
     registry: &MetricsRegistry,
     requested: &AtomicBool,
     handler: Option<&Handler>,
-) -> HttpResponse {
-    match (request.method.as_str(), request.path.as_str()) {
+) -> Option<HttpResponse> {
+    Some(match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/metrics") => HttpResponse::ok(
             "text/plain; version=0.0.4; charset=utf-8",
             render_prometheus(registry),
@@ -386,15 +398,8 @@ fn route(
             "method_not_allowed",
             &format!("{} does not accept {}", request.path, request.method),
         ),
-        _ => match handler.and_then(|h| h(request)) {
-            Some(response) => response,
-            None => HttpResponse::error(
-                404,
-                "not_found",
-                &format!("no route for {} {}", request.method, request.path),
-            ),
-        },
-    }
+        _ => return handler.and_then(|h| h(request)),
+    })
 }
 
 /// Reads the request and answers it on `stream`.
@@ -410,23 +415,35 @@ fn handle_connection(
     let response = match read_request(&mut reader) {
         Ok(request) => {
             // Per-endpoint serving metrics: path labels are normalized
-            // (digit segments collapsed to `{id}`) so the cardinality
-            // stays bounded by the route table, not the id space.
+            // (digit segments collapsed to `{id}`) and a request no route
+            // claims is labelled `{other}`, so the cardinality stays
+            // bounded by the route table, not the id or path space.
             let started = Instant::now();
             // A panicking route answers 500 and leaves the accept thread,
             // and with it `/shutdown`, serving. Whatever state the handler
             // shares is its own to keep consistent across a panic.
-            let response = panic::catch_unwind(AssertUnwindSafe(|| {
+            let routed = panic::catch_unwind(AssertUnwindSafe(|| {
                 route(&request, registry, requested, handler)
-            }))
-            .unwrap_or_else(|_| {
-                HttpResponse::error(
-                    500,
-                    "internal_error",
-                    &format!("{} {} failed in its handler", request.method, request.path),
-                )
-            });
-            let path = normalize_path(&request.path);
+            }));
+            let (response, path) = match routed {
+                Ok(Some(response)) => (response, normalize_path(&request.path)),
+                Ok(None) => (
+                    HttpResponse::error(
+                        404,
+                        "not_found",
+                        &format!("no route for {} {}", request.method, request.path),
+                    ),
+                    UNMATCHED_PATH.to_owned(),
+                ),
+                Err(_) => (
+                    HttpResponse::error(
+                        500,
+                        "internal_error",
+                        &format!("{} {} failed in its handler", request.method, request.path),
+                    ),
+                    normalize_path(&request.path),
+                ),
+            };
             let status = response.status.to_string();
             registry.counter_add(
                 "slotsel_http_requests_total",
@@ -613,6 +630,61 @@ mod tests {
         );
         assert!(post(addr, "/shutdown", "").starts_with("HTTP/1.1 200 OK"));
         assert!(server.shutdown_requested());
+        server.stop();
+    }
+
+    #[test]
+    fn unknown_paths_share_one_metrics_label() {
+        let registry = Arc::new(MetricsRegistry::new());
+        // A route table like the live daemon's: `/job/{id}` for ids read
+        // through `id_segment`.
+        let handler: Arc<Handler> = Arc::new(|request: &HttpRequest| {
+            let id = id_segment(request.path.strip_prefix("/job/")?)?;
+            Some(HttpResponse::json(format!("{{\"job\":{id}}}")))
+        });
+        let server =
+            MetricsServer::start("127.0.0.1:0", Arc::clone(&registry), Some(handler), 1).unwrap();
+        let addr = server.addr();
+
+        assert!(get(addr, "/job/7").starts_with("HTTP/1.1 200 OK"));
+        for unknown in (0..40)
+            .map(|i| format!("/unknown-{i}"))
+            .chain((0..10).map(|i| format!("/job/{i}/x")))
+            .chain(
+                [
+                    "/job/+0",
+                    "/job/+00",
+                    "/job/-1",
+                    "/job/1x",
+                    "/job/",
+                    "/job/7?x=1",
+                ]
+                .map(String::from),
+            )
+            .chain(["/job/99999999999".to_owned(), "/metrics/x".to_owned()])
+        {
+            let answer = get(addr, &unknown);
+            assert!(answer.starts_with("HTTP/1.1 404"), "{unknown}: {answer}");
+        }
+
+        let metrics = get(addr, "/metrics");
+        let mut paths: Vec<&str> = metrics
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .filter_map(|line| line.split("path=\"").nth(1)?.split('"').next())
+            .collect();
+        paths.sort_unstable();
+        paths.dedup();
+        assert_eq!(paths, ["/job/{id}", "{other}"], "{metrics}");
+        let requests = metrics
+            .lines()
+            .filter(|line| line.starts_with("slotsel_http_requests_total{"))
+            .collect::<Vec<_>>();
+        assert_eq!(requests.len(), 2, "{requests:?}");
+        assert!(
+            requests.contains(&"slotsel_http_requests_total{path=\"{other}\",status=\"404\"} 58"),
+            "{requests:?}"
+        );
         server.stop();
     }
 

@@ -19,10 +19,7 @@
 //!   Nesting is guaranteed by construction.
 //!
 //! Timestamps are microseconds since a **process-wide anchor**
-//! ([`now_us`]): two sinks on two threads produce mutually comparable
-//! times, which is what lets a shard's spans (recorded in a worker's
-//! private [`MemorySpanSink`] and [`SpanSink::adopt`]-ed back) nest
-//! correctly under the coordinating cycle span.
+//! ([`now_us`]), so two sinks produce mutually comparable times.
 //!
 //! The [`FlightRecorder`] keeps the last N cycles' span trees in a bounded
 //! ring buffer — the live daemon's `GET /debug/trace` dump.
@@ -84,8 +81,7 @@ impl AttrValue {
 /// One completed span (or instant event) as a sink records it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
-    /// The span's id, unique within its sink (and re-assigned on
-    /// [`SpanSink::adopt`] so merged trees stay unique).
+    /// The span's id, unique within its sink.
     pub id: SpanId,
     /// The enclosing span, or [`SpanId::NONE`] for a root.
     pub parent: SpanId,
@@ -158,13 +154,6 @@ pub trait SpanSink {
 
     /// Sets the track (thread/shard lane) stamped on subsequent spans.
     fn set_track(&mut self, track: u32);
-
-    /// Grafts externally recorded spans (e.g. a worker thread's private
-    /// [`MemorySpanSink`]) under `parent`: ids are re-assigned from this
-    /// sink's counter (deterministically, in input order), internal parent
-    /// links are remapped, and records whose parent was [`SpanId::NONE`]
-    /// become children of `parent`. Tracks are preserved.
-    fn adopt(&mut self, parent: SpanId, records: Vec<SpanRecord>);
 }
 
 /// The default sink: drops everything, compiles to nothing.
@@ -196,9 +185,6 @@ impl SpanSink for NoopSpanSink {
 
     #[inline(always)]
     fn set_track(&mut self, _track: u32) {}
-
-    #[inline(always)]
-    fn adopt(&mut self, _parent: SpanId, _records: Vec<SpanRecord>) {}
 }
 
 /// Every `&mut S: SpanSink` is itself a sink, so call sites can pass
@@ -230,10 +216,6 @@ impl<S: SpanSink + ?Sized> SpanSink for &mut S {
 
     fn set_track(&mut self, track: u32) {
         (**self).set_track(track);
-    }
-
-    fn adopt(&mut self, parent: SpanId, records: Vec<SpanRecord>) {
-        (**self).adopt(parent, records);
     }
 }
 
@@ -271,9 +253,8 @@ impl MemorySpanSink {
 
     /// Drains the sink: any span still open is closed at the current
     /// time, and the records are returned in open order. The sink resets
-    /// to empty (the id counter keeps counting, so a later `adopt` into
-    /// the same tree cannot collide). A sink that recorded nothing reads
-    /// no clock and allocates nothing.
+    /// to empty (the id counter keeps counting). A sink that recorded
+    /// nothing reads no clock and allocates nothing.
     pub fn take_records(&mut self) -> Vec<SpanRecord> {
         if !self.stack.is_empty() {
             let now = now_us();
@@ -360,29 +341,6 @@ impl SpanSink for MemorySpanSink {
 
     fn set_track(&mut self, track: u32) {
         self.track = track;
-    }
-
-    fn adopt(&mut self, parent: SpanId, records: Vec<SpanRecord>) {
-        // Remap ids in input order: deterministic given the input, and
-        // collision-free because this sink's counter only moves forward.
-        // The record at `index` gets `base + index`; a parent maps to the
-        // first record so far (this one included) that carried its old id,
-        // and a parent named later or nowhere re-parents under `parent`.
-        let base = self.next_id;
-        self.next_id += records.len() as u64;
-        let mut mapped: HashMap<SpanId, usize> = HashMap::with_capacity(records.len());
-        self.records.reserve(records.len());
-        for (index, mut record) in records.into_iter().enumerate() {
-            mapped.entry(record.id).or_insert(index);
-            let position = if record.parent == SpanId::NONE {
-                None
-            } else {
-                mapped.get(&record.parent).copied()
-            };
-            record.id = SpanId(base + index as u64);
-            record.parent = position.map_or(parent, |at| SpanId(base + at as u64));
-            self.records.push(record);
-        }
     }
 }
 
@@ -680,7 +638,6 @@ mod tests {
         sink.attr_u64("a", 1);
         sink.instant("i");
         sink.close(id);
-        sink.adopt(SpanId::NONE, Vec::new());
         assert_eq!(sink, NoopSpanSink);
     }
 
@@ -734,105 +691,6 @@ mod tests {
         let records = sink.take_records();
         assert!(records[0].end_us >= records[0].start_us);
         assert!(records[0].end_us > 0);
-    }
-
-    #[test]
-    fn adopt_remaps_ids_and_roots_deterministically() {
-        let mut worker = MemorySpanSink::new();
-        worker.set_track(3);
-        let shard = worker.open("shard");
-        let scan = worker.open("scan");
-        worker.close(scan);
-        worker.close(shard);
-        let worker_records = worker.take_records();
-
-        let mut main = MemorySpanSink::new();
-        let root = main.open("cycle");
-        main.adopt(root, worker_records);
-        main.close(root);
-        let records = main.take_records();
-        assert_eq!(records.len(), 3);
-        let (cycle, shard, scan) = (&records[0], &records[1], &records[2]);
-        assert_eq!(shard.parent, cycle.id, "worker root re-parents under root");
-        assert_eq!(scan.parent, shard.id, "internal links are remapped");
-        assert_eq!(shard.track, 3, "tracks survive adoption");
-        assert_eq!(
-            records.iter().map(|r| r.id.0).collect::<Vec<_>>(),
-            vec![1, 2, 3],
-            "adopted ids continue the adopter's sequence"
-        );
-    }
-
-    /// The `(id, parent)` pairs adopting `records` under `parent` must
-    /// give, by the first-match linear search over the ids mapped so far.
-    fn adopted_links(base: u64, parent: SpanId, records: &[SpanRecord]) -> Vec<(u64, u64)> {
-        records
-            .iter()
-            .enumerate()
-            .map(|(index, record)| {
-                let found = (record.parent != SpanId::NONE)
-                    .then(|| records[..=index].iter().position(|r| r.id == record.parent))
-                    .flatten();
-                let parent = found.map_or(parent.0, |at| base + at as u64);
-                (base + index as u64, parent)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn adopt_remaps_every_parent_of_a_500_span_tree() {
-        // A worker tree of 500 spans whose depth walks up and down between
-        // 1 and 9, with an instant every 13th record.
-        let mut worker = MemorySpanSink::new();
-        worker.set_track(2);
-        let mut open = Vec::new();
-        for index in 0..500u64 {
-            let depth = (index * 7 % 9) as usize;
-            while open.len() > depth {
-                worker.close(open.pop().unwrap());
-            }
-            if index % 13 == 12 {
-                worker.instant("mark");
-            } else {
-                open.push(worker.open("span"));
-            }
-        }
-        let records = worker.take_records();
-        assert_eq!(records.len(), 500);
-        assert!(records.iter().any(|r| r.parent.is_some()));
-
-        let mut main = MemorySpanSink::new();
-        let root = main.open("cycle");
-        let sibling = main.open("formation");
-        main.close(sibling);
-        main.adopt(root, records.clone());
-        main.close(root);
-        let adopted = &main.take_records()[2..];
-        let base = 3;
-        let links: Vec<(u64, u64)> = adopted.iter().map(|r| (r.id.0, r.parent.0)).collect();
-        assert_eq!(links, adopted_links(base, root, &records));
-        for (record, original) in adopted.iter().zip(&records) {
-            let expected = if original.parent.is_some() {
-                base + original.parent.0 - 1
-            } else {
-                root.0
-            };
-            assert_eq!(record.parent.0, expected, "record {}", original.id.0);
-            assert_eq!(record.track, 2);
-        }
-
-        // Ids out of order (the second half first, so some parents come
-        // after their children) and a repeated id, whose first record wins.
-        let mut shuffled = records;
-        shuffled.rotate_left(250);
-        shuffled[10].id = shuffled[20].id;
-        let mut main = MemorySpanSink::new();
-        let root = main.open("cycle");
-        main.adopt(root, shuffled.clone());
-        let adopted = main.take_records();
-        let links: Vec<(u64, u64)> = adopted[1..].iter().map(|r| (r.id.0, r.parent.0)).collect();
-        assert_eq!(links, adopted_links(2, root, &shuffled));
-        assert!(links.iter().filter(|&&(_, p)| p != root.0).count() > 200);
     }
 
     #[test]

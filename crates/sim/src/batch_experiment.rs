@@ -20,7 +20,7 @@ use slotsel_core::request::{Job, JobId, ResourceRequest};
 use slotsel_env::EnvironmentConfig;
 
 use crate::metrics::RunningStats;
-use crate::parallel::{self, Parallelism};
+use crate::parallel;
 
 /// One job template of the standard batch.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -147,27 +147,19 @@ pub struct ObjectiveOutcome {
 /// One cycle's raw measurements, one row per objective.
 type CycleRow = (f64, f64, Option<f64>, Option<f64>);
 
-/// Runs the experiment: every objective over `config.cycles` environments.
+/// Runs the experiment: every objective over `config.cycles` environments,
+/// the cycles fanned out over [`parallel::map`].
 ///
-/// Cycle `i` uses the same environment for every objective, so outcomes are
-/// directly comparable. Equivalent to [`run_with`] on the calling thread.
+/// Cycle `i` uses the same environment, generated from `seed + i`, for
+/// every objective, so outcomes are directly comparable. Cycles share no
+/// state, and the per-objective statistics are folded in cycle order
+/// afterwards, so the result is the same on any core count (see
+/// [`crate::parallel`] for the contract).
 #[must_use]
 pub fn run(config: &BatchExperimentConfig) -> Vec<ObjectiveOutcome> {
-    run_with(config, Parallelism::Serial)
-}
-
-/// Runs the experiment, fanning the cycles out over a worker pool.
-///
-/// Every cycle derives its environment from `seed + cycle` and shares no
-/// state with other cycles, so they parallelise freely; the per-objective
-/// statistics are folded serially in cycle order afterwards, which makes
-/// the result **bit-identical** to the serial run for any [`Parallelism`]
-/// (see [`crate::parallel`] for the contract).
-#[must_use]
-pub fn run_with(config: &BatchExperimentConfig, parallelism: Parallelism) -> Vec<ObjectiveOutcome> {
     let jobs = config.build_jobs();
     let cycles: Vec<u64> = (0..config.cycles).collect();
-    let per_cycle: Vec<Vec<CycleRow>> = parallel::map(parallelism, &cycles, |_, &cycle| {
+    let per_cycle: Vec<Vec<CycleRow>> = parallel::map(&cycles, |_, &cycle| {
         let env = config
             .env
             .generate(&mut StdRng::seed_from_u64(config.seed + cycle));

@@ -73,8 +73,6 @@ pub struct QualityConfig {
     pub cycles: u64,
     /// Base RNG seed; cycle `i` uses `seed + i`.
     pub seed: u64,
-    /// Worker threads (0 = all available cores).
-    pub threads: usize,
     /// Also run the non-AEP baselines (FirstFit, ALP, Backfill) each cycle —
     /// an extension column set not present in the paper's figures.
     pub include_baselines: bool,
@@ -89,7 +87,6 @@ impl QualityConfig {
             request: RequestConfig::paper_default(),
             cycles: 5_000,
             seed: 20_130_715,
-            threads: 0,
             include_baselines: false,
         }
     }

@@ -26,6 +26,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use slotsel_core::request::JobId;
+use slotsel_obs::http::id_segment;
 use slotsel_obs::journal::{Journal, NoopJournal};
 use slotsel_obs::json::{parse_object, ObjectWriter, Value};
 use slotsel_obs::{
@@ -34,7 +35,6 @@ use slotsel_obs::{
 };
 
 use crate::journal::{DurableJournal, RecoverError};
-use crate::parallel::Parallelism;
 use crate::serve::{
     recover_live, CycleOutcome, JobEntry, LiveConfig, LiveRecord, LiveService, Submission,
 };
@@ -209,15 +209,9 @@ impl LiveDaemon {
             None => &mut NoopJournal,
         };
         let mut sink = MemorySpanSink::new();
-        // Shards are scheduled one after another on this thread: their
-        // batches hold about a job each, and a fan-out's worker threads
-        // cost more memory than they save time (docs/PERFORMANCE.md §16).
-        let outcome = live.service.run_cycle_spanned(
-            Parallelism::Serial,
-            self.registry.as_ref(),
-            &mut journal,
-            &mut sink,
-        );
+        let outcome =
+            live.service
+                .run_cycle_spanned(self.registry.as_ref(), &mut journal, &mut sink);
         let events = (outcome.committed.iter().map(|&(job, _)| (job, "committed")))
             .chain(outcome.deferred.iter().map(|&job| (job, "deferred")))
             .chain(outcome.over_quota.iter().map(|&job| (job, "over_quota")))
@@ -263,7 +257,7 @@ impl LiveDaemon {
         Some(match (request.method.as_str(), path) {
             ("POST", "/submit") => self.submit(&request.body),
             ("GET", _) if path.starts_with("/job/") => {
-                let id = path["/job/".len()..].parse::<u32>().ok()?;
+                let id = id_segment(&path["/job/".len()..])?;
                 match self.lock().service.job(JobId(id)) {
                     Some(entry) => HttpResponse::json(job_json(entry)),
                     None => HttpResponse::error(404, "unknown_job", &format!("no job {id}")),
@@ -327,11 +321,10 @@ impl LiveDaemon {
                 HttpResponse::ndjson(lines)
             }
             ("GET", _) if path.starts_with("/debug/job/") && path.ends_with("/timeline") => {
-                let id = path
-                    .strip_prefix("/debug/job/")?
-                    .strip_suffix("/timeline")?
-                    .parse::<u32>()
-                    .ok()?;
+                let id = id_segment(
+                    path.strip_prefix("/debug/job/")?
+                        .strip_suffix("/timeline")?,
+                )?;
                 match self.lock().timelines.get(&id) {
                     Some(events) => {
                         let mut lines = String::new();
@@ -581,6 +574,27 @@ mod tests {
         }
         // Paths without a job id are not routes of the daemon.
         for path in ["/job/x", "/debug/job/timeline", "/debug/job/x/timeline"] {
+            assert_eq!(daemon.handle(&request("GET", path, "")), None, "{path}");
+        }
+    }
+
+    #[test]
+    fn a_job_id_is_all_digits() {
+        let daemon = daemon(None);
+        assert_eq!(
+            daemon
+                .handle(&request("POST", "/submit", BODY))
+                .unwrap()
+                .status,
+            200
+        );
+        for path in ["/job/0", "/job/00", "/debug/job/0/timeline"] {
+            let found = daemon.handle(&request("GET", path, "")).unwrap();
+            assert_eq!(found.status, 200, "{path}");
+        }
+        // A sign or a space is not part of an id: these match no route,
+        // so the server answers 404 under one `{other}` metrics label.
+        for path in ["/job/+0", "/job/+00", "/job/ 0", "/debug/job/+0/timeline"] {
             assert_eq!(daemon.handle(&request("GET", path, "")), None, "{path}");
         }
     }

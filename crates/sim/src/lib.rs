@@ -8,8 +8,10 @@
 //!   thousands of freshly generated environments;
 //! - [`scaling`] — Tables 1–2 and Figures 5–6: wall-clock working time
 //!   against the number of CPU nodes and the scheduling-interval length;
-//! - [`parallel`] — deterministic scoped-thread fan-out powering the
-//!   `*_with` variants of the sweeps;
+//! - [`parallel`] — the one scoped-thread fan-out: the seed-derived
+//!   experiments ([`quality`], [`batch_experiment`], [`sensitivity`])
+//!   fan their cycles out and fold them in cycle order, while timed work
+//!   ([`scaling`], the live cycle) runs in order on the calling thread;
 //! - [`report`] — plain-text table and bar-chart rendering of the above;
 //! - [`config`] — the §3.1 parameters and the paper's reference numbers;
 //! - [`disruption`] / [`recovery`] — seeded fault injection between

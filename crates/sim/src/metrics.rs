@@ -8,8 +8,7 @@ use crate::disruption::DisruptionEvent;
 
 /// Welford's online mean/variance accumulator.
 ///
-/// Numerically stable for the long (5000-cycle) experiment runs, and
-/// mergeable so replications can be accumulated across worker threads.
+/// Numerically stable for the long (5000-cycle) experiment runs.
 ///
 /// # Examples
 ///
@@ -56,30 +55,6 @@ impl RunningStats {
         self.m2 += delta * (x - self.mean);
         self.min = Some(self.min.map_or(x, |m| m.min(x)));
         self.max = Some(self.max.map_or(x, |m| m.max(x)));
-    }
-
-    /// Merges another accumulator into this one (Chan's parallel update).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 += other.m2 + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.count = total;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
     }
 
     /// Number of observations.
@@ -210,14 +185,12 @@ impl MetricsAccumulator {
         self.misses += 1;
     }
 
-    /// Merges a partial accumulator (from another worker) into this one.
-    pub fn merge(&mut self, other: &MetricsAccumulator) {
-        self.start.merge(&other.start);
-        self.runtime.merge(&other.runtime);
-        self.finish.merge(&other.finish);
-        self.proc_time.merge(&other.proc_time);
-        self.cost.merge(&other.cost);
-        self.misses += other.misses;
+    /// Records one cycle's result: a found window, or a miss.
+    pub fn record(&mut self, metrics: Option<WindowMetrics>) {
+        match metrics {
+            Some(m) => self.push(m),
+            None => self.push_miss(),
+        }
     }
 
     /// Number of cycles with a found window.
@@ -370,29 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = RunningStats::new();
-        for &x in &data {
-            whole.push(x);
-        }
-        let mut left = RunningStats::new();
-        let mut right = RunningStats::new();
-        for &x in &data[..37] {
-            left.push(x);
-        }
-        for &x in &data[37..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.std_dev() - whole.std_dev()).abs() < 1e-9);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-    }
-
-    #[test]
     fn empty_and_loaded_stats_round_trip_through_serde() {
         // Empty stats must serialize losslessly: the old ±inf sentinels
         // had no JSON representation, which would corrupt recovery
@@ -409,20 +359,6 @@ mod tests {
         let json = serde_json::to_string(&loaded).unwrap();
         let back: RunningStats = serde_json::from_str(&json).unwrap();
         assert_eq!(loaded, back, "bit-exact f64 round-trip");
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = RunningStats::new();
-        a.push(1.0);
-        a.push(2.0);
-        let before = a;
-        a.merge(&RunningStats::new());
-        assert_eq!(a, before);
-
-        let mut empty = RunningStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 
     #[test]
@@ -514,30 +450,5 @@ mod tests {
         s.jobs_lost = 1;
         assert_eq!(s.rescued(), 3);
         assert!((s.survival_rate() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn accumulator_merge() {
-        let mut a = MetricsAccumulator::new();
-        let mut b = MetricsAccumulator::new();
-        a.push(WindowMetrics {
-            start: 1.0,
-            runtime: 1.0,
-            finish: 1.0,
-            proc_time: 1.0,
-            cost: 1.0,
-        });
-        b.push(WindowMetrics {
-            start: 3.0,
-            runtime: 3.0,
-            finish: 3.0,
-            proc_time: 3.0,
-            cost: 3.0,
-        });
-        b.push_miss();
-        a.merge(&b);
-        assert_eq!(a.hits(), 2);
-        assert_eq!(a.misses, 1);
-        assert_eq!(a.runtime.mean(), 2.0);
     }
 }

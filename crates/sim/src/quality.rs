@@ -7,8 +7,6 @@
 //! figure is the alternative extreme by that figure's criterion among the
 //! set CSA allocated in the cycle.
 
-use std::thread;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -18,10 +16,10 @@ use slotsel_core::algorithms::{Amp, MinCost, MinFinish, MinProcTime, MinRunTime,
 use slotsel_core::criteria::{best_by, Criterion, WindowCriterion};
 use slotsel_core::csa::{Csa, CutPolicy};
 use slotsel_core::request::ResourceRequest;
-use slotsel_core::window::Window;
 
 use crate::config::QualityConfig;
 use crate::metrics::{MetricsAccumulator, RunningStats, WindowMetrics};
+use crate::parallel;
 
 /// Names of the five single-window algorithms, in the paper's order.
 pub const SINGLE_ALGORITHMS: [&str; 5] =
@@ -66,21 +64,6 @@ impl QualityResults {
         }
     }
 
-    fn merge(&mut self, other: &QualityResults) {
-        for ((_, a), (_, b)) in self.algorithms.iter_mut().zip(&other.algorithms) {
-            a.merge(b);
-        }
-        self.csa_alternatives.merge(&other.csa_alternatives);
-        for ((_, a), (_, b)) in self
-            .csa_by_criterion
-            .iter_mut()
-            .zip(&other.csa_by_criterion)
-        {
-            a.merge(b);
-        }
-        self.cycles += other.cycles;
-    }
-
     /// The accumulator of a single-window algorithm by name.
     #[must_use]
     pub fn algorithm(&self, name: &str) -> Option<&MetricsAccumulator> {
@@ -100,89 +83,74 @@ impl QualityResults {
     }
 }
 
-/// Runs one scheduling cycle against a fresh environment seeded with `seed`
-/// and records every algorithm's result into `results`.
-fn run_cycle(
-    config: &QualityConfig,
-    request: &ResourceRequest,
-    seed: u64,
-    results: &mut QualityResults,
-) {
+/// One cycle's found windows: the single-window algorithms' (ordered
+/// like [`QualityResults::algorithms`]), CSA's alternative count, and
+/// CSA's extreme by each [`Criterion`] in [`Criterion::ALL`] order.
+struct CycleRecord {
+    windows: Vec<Option<WindowMetrics>>,
+    alternatives: usize,
+    csa_extremes: Vec<Option<WindowMetrics>>,
+}
+
+/// Runs one scheduling cycle against a fresh environment seeded with
+/// `seed` and returns every algorithm's result.
+fn run_cycle(config: &QualityConfig, request: &ResourceRequest, seed: u64) -> CycleRecord {
     let mut rng = StdRng::seed_from_u64(seed);
     let env = config.env.generate(&mut rng);
     let (platform, slots) = (env.platform(), env.slots());
 
-    let mut record = |index: usize, window: Option<Window>| match window {
-        Some(w) => results.algorithms[index].1.push(WindowMetrics::of(&w)),
-        None => results.algorithms[index].1.push_miss(),
-    };
-    record(0, Amp.select(platform, slots, request));
-    record(1, MinFinish::new().select(platform, slots, request));
-    record(2, MinCost.select(platform, slots, request));
-    record(3, MinRunTime::new().select(platform, slots, request));
-    record(
-        4,
+    let mut windows = vec![
+        Amp.select(platform, slots, request),
+        MinFinish::new().select(platform, slots, request),
+        MinCost.select(platform, slots, request),
+        MinRunTime::new().select(platform, slots, request),
         MinProcTime::with_seed(seed ^ 0xA5A5_A5A5).select(platform, slots, request),
-    );
+    ];
     if config.include_baselines {
-        record(5, FirstFit.select(platform, slots, request));
-        record(6, Alp.select(platform, slots, request));
-        record(7, Backfill.select(platform, slots, request));
+        windows.push(FirstFit.select(platform, slots, request));
+        windows.push(Alp.select(platform, slots, request));
+        windows.push(Backfill.select(platform, slots, request));
     }
 
     let alternatives = Csa::new()
         .cut_policy(CutPolicy::ReservationSpan)
         .find_alternatives(platform, slots, request);
-    results.csa_alternatives.push(alternatives.len() as f64);
-    for (i, criterion) in Criterion::ALL.iter().enumerate() {
-        match best_by(criterion, &alternatives) {
-            Some(w) => results.csa_by_criterion[i].1.push(WindowMetrics::of(w)),
-            None => results.csa_by_criterion[i].1.push_miss(),
-        }
+    CycleRecord {
+        windows: windows
+            .iter()
+            .map(|w| w.as_ref().map(WindowMetrics::of))
+            .collect(),
+        alternatives: alternatives.len(),
+        csa_extremes: Criterion::ALL
+            .iter()
+            .map(|criterion| best_by(criterion, &alternatives).map(WindowMetrics::of))
+            .collect(),
     }
 }
 
-/// Runs the full quality experiment, parallelising cycles across threads.
+/// Runs the full quality experiment, its cycles fanned out over
+/// [`parallel::map`].
 ///
-/// Results are independent of the thread count: cycle `i` always runs with
-/// seed `config.seed + i`, and the mergeable accumulators make the final
-/// statistics identical to a sequential run (up to floating-point merge
-/// order in the variance, not the mean).
+/// Cycle `i` runs with seed `config.seed + i`, and the cycles' records are
+/// folded in cycle order, so the results are the same on any core count.
 #[must_use]
 pub fn run(config: &QualityConfig) -> QualityResults {
     let request = config.request.to_request();
-    let threads = if config.threads == 0 {
-        thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        config.threads
-    };
-    let threads = threads.min(config.cycles.max(1) as usize).max(1);
-
-    let mut partials: Vec<QualityResults> = Vec::with_capacity(threads);
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| {
-                let request = &request;
-                scope.spawn(move || {
-                    let mut local = QualityResults::empty(config.include_baselines);
-                    let mut cycle = worker as u64;
-                    while cycle < config.cycles {
-                        run_cycle(config, request, config.seed + cycle, &mut local);
-                        local.cycles += 1;
-                        cycle += threads as u64;
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            partials.push(handle.join().expect("worker panicked"));
-        }
+    let cycles: Vec<u64> = (0..config.cycles).collect();
+    let records = parallel::map(&cycles, |_, &cycle| {
+        run_cycle(config, &request, config.seed + cycle)
     });
 
     let mut total = QualityResults::empty(config.include_baselines);
-    for partial in &partials {
-        total.merge(partial);
+    for record in records {
+        for ((_, acc), metrics) in total.algorithms.iter_mut().zip(record.windows) {
+            acc.record(metrics);
+        }
+        total.csa_alternatives.push(record.alternatives as f64);
+        for ((_, acc), metrics) in total.csa_by_criterion.iter_mut().zip(record.csa_extremes) {
+            acc.record(metrics);
+        }
+        total.cycles += 1;
     }
     total
 }
@@ -211,21 +179,6 @@ mod tests {
         for (name, acc) in &results.algorithms {
             assert_eq!(acc.misses, 0, "{name} missed on a 100-node environment");
         }
-    }
-
-    #[test]
-    fn thread_count_does_not_change_means() {
-        let mut sequential = quick_config(10);
-        sequential.threads = 1;
-        let mut parallel = quick_config(10);
-        parallel.threads = 4;
-        let a = run(&sequential);
-        let b = run(&parallel);
-        for ((name, x), (_, y)) in a.algorithms.iter().zip(&b.algorithms) {
-            assert!((x.cost.mean() - y.cost.mean()).abs() < 1e-9, "{name}");
-            assert!((x.start.mean() - y.start.mean()).abs() < 1e-9, "{name}");
-        }
-        assert!((a.csa_alternatives.mean() - b.csa_alternatives.mean()).abs() < 1e-9);
     }
 
     #[test]

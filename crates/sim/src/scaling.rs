@@ -23,7 +23,6 @@ use slotsel_env::EnvironmentConfig;
 
 use crate::config::RequestConfig;
 use crate::metrics::RunningStats;
-use crate::parallel::{self, Parallelism};
 
 /// Algorithm order of the timing tables, matching the paper's rows.
 pub const TIMED_ALGORITHMS: [&str; 6] = [
@@ -157,18 +156,7 @@ fn measure_point(
     env_config: &EnvironmentConfig,
     config: &ScalingConfig,
     parameter: i64,
-    parallelism: Parallelism,
 ) -> ScalingPoint {
-    let runs: Vec<u64> = (0..config.runs).collect();
-    // Every run derives its environment and RNG from (seed, run, parameter)
-    // alone, so runs fan out freely; the statistics are folded serially in
-    // run order. Seed-derived fields (slots, alternatives) are therefore
-    // identical under any parallelism — the wall-clock samples are live
-    // measurements and remain subject to scheduling noise.
-    let measurements = parallel::map(parallelism, &runs, |_, &run| {
-        measure_run(env_config, config, parameter, run)
-    });
-
     let mut slots_stats = RunningStats::new();
     let mut alt_stats = RunningStats::new();
     let mut timings: Vec<(String, RunningStats)> = TIMED_ALGORITHMS
@@ -177,7 +165,10 @@ fn measure_point(
         .collect();
     let mut csa_total_ms = 0.0;
     let mut csa_total_alts = 0.0;
-    for m in measurements {
+    // The runs are timed, so they run one after another on this thread:
+    // no measurement shares a core with another.
+    for run in 0..config.runs {
+        let m = measure_run(env_config, config, parameter, run);
         slots_stats.push(m.slots);
         alt_stats.push(m.alternatives);
         for (slot, &ms) in timings.iter_mut().zip(&m.timings_ms) {
@@ -203,27 +194,11 @@ fn measure_point(
 /// Table 1 / Figure 5: sweep over CPU-node counts at interval length 600.
 #[must_use]
 pub fn sweep_nodes(config: &ScalingConfig, node_counts: &[usize]) -> Vec<ScalingPoint> {
-    sweep_nodes_with(config, node_counts, Parallelism::Serial)
-}
-
-/// [`sweep_nodes`] with the runs of each point fanned out over a worker
-/// pool.
-///
-/// Structure and seed-derived statistics (slot counts, CSA alternatives)
-/// are identical to the serial sweep; wall-clock samples are measurements
-/// and vary run to run. Timing tables meant for the paper comparison
-/// should still be gathered serially.
-#[must_use]
-pub fn sweep_nodes_with(
-    config: &ScalingConfig,
-    node_counts: &[usize],
-    parallelism: Parallelism,
-) -> Vec<ScalingPoint> {
     node_counts
         .iter()
         .map(|&count| {
             let env = EnvironmentConfig::with_node_count(count);
-            measure_point(&env, config, count as i64, parallelism)
+            measure_point(&env, config, count as i64)
         })
         .collect()
 }
@@ -231,22 +206,11 @@ pub fn sweep_nodes_with(
 /// Table 2 / Figure 6: sweep over interval lengths at 100 nodes.
 #[must_use]
 pub fn sweep_interval(config: &ScalingConfig, lengths: &[i64]) -> Vec<ScalingPoint> {
-    sweep_interval_with(config, lengths, Parallelism::Serial)
-}
-
-/// [`sweep_interval`] with the runs of each point fanned out over a worker
-/// pool; same contract as [`sweep_nodes_with`].
-#[must_use]
-pub fn sweep_interval_with(
-    config: &ScalingConfig,
-    lengths: &[i64],
-    parallelism: Parallelism,
-) -> Vec<ScalingPoint> {
     lengths
         .iter()
         .map(|&length| {
             let env = EnvironmentConfig::with_interval_length(length);
-            measure_point(&env, config, length, parallelism)
+            measure_point(&env, config, length)
         })
         .collect()
 }

@@ -19,7 +19,7 @@ use slotsel_core::request::ResourceRequest;
 use slotsel_env::EnvironmentConfig;
 
 use crate::metrics::{MetricsAccumulator, WindowMetrics};
-use crate::parallel::{self, Parallelism};
+use crate::parallel;
 use crate::quality::SINGLE_ALGORITHMS;
 
 /// One point of the sweep: a request shape.
@@ -75,11 +75,15 @@ impl SensitivityPoint {
     }
 }
 
-/// Sweeps the given request points, `cycles` environments per point.
+/// Sweeps the given request points, `cycles` environments per point, the
+/// (point, cycle) cells fanned out over [`parallel::map`].
 ///
 /// The same environment seeds are reused across points so differences are
-/// attributable to the request shape alone. Equivalent to [`sweep_with`] on
-/// the calling thread.
+/// attributable to the request shape alone. Every cell derives its
+/// environment from `seed + cycle` and its MinProcTime generator from
+/// `seed ^ cycle`, independent of every other cell; the per-point
+/// accumulators are folded in cycle order afterwards, so the result is the
+/// same on any core count (see [`crate::parallel`]).
 #[must_use]
 pub fn sweep(
     env: &EnvironmentConfig,
@@ -87,37 +91,18 @@ pub fn sweep(
     cycles: u64,
     seed: u64,
 ) -> Vec<SensitivityPoint> {
-    sweep_with(env, points, cycles, seed, Parallelism::Serial)
-}
-
-/// [`sweep`] with the (point, cycle) cells fanned out over a worker pool.
-///
-/// Every cell derives its environment from `seed + cycle` and its
-/// MinProcTime generator from `seed ^ cycle`, independent of every other
-/// cell; the per-point accumulators are folded serially in cycle order
-/// afterwards, which makes the result **bit-identical** to the serial
-/// sweep for any [`Parallelism`] (see [`crate::parallel`]).
-#[must_use]
-pub fn sweep_with(
-    env: &EnvironmentConfig,
-    points: &[RequestPoint],
-    cycles: u64,
-    seed: u64,
-    parallelism: Parallelism,
-) -> Vec<SensitivityPoint> {
     let cells: Vec<(usize, u64)> = points
         .iter()
         .enumerate()
         .flat_map(|(i, point)| {
-            // Infeasible request shapes contribute no cells, exactly like
-            // the serial sweep's `if let Some(request)` guard.
+            // Infeasible request shapes contribute no cells.
             let feasible = point.to_request().is_some();
             (0..if feasible { cycles } else { 0 }).map(move |cycle| (i, cycle))
         })
         .collect();
 
     let measured: Vec<[Option<WindowMetrics>; SINGLE_ALGORITHMS.len()]> =
-        parallel::map(parallelism, &cells, |_, &(point_index, cycle)| {
+        parallel::map(&cells, |_, &(point_index, cycle)| {
             let request = points[point_index]
                 .to_request()
                 .expect("only feasible points produce cells");
@@ -145,10 +130,7 @@ pub fn sweep_with(
         .collect();
     for (&(point_index, _), row) in cells.iter().zip(measured) {
         for ((_, acc), metrics) in results[point_index].algorithms.iter_mut().zip(row) {
-            match metrics {
-                Some(m) => acc.push(m),
-                None => acc.push_miss(),
-            }
+            acc.record(metrics);
         }
     }
     results

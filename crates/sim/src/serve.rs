@@ -15,10 +15,9 @@
 //! groups, each with its own [`Platform`] and free-[`SlotList`]. A request
 //! names its shard (or is auto-assigned to the least-queued one) and a
 //! window never spans shards, so the per-shard phase-1/phase-2 scheduling
-//! is a pure function of that shard's state — [`LiveService::run_cycle`]
-//! fans the shards out over
-//! [`crate::parallel::map`] and commits the results serially, in shard
-//! order, for determinism.
+//! is a pure function of that shard's state. [`LiveService::run_cycle`]
+//! schedules the shards one after another on the calling thread and
+//! commits the results in shard order.
 //!
 //! ## Admission
 //!
@@ -100,10 +99,10 @@ use slotsel_core::window::Window;
 use slotsel_env::EnvironmentConfig;
 use slotsel_obs::journal::{read_journal, Journal, NoopJournal, SnapshotStore};
 use slotsel_obs::metrics::{Metrics, NoopMetrics};
-use slotsel_obs::{MemorySpanSink, NoopSpanSink, Obs, SpanSink};
+use slotsel_obs::{NoopSpanSink, Obs, SpanSink};
 
 use crate::journal::{journal_path, snapshot_dir, RecoverError};
-use crate::parallel::{self, Parallelism};
+use crate::parallel::Parallelism;
 
 /// Per-tenant quota assignments, normally loaded from a `--quota-file`
 /// JSON document:
@@ -1076,15 +1075,15 @@ impl LiveService {
 
     /// Runs one scheduling cycle without observability — the plain twin
     /// of [`run_cycle_observed`](Self::run_cycle_observed).
-    pub fn run_cycle(&mut self, parallelism: Parallelism) -> CycleOutcome {
-        self.run_cycle_observed(parallelism, &NoopMetrics, &mut NoopJournal)
+    pub fn run_cycle(&mut self) -> CycleOutcome {
+        self.run_cycle_observed(Parallelism::Serial, &NoopMetrics, &mut NoopJournal)
     }
 
     /// Runs one scheduling cycle: forms per-shard batches from the queue
-    /// (re-enforcing quotas), schedules the shards (concurrently if
-    /// `parallelism` fans out; the daemon runs them serially), commits
-    /// the won windows into the persistent slot lists, advances the
-    /// virtual clock, and retires finished jobs.
+    /// (re-enforcing quotas), schedules the shards one after another,
+    /// commits the won windows into the persistent slot lists, advances
+    /// the virtual clock, and retires finished jobs. `Parallelism` has
+    /// one value, [`Parallelism::Serial`].
     ///
     /// Audit records and the `CycleCommitted` barrier go to `journal`
     /// (one `commit` at the barrier); per-tenant gauges and cycle
@@ -1092,31 +1091,26 @@ impl LiveService {
     /// run dark — the outcome and state evolution are identical.
     pub fn run_cycle_observed<J: Journal>(
         &mut self,
-        parallelism: Parallelism,
+        _parallelism: Parallelism,
         metrics: &dyn Metrics,
         journal: &mut J,
     ) -> CycleOutcome {
-        self.run_cycle_spanned(parallelism, metrics, journal, &mut NoopSpanSink)
+        self.run_cycle_spanned(metrics, journal, &mut NoopSpanSink)
     }
 
     /// Like [`run_cycle_observed`](Self::run_cycle_observed), additionally
     /// recording a span tree on `spans`: a `"serve.cycle"` root with
     /// `"serve.batch_formation"` / `"serve.commit"` / `"serve.advance"` /
     /// `"serve.retire"` phase children, plus one `"serve.shard"` subtree
-    /// per shard. Shard subtrees are recorded on private sinks (track
-    /// `shard + 1`), inside the worker threads when the cycle fans out,
-    /// and adopted under the cycle root afterwards, so the caller's sink
-    /// never crosses threads. With a disabled sink this is
+    /// per shard, on track `shard + 1`. With a disabled sink this is
     /// `run_cycle_observed`, bit for bit.
     #[allow(clippy::too_many_lines)]
     pub fn run_cycle_spanned<J: Journal, S: SpanSink>(
         &mut self,
-        parallelism: Parallelism,
         metrics: &dyn Metrics,
         journal: &mut J,
         spans: &mut S,
     ) -> CycleOutcome {
-        let spanning = spans.enabled();
         let journaling = journal.enabled();
         let cycle = self.state.cycle;
         let mut obs = Obs::dark().with_metrics(metrics).with_spans(spans);
@@ -1182,41 +1176,27 @@ impl LiveService {
 
         // --- Per-shard scheduling -------------------------------------
         // Each shard's two-phase schedule is a pure function of its own
-        // (platform, slots, batch), so disjoint shards may run in
-        // parallel; results come back in shard order regardless. Span
-        // trees are captured per worker on private sinks and adopted
-        // under the cycle root once the barrier completes.
+        // (platform, slots, batch); the shards run one after another on
+        // this thread, each subtree on track `shard + 1` under the cycle
+        // root. The scheduler reports to no recorder or metrics sink.
         let scheduler = BatchScheduler::new(self.config.scheduler.clone());
-        let shards = &self.state.shards;
-        let results = parallel::map(parallelism, &batches, |shard, jobs| {
-            // A sink no span opens on allocates nothing and reads no
-            // clock, so a dark cycle passes it by without cost.
-            let mut sink = MemorySpanSink::new();
-            sink.set_track(shard as u32 + 1);
-            let mut obs = if spanning {
-                Obs::dark().with_spans(&mut sink)
-            } else {
-                Obs::dark()
-            };
-            let phase = obs.phase("serve.shard");
-            obs.spans.attr_u64("shard", shard as u64);
-            obs.spans.attr_u64("jobs", jobs.len() as u64);
-            let schedule = scheduler.schedule_observed(
-                &shards[shard].platform,
-                &shards[shard].slots,
+        let mut schedules = Vec::with_capacity(batches.len());
+        for (shard, jobs) in batches.iter().enumerate() {
+            let state = &self.state.shards[shard];
+            obs.spans.set_track(shard as u32 + 1);
+            let mut scheduling = Obs::dark().with_spans(&mut *obs.spans);
+            let phase = scheduling.phase("serve.shard");
+            scheduling.spans.attr_u64("shard", shard as u64);
+            scheduling.spans.attr_u64("jobs", jobs.len() as u64);
+            schedules.push(scheduler.schedule_observed(
+                &state.platform,
+                &state.slots,
                 jobs,
-                &mut obs,
-            );
-            phase.end(&mut obs, None);
-            (schedule, sink.take_records())
-        });
-        let mut schedules = Vec::with_capacity(results.len());
-        for (schedule, records) in results {
-            if !records.is_empty() {
-                obs.spans.adopt(root.span(), records);
-            }
-            schedules.push(schedule);
+                &mut scheduling,
+            ));
+            phase.end(&mut scheduling, None);
         }
+        obs.spans.set_track(0);
 
         // --- Serial commit, shard order --------------------------------
         let commit = obs.phase("serve.commit");
@@ -1973,6 +1953,7 @@ mod tests {
     use super::*;
     use crate::journal::DurableJournal;
     use slotsel_obs::journal::MemoryJournal;
+    use slotsel_obs::MemorySpanSink;
     use std::path::PathBuf;
 
     fn tiny_config(shards: u32) -> LiveConfig {
@@ -2104,7 +2085,7 @@ mod tests {
             ..tiny_config(1)
         });
         let entry = service.submit(&submission("alice", 2, 100_000.0)).unwrap();
-        let outcome = service.run_cycle(Parallelism::Serial);
+        let outcome = service.run_cycle();
         assert_eq!(outcome.committed, vec![(entry.id, 0)]);
         let job = service.job(entry.id).unwrap();
         let window = job.phase.window().expect("committed").clone();
@@ -2116,7 +2097,7 @@ mod tests {
         // …and releases once the clock passes its finish.
         let mut finished = false;
         for _ in 0..20 {
-            let outcome = service.run_cycle(Parallelism::Serial);
+            let outcome = service.run_cycle();
             if outcome.finished.contains(&entry.id) {
                 finished = true;
                 break;
@@ -2140,7 +2121,7 @@ mod tests {
             service.submit(&submission("alice", 2, 100_000.0)).unwrap();
         }
         for _ in 0..4 {
-            service.run_cycle(Parallelism::Serial);
+            service.run_cycle();
         }
         let windows: Vec<&Window> = service
             .jobs()
@@ -2158,32 +2139,6 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_shards_schedule_identically_serial_and_parallel() {
-        let build = || {
-            let mut service = LiveService::new(tiny_config(3));
-            for shard in 0..3u32 {
-                for _ in 0..2 {
-                    service
-                        .submit(&Submission {
-                            shard: Some(shard),
-                            ..submission("alice", 1, 100_000.0)
-                        })
-                        .unwrap();
-                }
-            }
-            service
-        };
-        let mut serial = build();
-        let mut threaded = build();
-        for _ in 0..3 {
-            let a = serial.run_cycle(Parallelism::Serial);
-            let b = threaded.run_cycle(Parallelism::Threads(3));
-            assert_eq!(a, b);
-        }
-        assert_eq!(serial, threaded);
-    }
-
-    #[test]
     fn batch_formation_reenforces_a_tightened_quota() {
         let mut service = LiveService::new(tiny_config(1));
         service.submit(&submission("alice", 2, 100_000.0)).unwrap();
@@ -2197,7 +2152,7 @@ mod tests {
                 ..TenantQuota::unlimited()
             },
         );
-        let outcome = service.run_cycle(Parallelism::Serial);
+        let outcome = service.run_cycle();
         assert_eq!(outcome.committed.len(), 1);
         assert_eq!(outcome.over_quota.len(), 1);
     }
@@ -2292,7 +2247,7 @@ mod tests {
         let config = tiny_config(2);
         let mut service = LiveService::new(config.clone());
         let entry = service.submit(&submission("alice", 1, 9_000.0)).unwrap();
-        service.run_cycle(Parallelism::Serial);
+        service.run_cycle();
         let window = service
             .job(entry.id)
             .and_then(|job| job.phase.window())
@@ -2444,7 +2399,7 @@ mod tests {
     }
 
     #[test]
-    fn spanned_cycle_matches_observed_and_adopts_shard_subtrees() {
+    fn spanned_cycle_matches_observed_and_nests_shard_subtrees() {
         let seed_service = || {
             let mut service = LiveService::new(tiny_config(2));
             for shard in 0..2u32 {
@@ -2459,12 +2414,11 @@ mod tests {
         };
 
         let mut plain = seed_service();
-        let plain_outcome = plain.run_cycle(Parallelism::Serial);
+        let plain_outcome = plain.run_cycle();
 
         let mut spanned = seed_service();
         let mut sink = MemorySpanSink::new();
-        let outcome =
-            spanned.run_cycle_spanned(Parallelism::Auto, &NoopMetrics, &mut NoopJournal, &mut sink);
+        let outcome = spanned.run_cycle_spanned(&NoopMetrics, &mut NoopJournal, &mut sink);
         assert_eq!(outcome, plain_outcome);
         assert_eq!(spanned.state(), plain.state());
 
@@ -2486,18 +2440,23 @@ mod tests {
                 "missing {phase}"
             );
         }
-        // One adopted shard subtree per shard, each on its own track
-        // (shard s runs on track s + 1; the coordinator stays on 0).
-        let shard_tracks: Vec<u32> = records
+        // One shard subtree per shard under the cycle root, each on its
+        // own track (shard s runs on track s + 1; the coordinator stays on
+        // 0, before and after the shards).
+        let shards: Vec<(u32, u64)> = records
             .iter()
             .filter(|r| r.name == "serve.shard")
-            .map(|r| r.track)
+            .map(|r| (r.track, r.parent.0))
             .collect();
-        assert_eq!(shard_tracks, vec![1, 2]);
+        assert_eq!(shards, vec![(1, root.id.0), (2, root.id.0)]);
         for record in &records {
-            if record.name == "batch.schedule" {
-                assert!(record.track >= 1, "shard subtree keeps its track");
-            }
+            let on_shard_track = record.track >= 1;
+            let in_shard = record.name == "serve.shard" || !record.name.starts_with("serve.");
+            assert_eq!(
+                on_shard_track, in_shard,
+                "{} on track {}",
+                record.name, record.track
+            );
         }
     }
 }

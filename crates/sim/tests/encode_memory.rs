@@ -39,7 +39,7 @@ fn service(shards: u32, nodes: usize) -> LiveService {
                 shard: None,
             });
         }
-        service.run_cycle(Parallelism::Serial);
+        service.run_cycle();
     }
     service
 }

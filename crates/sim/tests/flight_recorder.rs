@@ -19,7 +19,6 @@ use slotsel_obs::chrome;
 use slotsel_obs::journal::NoopJournal;
 use slotsel_obs::span::AttrValue;
 use slotsel_obs::{FlightRecorder, MemorySpanSink, NoopMetrics, SpanId, SpanRecord};
-use slotsel_sim::parallel::Parallelism;
 use slotsel_sim::serve::{LiveConfig, LiveService, Submission};
 
 /// The heap bytes the recorder retains for 64 copies of the cycle,
@@ -52,12 +51,7 @@ fn cycle_records() -> Vec<SpanRecord> {
             .expect("the fixed batch is admitted");
     }
     let mut sink = MemorySpanSink::new();
-    let outcome = service.run_cycle_spanned(
-        Parallelism::Serial,
-        &NoopMetrics,
-        &mut NoopJournal,
-        &mut sink,
-    );
+    let outcome = service.run_cycle_spanned(&NoopMetrics, &mut NoopJournal, &mut sink);
     assert!(!outcome.committed.is_empty(), "the cycle schedules jobs");
     sink.take_records()
 }

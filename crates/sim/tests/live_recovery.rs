@@ -1148,7 +1148,7 @@ fn assert_fixture_recovers_and_continues(
                 journal.commit();
             }
         }
-        reference.run_cycle(Parallelism::Serial);
+        reference.run_cycle();
         resumed.run_cycle_observed(Parallelism::Serial, &NoopMetrics, &mut journal);
     }
     journal.finish().unwrap();
@@ -1645,7 +1645,7 @@ fn free_slot_lists_match_the_golden_digests() {
         for submission in arrivals(&mut rng, cycle, false) {
             let _ = service.submit(&submission);
         }
-        committed += service.run_cycle(Parallelism::Serial).committed.len();
+        committed += service.run_cycle().committed.len();
     }
     assert_eq!(committed, 464);
     let pinned: Vec<(u64, u64)> = service

@@ -23,8 +23,8 @@ use slotsel::obs::{
 };
 use slotsel::sim::serve::{LiveConfig, LiveService, Submission};
 use slotsel::sim::{
-    simulate_with_recovery, simulate_with_recovery_observed, DisruptionConfig, Parallelism,
-    RecoveryPolicy, RollingConfig,
+    simulate_with_recovery, simulate_with_recovery_observed, DisruptionConfig, RecoveryPolicy,
+    RollingConfig,
 };
 
 /// Every sink of an [`Obs`], lit and in memory.
@@ -521,9 +521,8 @@ fn serve_dark_and_lit_agree() {
     let cycles = 3;
     let mut committed = 0;
     for _ in 0..cycles {
-        let plain = dark.run_cycle(Parallelism::Serial);
-        let observed =
-            lit_service.run_cycle_spanned(Parallelism::Auto, &registry, &mut journal, &mut spans);
+        let plain = dark.run_cycle();
+        let observed = lit_service.run_cycle_spanned(&registry, &mut journal, &mut spans);
         assert_eq!(plain, observed);
         committed += observed.committed.len();
     }
