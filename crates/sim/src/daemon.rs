@@ -98,7 +98,7 @@ impl LiveDaemon {
                         recovered.service.job_count(),
                         recovered.resubmitted,
                         match recovered.snapshot_cycle {
-                            Some(cycle) => format!("replayed from the cycle-{cycle} snapshot"),
+                            Some(cycle) => format!("slots from the cycle-{cycle} snapshot"),
                             None => "replayed from the generated platform".to_owned(),
                         },
                         if recovered.discarded_tail {

@@ -20,6 +20,8 @@
 //! │ CycleCommitted { state }                      — the barrier;    │
 //! │                                                 commit + fsync  │
 //! └─────────────────────────────────────────────────────────────────┘
+//! Lost …                  (victims still waiting when the run ends,
+//!                          in the last cycle, after its barrier)
 //! RunFinished { report }                         — committed
 //! ```
 //!
@@ -449,8 +451,10 @@ fn framed_len(payload: &str) -> u64 {
 ///
 /// `config`/`jobs` come from the leading `RunStarted`, the state from
 /// the last `CycleCommitted` barrier; event records are validated to sit
-/// inside the cycle the next barrier would commit, but contribute
-/// nothing to the state (the barrier is self-sufficient).
+/// inside the cycle the next barrier would commit (or, for the `Lost`
+/// records of victims still waiting when the run ends, in the cycle the
+/// last barrier committed), but contribute nothing to the state (the
+/// barrier is self-sufficient).
 pub fn replay(records: &[String]) -> Result<RecoveredRun, RecoverError> {
     let mut iter = records.iter();
     let Some(first) = iter.next() else {
@@ -512,7 +516,9 @@ pub fn replay(records: &[String]) -> Result<RecoveredRun, RecoverError> {
                         detail: format!("event record {record_no} after RunFinished"),
                     });
                 }
-                if cycle != state.next_cycle {
+                let end_of_run = matches!(record, JournalRecord::Lost { .. })
+                    && cycle.checked_add(1) == Some(state.next_cycle);
+                if cycle != state.next_cycle && !end_of_run {
                     return Err(RecoverError::ChainBroken {
                         detail: format!(
                             "event record {record_no} belongs to cycle {cycle} \
@@ -521,8 +527,9 @@ pub fn replay(records: &[String]) -> Result<RecoveredRun, RecoverError> {
                         ),
                     });
                 }
-                // Events of the in-progress cycle: superseded by either
-                // their barrier (above) or the deterministic re-run.
+                // Events of the in-progress cycle, or losses at the end of
+                // the run: superseded by their barrier (above), by
+                // `RunFinished` or by the deterministic re-run.
                 discarded_tail = true;
             }
         }
@@ -818,9 +825,24 @@ mod tests {
 
     #[test]
     fn replay_validates_the_record_chain() {
-        // An event claiming a cycle the journal has not reached.
-        let foreign = replay(&[header(), barrier(1), event(0)]);
-        assert!(matches!(foreign, Err(RecoverError::ChainBroken { .. })));
+        // An event of a cycle the journal is not in.
+        let readmitted = JournalRecord::Readmitted { cycle: 0, job: 7 }.encode();
+        for foreign in [
+            vec![header(), barrier(1), readmitted],
+            vec![header(), barrier(2), event(0)],
+        ] {
+            assert!(matches!(
+                replay(&foreign),
+                Err(RecoverError::ChainBroken { .. })
+            ));
+        }
+        // A loss of the last committed cycle is a victim lost as the run
+        // ended.
+        assert!(
+            replay(&[header(), barrier(1), event(0)])
+                .unwrap()
+                .discarded_tail
+        );
         // A barrier going backwards.
         let rewind = replay(&[header(), barrier(2), barrier(1)]);
         assert!(matches!(rewind, Err(RecoverError::ChainBroken { .. })));

@@ -554,11 +554,11 @@ fn run<J: Journal>(
     }
 
     // Victims still waiting (parked or re-pending) when the run ended
-    // never recovered. The final report carries them, so they are traced
-    // but not journaled.
+    // never recovered: each is lost in the last cycle, after its barrier
+    // and before `RunFinished`.
     let last_cycle = state.cycles.last().map_or(0, |c| c.cycle);
     for (job, _) in std::mem::take(&mut state.victim_since) {
-        lose(&mut state, obs, &mut NoopJournal, last_cycle, job);
+        lose(&mut state, obs, journal, last_cycle, job);
     }
 
     let report = RollingReport {

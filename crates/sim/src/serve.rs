@@ -68,14 +68,16 @@
 //! end]` row (see [`ShardState`]), and it carries a digest of the
 //! retired jobs ([`LiveState::archive_digest`]). [`recover_live`] regenerates the
 //! platform from the header, binds the newest intact snapshot's rows to
-//! it (if there is one), re-applies each `Submitted` record, replays each
-//! later cycle through the same transition functions the live cycle runs,
-//! checks every barrier's digests, and rebuilds the archive of jobs
-//! retired before the snapshot by walking the cycles it covers: their
-//! `Submitted` records, their decisions and their `Finished` records,
-//! checked against the snapshot's archive digest. A journal whose header
-//! names no format (format 1, written before the number) is replayed from
-//! record 1 without its snapshots. Requests
+//! it (if there is one), and walks the journal from record 1 in one replay
+//! walk: it re-applies each `Submitted` record, replays every cycle through
+//! the same transition functions the live cycle runs, and checks every
+//! barrier's job digest. A cycle the snapshot covers skips only the slot
+//! work; at the snapshot's barrier its slot lists take over, checked
+//! against that barrier's slot digests and its archive digest against the
+//! replayed archive. Later cycles cut and advance the slots and check the
+//! slot digests too. `Finished` records are audit only. A journal whose
+//! header names no format (format 1, written before the number) is
+//! replayed without its snapshots. Requests
 //! accepted after the last committed cycle come back queued, which is
 //! what makes an accepted-but-uncommitted request survive a crash (see
 //! `docs/SERVING.md`).
@@ -441,7 +443,7 @@ pub struct LiveState {
     /// Digest of the service's retired jobs: the wrapping sum of each
     /// retired entry's [`job_digest`], so it does not depend on the order
     /// jobs retire in, and each retirement updates it in O(1). Recovery
-    /// checks the archive it rebuilds from the records a snapshot covers
+    /// checks the archive it has replayed by the snapshot's barrier
     /// against the snapshot's. Barriers leave it out (it reads 0 there).
     #[serde(default)]
     pub archive_digest: u64,
@@ -464,14 +466,22 @@ enum Header {
     },
 }
 
-/// A snapshot's state, its shards not yet bound to the platform.
+/// What recovery reads of a snapshot's state: its cycle, its shards not
+/// yet bound to the platform, and its archive digest. Its jobs and usage
+/// are replayed from the journal instead.
 #[derive(Deserialize)]
 struct StateImage {
     cycle: u64,
-    next_job: u32,
     shards: Vec<ShardRows>,
-    jobs: Vec<JobEntry>,
-    usage: BTreeMap<String, TenantUsage>,
+    archive_digest: u64,
+}
+
+/// The newest snapshot as replay uses it: its shards bound to the
+/// regenerated platforms, whose slot lists replay takes over at the
+/// snapshot's own barrier.
+struct Snapshot {
+    cycle: u64,
+    shards: Vec<ShardState>,
     archive_digest: u64,
 }
 
@@ -661,11 +671,10 @@ pub enum LiveRecord {
         shard: u32,
     },
     /// A job's window finished as the clock advanced, and the job left
-    /// the live table: `{"Finished":{"cycle":C,"job":J}}`. Replay retires
-    /// the job by itself; for a job retired before the snapshot, recovery
-    /// derives the retired entry from the job's `Submitted`, `Committed`
-    /// and `Deferred` records. The decoder ignores the `entry` that
-    /// format-1 records may carry.
+    /// the live table: `{"Finished":{"cycle":C,"job":J}}`. An audit record:
+    /// replay retires the job by the clock, as the cycle did, and reads
+    /// none of these. The decoder ignores the `entry` that format-1
+    /// records may carry.
     Finished {
         /// The cycle.
         cycle: u64,
@@ -826,8 +835,9 @@ pub struct RecoveredService {
     /// Trailing `Submitted` records re-applied on top of the last
     /// barrier.
     pub resubmitted: usize,
-    /// The cycle of the snapshot replay started from; `None` when it
-    /// started from the state generated from the header's config.
+    /// The cycle of the snapshot whose slot lists replay took over at that
+    /// cycle's barrier; `None` when replay cut and advanced every cycle's
+    /// slots from the platform generated from the header's config.
     pub snapshot_cycle: Option<u64>,
     /// The journal format the header names: 1 (no number) or 2.
     /// Recovery of a format-1 journal reads none of its snapshots.
@@ -845,7 +855,7 @@ pub struct LiveService {
     config: LiveConfig,
     state: LiveState,
     /// Finished jobs by id. Not part of the barrier or the snapshot:
-    /// recovery derives each entry from the job's records.
+    /// replay retires each entry as the cycle did.
     retired: BTreeMap<u32, JobEntry>,
 }
 
@@ -1241,7 +1251,7 @@ impl LiveService {
 
         // --- Advance the virtual clock ---------------------------------
         let advance = obs.phase("serve.advance");
-        self.advance_clock();
+        self.advance_clock(true);
         obs.spans.attr_u64("shards", self.state.shards.len() as u64);
         advance.end(&mut obs, None);
 
@@ -1318,11 +1328,24 @@ impl LiveService {
         }
     }
 
-    /// Advances every shard's virtual clock by one cycle.
-    fn advance_clock(&mut self) {
+    /// Advances every shard's virtual clock by one cycle and, with
+    /// `slots`, its free slots: replay of a cycle the snapshot covers
+    /// advances the clocks only.
+    fn advance_clock(&mut self, slots: bool) {
         let advance = TimeDelta::new(self.config.cycle_advance);
         for shard in &mut self.state.shards {
-            advance_shard(shard, advance);
+            // Nodes are free beyond the generated non-dedicated interval:
+            // each node's free time grows by one cycle's worth past the
+            // horizon, and free time that slipped into the past is
+            // trimmed, in one pass.
+            let grown = Interval::new(shard.horizon, shard.horizon + advance);
+            shard.horizon += advance;
+            shard.now += advance;
+            if slots {
+                shard
+                    .slots
+                    .advance_horizon(&shard.platform, grown, shard.now);
+            }
         }
     }
 
@@ -1376,30 +1399,30 @@ impl LiveService {
         self.state.jobs.push(entry);
     }
 
-    /// Replaces the state with a decoded snapshot, binding each of its
-    /// shards to the platform this service generated for the same shard
-    /// (see [`ShardRows::bind`]). The caller has checked that the shard
-    /// count matches. The archive stays empty, and its digest 0, until
-    /// recovery rebuilds it.
-    fn adopt(&mut self, image: StateImage) -> Result<(), RecoverError> {
+    /// Binds a decoded snapshot's shards to the platforms this service
+    /// generated for the same shards (see [`ShardRows::bind`]).
+    fn bind(&self, image: StateImage) -> Result<Snapshot, RecoverError> {
+        if image.shards.len() != self.state.shards.len() {
+            return Err(RecoverError::SnapshotDecode {
+                message: format!(
+                    "snapshot holds {} shards, the service has {}",
+                    image.shards.len(),
+                    self.state.shards.len()
+                ),
+            });
+        }
         let shards = image
             .shards
             .into_iter()
-            .zip(std::mem::take(&mut self.state.shards))
+            .zip(&self.state.shards)
             .zip(0..)
-            .map(|((shard, fresh), index)| shard.bind(index, fresh.platform))
+            .map(|((rows, fresh), index)| rows.bind(index, fresh.platform.clone()))
             .collect::<Result<_, _>>()?;
-        self.state = LiveState {
+        Ok(Snapshot {
             cycle: image.cycle,
-            next_job: image.next_job,
             shards,
-            jobs: image.jobs,
-            usage: image.usage,
-            slot_digests: Vec::new(),
-            job_digest: None,
-            archive_digest: 0,
-        };
-        Ok(())
+            archive_digest: image.archive_digest,
+        })
     }
 
     /// Refuses a `Committed`/`Deferred` record of a cycle the journal has
@@ -1416,109 +1439,20 @@ impl LiveService {
         })
     }
 
-    /// Moves the replayed service on to `barrier`, whose job digest is
-    /// `job_digest` and which closes the cycle whose records `closed`
-    /// holds. A barrier the replay base already covers leaves the replayed
-    /// state as it is: its cycle's decisions settle the `covered` jobs
-    /// instead. A later barrier replays its cycle (see
-    /// [`replay_cycle`](Self::replay_cycle)). Then the cycle's `Finished`
-    /// records retire their jobs (see
-    /// [`retire_record`](Self::retire_record)), and at the snapshot's own
-    /// barrier the rebuilt archive must match the snapshot's digest.
-    fn close_barrier(
-        &mut self,
-        barrier: &LiveState,
-        job_digest: u64,
-        closed: PendingCycle,
-        covered: &mut Covered,
-    ) -> Result<(), String> {
-        let covering = barrier.cycle <= self.state.cycle;
-        let at_snapshot = barrier.cycle == self.state.cycle;
-        if covering {
-            if at_snapshot {
-                check_digests(&self.state.shards, &barrier.slot_digests)?;
-                check_job_digest(&self.state.jobs, job_digest)?;
-            }
-            let cycle = barrier.cycle.saturating_sub(1);
-            apply_decisions(&mut covered.jobs, cycle, closed.decisions);
-        } else {
-            self.replay_cycle(barrier, job_digest, closed.decisions)?;
-        }
-        for finish in closed.finished {
-            self.retire_record(finish, covering, covered)?;
-        }
-        // A covered job left unretired is refused by name once the walk
-        // ends; the archive then lacks it, so its digest cannot match.
-        if at_snapshot
-            && covered.jobs.is_empty()
-            && self.state.archive_digest != covered.archive_digest
-        {
-            return Err(format!(
-                "the rebuilt archive digests to {:#018x}, the snapshot says {:#018x}",
-                self.state.archive_digest, covered.archive_digest
-            ));
-        }
-        Ok(())
-    }
-
-    /// Applies a `Finished` record at the barrier that closes its cycle.
-    /// A job live after the barrier is not retired: the record came from
-    /// a cycle lost to a crash and re-run differently. A barrier the
-    /// snapshot covers moves the job from the covered table into the
-    /// archive, finished in the record's cycle; on a replayed barrier the
-    /// replay has retired it already.
-    fn retire_record(
-        &mut self,
-        finish: Finish,
-        covering: bool,
-        covered: &mut Covered,
-    ) -> Result<(), String> {
-        let Finish { record, cycle, job } = finish;
-        if !covering || self.job_index(JobId(job)).is_ok() {
-            return Ok(());
-        }
-        let entry = match covered.take(job) {
-            Some(mut rebuilt) => match rebuilt.phase {
-                JobPhase::Scheduled {
-                    window,
-                    committed_cycle,
-                } => {
-                    rebuilt.phase = JobPhase::Finished {
-                        window,
-                        committed_cycle,
-                        finished_cycle: cycle,
-                    };
-                    rebuilt
-                }
-                _ => {
-                    return Err(format!(
-                        "Finished record {record} names job {job}, which no covered \
-                         Committed record scheduled"
-                    ))
-                }
-            },
-            None if self.retired.contains_key(&job) => return Ok(()),
-            None => {
-                return Err(format!(
-                    "Finished record {record} names job {job}, which no covered \
-                     Submitted record holds"
-                ))
-            }
-        };
-        archive(&mut self.retired, &mut self.state.archive_digest, entry);
-        Ok(())
-    }
-
-    /// Replays the cycle a barrier of the next cycle closes: its
-    /// `decisions`, in record order, cut their windows out of the slots
-    /// and settle the jobs, the clock advances and retires finished
+    /// Replays the cycle `barrier` closes through the live cycle's steps:
+    /// its `decisions`, in record order, cut their windows out of the
+    /// slots and settle the jobs, the clock advances and retires finished
     /// windows, and the result must match the barrier's slot digests and
-    /// `job_digest`.
+    /// `job_digest`. A cycle the `snapshot` covers skips the slot work
+    /// (the cuts, the horizon growth and the slot digests); at the
+    /// snapshot's own barrier its slot lists take over (see
+    /// [`take_over`](Self::take_over)) and meet the slot digests.
     fn replay_cycle(
         &mut self,
         barrier: &LiveState,
         job_digest: u64,
         decisions: Vec<Decision>,
+        snapshot: &mut Option<Snapshot>,
     ) -> Result<(), String> {
         let cycle = self.state.cycle;
         if barrier.cycle != cycle + 1 {
@@ -1527,8 +1461,14 @@ impl LiveService {
                 barrier.cycle
             ));
         }
+        let covered = snapshot
+            .as_ref()
+            .is_some_and(|snapshot| barrier.cycle <= snapshot.cycle);
         let shards = self.state.shards.len();
-        for (shard, _, window) in &decisions {
+        // A covered cycle cuts nothing: the snapshot's slot lists hold its
+        // windows' cuts.
+        let cuts = if covered { &[][..] } else { &decisions[..] };
+        for (shard, _, window) in cuts {
             let Some(window) = window else { continue };
             let Some(state) = self.state.shards.get_mut(*shard as usize) else {
                 return Err(format!("a commit names shard {shard} of {shards}"));
@@ -1541,12 +1481,50 @@ impl LiveService {
             }
         }
         apply_decisions(&mut self.state.jobs, cycle, decisions);
-        self.advance_clock();
+        self.advance_clock(!covered);
         self.retire_finished(cycle, |_| {});
         self.close_cycle();
-        check_digests(&self.state.shards, &barrier.slot_digests)?;
+        let slots_replayed = match snapshot.take_if(|snapshot| snapshot.cycle == barrier.cycle) {
+            Some(snapshot) => {
+                self.take_over(snapshot)?;
+                true
+            }
+            None => !covered,
+        };
+        if slots_replayed {
+            check_digests(&self.state.shards, &barrier.slot_digests)?;
+        }
         self.state.next_job = barrier.next_job;
         check_job_digest(&self.state.jobs, job_digest)
+    }
+
+    /// Hands the slot lists over to the snapshot's at its own barrier. Its
+    /// clocks must be the replayed ones, and its archive digest the
+    /// replayed archive's.
+    fn take_over(&mut self, snapshot: Snapshot) -> Result<(), String> {
+        if snapshot.archive_digest != self.state.archive_digest {
+            return Err(format!(
+                "the replayed archive digests to {:#018x}, the snapshot says {:#018x}",
+                self.state.archive_digest, snapshot.archive_digest
+            ));
+        }
+        for (index, (shard, taken)) in self
+            .state
+            .shards
+            .iter_mut()
+            .zip(snapshot.shards)
+            .enumerate()
+        {
+            if (taken.now, taken.horizon) != (shard.now, shard.horizon) {
+                return Err(format!(
+                    "the snapshot's shard {index} is at {} with horizon {}, the replay at {} \
+                     with horizon {}",
+                    taken.now, taken.horizon, shard.now, shard.horizon
+                ));
+            }
+            shard.slots = taken.slots;
+        }
+        Ok(())
     }
 }
 
@@ -1586,9 +1564,9 @@ fn check_digests(shards: &[ShardState], digests: &[u64]) -> Result<(), String> {
 /// Applies a cycle's decisions to an id-ordered job table: a committed
 /// job is scheduled in its window, a deferred one ages by one priority
 /// step so it cannot starve behind a stream of fresh work (the rolling
-/// loop's rule). The live cycle, replay and the covered walk of recovery
-/// share it. A decision naming no job of the table changes nothing; in
-/// replay the barrier's job digest then refuses the chain.
+/// loop's rule). The live cycle and replay share it. A decision naming no
+/// job of the table changes nothing; in replay the barrier's job digest
+/// then refuses the chain.
 fn apply_decisions(jobs: &mut [JobEntry], cycle: u64, decisions: Vec<Decision>) {
     for (_, job, window) in decisions {
         let Ok(index) = jobs.binary_search_by_key(&JobId(job), |entry| entry.id) else {
@@ -1611,22 +1589,12 @@ fn apply_decisions(jobs: &mut [JobEntry], cycle: u64, decisions: Vec<Decision>) 
 /// `None` for a deferral.
 type Decision = (u32, u32, Option<Window>);
 
-/// A `Finished` record waiting for the barrier of its cycle.
-#[derive(Debug)]
-struct Finish {
-    /// Its 1-based record number.
-    record: u64,
-    cycle: u64,
-    job: u32,
-}
-
-/// The cycle in progress during replay: its decisions and `Finished`
-/// records so far, in record order, and every job it has decided.
+/// The cycle in progress during replay: its decisions so far, in record
+/// order, and every job it has decided.
 #[derive(Debug, Default)]
 struct PendingCycle {
     decisions: Vec<Decision>,
     decided: BTreeSet<u32>,
-    finished: Vec<Finish>,
 }
 
 impl PendingCycle {
@@ -1644,51 +1612,7 @@ impl PendingCycle {
     fn clear(&mut self) {
         self.decisions.clear();
         self.decided.clear();
-        self.finished.clear();
     }
-}
-
-/// The jobs that cycles the snapshot covers retired, rebuilt from those
-/// cycles' records: every `Submitted` job below the snapshot's next id
-/// that it holds neither live nor retired, in id order. Covered barriers
-/// settle them by their cycles' decisions and move each one a `Finished`
-/// record names into the archive, so a journal that reaches the
-/// snapshot's barrier leaves none behind.
-#[derive(Debug, Default)]
-struct Covered {
-    jobs: Vec<JobEntry>,
-    /// The record number of each job's `Submitted` record.
-    records: Vec<u64>,
-    /// The snapshot's [`LiveState::archive_digest`], which the archive
-    /// must match once the walk has closed the snapshot's barrier.
-    archive_digest: u64,
-}
-
-impl Covered {
-    /// Takes `job` out of the table.
-    fn take(&mut self, job: u32) -> Option<JobEntry> {
-        let index = self
-            .jobs
-            .binary_search_by_key(&JobId(job), |entry| entry.id)
-            .ok()?;
-        self.records.remove(index);
-        Some(self.jobs.remove(index))
-    }
-}
-
-/// Advances one shard's virtual clock by `advance`: the cycle's last
-/// platform step, and the step recovery replays after each cycle's
-/// commits.
-fn advance_shard(shard: &mut ShardState, advance: TimeDelta) {
-    // Nodes are free beyond the generated non-dedicated interval: each
-    // node's free time grows by one cycle's worth past the horizon, and
-    // free time that slipped into the past is trimmed, in one pass.
-    let grown = Interval::new(shard.horizon, shard.horizon + advance);
-    shard.horizon += advance;
-    shard.now += advance;
-    shard
-        .slots
-        .advance_horizon(&shard.platform, grown, shard.now);
 }
 
 /// Cuts a committed window's reservations out of a shard's free slots.
@@ -1719,38 +1643,38 @@ fn reserve_window(slots: &mut SlotList, window: &Window) -> bool {
 /// Replays a live journal directory back into a resumable service.
 ///
 /// The platform always comes from the header: replay starts from the
-/// service [`LiveService::new`] generates from the `ServiceStarted` config.
-/// The newest intact snapshot, if any, replaces its state, each shard's
-/// rows bound to the regenerated platform: the snapshot's platform digest
-/// must equal the platform's, every row must name one of its nodes, and
-/// each slot takes its node's performance and price. Then replay walks the
-/// journal. Each `Submitted` record the base does not hold yet queues its
+/// service [`LiveService::new`] generates from the `ServiceStarted` config
+/// and walks the journal from record 1. Each `Submitted` record queues its
 /// job (they were fsync'd at admission — losing them would drop accepted
-/// work). Each cycle's `Committed` and `Deferred` decisions are buffered;
-/// at that cycle's barrier the windows are cut out of the slot lists, the
-/// decisions settle the jobs, the clock advance runs and retires finished
-/// windows, and the result is checked against the barrier's slot and job
-/// digests. Barriers the snapshot already covers rebuild the archive of
-/// jobs it retired: each `Submitted` job below its next id that it holds
-/// neither live nor retired is settled by its covered cycles' decisions,
-/// and retired, finished in that cycle, by its `Finished` record; at the
-/// snapshot's own barrier the rebuilt archive must match the snapshot's
-/// [`LiveState::archive_digest`].
+/// work). Each cycle's `Committed` and `Deferred` decisions are buffered,
+/// and at that cycle's barrier replay runs the live cycle's steps: the
+/// windows are cut out of the slot lists, the decisions settle the jobs,
+/// the clock advance runs and retires finished windows, and the result is
+/// checked against the barrier's slot and job digests. `Finished` records
+/// are audit only: replay retires jobs by the clock, as the cycle did.
+///
+/// The newest intact snapshot, if any, saves the slot work of the cycles
+/// it covers. Its shards' rows are bound to the regenerated platform when
+/// it is read: the snapshot's platform digest must equal the platform's,
+/// every row must name one of its nodes, and each slot takes its node's
+/// performance and price. A covered cycle skips the cuts, the horizon
+/// growth and the slot digests, while its jobs, clocks and job digest are
+/// replayed in full; at the snapshot's own barrier its slot lists take
+/// over, checked against that barrier's slot digests, and the replayed
+/// clocks and archive must match the snapshot's.
 ///
 /// The header's format number says how much of that applies. Format 2,
 /// what [`LiveRecord::encode`] writes, is read in full. A header without
-/// the number is format 1: its journal is replayed from record 1 and its
-/// snapshots are not read, as they may be in shapes this reader does not
-/// know; no writer ever rotated a WAL, so every record they cover is
-/// still there.
+/// the number is format 1: its snapshots are not read, as they may be in
+/// shapes this reader does not know.
 ///
 /// Records after the last barrier belong to the interrupted cycle, which
-/// re-runs, so its decisions and `Finished` records are dropped; so are a
-/// torn cycle's that a later record shows were superseded (a `Submitted`
-/// record, or a second decision for the same job — the re-run of that
-/// cycle). A torn final line is truncated, exactly as the rolling recovery
-/// does. A snapshot claiming more cycles than the journal means the files
-/// are not from the same run, and recovery refuses rather than guesses.
+/// re-runs, so its decisions are dropped; so are a torn cycle's that a
+/// later record shows were superseded (a `Submitted` record, or a second
+/// decision for the same job — the re-run of that cycle). A torn final
+/// line is truncated, exactly as the rolling recovery does. A snapshot
+/// claiming more cycles than the journal means the files are not from the
+/// same run, and recovery refuses rather than guesses.
 ///
 /// # Errors
 ///
@@ -1762,14 +1686,12 @@ fn reserve_window(slots: &mut SlotList, window: &Window) -> bool {
 /// unparsable record or snapshot, a snapshot shard written against
 /// another platform ([`RecoverError::PlatformMismatch`]) or holding a slot
 /// on a node its platform does not have ([`RecoverError::UnknownNode`]), or
-/// an inconsistent record chain — including a commit whose window is no
-/// longer free, a replay that disagrees with a barrier's slot or job
-/// digest, a covered `Finished` record whose job no covered `Submitted`
-/// record holds or no covered `Committed` record scheduled, a covered job
-/// that no `Finished` record retires, and a rebuilt archive that disagrees
-/// with the snapshot's digest. A `Committed` window with no slots, two
-/// slots on one node or a slot of no positive length does not decode
-/// ([`RecoverError::Decode`]).
+/// an inconsistent record chain — including a `Submitted` record below the
+/// next job id, a commit whose window is no longer free, a replay that
+/// disagrees with a barrier's slot or job digest, and a snapshot whose
+/// clocks or archive digest disagree with the replay at its barrier. A
+/// `Committed` window with no slots, two slots on one node or a slot of no
+/// positive length does not decode ([`RecoverError::Decode`]).
 pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
     let tail = read_journal(&journal_path(dir))?;
     if tail.records.is_empty() {
@@ -1794,32 +1716,16 @@ pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
         .check()
         .map_err(|message| RecoverError::Decode { record: 1, message })?;
 
-    let snapshot = if format == 1 {
-        None
-    } else {
-        latest_snapshot(dir)?
-    };
-    let snapshot_cycle = snapshot.as_ref().map(|state| state.cycle);
-    // The platform always comes from the header; a snapshot's shards are
-    // bound to it.
     let mut service = LiveService::new(config);
-    let mut covered = Covered::default();
-    if let Some(state) = snapshot {
-        if state.shards.len() != service.config.shards as usize {
-            return Err(RecoverError::SnapshotDecode {
-                message: format!(
-                    "snapshot holds {} shards, the service has {}",
-                    state.shards.len(),
-                    service.config.shards
-                ),
-            });
-        }
-        covered.archive_digest = state.archive_digest;
-        service.adopt(state)?;
-    }
+    let mut snapshot = match format {
+        1 => None,
+        _ => latest_snapshot(dir)?
+            .map(|image| service.bind(image))
+            .transpose()?,
+    };
+    let snapshot_cycle = snapshot.as_ref().map(|snapshot| snapshot.cycle);
 
     let mut barriers = 0u64;
-    let mut last_barrier: Option<u64> = None;
     let mut resubmitted = 0;
     let mut pending = PendingCycle::default();
     for (index, payload) in records.enumerate() {
@@ -1843,23 +1749,9 @@ pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
                             .to_owned(),
                     });
                 };
-                if let Some(last) = last_barrier.filter(|&last| state.cycle <= last) {
-                    return Err(RecoverError::ChainBroken {
-                        detail: format!(
-                            "barrier at record {record_no} goes back to cycle {} \
-                             after cycle {last}",
-                            state.cycle
-                        ),
-                    });
-                }
-                last_barrier = Some(state.cycle);
+                let decisions = std::mem::take(&mut pending).decisions;
                 service
-                    .close_barrier(
-                        &state,
-                        job_digest,
-                        std::mem::take(&mut pending),
-                        &mut covered,
-                    )
+                    .replay_cycle(&state, job_digest, decisions, &mut snapshot)
                     .map_err(|detail| RecoverError::ChainBroken {
                         detail: format!("barrier at record {record_no}: {detail}"),
                     })?;
@@ -1867,18 +1759,19 @@ pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
                 resubmitted = 0;
             }
             LiveRecord::Submitted { entry } => {
+                if entry.id.0 < service.state.next_job {
+                    return Err(RecoverError::ChainBroken {
+                        detail: format!(
+                            "Submitted record {record_no} holds job {}, below the next job id {}",
+                            entry.id.0, service.state.next_job
+                        ),
+                    });
+                }
                 // No cycle's records straddle an admission: decisions
                 // before it belong to a cycle lost to a crash.
                 pending.clear();
-                // The replay base already holds every job below its
-                // next id, or retired it in a cycle it covers.
-                if entry.id.0 >= service.state.next_job {
-                    service.reapply(entry);
-                    resubmitted += 1;
-                } else if service.job(entry.id).is_none() {
-                    covered.jobs.push(entry);
-                    covered.records.push(record_no);
-                }
+                service.reapply(entry);
+                resubmitted += 1;
             }
             LiveRecord::Committed {
                 cycle,
@@ -1893,29 +1786,13 @@ pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
                 service.check_cycle(cycle, record_no)?;
                 pending.decide(shard, job, None);
             }
-            LiveRecord::Finished { cycle, job } => pending.finished.push(Finish {
-                record: record_no,
-                cycle,
-                job,
-            }),
+            LiveRecord::Finished { .. } => {}
         }
     }
-    if let Some(snapshot_cycle) = snapshot_cycle {
-        let journal_cycle = last_barrier.unwrap_or(0);
-        if snapshot_cycle > journal_cycle {
-            return Err(RecoverError::SnapshotNewerThanJournal {
-                snapshot_cycle: snapshot_cycle.min(u64::from(u32::MAX)) as u32,
-                journal_cycle: journal_cycle.min(u64::from(u32::MAX)) as u32,
-            });
-        }
-    }
-    if let (Some(entry), Some(record)) = (covered.jobs.first(), covered.records.first()) {
-        return Err(RecoverError::ChainBroken {
-            detail: format!(
-                "job {} of Submitted record {record} is below the snapshot's next job, \
-                 but no Finished record retires it",
-                entry.id.0
-            ),
+    if let Some(snapshot) = snapshot {
+        return Err(RecoverError::SnapshotNewerThanJournal {
+            snapshot_cycle: snapshot.cycle.min(u64::from(u32::MAX)) as u32,
+            journal_cycle: service.state.cycle.min(u64::from(u32::MAX)) as u32,
         });
     }
     service.recompute_usage();
@@ -2340,15 +2217,12 @@ mod tests {
         assert!(LiveRecord::decode(&checkpoint).is_err());
         let SnapshotRecord::CycleCommitted { state: image } =
             serde_json::from_str(&checkpoint).unwrap();
-        let mut bound = LiveService::new(service.config.clone());
-        bound.adopt(image).unwrap();
-        // The archive digest comes back as recovery rebuilds the archive.
+        let bound = LiveService::new(service.config.clone())
+            .bind(image)
+            .unwrap();
         assert_eq!(
-            bound.state,
-            LiveState {
-                archive_digest: 0,
-                ..state
-            }
+            (bound.cycle, bound.shards, bound.archive_digest),
+            (state.cycle, state.shards, state.archive_digest)
         );
     }
 

@@ -158,6 +158,33 @@ fn journaled_run_is_bit_identical_to_the_plain_path() {
 }
 
 #[test]
+fn victims_lost_when_the_run_ends_are_journaled() {
+    // Two cycles leave victims parked or re-pending when the run ends:
+    // each loss is journaled, after the last barrier and before
+    // `RunFinished`, and a crash at any record still recovers.
+    let config = RollingConfig {
+        max_cycles: 2,
+        ..disrupted_config(
+            RecoveryPolicy::RetryNextCycle {
+                backoff: 1,
+                max_attempts: 3,
+            },
+            99,
+        )
+    };
+    let (report, records) = reference(&config, batch(6));
+    assert!(report.survival.jobs_lost > 0, "the run must lose victims");
+    let lost = records
+        .iter()
+        .filter(|line| line.starts_with("{\"Lost\""))
+        .count() as u64;
+    assert_eq!(lost, report.survival.jobs_lost);
+    for k in 1..=records.len() {
+        assert_crash_point_recovers(&records, k, &report, "end-of-run losses");
+    }
+}
+
+#[test]
 fn crash_at_every_record_recovers_bit_identically() {
     let config = disrupted_config(
         RecoveryPolicy::RetryNextCycle {

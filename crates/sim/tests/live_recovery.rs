@@ -14,10 +14,13 @@
 //!    records carrying the entry, full `Submitted` records and object
 //!    windows), whose snapshots are not read; recovery after a lost cycle
 //!    whose records reached disk; the refusal of a tampered commit,
-//!    deferral, submission or digest, and of a job retired before the
-//!    snapshot whose records cannot rebuild it; and the refusal of a
-//!    snapshot written against another platform than the header's, or
-//!    holding a slot on a node the platform lacks or rows out of order;
+//!    deferral, submission or digest, also in the cycles a snapshot
+//!    covers, by each barrier's job digest or the snapshot's archive
+//!    digest; recovery without any `Finished` record, which replay does
+//!    not read; and the refusal of a snapshot written against another
+//!    platform than the header's, holding a slot on a node the platform
+//!    lacks or rows out of order, or whose clock or archive digest is not
+//!    the replay's at its barrier;
 //! 2. the refusal of what this build does not read, naming the record or
 //!    the format: barriers without a job digest (listing the jobs, also
 //!    listing finished ones, or carrying the shards), a format above 2, a
@@ -377,13 +380,12 @@ fn every_crash_point_of_a_format_1_journal_recovers_from_record_1() {
     let _ = std::fs::remove_dir_all(&source);
 }
 
-#[test]
-fn a_dropped_covered_deferral_is_refused_by_the_archive_digest() {
-    // A job the snapshot's cycles deferred, then committed and retired:
-    // without one of its `Deferred` records the covered walk rebuilds its
-    // archive entry one priority step too low, which no barrier digest
-    // sees, as barriers digest only the live jobs.
-    let source = temp_dir("deferral-source");
+/// A hard-arrival run journaled with a snapshot every fifth barrier, its
+/// journal and newest snapshot written into a directory tagged `tag`,
+/// where it recovers to the uninterrupted service; and the number of
+/// records its newest snapshot covers.
+fn snapshot_backed_run(tag: &str) -> (Run, usize, PathBuf) {
+    let source = temp_dir(&format!("{tag}-source"));
     let run = drive_into(
         full_submits_config(),
         FULL_SUBMITS_CYCLES,
@@ -391,32 +393,62 @@ fn a_dropped_covered_deferral_is_refused_by_the_archive_digest() {
         DurableJournal::create(&source, 5).unwrap(),
         Some(snapshot_dir(&source)),
     );
-    let (covered_len, files) = run.snapshots.last().expect("snapshots");
-    let dir = temp_dir("deferral");
-    write_snapshots(&dir, files);
+    let _ = std::fs::remove_dir_all(&source);
+    let (covered_len, files) = run.snapshots.last().expect("snapshots").clone();
+    let dir = temp_dir(tag);
+    write_snapshots(&dir, &files);
     write_wal(&dir, &run.records);
-    assert_eq!(recover_live(&dir).unwrap().service, run.service);
+    let recovered = recover_live(&dir).unwrap();
+    assert!(recovered.snapshot_cycle.is_some());
+    assert_eq!(recovered.service, run.service);
+    (run, covered_len, dir)
+}
 
-    let covered = &run.records[..*covered_len];
-    let retired: BTreeSet<u32> = covered
+/// Drops the first `Deferred` record the newest snapshot of a
+/// [`snapshot_backed_run`] covers whose job `pick` accepts, given the
+/// service as of that snapshot, and expects the job digest of the barrier
+/// that closes the deferral's cycle to refuse the journal: without the
+/// deferral the job is one priority step too low there.
+fn assert_covered_deferral_refused(tag: &str, pick: impl Fn(&LiveService, u32) -> bool) {
+    let (run, covered_len, dir) = snapshot_backed_run(tag);
+    let at_snapshot = expected_after(&run, covered_len);
+    let deferral = run.records[..covered_len]
         .iter()
-        .filter_map(|line| match LiveRecord::decode(line).unwrap() {
-            LiveRecord::Finished { job, .. } => Some(job),
-            _ => None,
-        })
-        .collect();
-    let deferral = covered
-        .iter()
-        .rposition(|line| {
+        .position(|line| {
             matches!(LiveRecord::decode(line).unwrap(),
-                LiveRecord::Deferred { job, .. } if retired.contains(&job))
+                LiveRecord::Deferred { job, .. } if pick(at_snapshot, job))
         })
-        .expect("a covered deferral of a job the snapshot's cycles retired");
+        .expect("a covered deferral of such a job");
+    let barrier = next_barrier(&run.records, deferral);
+    assert!(barrier + 1 < covered_len, "a barrier before the snapshot's");
     let mut records = run.records.clone();
     records.remove(deferral);
-    assert_refused(&dir, &records, "the rebuilt archive digests to");
+    // The barrier moved up one place, so its 1-based number is its old
+    // 0-based index.
+    assert_refused(
+        &dir,
+        &records,
+        &format!("barrier at record {barrier}: the replayed jobs digest to"),
+    );
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&source);
+}
+
+#[test]
+fn a_dropped_covered_deferral_of_a_retired_job_is_refused_by_its_cycles_job_digest() {
+    // A job the snapshot's cycles deferred, then committed and retired.
+    assert_covered_deferral_refused("retired-deferral", |service, job| {
+        service.retired().contains_key(&job)
+    });
+}
+
+#[test]
+fn a_dropped_covered_deferral_of_a_job_live_at_the_snapshot_is_refused() {
+    // A job the snapshot's cycles deferred and the snapshot still holds
+    // live: every covered barrier's job digest sees it.
+    assert_covered_deferral_refused("live-deferral", |service, job| {
+        service.job(slotsel_core::request::JobId(job)).is_some()
+            && !service.retired().contains_key(&job)
+    });
 }
 
 /// Recovers `run`'s journal with its first `Committed` record's window
@@ -485,63 +517,79 @@ fn a_committed_window_slot_of_no_length_is_a_decode_error() {
 }
 
 #[test]
-fn a_covered_job_that_cannot_be_rebuilt_is_refused() {
-    // The final snapshot next to the whole journal, less one record of a
-    // job the snapshot's cycles retired.
-    let source = temp_dir("covered-source");
-    let run = drive_with_snapshots(&source);
-    let (covered_len, files) = run.snapshots.last().expect("snapshots");
-    let dir = temp_dir("covered");
-    write_snapshots(&dir, files);
-    write_wal(&dir, &run.records);
-    assert_eq!(recover_live(&dir).unwrap().service, run.service);
+fn covered_records_are_checked_by_the_digests_and_finished_records_are_audit() {
+    // The newest snapshot next to the whole journal. Replay retires jobs
+    // by the clock, so without any `Finished` record it recovers the same
+    // service; a dropped covered commit or submission of a retired job is
+    // refused by a barrier's job digest or by the snapshot's archive
+    // digest, and a repeated submission by its job id.
+    let (run, covered_len, dir) = snapshot_backed_run("covered");
+    let audit_free: Vec<String> = run
+        .records
+        .iter()
+        .filter(|line| !line.starts_with("{\"Finished\""))
+        .cloned()
+        .collect();
+    assert!(audit_free.len() < run.records.len());
+    write_wal(&dir, &audit_free);
+    let recovered = recover_live(&dir).unwrap();
+    assert!(recovered.snapshot_cycle.is_some());
+    assert_eq!(recovered.service, run.service);
 
+    let covered = &run.records[..covered_len];
+    let retired = expected_after(&run, covered_len).retired();
     let index_of = |tag: &str, job: u32| {
-        run.records[..*covered_len]
+        covered
             .iter()
             .position(|line| match LiveRecord::decode(line).unwrap() {
                 LiveRecord::Submitted { entry } => tag == "Submitted" && entry.id.0 == job,
                 LiveRecord::Committed { job: id, .. } => tag == "Committed" && id == job,
-                LiveRecord::Finished { job: id, .. } => tag == "Finished" && id == job,
                 _ => false,
             })
             .unwrap_or_else(|| panic!("no covered {tag} record of job {job}"))
     };
-    let job = run.records[..*covered_len]
-        .iter()
-        .find_map(|line| match LiveRecord::decode(line).unwrap() {
-            LiveRecord::Finished { job, .. } => Some(job),
-            _ => None,
-        })
-        .expect("a job retired before the last snapshot");
-    let finished = index_of("Finished", job);
-    // Dropping an earlier record moves the `Finished` record up one place,
-    // so its 1-based number is its old 0-based index.
-    for (tag, want) in [
-        ("Committed", "no covered Committed record scheduled"),
-        ("Submitted", "no covered Submitted record holds"),
-    ] {
-        let mut records = run.records.clone();
-        records.remove(index_of(tag, job));
-        assert_refused(
-            &dir,
-            &records,
-            &format!("Finished record {finished} names job {job}, which {want}"),
-        );
+    let mut refusals = BTreeSet::new();
+    for &job in retired.keys() {
+        for tag in ["Committed", "Submitted"] {
+            let mut records = run.records.clone();
+            records.remove(index_of(tag, job));
+            write_wal(&dir, &records);
+            match recover_live(&dir) {
+                Err(RecoverError::ChainBroken { detail }) => {
+                    let by = if detail.contains("the replayed jobs digest to") {
+                        "job digest"
+                    } else if detail.contains("the replayed archive digests to") {
+                        "archive digest"
+                    } else {
+                        panic!("job {job} without its {tag} record: {detail}")
+                    };
+                    refusals.insert((tag, by));
+                }
+                other => panic!("job {job} without its {tag} record: {other:?}"),
+            }
+        }
     }
+    // Every dropped record is refused. Without its submission, a job
+    // committed and finished within one cycle is never live at a barrier,
+    // so the archive digest refuses it.
+    assert_eq!(
+        refusals,
+        BTreeSet::from([
+            ("Committed", "job digest"),
+            ("Submitted", "archive digest"),
+            ("Submitted", "job digest"),
+        ])
+    );
+
+    let submitted = index_of("Submitted", *retired.keys().next().expect("a retired job"));
     let mut records = run.records.clone();
-    records.remove(finished);
+    records.insert(submitted + 1, run.records[submitted].clone());
     assert_refused(
         &dir,
         &records,
-        &format!(
-            "job {job} of Submitted record {} is below the snapshot's next job, \
-             but no Finished record retires it",
-            index_of("Submitted", job) + 1
-        ),
+        &format!("Submitted record {} holds job", submitted + 2),
     );
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&source);
 }
 
 /// Index of the first barrier at or after `from`.
@@ -622,6 +670,11 @@ fn a_tampered_commit_or_digest_is_refused() {
     }
     .encode();
     assert_refused(&dir, &moved, "not free");
+
+    // A barrier repeated: the chain goes back a cycle.
+    let mut repeated = run.records[..=barrier].to_vec();
+    repeated.push(run.records[barrier].clone());
+    assert_refused(&dir, &repeated, "follows a replay at cycle");
 
     // A barrier whose digest disagrees with the replay.
     let mut wrong = run.records[..=barrier].to_vec();
@@ -1350,6 +1403,50 @@ fn a_snapshot_for_another_platform_or_with_a_foreign_node_is_refused() {
             assert!(message.starts_with("shard 0: slot"), "{message}");
         }
         other => panic!("expected rows out of order on shard 0, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_snapshot_whose_clock_or_archive_differs_from_the_replay_is_refused() {
+    // The snapshot's slot lists take over at its barrier only if its
+    // clocks and its archive digest are the ones the replay reached.
+    let dir = temp_dir("snapshot-replay");
+    let journal = DurableJournal::create(&dir, 5).unwrap();
+    let run = drive_into(config(21), 12, false, journal, Some(snapshot_dir(&dir)));
+    let store = SnapshotStore::open(&snapshot_dir(&dir)).unwrap();
+    let (generation, payload) = store.latest().unwrap().expect("a snapshot");
+    assert_eq!(generation, 10);
+    let archive_digest = |payload: &str| {
+        let at = payload
+            .find("\"archive_digest\":")
+            .expect("an archive digest")
+            + 17;
+        let end = at + payload[at..].find(',').unwrap();
+        payload[at..end].to_owned()
+    };
+    let digest = archive_digest(&payload);
+    for (edit, what) in [
+        (
+            payload.replacen(
+                &format!("\"now\":{}", 10 * CYCLE_ADVANCE),
+                &format!("\"now\":{}", 11 * CYCLE_ADVANCE),
+                1,
+            ),
+            "the snapshot's shard 0 is at t660 with horizon t1200, the replay at t600",
+        ),
+        (
+            payload.replacen(
+                &format!("\"archive_digest\":{digest}"),
+                &format!("\"archive_digest\":{}", digest.parse::<u64>().unwrap() ^ 1),
+                1,
+            ),
+            "the replayed archive digests to",
+        ),
+    ] {
+        assert_ne!(edit, payload);
+        store.save(generation, &edit).unwrap();
+        assert_refused(&dir, &run.records, what);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
