@@ -1,180 +1,68 @@
-//! One-button reproduction: regenerates every table and figure into an
-//! artifacts directory.
+//! Regenerates the paper's tables and figures: one study, several, or all.
 //!
 //! ```text
-//! cargo run --release -p slotsel-bench --bin reproduce -- [--out DIR] [--fast]
+//! cargo run --release -p slotsel-bench --bin reproduce -- [STUDY...] [--fast] [--out DIR]
 //! ```
 //!
-//! Writes `figures.txt`, `table1.txt` (+ JSON), `table2.txt` (+ JSON),
-//! `ablation.txt`, `batch.txt` and `sensitivity.txt` under the output
-//! directory (default `artifacts/`). `--fast` trades statistical depth for
-//! a <1-minute run; the default matches the paper's scale.
+//! `STUDY` is one of `figures`, `table1`, `table2`, `ablation`, `batch` and
+//! `sensitivity`; with none given, all six run. Each study's files are
+//! written under `--out` (default `artifacts/`) and its `.txt` file is
+//! echoed to stdout. The default scale is the paper's; `--fast` trades
+//! statistical depth for a run of a few seconds. EXPERIMENTS.md lists the
+//! files and the measured values.
 
-use std::fmt::Write as _;
-use std::fs;
-use std::path::Path;
+use std::path::PathBuf;
+use std::process::ExitCode;
 
-use slotsel_bench::metric;
-use slotsel_core::criteria::Criterion;
-use slotsel_env::EnvironmentConfig;
-use slotsel_sim::config::{paper, QualityConfig};
-use slotsel_sim::report::{
-    quality_series, render_bars, render_scaling_series, render_scaling_table,
-};
-use slotsel_sim::scaling::{sweep_interval, sweep_nodes, ScalingConfig};
-use slotsel_sim::sensitivity::{default_grid, sweep};
-use slotsel_sim::{batch_experiment, quality};
+use slotsel_bench::study::{Scale, STUDIES};
 
-fn write(path: &Path, name: &str, contents: &str) {
-    let file = path.join(name);
-    fs::write(&file, contents).unwrap_or_else(|e| panic!("write {}: {e}", file.display()));
-    eprintln!("wrote {}", file.display());
+const USAGE: &str = "usage: reproduce [figures|table1|table2|ablation|batch|sensitivity]... \
+                     [--fast] [--out DIR]";
+
+fn refuse(arg: &str) -> ExitCode {
+    eprintln!("unexpected argument {arg:?}\n{USAGE}");
+    ExitCode::FAILURE
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "artifacts".to_owned());
-    let out = Path::new(&out);
-    fs::create_dir_all(out).unwrap_or_else(|e| panic!("create {}: {e}", out.display()));
-
-    let (cycles, runs, batch_cycles, sens_cycles) = if fast {
-        (300, 30, 30, 30)
-    } else {
-        (5_000, 1_000, 300, 300)
-    };
-
-    // Figures 2-4 + §3.3.
-    eprintln!("[1/6] quality experiment ({cycles} cycles)");
-    let mut config = QualityConfig::quick(cycles);
-    config.include_baselines = true;
-    let results = quality::run(&config);
-    let mut figures = String::new();
-    let _ = writeln!(
-        figures,
-        "CSA alternatives per cycle: {:.1} (paper: {:.0})\n",
-        results.csa_alternatives.mean(),
-        paper::CSA_ALTERNATIVES
-    );
-    type MetricFn = fn(&slotsel_sim::MetricsAccumulator) -> f64;
-    type Panel = (&'static str, MetricFn, Criterion);
-    let panels: [Panel; 5] = [
-        (
-            "Fig. 2(a): average start time",
-            metric::start,
-            Criterion::EarliestStart,
-        ),
-        (
-            "Fig. 2(b): average runtime",
-            metric::runtime,
-            Criterion::MinRuntime,
-        ),
-        (
-            "Fig. 3(a): average finish time",
-            metric::finish,
-            Criterion::EarliestFinish,
-        ),
-        (
-            "Fig. 3(b): average CPU usage time",
-            metric::proc_time,
-            Criterion::MinProcTime,
-        ),
-        (
-            "Fig. 4: average job execution cost",
-            metric::cost,
-            Criterion::MinTotalCost,
-        ),
-    ];
-    for (title, accessor, criterion) in panels {
-        let series = quality_series(&results, accessor, criterion);
-        let _ = writeln!(figures, "{}", render_bars(title, &series));
-    }
-    write(out, "figures.txt", &figures);
-    write(
-        out,
-        "quality.json",
-        &serde_json::to_string_pretty(&results).expect("results serialize"),
-    );
-
-    // Table 1 / Fig. 5.
-    eprintln!("[2/6] node sweep ({runs} runs per point)");
-    let points = sweep_nodes(&ScalingConfig::quick(runs), &paper::TABLE1_NODES);
-    let mut table1 = render_scaling_table("CPU nodes number", &points, false);
-    table1.push('\n');
-    table1.push_str(&render_scaling_series("nodes", &points));
-    write(out, "table1.txt", &table1);
-    write(
-        out,
-        "table1.json",
-        &serde_json::to_string_pretty(&points).expect("serialize"),
-    );
-
-    // Table 2 / Fig. 6.
-    eprintln!("[3/6] interval sweep ({runs} runs per point)");
-    let points = sweep_interval(&ScalingConfig::quick(runs), &paper::TABLE2_INTERVALS);
-    let mut table2 = render_scaling_table("Scheduling interval length", &points, true);
-    table2.push('\n');
-    table2.push_str(&render_scaling_series("interval", &points));
-    write(out, "table2.txt", &table2);
-    write(
-        out,
-        "table2.json",
-        &serde_json::to_string_pretty(&points).expect("serialize"),
-    );
-
-    // Batch objectives.
-    eprintln!("[4/6] batch objectives ({batch_cycles} cycles)");
-    let outcomes = batch_experiment::run(&batch_experiment::BatchExperimentConfig {
-        cycles: batch_cycles,
-        ..Default::default()
-    });
-    let mut batch = String::new();
-    for outcome in &outcomes {
-        let _ = writeln!(
-            batch,
-            "{:<18} scheduled {:.2}  cost {:8.0}  makespan {:7.1}  mean finish {:6.1}",
-            outcome.objective.name(),
-            outcome.scheduled.mean(),
-            outcome.total_cost.mean(),
-            outcome.makespan.mean(),
-            outcome.mean_finish.mean(),
-        );
-    }
-    write(out, "batch.txt", &batch);
-
-    // Sensitivity.
-    eprintln!("[5/6] sensitivity sweep ({sens_cycles} cycles per point)");
-    let sens = sweep(
-        &EnvironmentConfig::paper_default(),
-        &default_grid(),
-        sens_cycles,
-        5_150,
-    );
-    let mut sensitivity = String::new();
-    for point in &sens {
-        let _ = writeln!(
-            sensitivity,
-            "request {} x {} @ {:.0}:",
-            point.point.node_count, point.point.volume, point.point.budget
-        );
-        for (name, acc) in &point.algorithms {
-            let _ = writeln!(
-                sensitivity,
-                "  {name:<12} found {:>4}/{:<4} start {:7.1} runtime {:6.1} finish {:7.1} cost {:8.1}",
-                acc.hits(),
-                acc.hits() + acc.misses,
-                acc.start.mean(),
-                acc.runtime.mean(),
-                acc.finish.mean(),
-                acc.cost.mean(),
-            );
+fn main() -> ExitCode {
+    let mut studies = Vec::new();
+    let mut scale = Scale::PAPER;
+    let mut out = PathBuf::from("artifacts");
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--fast" => scale = Scale::FAST,
+            "--out" => match args.next() {
+                Some(dir) => out = dir.into(),
+                None => return refuse(&arg),
+            },
+            name => match STUDIES.iter().find(|(study, _)| *study == name) {
+                Some(study) => studies.push(study),
+                None => return refuse(&arg),
+            },
         }
     }
-    write(out, "sensitivity.txt", &sensitivity);
-
-    eprintln!("[6/6] done — compare against EXPERIMENTS.md");
+    if studies.is_empty() {
+        studies = STUDIES.iter().collect();
+    }
+    if let Err(e) = std::fs::create_dir_all(&out) {
+        eprintln!("create {}: {e}", out.display());
+        return ExitCode::FAILURE;
+    }
+    for (i, (name, run)) in studies.iter().enumerate() {
+        eprintln!("[{}/{}] {name}", i + 1, studies.len());
+        for artifact in run(&scale) {
+            match artifact.write(&out) {
+                Ok(path) => eprintln!("wrote {}", path.display()),
+                Err(e) => {
+                    eprintln!("write {}: {e}", out.join(artifact.name).display());
+                    return ExitCode::FAILURE;
+                }
+            }
+            if artifact.name.ends_with(".txt") {
+                println!("{}", artifact.contents);
+            }
+        }
+    }
+    ExitCode::SUCCESS
 }

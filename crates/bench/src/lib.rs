@@ -1,23 +1,21 @@
 //! # slotsel-bench
 //!
-//! Regeneration harness for the paper's evaluation. The binaries print the
-//! same rows/series the paper reports:
+//! Regeneration harness for the paper's evaluation and the repo's
+//! performance gate. The binaries:
 //!
-//! - `figures` — Figures 2(a)–4 bar charts (`fig2a fig2b fig3a fig3b fig4`
-//!   or `all`), Figures 5–6 series (`fig5 fig6`), and the §3.3
-//!   AEP-vs-AMP comparison (`aep-vs-amp`);
-//! - `table1` — algorithm working time vs CPU-node count;
-//! - `table2` — algorithm working time vs scheduling-interval length.
-//!
-//! Criterion benchmarks live under `benches/`; each benchmark corresponds
-//! to one table or figure (see DESIGN.md's experiment index).
+//! - `reproduce` — every table and figure of the evaluation, as the six
+//!   [`study::Study`]s (Figs 2–6, Tables 1–2, §3.3, the ablations and the
+//!   two extension studies), written to an artifacts directory;
+//! - `bench` and `bench-diff` — the scan, store and CSA timings and
+//!   allocation counts of `BENCH_SCAN.json`, and the gate against it;
+//! - `trace-report` — summary tables of a JSONL event trace;
+//! - `chrome-check` — validates a Chrome trace-event document.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use slotsel_sim::metrics::MetricsAccumulator;
-
 pub mod cutting;
+pub mod study;
 
 /// Parses a `--cycles N` / `--runs N` style override from argv, returning
 /// `default` when absent.
@@ -33,46 +31,6 @@ pub fn numeric_flag(args: &[String], flag: &str, default: u64) -> u64 {
             .and_then(|v| v.parse().ok())
             .unwrap_or_else(|| panic!("usage: {flag} <positive integer>"))
     })
-}
-
-/// Formats a measured-vs-paper comparison suffix like `(paper: 53.0)`.
-#[must_use]
-pub fn paper_ref(name: &str, refs: &[(&str, f64)]) -> String {
-    refs.iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, v)| format!("  (paper: {v:.1})"))
-        .unwrap_or_default()
-}
-
-/// Accessor helpers mapping figure panels to accumulator fields.
-pub mod metric {
-    use super::MetricsAccumulator;
-
-    /// Mean window start time.
-    #[must_use]
-    pub fn start(acc: &MetricsAccumulator) -> f64 {
-        acc.start.mean()
-    }
-    /// Mean window runtime.
-    #[must_use]
-    pub fn runtime(acc: &MetricsAccumulator) -> f64 {
-        acc.runtime.mean()
-    }
-    /// Mean window finish time.
-    #[must_use]
-    pub fn finish(acc: &MetricsAccumulator) -> f64 {
-        acc.finish.mean()
-    }
-    /// Mean total processor time.
-    #[must_use]
-    pub fn proc_time(acc: &MetricsAccumulator) -> f64 {
-        acc.proc_time.mean()
-    }
-    /// Mean total allocation cost.
-    #[must_use]
-    pub fn cost(acc: &MetricsAccumulator) -> f64 {
-        acc.cost.mean()
-    }
 }
 
 #[cfg(test)]
@@ -97,12 +55,5 @@ mod tests {
             .map(ToString::to_string)
             .collect();
         let _ = numeric_flag(&args, "--cycles", 10);
-    }
-
-    #[test]
-    fn paper_ref_lookup() {
-        let refs = [("AMP", 0.0), ("MinCost", 193.0)];
-        assert_eq!(paper_ref("MinCost", &refs), "  (paper: 193.0)");
-        assert_eq!(paper_ref("Zzz", &refs), "");
     }
 }

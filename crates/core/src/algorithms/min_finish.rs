@@ -29,12 +29,11 @@ use super::{RuntimeSelection, SlotSelector};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MinFinish {
     selection: RuntimeSelection,
-    prune: bool,
 }
 
 impl MinFinish {
-    /// Creates the algorithm with the paper's greedy inner selection and no
-    /// scan pruning (the measured configuration of Tables 1–2).
+    /// Creates the algorithm with the paper's greedy inner selection (the
+    /// measured configuration of Tables 1–2).
     #[must_use]
     pub fn new() -> Self {
         MinFinish::default()
@@ -43,20 +42,7 @@ impl MinFinish {
     /// Creates the algorithm with the given inner selection mode.
     #[must_use]
     pub fn with_selection(selection: RuntimeSelection) -> Self {
-        MinFinish {
-            selection,
-            prune: false,
-        }
-    }
-
-    /// Enables the start-bounded scan pruning extension: once the best
-    /// finish so far precedes the next window start, no later window can
-    /// win, so the scan stops. Identical results, ~4× faster on the
-    /// paper's environment (see the `ablation` binary).
-    #[must_use]
-    pub fn pruned(mut self) -> Self {
-        self.prune = true;
-        self
+        MinFinish { selection }
     }
 
     /// The configured inner selection mode.
@@ -65,16 +51,11 @@ impl MinFinish {
         self.selection
     }
 
-    /// Whether start-bounded pruning is enabled.
-    #[must_use]
-    pub fn is_pruned(&self) -> bool {
-        self.prune
-    }
-
     /// The scan policy behind [`select`](SlotSelector::select), for driving
-    /// [`crate::aep::scan_observed`] or the reference scan directly. Pruning
-    /// is a scan option, not part of the policy; pass it via
-    /// [`ScanOptions`].
+    /// [`crate::aep::scan_observed`] or the reference scan directly. The
+    /// start-bounded early exit (an extension the paper does not use) is a
+    /// scan option, not part of the policy: pass it via [`ScanOptions`]; the
+    /// `ablation` study of `reproduce` measures it.
     #[must_use]
     pub fn policy(&self) -> impl SelectionPolicy {
         MinFinishPolicy {
@@ -136,10 +117,15 @@ impl SlotSelector for MinFinish {
         let mut policy = MinFinishPolicy {
             selection: self.selection,
         };
-        let options = ScanOptions {
-            prune_start_bounded: self.prune,
-        };
-        scan_observed(platform, slots, request, &mut policy, options, obs).best
+        scan_observed(
+            platform,
+            slots,
+            request,
+            &mut policy,
+            ScanOptions::default(),
+            obs,
+        )
+        .best
     }
 }
 
@@ -147,6 +133,7 @@ impl SlotSelector for MinFinish {
 mod tests {
     use super::super::testutil::{idle, platform, request, slots_on};
     use super::*;
+    use crate::aep::scan_with;
     use crate::algorithms::{Amp, MinCost, MinRunTime};
     use crate::time::TimePoint;
 
@@ -254,16 +241,33 @@ mod tests {
         );
         for budget in [300.0, 600.0, 2_000.0] {
             let req = request(3, 240, budget);
-            let plain = MinFinish::new().select(&p, &slots, &req);
-            let pruned = MinFinish::new().pruned().select(&p, &slots, &req);
+            let scan = |prune_start_bounded| {
+                scan_with(
+                    &p,
+                    &slots,
+                    &req,
+                    &mut MinFinish::new().policy(),
+                    ScanOptions {
+                        prune_start_bounded,
+                    },
+                )
+            };
+            let (plain, pruned) = (scan(false), scan(true));
             assert_eq!(
-                plain.as_ref().map(Window::finish),
-                pruned.as_ref().map(Window::finish),
+                plain.best.as_ref().map(Window::finish),
+                pruned.best.as_ref().map(Window::finish),
                 "budget {budget}"
             );
+            assert_eq!(
+                plain.best.as_ref().map(Window::finish),
+                MinFinish::new()
+                    .select(&p, &slots, &req)
+                    .as_ref()
+                    .map(Window::finish),
+                "budget {budget}"
+            );
+            assert!(pruned.stats.slots_admitted <= plain.stats.slots_admitted);
         }
-        assert!(MinFinish::new().pruned().is_pruned());
-        assert!(!MinFinish::new().is_pruned());
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl Default for QualityConfig {
 }
 
 /// Reference values reported in the paper, used by EXPERIMENTS.md and the
-/// comparison output of the harness binaries.
+/// comparison output of the `reproduce` studies.
 pub mod paper {
     /// Fig. 2(a): average start times.
     pub const START: [(&str, f64); 6] = [

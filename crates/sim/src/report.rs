@@ -1,6 +1,7 @@
 //! Plain-text rendering of the paper's tables and figures.
 //!
-//! The harness binaries print the same rows/series the paper reports:
+//! The studies of `slotsel-bench` (run by its `reproduce` binary) print
+//! the same rows/series the paper reports:
 //! aligned tables for Tables 1–2 and horizontal ASCII bar charts for
 //! Figures 2–6, each bar annotated with the measured value and, where the
 //! paper prints one, the reference value.
@@ -48,26 +49,6 @@ pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
     let _ = writeln!(out, "{}", "-".repeat(total));
     for row in rows {
         render_row(&mut out, row);
-    }
-    out
-}
-
-/// Renders a GitHub-flavoured markdown table, for pasting results into
-/// documents like EXPERIMENTS.md.
-///
-/// # Panics
-///
-/// Panics if a row's width differs from the header's.
-#[must_use]
-pub fn render_markdown_table(header: &[String], rows: &[Vec<String>]) -> String {
-    for row in rows {
-        assert_eq!(row.len(), header.len(), "ragged table row {row:?}");
-    }
-    let mut out = String::new();
-    let _ = writeln!(out, "| {} |", header.join(" | "));
-    let _ = writeln!(out, "|{}", "---|".repeat(header.len()));
-    for row in rows {
-        let _ = writeln!(out, "| {} |", row.join(" | "));
     }
     out
 }
@@ -220,22 +201,6 @@ mod tests {
     #[should_panic(expected = "ragged")]
     fn table_rejects_ragged_rows() {
         let _ = render_table(&["A".into()], &[vec!["1".into(), "2".into()]]);
-    }
-
-    #[test]
-    fn markdown_table_shape() {
-        let table =
-            render_markdown_table(&["A".into(), "B".into()], &[vec!["1".into(), "2".into()]]);
-        let lines: Vec<&str> = table.lines().collect();
-        assert_eq!(lines[0], "| A | B |");
-        assert_eq!(lines[1], "|---|---|");
-        assert_eq!(lines[2], "| 1 | 2 |");
-    }
-
-    #[test]
-    #[should_panic(expected = "ragged")]
-    fn markdown_table_rejects_ragged() {
-        let _ = render_markdown_table(&["A".into()], &[vec!["1".into(), "2".into()]]);
     }
 
     #[test]
