@@ -13,10 +13,9 @@
 //! - **pending** — the number of requests queued but not yet committed,
 //!   a backpressure bound on batch size.
 //!
-//! Admission is checked at submit time (a breach is a typed
-//! [`AdmitError`] the serving layer maps to an HTTP error body) and
-//! re-enforced at batch formation, so a quota tightened between restarts
-//! retroactively defers — never schedules — over-quota work.
+//! Admission is checked once, at submit time (a breach is a typed
+//! [`AdmitError`] the serving layer maps to an HTTP error body): once a
+//! request is admitted, its tenant's footprint only falls.
 
 use std::fmt;
 

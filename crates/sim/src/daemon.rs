@@ -171,6 +171,13 @@ impl LiveDaemon {
         ))
     }
 
+    /// The configuration the service runs on. After a recovery it is the
+    /// journal header's, not the one [`open`](Self::open) was given.
+    #[must_use]
+    pub fn config(&self) -> LiveConfig {
+        self.lock().service.config().clone()
+    }
+
     /// The registry the daemon's routes and cycles publish to, for the
     /// server's `GET /metrics`.
     #[must_use]
@@ -214,7 +221,6 @@ impl LiveDaemon {
                 .run_cycle_spanned(self.registry.as_ref(), &mut journal, &mut sink);
         let events = (outcome.committed.iter().map(|&(job, _)| (job, "committed")))
             .chain(outcome.deferred.iter().map(|&job| (job, "deferred")))
-            .chain(outcome.over_quota.iter().map(|&job| (job, "over_quota")))
             .chain(outcome.finished.iter().map(|&job| (job, "finished")));
         for (job, event) in events {
             live.timelines
@@ -431,11 +437,24 @@ fn admit_status(code: &str) -> u16 {
     }
 }
 
+/// The keys a `POST /submit` body may hold.
+const SUBMIT_KEYS: [&str; 7] = [
+    "tenant", "nodes", "volume", "budget", "priority", "deadline", "shard",
+];
+
 /// Decodes a `POST /submit` body (one flat JSON object) into a
-/// [`Submission`].
+/// [`Submission`], refusing the first key it does not read.
 fn parse_submission(body: &str) -> Result<Submission, String> {
     let object =
         parse_object(body.trim()).map_err(|e| format!("body is not a flat JSON object: {e}"))?;
+    if let Value::Obj(fields) = &object {
+        if let Some((key, _)) = fields
+            .iter()
+            .find(|(key, _)| !SUBMIT_KEYS.contains(&&**key))
+        {
+            return Err(format!("unknown field {key:?}"));
+        }
+    }
     let str_of = |key: &str| object.get(key).and_then(Value::as_str).map(str::to_owned);
     let num_of = |key: &str| object.get(key).and_then(Value::as_f64);
     let uint_of = |key: &str| -> Result<Option<u64>, String> {
@@ -607,12 +626,30 @@ mod tests {
                 .registry()
                 .counter_value("slotsel_serve_rejects_total", &[("code", "bad_request")])
         };
-        for body in ["not json", r#"{"tenant":"alice","nodes":2}"#] {
+        // A misspelled deadline, or a criterion the daemon does not take,
+        // is refused by name rather than queued as a job without it.
+        for (body, detail) in [
+            ("not json", "body is not a flat JSON object"),
+            (r#"{"tenant":"alice","nodes":2}"#, "missing integer field"),
+            (
+                r#"{"tenant":"alice","nodes":2,"volume":50,"budget":5000,"deadlin":5}"#,
+                "unknown field \"deadlin\"",
+            ),
+            (
+                r#"{"tenant":"alice","nodes":2,"volume":50,"budget":5000,"criterion":"mincost"}"#,
+                "unknown field \"criterion\"",
+            ),
+        ] {
             let refused = daemon.handle(&request("POST", "/submit", body)).unwrap();
             assert_eq!(refused.status, 400, "{body}");
             assert_eq!(field(&refused, "error").as_str(), Some("bad_request"));
+            let said = field(&refused, "detail");
+            assert!(
+                said.as_str().unwrap().starts_with(detail),
+                "{body}: {said:?}"
+            );
         }
-        assert_eq!(rejects(), 2);
+        assert_eq!(rejects(), 4);
         assert_eq!(
             daemon
                 .handle(&request("GET", "/state", ""))

@@ -56,11 +56,21 @@ pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
 /// Renders a horizontal bar chart of labelled values (one figure panel).
 ///
 /// Bars are scaled to the maximum value; each line shows the label, the
-/// bar, and the numeric value.
+/// bar, and the numeric value. Values print with one decimal, unless the
+/// smallest nonzero one is below 1: then with as many as give it three
+/// significant digits.
 #[must_use]
 pub fn render_bars(title: &str, series: &[(String, f64)]) -> String {
     let mut out = format!("{title}\n");
     let max = series.iter().map(|&(_, v)| v).fold(0.0_f64, f64::max);
+    let smallest = (series.iter().map(|&(_, v)| v))
+        .filter(|&v| v > 0.0)
+        .fold(f64::INFINITY, f64::min);
+    let decimals = if smallest < 1.0 {
+        (2.0 - smallest.log10().floor()) as usize
+    } else {
+        1
+    };
     let label_width = series.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
     for (label, value) in series {
         let filled = if max > 0.0 {
@@ -70,7 +80,7 @@ pub fn render_bars(title: &str, series: &[(String, f64)]) -> String {
         };
         let _ = writeln!(
             out,
-            "  {label:<label_width$}  {}{}  {value:8.1}",
+            "  {label:<label_width$}  {}{}  {value:8.decimals$}",
             "#".repeat(filled),
             " ".repeat(BAR_WIDTH - filled.min(BAR_WIDTH)),
         );
@@ -218,7 +228,13 @@ mod tests {
         assert_eq!(hashes(lines[1]), BAR_WIDTH);
         assert_eq!(hashes(lines[2]), BAR_WIDTH / 2);
         assert_eq!(hashes(lines[3]), 0);
-        assert!(lines[1].contains("10.0"));
+        assert!(lines[1].ends_with("  10.0"), "{chart}");
+        // Sub-unit values keep three significant digits, and the series
+        // shares their decimals.
+        let chart = render_bars("ms", &[("AMP".into(), 0.0345), ("CSA".into(), 12.5)]);
+        let lines: Vec<&str> = chart.lines().collect();
+        assert!(lines[1].ends_with("  0.0345"), "{chart}");
+        assert!(lines[2].ends_with(" 12.5000"), "{chart}");
     }
 
     #[test]

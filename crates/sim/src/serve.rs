@@ -12,21 +12,24 @@
 //! ## Shards
 //!
 //! Platform state is split into [`LiveConfig::shards`] independent node
-//! groups, each with its own [`Platform`] and free-[`SlotList`]. A request
+//! groups, each with its own platform and free-slot list. A request
 //! names its shard (or is auto-assigned to the least-queued one) and a
 //! window never spans shards, so the per-shard phase-1/phase-2 scheduling
-//! is a pure function of that shard's state. [`LiveService::run_cycle`]
-//! schedules the shards one after another on the calling thread and
-//! commits the results in shard order.
+//! is a pure function of that shard's state ([`ShardState`], whose steps
+//! are the only code here that touches a platform, its slots or its
+//! clock). [`LiveService::run_cycle`] schedules the shards one after
+//! another on the calling thread and commits the results in shard order.
 //!
 //! ## Admission
 //!
 //! Each tenant's in-flight footprint ([`TenantUsage`]: queued + committed
 //! but unfinished) is capped by its [`TenantQuota`] from the
-//! [`QuotaTable`]. Quotas are checked twice: at [`LiveService::submit`]
-//! (a breach is a typed [`AdmitError`] the HTTP layer turns into an error
-//! body) and again at batch formation, so a quota tightened between
-//! restarts defers — never schedules — work that no longer fits.
+//! [`QuotaTable`]. Quotas are checked once, at [`LiveService::submit`] (a
+//! breach is a typed [`AdmitError`] the HTTP layer turns into an error
+//! body). The table is part of the [`LiveConfig`], fixed for the service's
+//! lifetime and recovered from the journal header, and a tenant's
+//! footprint only falls once its job is admitted, so batch formation
+//! batches every queued job.
 //!
 //! ## Time
 //!
@@ -41,70 +44,37 @@
 //! ## Durability
 //!
 //! The serving loop journals through the
-//! [`DurableJournal`](crate::journal::DurableJournal) with its
-//! own record schema, [`LiveRecord`]: a `ServiceStarted` header naming the
-//! journal format, one
-//! durable (fsync'd) `Submitted` record per admitted request (without the
-//! request fields that hold their defaults), per-cycle
-//! `Committed`/`Deferred` audit events (a committed window's slots as
-//! `[slot, node, length, cost]` rows), a `Finished` record naming each
-//! retired job (`{cycle, job}`), and a `CycleCommitted` barrier. A finished
-//! job leaves `LiveState::jobs` for the service's retired archive in the
-//! cycle that finishes it; its entry is never journaled whole, as its
-//! `Submitted`, `Committed` and `Deferred` records already say everything
-//! about it.
-//!
-//! Barriers carry only what cannot be derived. The platform is regenerated
-//! from the `ServiceStarted` config; a shard's free slots change only by
-//! the windows its `Committed` records cut and by the clock advance; and
-//! the job table changes only by `Submitted` records, by the cycle's
-//! `Committed`/`Deferred` decisions and by the clock advance retiring
-//! finished windows. So a barrier holds the cycle counter, the next job
-//! id, a per-shard digest of the free-slot list and one digest of the job
-//! table ([`job_digest`]): about 150 bytes, whatever the platform and the
-//! load. The rest of the state goes only into the periodic snapshot,
-//! handed to the journal lazily through [`Journal::checkpoint`]; it too
-//! leaves the platform out, each free slot is an `[id, node, start,
-//! end]` row (see [`ShardState`]), and it carries a digest of the
-//! retired jobs ([`LiveState::archive_digest`]). [`recover_live`] regenerates the
-//! platform from the header, binds the newest intact snapshot's rows to
-//! it (if there is one), and walks the journal from record 1 in one replay
-//! walk: it re-applies each `Submitted` record, replays every cycle through
-//! the same transition functions the live cycle runs, and checks every
-//! barrier's job digest. A cycle the snapshot covers skips only the slot
-//! work; at the snapshot's barrier its slot lists take over, checked
-//! against that barrier's slot digests and its archive digest against the
-//! replayed archive. Later cycles cut and advance the slots and check the
-//! slot digests too. `Finished` records are audit only. A journal whose
-//! header names no format (format 1, written before the number) is
-//! replayed without its snapshots. Requests
-//! accepted after the last committed cycle come back queued, which is
-//! what makes an accepted-but-uncommitted request survive a crash (see
+//! [`DurableJournal`](crate::journal::DurableJournal) in its own record
+//! schema, [`LiveRecord`]: a header holding the config, one fsync'd
+//! `Submitted` record per admitted request, each cycle's decisions and a
+//! barrier of digests. [`recover_live`] replays a journal directory into a
+//! resumable service through the live cycle's own steps. Requests accepted
+//! after the last committed cycle come back queued, which is what makes an
+//! accepted-but-uncommitted request survive a crash (see
 //! `docs/SERVING.md`).
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
+use std::collections::BTreeMap;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize, Writer};
 
 use slotsel_batch::{BatchScheduler, BatchSchedulerConfig};
 use slotsel_core::money::Money;
-use slotsel_core::node::{NodeId, Platform, Volume};
+use slotsel_core::node::Volume;
 use slotsel_core::request::{Job, JobId, NodeRequirements, ResourceRequest};
-use slotsel_core::slot::{Slot, SlotId};
-use slotsel_core::slotlist::{SlotList, SlotStoreKind};
 use slotsel_core::tenant::{AdmitError, TenantId, TenantQuota, TenantUsage};
-use slotsel_core::time::{Interval, TimeDelta, TimePoint};
+use slotsel_core::time::{TimeDelta, TimePoint};
 use slotsel_core::window::Window;
-use slotsel_env::EnvironmentConfig;
-use slotsel_obs::journal::{read_journal, Journal, NoopJournal, SnapshotStore};
+use slotsel_obs::journal::{Journal, NoopJournal};
 use slotsel_obs::metrics::{Metrics, NoopMetrics};
 use slotsel_obs::{NoopSpanSink, Obs, SpanSink};
 
-use crate::journal::{journal_path, snapshot_dir, RecoverError};
 use crate::parallel::Parallelism;
+
+mod record;
+mod shard;
+
+pub use record::{recover_live, LiveRecord, RecoveredService};
+pub use shard::ShardState;
 
 /// Per-tenant quota assignments, normally loaded from a `--quota-file`
 /// JSON document:
@@ -301,113 +271,6 @@ pub struct JobEntry {
     pub phase: JobPhase,
 }
 
-/// One shard's persistent platform state.
-///
-/// It serializes without its platform, which the journal header's config
-/// regenerates, and with each free slot as an `[id, node, start, end]`
-/// row, its performance and price being its node's:
-/// `{"slots":[[id,node,start,end],…],"next_id":N,"now":T,"horizon":H,
-/// "platform_digest":D}`, `D` the [`Platform::digest`] the rows belong to.
-/// Only [`recover_live`] reads that shape back, binding the rows to the
-/// platform it regenerates.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
-pub struct ShardState {
-    /// The shard's nodes.
-    pub platform: Platform,
-    /// Its current free slots.
-    pub slots: SlotList,
-    /// Its virtual clock.
-    pub now: TimePoint,
-    /// How far free time has been generated/extended.
-    pub horizon: TimePoint,
-}
-
-impl Serialize for ShardState {
-    fn serialize(&self, out: &mut Writer<'_>) {
-        out.begin_object();
-        out.key("slots");
-        out.begin_array();
-        for slot in self.slots.iter() {
-            out.begin_array();
-            out.u64(slot.id().0);
-            out.u64(u64::from(slot.node().0));
-            out.i64(slot.start().ticks());
-            out.i64(slot.end().ticks());
-            out.end_array();
-        }
-        out.end_array();
-        out.field("next_id", &self.slots.next_id());
-        out.field("now", &self.now);
-        out.field("horizon", &self.horizon);
-        out.field("platform_digest", &self.platform.digest());
-        out.end_object();
-    }
-}
-
-/// A snapshot shard's free slots as `(id, node, start, end)` rows, with
-/// the counters they need and the [`Platform::digest`] of the platform
-/// they were written against.
-#[derive(Deserialize)]
-struct ShardRows {
-    slots: Vec<(SlotId, NodeId, TimePoint, TimePoint)>,
-    next_id: SlotId,
-    now: TimePoint,
-    horizon: TimePoint,
-    platform_digest: u64,
-}
-
-impl ShardRows {
-    /// The shard `index` of a recovered service whose regenerated platform
-    /// is `platform`, on the tree store the live cycle runs on. The rows
-    /// must have been written against this platform (equal digests); each
-    /// takes its performance and price from its node.
-    fn bind(self, index: u32, platform: Platform) -> Result<ShardState, RecoverError> {
-        let regenerated = platform.digest();
-        if self.platform_digest != regenerated {
-            return Err(RecoverError::PlatformMismatch {
-                shard: index,
-                snapshot: self.platform_digest,
-                regenerated,
-            });
-        }
-        let mut slots = Vec::with_capacity(self.slots.len());
-        for (id, node, start, end) in self.slots {
-            let Some(spec) = platform.get(node) else {
-                return Err(RecoverError::UnknownNode {
-                    shard: index,
-                    slot: id.0,
-                    node: node.0,
-                });
-            };
-            let sorted = slots
-                .last()
-                .is_none_or(|last: &Slot| (last.start(), last.id()) < (start, id));
-            if end < start || id >= self.next_id || !sorted {
-                return Err(RecoverError::SnapshotDecode {
-                    message: format!(
-                        "shard {index}: slot {id} is out of order, ends before it \
-                         starts or is not below next id {}",
-                        self.next_id
-                    ),
-                });
-            }
-            slots.push(Slot::new(
-                id,
-                node,
-                Interval::new(start, end),
-                spec.performance(),
-                spec.price_per_unit(),
-            ));
-        }
-        Ok(ShardState {
-            platform,
-            slots: SlotList::from_parts(SlotStoreKind::Tree, slots, self.next_id),
-            now: self.now,
-            horizon: self.horizon,
-        })
-    }
-}
-
 /// The live mutable state of a service — what a snapshot holds in full.
 ///
 /// A [`LiveRecord::CycleCommitted`] barrier decodes into this type too,
@@ -430,9 +293,10 @@ pub struct LiveState {
     /// Per-tenant in-flight footprints, derived from `jobs`.
     #[serde(default)]
     pub usage: BTreeMap<String, TenantUsage>,
-    /// [`SlotList::digest`] of each shard's free slots, set only in a
-    /// barrier: recovery checks its replayed slot lists against them.
-    /// Empty in memory and in snapshots.
+    /// The [`SlotList::digest`](slotsel_core::slotlist::SlotList::digest)
+    /// of each shard's free slots, set only in a barrier: recovery checks
+    /// its replayed slot lists against them. Empty in memory and in
+    /// snapshots.
     #[serde(default)]
     pub slot_digests: Vec<u64>,
     /// [`job_digest`] of the live jobs, set only in a barrier: recovery
@@ -447,42 +311,6 @@ pub struct LiveState {
     /// against the snapshot's. Barriers leave it out (it reads 0 there).
     #[serde(default)]
     pub archive_digest: u64,
-}
-
-/// A snapshot payload as [`recover_live`] decodes it: the
-/// `CycleCommitted` record [`LiveRecord::encode_checkpoint`] writes.
-#[derive(Deserialize)]
-enum SnapshotRecord {
-    CycleCommitted { state: StateImage },
-}
-
-/// A journal header as [`recover_live`] decodes it: the `ServiceStarted`
-/// record with its format number, `None` in format 1.
-#[derive(Deserialize)]
-enum Header {
-    ServiceStarted {
-        config: LiveConfig,
-        format: Option<u64>,
-    },
-}
-
-/// What recovery reads of a snapshot's state: its cycle, its shards not
-/// yet bound to the platform, and its archive digest. Its jobs and usage
-/// are replayed from the journal instead.
-#[derive(Deserialize)]
-struct StateImage {
-    cycle: u64,
-    shards: Vec<ShardRows>,
-    archive_digest: u64,
-}
-
-/// The newest snapshot as replay uses it: its shards bound to the
-/// regenerated platforms, whose slot lists replay takes over at the
-/// snapshot's own barrier.
-struct Snapshot {
-    cycle: u64,
-    shards: Vec<ShardState>,
-    archive_digest: u64,
 }
 
 impl Serialize for LiveState {
@@ -505,8 +333,8 @@ impl Serialize for LiveState {
 }
 
 /// FNV-1a over every field of a job table, a word at a time as
-/// [`SlotList::digest`] hashes slots: what a barrier carries in place of
-/// the live jobs. A request's node requirements, which a live submission
+/// [`SlotList::digest`](slotsel_core::slotlist::SlotList::digest)
+/// hashes slots: what a barrier carries in place of the live jobs. A request's node requirements, which a live submission
 /// cannot set, contribute only whether they are the default.
 #[must_use]
 pub fn job_digest(jobs: &[JobEntry]) -> u64 {
@@ -607,241 +435,8 @@ pub struct CycleOutcome {
     pub committed: Vec<(JobId, u32)>,
     /// Jobs that entered the batch but won no window (priority-aged).
     pub deferred: Vec<JobId>,
-    /// Queued jobs held back because their tenant no longer fits its
-    /// quota (re-enforcement at batch formation).
-    pub over_quota: Vec<JobId>,
     /// Jobs whose windows finished as the clock advanced.
     pub finished: Vec<JobId>,
-}
-
-/// The live journal format [`LiveRecord::encode`] writes into the header,
-/// and the newest [`recover_live`] reads. Format 1 is every journal
-/// written before the number.
-const FORMAT: u64 = 2;
-
-/// One write-ahead record of a live service journal.
-///
-/// Same framing and [`crate::journal::DurableJournal`] mechanics as the
-/// rolling schema; the schemas are distinguished by their header record
-/// (`ServiceStarted` here vs `RunStarted` there).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum LiveRecord {
-    /// The service's configuration; always the first record. [`encode`]
-    /// writes the journal format ahead of it, `{"ServiceStarted":
-    /// {"format":2,"config":…}}`, which [`recover_live`] reads and the
-    /// decoder ignores; a header without the number is format 1.
-    ///
-    /// [`encode`]: LiveRecord::encode
-    ServiceStarted {
-        /// The full serving configuration.
-        config: LiveConfig,
-    },
-    /// A request passed admission. Committed (fsync'd) immediately, so an
-    /// accepted request survives any later crash. The request leaves out
-    /// each field that holds its default (`None`, or the default
-    /// requirements): `{"Submitted":{"entry":{"id":0,"tenant":"t",
-    /// "shard":0,"priority":1,"request":{"node_count":4,"volume":200,
-    /// "budget":1500000},"submitted_cycle":0,"phase":"Queued"}}}`. Records
-    /// that write every field decode alike.
-    Submitted {
-        /// The accepted job entry, phase `Queued`.
-        entry: JobEntry,
-    },
-    /// A cycle committed a window (audit event). The window's slots are
-    /// `[slot, node, length, cost]` rows: `{"Committed":{"cycle":C,
-    /// "job":J,"shard":S,"window":{"start":T,"slots":[[24,6,67,134938],…]}}}`.
-    /// Records that write each slot as an object decode alike.
-    Committed {
-        /// The committing cycle.
-        cycle: u64,
-        /// The job.
-        job: u32,
-        /// The shard the window was cut from.
-        shard: u32,
-        /// The committed window.
-        window: Window,
-    },
-    /// A cycle deferred a batched job (audit event).
-    Deferred {
-        /// The cycle.
-        cycle: u64,
-        /// The deferred job.
-        job: u32,
-        /// Its shard.
-        shard: u32,
-    },
-    /// A job's window finished as the clock advanced, and the job left
-    /// the live table: `{"Finished":{"cycle":C,"job":J}}`. An audit record:
-    /// replay retires the job by the clock, as the cycle did, and reads
-    /// none of these. The decoder ignores the `entry` that format-1
-    /// records may carry.
-    Finished {
-        /// The cycle.
-        cycle: u64,
-        /// The finished job.
-        job: u32,
-    },
-    /// The cycle barrier. In the journal it holds only what replay cannot
-    /// derive or must check — the cycle, `next_job`, the per-shard
-    /// `slot_digests` and the `job_digest` — as written by
-    /// [`LiveRecord::encode_barrier`]; a snapshot holds the same record
-    /// with the full post-cycle state, its shards in the row shape only
-    /// [`recover_live`] decodes (see [`ShardState`]).
-    CycleCommitted {
-        /// The service's state after this cycle.
-        state: LiveState,
-    },
-}
-
-impl LiveRecord {
-    /// Serializes the record as one JSON line. The header carries the
-    /// journal format, and `Submitted` and `Committed` records are written
-    /// in the slim shapes their variants describe; the derived decoder
-    /// reads those and the full shapes alike.
-    #[must_use]
-    pub fn encode(&self) -> String {
-        match self {
-            LiveRecord::ServiceStarted { config } => encode_variant("ServiceStarted", |out| {
-                out.field("format", &FORMAT);
-                out.field("config", config);
-            }),
-            LiveRecord::Submitted { entry } => encode_variant("Submitted", |out| {
-                out.key("entry");
-                write_slim_entry(out, entry);
-            }),
-            LiveRecord::Committed {
-                cycle,
-                job,
-                shard,
-                window,
-            } => encode_variant("Committed", |out| {
-                out.field("cycle", cycle);
-                out.field("job", job);
-                out.field("shard", shard);
-                out.key("window");
-                window.serialize_rows(out);
-            }),
-            _ => encode_with(|out| self.serialize(out)),
-        }
-    }
-
-    /// Parses a record from its JSON line.
-    pub fn decode(line: &str) -> Result<Self, String> {
-        serde_json::from_str(line).map_err(|error| error.to_string())
-    }
-
-    /// Encodes `CycleCommitted { state }` with the state in full — a
-    /// snapshot payload — without cloning the state. Each shard is written
-    /// in [`ShardState`]'s row shape: no platform, and no performance or
-    /// price per slot, as the journal header fixes both.
-    #[must_use]
-    pub fn encode_checkpoint(state: &LiveState) -> String {
-        encode_cycle_committed(|writer| state.serialize(writer))
-    }
-
-    /// Encodes the journal barrier of `state`: its cycle and next job id,
-    /// one [`SlotList::digest`] per shard and the [`job_digest`] of its
-    /// jobs. Its size does not depend on the platform or the jobs.
-    #[must_use]
-    pub fn encode_barrier(state: &LiveState) -> String {
-        let slot_digests: Vec<u64> = state
-            .shards
-            .iter()
-            .map(|shard| shard.slots.digest())
-            .collect();
-        encode_cycle_committed(|writer| {
-            writer.begin_object();
-            writer.field("cycle", &state.cycle);
-            writer.field("next_job", &state.next_job);
-            writer.field("slot_digests", &slot_digests);
-            writer.field("job_digest", &job_digest(&state.jobs));
-            writer.end_object();
-        })
-    }
-}
-
-/// `{"CycleCommitted":{"state":…}}`, with the state written by `state`.
-fn encode_cycle_committed(state: impl FnOnce(&mut Writer<'_>)) -> String {
-    encode_variant("CycleCommitted", |out| {
-        out.key("state");
-        state(out);
-    })
-}
-
-/// `{"<variant>":{…}}`, with the members written by `members`.
-fn encode_variant(variant: &str, members: impl FnOnce(&mut Writer<'_>)) -> String {
-    encode_with(|out| {
-        out.begin_object();
-        out.key(variant);
-        out.begin_object();
-        members(out);
-        out.end_object();
-        out.end_object();
-    })
-}
-
-/// The compact JSON `write` writes.
-fn encode_with(write: impl FnOnce(&mut Writer<'_>)) -> String {
-    // One allocation holds a record of the 64-node workloads; a longer
-    // one, or a snapshot, grows from there.
-    let mut out = String::with_capacity(256);
-    write(&mut Writer::compact(&mut out));
-    out
-}
-
-/// Writes `entry` in the derived field order, its request without the
-/// fields that hold their defaults.
-fn write_slim_entry(out: &mut Writer<'_>, entry: &JobEntry) {
-    let request = &entry.request;
-    out.begin_object();
-    out.field("id", &entry.id);
-    out.field("tenant", &entry.tenant);
-    out.field("shard", &entry.shard);
-    out.field("priority", &entry.priority);
-    out.key("request");
-    out.begin_object();
-    out.field("node_count", &request.node_count());
-    out.field("volume", &request.volume());
-    out.field("budget", &request.budget());
-    if *request.requirements() != NodeRequirements::default() {
-        out.field("requirements", request.requirements());
-    }
-    if let Some(deadline) = request.deadline() {
-        out.field("deadline", &deadline);
-    }
-    if let Some(span) = request.reference_span() {
-        out.field("reference_span", &span);
-    }
-    out.end_object();
-    out.field("submitted_cycle", &entry.submitted_cycle);
-    out.field("phase", &entry.phase);
-    out.end_object();
-}
-
-/// A live journal directory replayed back into a resumable service.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveredService {
-    /// The service, state as of the last barrier plus any trailing
-    /// accepted-but-uncommitted submissions.
-    pub service: LiveService,
-    /// Byte length of the trusted journal prefix (everything that read
-    /// back intact — unlike the rolling schema, trailing `Submitted`
-    /// records are state, so nothing intact is discarded).
-    pub resume_len: u64,
-    /// Barriers in the trusted prefix — resumes the snapshot cadence.
-    pub barriers: u64,
-    /// Whether a torn tail was truncated.
-    pub discarded_tail: bool,
-    /// Trailing `Submitted` records re-applied on top of the last
-    /// barrier.
-    pub resubmitted: usize,
-    /// The cycle of the snapshot whose slot lists replay took over at that
-    /// cycle's barrier; `None` when replay cut and advanced every cycle's
-    /// slots from the platform generated from the header's config.
-    pub snapshot_cycle: Option<u64>,
-    /// The journal format the header names: 1 (no number) or 2.
-    /// Recovery of a format-1 journal reads none of its snapshots.
-    pub format: u64,
 }
 
 /// The live metascheduler: persistent sharded platform state, tenant
@@ -860,9 +455,8 @@ pub struct LiveService {
 }
 
 impl LiveService {
-    /// Creates a fresh service: each shard's platform and initial
-    /// non-dedicated slot fragmentation are generated from
-    /// `config.seed + shard`, exactly as the paper's environment model.
+    /// Creates a fresh service, each shard generated from its seed (see
+    /// [`ShardState`]).
     ///
     /// # Panics
     ///
@@ -872,26 +466,12 @@ impl LiveService {
         if let Err(reason) = config.check() {
             panic!("invalid live config: {reason}");
         }
-        let env_config = EnvironmentConfig {
-            interval_length: config.interval_length,
-            ..EnvironmentConfig::with_node_count(config.nodes_per_shard)
-        };
         let shards = (0..config.shards)
-            .map(|shard| {
-                let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(u64::from(shard)));
-                let (platform, slots) = env_config.generate(&mut rng).into_platform_and_slots();
-                ShardState {
-                    platform,
-                    slots,
-                    now: TimePoint::ZERO,
-                    horizon: TimePoint::new(config.interval_length),
-                }
-            })
+            .map(|index| ShardState::generate(&config, index))
             .collect();
-        let mut usage = BTreeMap::new();
-        for tenant in config.quotas.tenants.keys() {
-            usage.insert(tenant.clone(), TenantUsage::default());
-        }
+        let usage = (config.quotas.tenants.keys())
+            .map(|tenant| (tenant.clone(), TenantUsage::default()))
+            .collect();
         LiveService {
             config,
             state: LiveState {
@@ -932,12 +512,6 @@ impl LiveService {
         self.state.cycle
     }
 
-    /// Every accepted job: the retired ones in id order, then the live
-    /// ones in id order.
-    pub fn jobs(&self) -> impl Iterator<Item = &JobEntry> {
-        self.retired.values().chain(&self.state.jobs)
-    }
-
     /// How many jobs were ever accepted, live and retired.
     #[must_use]
     pub fn job_count(&self) -> usize {
@@ -948,15 +522,10 @@ impl LiveService {
     /// table, then the archive.
     #[must_use]
     pub fn job(&self, id: JobId) -> Option<&JobEntry> {
-        match self.job_index(id) {
+        match self.state.jobs.binary_search_by_key(&id, |entry| entry.id) {
             Ok(index) => Some(&self.state.jobs[index]),
             Err(_) => self.retired.get(&id.0),
         }
-    }
-
-    /// Where `id` is, or would be inserted, in the id-ordered live table.
-    fn job_index(&self, id: JobId) -> Result<usize, usize> {
-        self.state.jobs.binary_search_by_key(&id, |entry| entry.id)
     }
 
     /// Every known tenant with its usage and governing quota, in name
@@ -975,15 +544,6 @@ impl LiveService {
                 (tenant.clone(), *usage, quota)
             })
             .collect()
-    }
-
-    /// Jobs currently queued on `shard`.
-    fn queued_on(&self, shard: u32) -> usize {
-        self.state
-            .jobs
-            .iter()
-            .filter(|entry| entry.shard == shard && matches!(entry.phase, JobPhase::Queued))
-            .count()
     }
 
     /// Admits one submission: validates the request, resolves its shard,
@@ -1012,7 +572,11 @@ impl LiveService {
             Some(shard) => shard,
             // Least-queued shard, lowest index on ties — deterministic.
             None => (0..self.config.shards)
-                .min_by_key(|&shard| (self.queued_on(shard), shard))
+                .min_by_key(|&shard| {
+                    let queued = (self.state.jobs.iter())
+                        .filter(|entry| entry.shard == shard && entry.phase == JobPhase::Queued);
+                    (queued.count(), shard)
+                })
                 .expect("at least one shard"),
         };
         let budget = Money::checked_from_f64(submission.budget).ok_or_else(|| {
@@ -1089,11 +653,11 @@ impl LiveService {
         self.run_cycle_observed(Parallelism::Serial, &NoopMetrics, &mut NoopJournal)
     }
 
-    /// Runs one scheduling cycle: forms per-shard batches from the queue
-    /// (re-enforcing quotas), schedules the shards one after another,
-    /// commits the won windows into the persistent slot lists, advances
-    /// the virtual clock, and retires finished jobs. `Parallelism` has
-    /// one value, [`Parallelism::Serial`].
+    /// Runs one scheduling cycle: batches every queued job on its shard,
+    /// schedules the shards one after another, commits the won windows
+    /// into the persistent slot lists, then advances the clocks, retires
+    /// finished jobs and counts the cycle. `Parallelism` has one value,
+    /// [`Parallelism::Serial`].
     ///
     /// Audit records and the `CycleCommitted` barrier go to `journal`
     /// (one `commit` at the barrier); per-tenant gauges and cycle
@@ -1114,7 +678,6 @@ impl LiveService {
     /// `"serve.retire"` phase children, plus one `"serve.shard"` subtree
     /// per shard, on track `shard + 1`. With a disabled sink this is
     /// `run_cycle_observed`, bit for bit.
-    #[allow(clippy::too_many_lines)]
     pub fn run_cycle_spanned<J: Journal, S: SpanSink>(
         &mut self,
         metrics: &dyn Metrics,
@@ -1131,115 +694,46 @@ impl LiveService {
             ..CycleOutcome::default()
         };
 
-        // --- Batch formation, quotas re-enforced -----------------------
+        // --- Batch formation -------------------------------------------
+        // Every queued job joins its shard's batch: admission checked its
+        // quota, and its tenant's footprint has only fallen since. The
+        // scheduler orders each batch by priority, then id.
         let formation = obs.phase("serve.batch_formation");
-        // Walk the queue in scheduling order (priority desc, id asc) and
-        // re-run admission against a tally that starts from committed
-        // work only: if the quota table tightened since these jobs were
-        // accepted, the ones that no longer fit sit out this cycle.
-        let mut order: Vec<usize> = (0..self.state.jobs.len())
-            .filter(|&i| matches!(self.state.jobs[i].phase, JobPhase::Queued))
-            .collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(self.state.jobs[i].priority), i));
-
-        let mut tally: BTreeMap<&str, TenantUsage> = BTreeMap::new();
-        for entry in &self.state.jobs {
-            if matches!(entry.phase, JobPhase::Scheduled { .. }) {
-                tally
-                    .entry(entry.tenant.as_str())
-                    .or_default()
-                    .charge(&entry.request, false);
-            }
-        }
         let mut batches: Vec<Vec<Job>> = vec![Vec::new(); self.config.shards as usize];
-        let mut batched = 0;
-        for index in order {
-            let entry = &self.state.jobs[index];
-            let admitted = self
-                .config
-                .quotas
-                .quota_for(entry.tenant.as_str())
-                .and_then(|quota| {
-                    let usage = tally.entry(entry.tenant.as_str()).or_default();
-                    quota.admit(usage, entry.request.node_count(), entry.request.budget())
-                });
-            match admitted {
-                Ok(()) => {
-                    tally
-                        .entry(entry.tenant.as_str())
-                        .or_default()
-                        .charge(&entry.request, true);
-                    batches[entry.shard as usize].push(Job::new(
-                        entry.id,
-                        entry.priority,
-                        entry.request.clone(),
-                    ));
-                    batched += 1;
-                }
-                Err(_) => outcome.over_quota.push(entry.id),
+        for entry in &self.state.jobs {
+            if entry.phase == JobPhase::Queued {
+                let job = Job::new(entry.id, entry.priority, entry.request.clone());
+                batches[entry.shard as usize].push(job);
             }
         }
+        let batched = batches.iter().map(Vec::len).sum();
         obs.spans.attr_u64("batched", batched as u64);
-        obs.spans
-            .attr_u64("over_quota", outcome.over_quota.len() as u64);
         formation.end(&mut obs, None);
 
-        // --- Per-shard scheduling -------------------------------------
-        // Each shard's two-phase schedule is a pure function of its own
-        // (platform, slots, batch); the shards run one after another on
-        // this thread, each subtree on track `shard + 1` under the cycle
-        // root. The scheduler reports to no recorder or metrics sink.
+        // --- Per-shard scheduling, one after another on this thread ----
         let scheduler = BatchScheduler::new(self.config.scheduler.clone());
         let mut schedules = Vec::with_capacity(batches.len());
-        for (shard, jobs) in batches.iter().enumerate() {
-            let state = &self.state.shards[shard];
-            obs.spans.set_track(shard as u32 + 1);
-            let mut scheduling = Obs::dark().with_spans(&mut *obs.spans);
-            let phase = scheduling.phase("serve.shard");
-            scheduling.spans.attr_u64("shard", shard as u64);
-            scheduling.spans.attr_u64("jobs", jobs.len() as u64);
-            schedules.push(scheduler.schedule_observed(
-                &state.platform,
-                &state.slots,
-                jobs,
-                &mut scheduling,
-            ));
-            phase.end(&mut scheduling, None);
+        for (index, (shard, jobs)) in (0..).zip(self.state.shards.iter().zip(&batches)) {
+            obs.spans.set_track(index + 1);
+            schedules.push(shard.schedule(index, &scheduler, jobs, &mut *obs.spans));
         }
         obs.spans.set_track(0);
 
         // --- Serial commit, shard order --------------------------------
         let commit = obs.phase("serve.commit");
         let mut decisions = Vec::with_capacity(batched);
-        for (shard, schedule) in schedules.iter().enumerate() {
-            let slots = &mut self.state.shards[shard].slots;
+        for ((index, shard), schedule) in (0..).zip(&mut self.state.shards).zip(&schedules) {
             for assignment in &schedule.assignments {
                 let job = assignment.job.id();
-                let window = assignment
-                    .window
-                    .as_ref()
-                    .filter(|window| reserve_window(slots, window));
+                let window = (assignment.window.as_ref()).filter(|window| shard.reserve(window));
                 if journaling {
-                    let record = match window {
-                        Some(window) => LiveRecord::Committed {
-                            cycle,
-                            job: job.0,
-                            shard: shard as u32,
-                            window: window.clone(),
-                        },
-                        None => LiveRecord::Deferred {
-                            cycle,
-                            job: job.0,
-                            shard: shard as u32,
-                        },
-                    };
-                    journal.append(&record.encode());
+                    journal.append(&LiveRecord::encode_decision(cycle, job.0, index, window));
                 }
                 match window {
-                    Some(_) => outcome.committed.push((job, shard as u32)),
+                    Some(_) => outcome.committed.push((job, index)),
                     None => outcome.deferred.push(job),
                 }
-                decisions.push((shard as u32, job.0, window.cloned()));
+                decisions.push((index, job.0, window.cloned()));
             }
         }
         apply_decisions(&mut self.state.jobs, cycle, decisions);
@@ -1249,26 +743,12 @@ impl LiveService {
             .attr_u64("deferred", outcome.deferred.len() as u64);
         commit.end(&mut obs, None);
 
-        // --- Advance the virtual clock ---------------------------------
-        let advance = obs.phase("serve.advance");
-        self.advance_clock(true);
-        obs.spans.attr_u64("shards", self.state.shards.len() as u64);
-        advance.end(&mut obs, None);
-
-        // --- Retire finished windows, releasing quota ------------------
-        let retire = obs.phase("serve.retire");
-        self.retire_finished(cycle, |job| {
+        self.settle(true, &mut obs, |job| {
             outcome.finished.push(job);
             if journaling {
                 journal.append(&LiveRecord::Finished { cycle, job: job.0 }.encode());
             }
         });
-
-        obs.spans
-            .attr_u64("finished", outcome.finished.len() as u64);
-        retire.end(&mut obs, None);
-
-        self.close_cycle();
 
         if journaling {
             journal.append(&LiveRecord::encode_barrier(&self.state));
@@ -1293,10 +773,6 @@ impl LiveService {
             ("slotsel_serve_cycles_total", 1),
             ("slotsel_serve_commits_total", outcome.committed.len()),
             ("slotsel_serve_deferrals_total", outcome.deferred.len()),
-            (
-                "slotsel_serve_quota_deferrals_total",
-                outcome.over_quota.len(),
-            ),
             ("slotsel_serve_finished_total", outcome.finished.len()),
         ] {
             metrics.counter_add(name, &[], count as u64);
@@ -1328,32 +804,24 @@ impl LiveService {
         }
     }
 
-    /// Advances every shard's virtual clock by one cycle and, with
-    /// `slots`, its free slots: replay of a cycle the snapshot covers
-    /// advances the clocks only.
-    fn advance_clock(&mut self, slots: bool) {
-        let advance = TimeDelta::new(self.config.cycle_advance);
+    /// Closes a cycle, in `"serve.advance"` and `"serve.retire"` phases on
+    /// `obs`: advances every shard's clock by one cycle and, with `slots`,
+    /// its free slots (replay of a cycle the snapshot covers advances the
+    /// clocks only); retires every scheduled job whose window has finished
+    /// by its shard's clock into the archive, in id order, calling
+    /// `finished` with its id; then counts the cycle and recomputes usage.
+    /// The live cycle and replay both close through it.
+    fn settle(&mut self, slots: bool, obs: &mut Obs<'_>, mut finished: impl FnMut(JobId)) {
+        let cycle = self.state.cycle;
+        let advance = obs.phase("serve.advance");
+        let by = TimeDelta::new(self.config.cycle_advance);
         for shard in &mut self.state.shards {
-            // Nodes are free beyond the generated non-dedicated interval:
-            // each node's free time grows by one cycle's worth past the
-            // horizon, and free time that slipped into the past is
-            // trimmed, in one pass.
-            let grown = Interval::new(shard.horizon, shard.horizon + advance);
-            shard.horizon += advance;
-            shard.now += advance;
-            if slots {
-                shard
-                    .slots
-                    .advance_horizon(&shard.platform, grown, shard.now);
-            }
+            shard.advance(by, slots);
         }
-    }
+        obs.spans.attr_u64("shards", self.state.shards.len() as u64);
+        advance.end(obs, None);
 
-    /// Marks every scheduled job whose window has finished by its shard's
-    /// clock as finished in `cycle`, then moves every `Finished` job out of
-    /// the live table into the archive, in id order, calling `each` with
-    /// its id. The cycle's retire step and replay share it.
-    fn retire_finished(&mut self, cycle: u64, mut each: impl FnMut(JobId)) {
+        let retire = obs.phase("serve.retire");
         for entry in &mut self.state.jobs {
             if let JobPhase::Scheduled {
                 window,
@@ -1369,196 +837,20 @@ impl LiveService {
                 }
             }
         }
-        let finished = self
-            .state
-            .jobs
+        let retiring = (self.state.jobs)
             .extract_if(.., |entry| matches!(entry.phase, JobPhase::Finished { .. }));
-        for entry in finished {
-            each(entry.id);
+        let mut count = 0;
+        for entry in retiring {
+            finished(entry.id);
+            count += 1;
             archive(&mut self.retired, &mut self.state.archive_digest, entry);
         }
-    }
+        obs.spans.attr_u64("finished", count);
+        retire.end(obs, None);
 
-    /// Counts a finished cycle and recomputes usage from the settled jobs.
-    fn close_cycle(&mut self) {
         self.state.cycle += 1;
         self.recompute_usage();
     }
-
-    /// Applies a journaled `Submitted` record: the request was durably
-    /// accepted, so it enters the queue exactly as admitted, and its
-    /// tenant gets a usage entry as at admission. Usage is recomputed at
-    /// the next barrier, or once recovery has read the whole journal.
-    fn reapply(&mut self, entry: JobEntry) {
-        self.state.next_job = self.state.next_job.max(entry.id.0 + 1);
-        if !self.state.usage.contains_key(entry.tenant.as_str()) {
-            self.state
-                .usage
-                .insert(entry.tenant.as_str().to_owned(), TenantUsage::default());
-        }
-        self.state.jobs.push(entry);
-    }
-
-    /// Binds a decoded snapshot's shards to the platforms this service
-    /// generated for the same shards (see [`ShardRows::bind`]).
-    fn bind(&self, image: StateImage) -> Result<Snapshot, RecoverError> {
-        if image.shards.len() != self.state.shards.len() {
-            return Err(RecoverError::SnapshotDecode {
-                message: format!(
-                    "snapshot holds {} shards, the service has {}",
-                    image.shards.len(),
-                    self.state.shards.len()
-                ),
-            });
-        }
-        let shards = image
-            .shards
-            .into_iter()
-            .zip(&self.state.shards)
-            .zip(0..)
-            .map(|((rows, fresh), index)| rows.bind(index, fresh.platform.clone()))
-            .collect::<Result<_, _>>()?;
-        Ok(Snapshot {
-            cycle: image.cycle,
-            shards,
-            archive_digest: image.archive_digest,
-        })
-    }
-
-    /// Refuses a `Committed`/`Deferred` record of a cycle the journal has
-    /// not reached.
-    fn check_cycle(&self, cycle: u64, record_no: u64) -> Result<(), RecoverError> {
-        if cycle <= self.state.cycle {
-            return Ok(());
-        }
-        Err(RecoverError::ChainBroken {
-            detail: format!(
-                "record {record_no} belongs to cycle {cycle} but the journal is at cycle {}",
-                self.state.cycle
-            ),
-        })
-    }
-
-    /// Replays the cycle `barrier` closes through the live cycle's steps:
-    /// its `decisions`, in record order, cut their windows out of the
-    /// slots and settle the jobs, the clock advances and retires finished
-    /// windows, and the result must match the barrier's slot digests and
-    /// `job_digest`. A cycle the `snapshot` covers skips the slot work
-    /// (the cuts, the horizon growth and the slot digests); at the
-    /// snapshot's own barrier its slot lists take over (see
-    /// [`take_over`](Self::take_over)) and meet the slot digests.
-    fn replay_cycle(
-        &mut self,
-        barrier: &LiveState,
-        job_digest: u64,
-        decisions: Vec<Decision>,
-        snapshot: &mut Option<Snapshot>,
-    ) -> Result<(), String> {
-        let cycle = self.state.cycle;
-        if barrier.cycle != cycle + 1 {
-            return Err(format!(
-                "cycle {} follows a replay at cycle {cycle}",
-                barrier.cycle
-            ));
-        }
-        let covered = snapshot
-            .as_ref()
-            .is_some_and(|snapshot| barrier.cycle <= snapshot.cycle);
-        let shards = self.state.shards.len();
-        // A covered cycle cuts nothing: the snapshot's slot lists hold its
-        // windows' cuts.
-        let cuts = if covered { &[][..] } else { &decisions[..] };
-        for (shard, _, window) in cuts {
-            let Some(window) = window else { continue };
-            let Some(state) = self.state.shards.get_mut(*shard as usize) else {
-                return Err(format!("a commit names shard {shard} of {shards}"));
-            };
-            if !reserve_window(&mut state.slots, window) {
-                return Err(format!(
-                    "the window committed on shard {shard} at {} is not free",
-                    window.start()
-                ));
-            }
-        }
-        apply_decisions(&mut self.state.jobs, cycle, decisions);
-        self.advance_clock(!covered);
-        self.retire_finished(cycle, |_| {});
-        self.close_cycle();
-        let slots_replayed = match snapshot.take_if(|snapshot| snapshot.cycle == barrier.cycle) {
-            Some(snapshot) => {
-                self.take_over(snapshot)?;
-                true
-            }
-            None => !covered,
-        };
-        if slots_replayed {
-            check_digests(&self.state.shards, &barrier.slot_digests)?;
-        }
-        self.state.next_job = barrier.next_job;
-        check_job_digest(&self.state.jobs, job_digest)
-    }
-
-    /// Hands the slot lists over to the snapshot's at its own barrier. Its
-    /// clocks must be the replayed ones, and its archive digest the
-    /// replayed archive's.
-    fn take_over(&mut self, snapshot: Snapshot) -> Result<(), String> {
-        if snapshot.archive_digest != self.state.archive_digest {
-            return Err(format!(
-                "the replayed archive digests to {:#018x}, the snapshot says {:#018x}",
-                self.state.archive_digest, snapshot.archive_digest
-            ));
-        }
-        for (index, (shard, taken)) in self
-            .state
-            .shards
-            .iter_mut()
-            .zip(snapshot.shards)
-            .enumerate()
-        {
-            if (taken.now, taken.horizon) != (shard.now, shard.horizon) {
-                return Err(format!(
-                    "the snapshot's shard {index} is at {} with horizon {}, the replay at {} \
-                     with horizon {}",
-                    taken.now, taken.horizon, shard.now, shard.horizon
-                ));
-            }
-            shard.slots = taken.slots;
-        }
-        Ok(())
-    }
-}
-
-/// Checks a replayed job table against a barrier's job digest.
-fn check_job_digest(jobs: &[JobEntry], want: u64) -> Result<(), String> {
-    let got = job_digest(jobs);
-    if got == want {
-        Ok(())
-    } else {
-        Err(format!(
-            "the replayed jobs digest to {got:#018x}, the barrier says {want:#018x}"
-        ))
-    }
-}
-
-/// Checks replayed slot lists against a barrier's per-shard digests.
-fn check_digests(shards: &[ShardState], digests: &[u64]) -> Result<(), String> {
-    if digests.len() != shards.len() {
-        return Err(format!(
-            "{} slot digests for {} shards",
-            digests.len(),
-            shards.len()
-        ));
-    }
-    for (index, (shard, &want)) in shards.iter().zip(digests).enumerate() {
-        let got = shard.slots.digest();
-        if got != want {
-            return Err(format!(
-                "shard {index}'s replayed free slots digest to {got:#018x}, \
-                 the barrier says {want:#018x}"
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// Applies a cycle's decisions to an id-ordered job table: a committed
@@ -1589,246 +881,11 @@ fn apply_decisions(jobs: &mut [JobEntry], cycle: u64, decisions: Vec<Decision>) 
 /// `None` for a deferral.
 type Decision = (u32, u32, Option<Window>);
 
-/// The cycle in progress during replay: its decisions so far, in record
-/// order, and every job it has decided.
-#[derive(Debug, Default)]
-struct PendingCycle {
-    decisions: Vec<Decision>,
-    decided: BTreeSet<u32>,
-}
-
-impl PendingCycle {
-    /// Notes a `Committed`/`Deferred` decision for `job`. A cycle decides
-    /// each batched job once, so a second decision means the earlier ones
-    /// came from a run of this cycle lost to a crash: they are dropped.
-    fn decide(&mut self, shard: u32, job: u32, window: Option<Window>) {
-        if !self.decided.insert(job) {
-            self.clear();
-            self.decided.insert(job);
-        }
-        self.decisions.push((shard, job, window));
-    }
-
-    fn clear(&mut self) {
-        self.decisions.clear();
-        self.decided.clear();
-    }
-}
-
-/// Cuts a committed window's reservations out of a shard's free slots.
-///
-/// The window was found on this same list (possibly after earlier commits
-/// this cycle split some slots under fresh ids), so reservations are
-/// re-resolved **by node and time**, not by the window's recorded slot
-/// ids: for each window slot, the free slot currently covering the task's
-/// span on that node hosts the cut, clamped to the slot's end exactly as
-/// `csa::apply_cut` clamps rectangular reservations. Returns `false` —
-/// leaving the list unchanged — when any span is no longer free (the
-/// caller then defers the job instead of committing it).
-fn reserve_window(slots: &mut SlotList, window: &Window) -> bool {
-    let runtime = window.runtime();
-    let mut reservations = Vec::with_capacity(window.size());
-    for task in window.slots() {
-        let task_span = Interval::with_length(window.start(), task.length());
-        // An indexed lookup on the tree store; a linear scan on the Vec.
-        let Some(slot) = slots.find_covering(task.node(), task_span) else {
-            return false;
-        };
-        let end = (window.start() + runtime).earliest(slot.end());
-        reservations.push((slot.id(), Interval::new(window.start(), end)));
-    }
-    slots.cut(&reservations, TimeDelta::ZERO).is_ok()
-}
-
-/// Replays a live journal directory back into a resumable service.
-///
-/// The platform always comes from the header: replay starts from the
-/// service [`LiveService::new`] generates from the `ServiceStarted` config
-/// and walks the journal from record 1. Each `Submitted` record queues its
-/// job (they were fsync'd at admission — losing them would drop accepted
-/// work). Each cycle's `Committed` and `Deferred` decisions are buffered,
-/// and at that cycle's barrier replay runs the live cycle's steps: the
-/// windows are cut out of the slot lists, the decisions settle the jobs,
-/// the clock advance runs and retires finished windows, and the result is
-/// checked against the barrier's slot and job digests. `Finished` records
-/// are audit only: replay retires jobs by the clock, as the cycle did.
-///
-/// The newest intact snapshot, if any, saves the slot work of the cycles
-/// it covers. Its shards' rows are bound to the regenerated platform when
-/// it is read: the snapshot's platform digest must equal the platform's,
-/// every row must name one of its nodes, and each slot takes its node's
-/// performance and price. A covered cycle skips the cuts, the horizon
-/// growth and the slot digests, while its jobs, clocks and job digest are
-/// replayed in full; at the snapshot's own barrier its slot lists take
-/// over, checked against that barrier's slot digests, and the replayed
-/// clocks and archive must match the snapshot's.
-///
-/// The header's format number says how much of that applies. Format 2,
-/// what [`LiveRecord::encode`] writes, is read in full. A header without
-/// the number is format 1: its snapshots are not read, as they may be in
-/// shapes this reader does not know.
-///
-/// Records after the last barrier belong to the interrupted cycle, which
-/// re-runs, so its decisions are dropped; so are a torn cycle's that a
-/// later record shows were superseded (a `Submitted` record, or a second
-/// decision for the same job — the re-run of that cycle). A torn final
-/// line is truncated, exactly as the rolling recovery does. A snapshot
-/// claiming more cycles than the journal means the files are not from the
-/// same run, and recovery refuses rather than guesses.
-///
-/// # Errors
-///
-/// Returns a [`RecoverError`] for an unreadable/corrupt journal, a
-/// missing or foreign (`RunStarted`) header, a header whose config
-/// [`LiveConfig::check`] refuses ([`RecoverError::Decode`] of record 1), a
-/// format above 2 or a barrier without a job digest, as written before
-/// barriers carried one ([`RecoverError::UnsupportedFormat`]), an
-/// unparsable record or snapshot, a snapshot shard written against
-/// another platform ([`RecoverError::PlatformMismatch`]) or holding a slot
-/// on a node its platform does not have ([`RecoverError::UnknownNode`]), or
-/// an inconsistent record chain — including a `Submitted` record below the
-/// next job id, a commit whose window is no longer free, a replay that
-/// disagrees with a barrier's slot or job digest, and a snapshot whose
-/// clocks or archive digest disagree with the replay at its barrier. A
-/// `Committed` window with no slots, two slots on one node or a slot of no
-/// positive length does not decode ([`RecoverError::Decode`]).
-pub fn recover_live(dir: &Path) -> Result<RecoveredService, RecoverError> {
-    let tail = read_journal(&journal_path(dir))?;
-    if tail.records.is_empty() {
-        return Err(RecoverError::EmptyJournal);
-    }
-    let mut records = tail.records.iter();
-    let first = records.next().expect("checked non-empty");
-    // A first record that is not a ServiceStarted — including one from
-    // the rolling schema, which does not parse as a header at all — means
-    // this is not a live journal.
-    let Ok(Header::ServiceStarted { config, format }) = serde_json::from_str(first) else {
-        return Err(RecoverError::MissingHeader);
-    };
-    let format = format.unwrap_or(1);
-    if !(1..=FORMAT).contains(&format) {
-        return Err(RecoverError::UnsupportedFormat {
-            record: 1,
-            detail: format!("format {format}; this build reads formats 1 and {FORMAT}"),
-        });
-    }
-    config
-        .check()
-        .map_err(|message| RecoverError::Decode { record: 1, message })?;
-
-    let mut service = LiveService::new(config);
-    let mut snapshot = match format {
-        1 => None,
-        _ => latest_snapshot(dir)?
-            .map(|image| service.bind(image))
-            .transpose()?,
-    };
-    let snapshot_cycle = snapshot.as_ref().map(|snapshot| snapshot.cycle);
-
-    let mut barriers = 0u64;
-    let mut resubmitted = 0;
-    let mut pending = PendingCycle::default();
-    for (index, payload) in records.enumerate() {
-        let record_no = index as u64 + 2;
-        let record = LiveRecord::decode(payload).map_err(|message| RecoverError::Decode {
-            record: record_no,
-            message,
-        })?;
-        match record {
-            LiveRecord::ServiceStarted { .. } => {
-                return Err(RecoverError::ChainBroken {
-                    detail: format!("second ServiceStarted at record {record_no}"),
-                });
-            }
-            LiveRecord::CycleCommitted { state } => {
-                let Some(job_digest) = state.job_digest else {
-                    return Err(RecoverError::UnsupportedFormat {
-                        record: record_no,
-                        detail: "a barrier without a job digest, as written before \
-                                 barriers carried one"
-                            .to_owned(),
-                    });
-                };
-                let decisions = std::mem::take(&mut pending).decisions;
-                service
-                    .replay_cycle(&state, job_digest, decisions, &mut snapshot)
-                    .map_err(|detail| RecoverError::ChainBroken {
-                        detail: format!("barrier at record {record_no}: {detail}"),
-                    })?;
-                barriers += 1;
-                resubmitted = 0;
-            }
-            LiveRecord::Submitted { entry } => {
-                if entry.id.0 < service.state.next_job {
-                    return Err(RecoverError::ChainBroken {
-                        detail: format!(
-                            "Submitted record {record_no} holds job {}, below the next job id {}",
-                            entry.id.0, service.state.next_job
-                        ),
-                    });
-                }
-                // No cycle's records straddle an admission: decisions
-                // before it belong to a cycle lost to a crash.
-                pending.clear();
-                service.reapply(entry);
-                resubmitted += 1;
-            }
-            LiveRecord::Committed {
-                cycle,
-                job,
-                shard,
-                window,
-            } => {
-                service.check_cycle(cycle, record_no)?;
-                pending.decide(shard, job, Some(window));
-            }
-            LiveRecord::Deferred { cycle, job, shard } => {
-                service.check_cycle(cycle, record_no)?;
-                pending.decide(shard, job, None);
-            }
-            LiveRecord::Finished { .. } => {}
-        }
-    }
-    if let Some(snapshot) = snapshot {
-        return Err(RecoverError::SnapshotNewerThanJournal {
-            snapshot_cycle: snapshot.cycle.min(u64::from(u32::MAX)) as u32,
-            journal_cycle: service.state.cycle.min(u64::from(u32::MAX)) as u32,
-        });
-    }
-    service.recompute_usage();
-
-    Ok(RecoveredService {
-        service,
-        resume_len: tail.valid_len,
-        barriers,
-        discarded_tail: tail.torn,
-        resubmitted,
-        snapshot_cycle,
-        format,
-    })
-}
-
-/// The state in the newest intact snapshot of `dir`, if any.
-fn latest_snapshot(dir: &Path) -> Result<Option<StateImage>, RecoverError> {
-    let snapshots = snapshot_dir(dir);
-    if !snapshots.is_dir() {
-        return Ok(None);
-    }
-    let Some((_, payload)) = SnapshotStore::open(&snapshots)?.latest()? else {
-        return Ok(None);
-    };
-    match serde_json::from_str(&payload) {
-        Ok(SnapshotRecord::CycleCommitted { state }) => Ok(Some(state)),
-        Err(error) => Err(RecoverError::SnapshotDecode {
-            message: error.to_string(),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::record::SnapshotRecord;
     use super::*;
-    use crate::journal::DurableJournal;
+    use crate::journal::{DurableJournal, RecoverError};
     use slotsel_obs::journal::MemoryJournal;
     use slotsel_obs::MemorySpanSink;
     use std::path::PathBuf;
@@ -2000,8 +1057,8 @@ mod tests {
         for _ in 0..4 {
             service.run_cycle();
         }
-        let windows: Vec<&Window> = service
-            .jobs()
+        let windows: Vec<&Window> = (service.retired().values())
+            .chain(&service.state().jobs)
             .filter_map(|entry| entry.phase.window())
             .collect();
         assert!(windows.len() >= 2, "expected several commits");
@@ -2013,25 +1070,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn batch_formation_reenforces_a_tightened_quota() {
-        let mut service = LiveService::new(tiny_config(1));
-        service.submit(&submission("alice", 2, 100_000.0)).unwrap();
-        service.submit(&submission("alice", 2, 100_000.0)).unwrap();
-        // Tighten after admission — as if the quota file shrank between
-        // restarts: only one job's worth of nodes fits now.
-        service.config.quotas.tenants.insert(
-            "alice".to_owned(),
-            TenantQuota {
-                max_nodes: Some(2),
-                ..TenantQuota::unlimited()
-            },
-        );
-        let outcome = service.run_cycle();
-        assert_eq!(outcome.committed.len(), 1);
-        assert_eq!(outcome.over_quota.len(), 1);
     }
 
     #[test]

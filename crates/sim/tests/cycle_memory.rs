@@ -87,7 +87,7 @@ fn an_idle_small_cycle_allocates_within_its_pin() {
 
 #[test]
 fn a_small_batch_cycle_allocates_within_its_pin() {
-    assert_cycle_allocations(1, 64, 4, 927);
+    assert_cycle_allocations(1, 64, 4, 921);
 }
 
 #[test]
@@ -97,7 +97,7 @@ fn an_idle_wide_cycle_allocates_within_its_pin() {
 
 #[test]
 fn a_wide_batch_cycle_allocates_within_its_pin() {
-    assert_cycle_allocations(2, 1000, 4, 1_507);
+    assert_cycle_allocations(2, 1000, 4, 1_501);
 }
 
 #[test]

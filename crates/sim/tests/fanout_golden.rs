@@ -158,7 +158,7 @@ fn a_lit_live_cycle_keeps_its_span_tree_shape() {
     let shape: Vec<String> = events.iter().map(untimed).collect();
     assert_eq!(
         fnv(&shape.join("\n")),
-        0xac2a_e502_8637_57f1,
+        0x8d6e_4f9c_612c_51a0,
         "span tree shape digest"
     );
 }

@@ -66,8 +66,8 @@ const CYCLE_ADVANCE: i64 = 60;
 const BARRIER_PREFIX: &str = "{\"CycleCommitted\"";
 const TENANTS: [&str; 3] = ["alice", "bob", "carol"];
 
-/// Two shards of ten nodes; alice is capped so batch formation re-enforces
-/// a quota, everyone else is unlimited.
+/// Two shards of ten nodes; alice is capped, so admission may refuse some
+/// of her submits; everyone else is unlimited.
 fn config(seed: u64) -> LiveConfig {
     let mut quotas = QuotaTable::open();
     quotas.tenants.insert(
@@ -1403,6 +1403,26 @@ fn a_snapshot_for_another_platform_or_with_a_foreign_node_is_refused() {
             assert!(message.starts_with("shard 0: slot"), "{message}");
         }
         other => panic!("expected rows out of order on shard 0, got {other:?}"),
+    }
+
+    // A snapshot that has lost a shard is refused by its shard count,
+    // before any row is bound.
+    let store = SnapshotStore::open(&snapshot_dir(&dir)).unwrap();
+    let (generation, payload) = store.latest().unwrap().expect("a snapshot");
+    let mut value: Value = serde_json::from_str(&payload).unwrap();
+    let state = object_field(object_field(&mut value, "CycleCommitted"), "state");
+    let Value::Array(shards) = object_field(state, "shards") else {
+        panic!("shards is not an array")
+    };
+    shards.remove(0);
+    store
+        .save(generation, &serde_json::to_string(&value).unwrap())
+        .unwrap();
+    match recover_live(&dir) {
+        Err(RecoverError::SnapshotDecode { message }) => {
+            assert_eq!(message, "snapshot holds 1 shards, the service has 2");
+        }
+        other => panic!("expected a snapshot that lost a shard refused, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

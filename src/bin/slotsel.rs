@@ -572,8 +572,11 @@ fn cmd_serve_live(args: &Args) -> Result<(), String> {
         Arc::clone(daemon.registry()),
         Some(daemon.handler()),
     )?;
+    // After --recover the service runs on the journal header's config.
+    let running = daemon.config();
     println!(
-        "live mode: {shards} shard(s) x {nodes} nodes, +{cycle_advance} virtual time per cycle"
+        "live mode: {} shard(s) x {} nodes, +{} virtual time per cycle",
+        running.shards, running.nodes_per_shard, running.cycle_advance
     );
     std::io::stdout().flush().ok();
 
@@ -594,15 +597,13 @@ fn cmd_serve_live(args: &Args) -> Result<(), String> {
         executed += 1;
         if !outcome.committed.is_empty()
             || !outcome.deferred.is_empty()
-            || !outcome.over_quota.is_empty()
             || !outcome.finished.is_empty()
         {
             println!(
-                "cycle {}: {} committed, {} deferred, {} over quota, {} finished",
+                "cycle {}: {} committed, {} deferred, {} finished",
                 outcome.cycle,
                 outcome.committed.len(),
                 outcome.deferred.len(),
-                outcome.over_quota.len(),
                 outcome.finished.len(),
             );
             std::io::stdout().flush().ok();

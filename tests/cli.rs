@@ -523,6 +523,30 @@ fn live_serve_refuses_a_config_it_cannot_run() {
     }
 }
 
+#[test]
+fn live_serve_announces_the_recovered_config_not_the_flags() {
+    // A recovered service runs on its journal header's config, so the
+    // `live mode:` line names that, not the defaults of the flags left out.
+    let dir = temp_path("live-announce");
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = |extra: &[&str]| {
+        let mut args = vec!["serve", "--live", "--addr", "127.0.0.1:0"];
+        args.extend_from_slice(&["--cycles", "1", "--cycle-ms", "1"]);
+        args.extend_from_slice(&["--journal-dir", dir.to_str().unwrap()]);
+        args.extend_from_slice(extra);
+        let out = slotsel(&args);
+        assert!(out.status.success(), "{extra:?}: {}", stderr(&out));
+        stdout(&out)
+    };
+    let announced = "live mode: 2 shard(s) x 12 nodes, +30 virtual time per cycle";
+    let fresh = run(&["--shards", "2", "--nodes", "12", "--cycle-advance", "30"]);
+    assert!(fresh.contains(announced), "{fresh}");
+    let recovered = run(&["--recover"]);
+    assert!(recovered.contains("recover: resuming"), "{recovered}");
+    assert!(recovered.contains(announced), "{recovered}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Spawns `slotsel serve --live` with `extra` flags appended, waits for
 /// the banner and returns the child plus its bound `host:port`.
 fn spawn_live(extra: &[&str]) -> (std::process::Child, String) {
